@@ -7,7 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
-        service-smoke experiments
+        service-smoke perf-smoke perf-compare experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -71,6 +71,16 @@ chaos-smoke:
 # replay with exactly-once audit).
 service-smoke:
 	$(PYTHON) -m pytest -x -q tests/service
+
+# The two-clock request-path benchmark's own smoke test (outside
+# tier-1; see benchmarks/perf/README.md).
+perf-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
+
+# Compare two saved `python3 -m benchmarks.perf` reports:
+#   make perf-compare A=parent.json B=change.json
+perf-compare:
+	python3 -m benchmarks.perf --compare $(A) $(B)
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

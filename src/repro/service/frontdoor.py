@@ -22,11 +22,11 @@ stream attach         sealed streaming plane (``repro.streams``)
 
 Failure handling rides the shared substrate: gateway crashes surface
 as :class:`~repro.errors.EnclaveLostError`, the retry loop recovers
-the enclave from its platform-sealed root and the host-stored sealed
-chain heads, and the request replays -- the in-enclave request-id
-dedup makes the audit entry exactly-once.  Every terminal outcome is
-counted: ``offered == completed + shed + quota_rejected + failed`` is
-an asserted identity, not a hope.
+the enclave from its platform-sealed root, the host-stored sealed
+chain heads and the host-kept request-id logs, and the request replays
+-- the in-enclave request-id dedup makes the audit entry exactly-once.
+Every terminal outcome is counted: ``offered == completed + shed +
+quota_rejected + failed`` is an asserted identity, not a hope.
 """
 
 from dataclasses import dataclass, field
@@ -138,9 +138,12 @@ class SecureFrontDoor:
         self.subscriptions = {}
         self.streams = {}
         # The sealed audit store the host keeps for each tenant: the
-        # ordered blobs plus the latest platform-sealed head.
+        # ordered blobs, the latest platform-sealed head, and the log
+        # of recorded request ids that head commits to (ids are minted
+        # here and appear in every Receipt, so the log holds no secret).
         self.audit_blobs = {}
         self.audit_heads = {}
+        self.audit_request_ids = {}
 
         # Terminal-outcome accounting (the silent-loss identity).
         self.completed = {}
@@ -181,7 +184,8 @@ class SecureFrontDoor:
             )
         else:
             self.gateway.ecall(
-                "restore", self.sealed_root, dict(self.audit_heads)
+                "restore", self.sealed_root, dict(self.audit_heads),
+                self.audit_request_ids,
             )
 
     def _recover_gateway(self):
@@ -213,6 +217,7 @@ class SecureFrontDoor:
         )
         self.audit_blobs[tenant_id] = [blob] if blob is not None else []
         self.audit_heads[tenant_id] = head
+        self.audit_request_ids[tenant_id] = []
         if blob is not None:
             self._tel_audit_entries.inc()
         self.admission.register(
@@ -249,6 +254,7 @@ class SecureFrontDoor:
         self.audit_heads[tenant_id] = head
         if blob is not None:
             self.audit_blobs[tenant_id].append(blob)
+            self.audit_request_ids[tenant_id].append(request_id)
             self._tel_audit_entries.inc()
 
     def _request(self, tenant_id, action, resource, body,

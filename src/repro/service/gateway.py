@@ -18,13 +18,19 @@ cannot read.  The trust split mirrors the rest of the stack:
 - the *audit chain* appends happen in-enclave with request-id
   deduplication, so a request replayed through the retry substrate
   after a mid-request enclave crash is recorded exactly once; the
-  head (count, hash, seen ids) is platform-sealed back to the host on
-  every append, which is what makes the crash recoverable at all.
+  head (count, hash, and a rolling commitment to the seen request ids
+  -- constant size, whatever the history) is platform-sealed back to
+  the host on every append, which is what makes the crash recoverable
+  at all.  The ids themselves are host-minted and not secret: the host
+  keeps them in a per-tenant log, and restore rebuilds the dedupe set
+  from that log only if it reproduces the sealed commitment.
 
 Per-job keys are returned to the map/reduce driver, which -- as since
 PR 1 -- stands inside the trust boundary (it models a driver enclave;
 it already holds job keys and provisions attested workers).
 """
+
+import json
 
 from repro.errors import ConfigurationError, IntegrityError
 from repro.crypto.aead import AeadKey
@@ -118,8 +124,6 @@ def _tenant(ctx, tenant_id):
 
 def _seal_head(ctx, tenant):
     """Platform-seal one tenant's chain head for host storage."""
-    import json
-
     payload = json.dumps(
         {"tenant": tenant.tenant_id, **tenant.chain.head_state()},
         sort_keys=True, separators=(",", ":"),
@@ -142,24 +146,25 @@ def gw_setup(ctx, root_key_bytes):
     return ctx.seal(_ROOT_SEAL_PREFIX + bytes(root_key_bytes))
 
 
-def gw_restore(ctx, sealed_root, sealed_heads):
+def gw_restore(ctx, sealed_root, sealed_heads, request_ids=None):
     """Post-crash restart: unseal the root, re-derive, restore heads.
 
     ``sealed_heads`` maps tenant id to the latest platform-sealed head
-    blob the host stored.  Key re-derivation is deterministic, so the
-    restarted gateway continues every chain exactly where the sealed
-    head says it stopped; a host feeding a stale head is caught the
-    moment the exported chain is verified against it.
+    blob the host stored, ``request_ids`` to the host-kept log of that
+    tenant's recorded request ids (absent means empty).  Key
+    re-derivation is deterministic, so the restarted gateway continues
+    every chain exactly where the sealed head says it stopped; a host
+    feeding a stale head is caught the moment the exported chain is
+    verified against it.  Nothing is installed until every head and
+    every id log has verified: a failed restore leaves no gateway.
     """
-    import json
-
     ctx.compute(GATEWAY_SETUP_CYCLES)
     raw = ctx.unseal(sealed_root)
     if not raw.startswith(_ROOT_SEAL_PREFIX):
         raise IntegrityError("sealed gateway root has a foreign prefix")
     root = raw[len(_ROOT_SEAL_PREFIX):]
     state = {"root": root, "tenants": {}}
-    ctx.state["gateway"] = state
+    request_ids = request_ids or {}
     for tenant_id, head_blob in sealed_heads.items():
         tenant = _TenantState(root, tenant_id)
         head = json.loads(ctx.unseal(head_blob).decode("utf-8"))
@@ -168,8 +173,9 @@ def gw_restore(ctx, sealed_root, sealed_heads):
                 "sealed audit head belongs to tenant %r, not %r"
                 % (head.get("tenant"), tenant_id)
             )
-        tenant.chain.restore_head(head)
+        tenant.chain.restore_head(head, request_ids.get(tenant_id, ()))
         state["tenants"][tenant_id] = tenant
+    ctx.state["gateway"] = state
     return len(state["tenants"])
 
 
@@ -205,7 +211,7 @@ def gw_append_audit(ctx, tenant_id, request_id, vtime, action, resource,
     if request_id in tenant.chain.seen:
         return None, _seal_head(ctx, tenant)
     blob = tenant.chain.append(vtime, action, resource, outcome, detail)
-    tenant.chain.seen.add(request_id)
+    tenant.chain.mark_seen(request_id)
     return blob, _seal_head(ctx, tenant)
 
 

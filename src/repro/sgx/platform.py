@@ -8,7 +8,12 @@ from repro.sgx.attestation import QuotingEnclave
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import Enclave
 from repro.sgx.memory import EpcModel, LlcModel, SimulatedMemory
-from repro.sgx.sealing import SealingPolicy, seal as _seal, unseal as _unseal
+from repro.sgx.sealing import (
+    SealingPolicy,
+    derive_sealing_key,
+    seal_with,
+    unseal_with,
+)
 from repro.sim.clock import CycleClock
 from repro.telemetry import default_registry
 
@@ -41,6 +46,10 @@ class SgxPlatform:
             self.platform_id, random_source=random_source, key_bits=quoting_key_bits
         )
         self._enclaves = []
+        # Pure functions of the fuse secret and the code identity, so
+        # derived once: (identity, policy) -> key, code name -> signer.
+        self._sealing_keys = {}
+        self._signers = {}
         # EPC paging telemetry: sampled at snapshot time (gauge_fn), so
         # the per-access hot path in SimulatedMemory stays untouched.
         # Labelled by a per-registry ordinal, not platform_id -- the
@@ -88,30 +97,35 @@ class SgxPlatform:
 
     def _signer_of(self, enclave):
         """The signer identity (MRSIGNER analogue) of an enclave."""
-        signer = hkdf(
-            enclave.code.name.encode("utf-8"), b"signer-identity", length=16
-        )
-        return signer.hex()
+        name = enclave.code.name
+        signer = self._signers.get(name)
+        if signer is None:
+            signer = self._signers[name] = hkdf(
+                name.encode("utf-8"), b"signer-identity", length=16
+            ).hex()
+        return signer
+
+    def _sealing_key(self, enclave, policy):
+        """The (cached) sealing key binding ``enclave`` under ``policy``."""
+        if policy is SealingPolicy.MRENCLAVE:
+            identity = enclave.measurement
+        else:
+            identity = self._signer_of(enclave)
+        key = self._sealing_keys.get((identity, policy))
+        if key is None:
+            key = self._sealing_keys[identity, policy] = derive_sealing_key(
+                self._fuse_secret, identity, policy
+            )
+        return key
 
     def seal(self, enclave, data, policy=None):
         """Seal ``data`` to the enclave's identity on this platform."""
         policy = policy or SealingPolicy.MRENCLAVE
-        return _seal(
-            self._fuse_secret,
-            enclave.measurement,
-            self._signer_of(enclave),
-            data,
-            policy=policy,
-        )
+        return seal_with(self._sealing_key(enclave, policy), data, policy)
 
     def unseal(self, enclave, blob):
         """Unseal a blob for ``enclave``; fails for foreign identities."""
-        return _unseal(
-            self._fuse_secret,
-            enclave.measurement,
-            self._signer_of(enclave),
-            blob,
-        )
+        return unseal_with(self._sealing_key(enclave, blob.policy), blob)
 
     def reset_memory_system(self):
         """Flush LLC and EPC (benchmark isolation between runs)."""

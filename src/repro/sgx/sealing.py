@@ -60,12 +60,26 @@ def derive_sealing_key(platform_secret, identity, policy):
     return AeadKey(hkdf(platform_secret, info))
 
 
+def seal_with(key, data, policy):
+    """Seal ``data`` under an already derived sealing key."""
+    ciphertext = key.encrypt(data, aad=policy.value.encode("ascii"))
+    return SealedBlob(policy=policy, ciphertext=ciphertext.to_bytes())
+
+
+def unseal_with(key, blob):
+    """Open ``blob`` under an already derived sealing key; raises
+    :class:`IntegrityError` if it is not the sealer's."""
+    return key.decrypt(
+        Ciphertext.from_bytes(blob.ciphertext),
+        aad=blob.policy.value.encode("ascii"),
+    )
+
+
 def seal(platform_secret, measurement, signer, data, policy=SealingPolicy.MRENCLAVE):
     """Seal ``data`` under the requested policy."""
     identity = measurement if policy is SealingPolicy.MRENCLAVE else signer
     key = derive_sealing_key(platform_secret, identity, policy)
-    ciphertext = key.encrypt(data, aad=policy.value.encode("ascii"))
-    return SealedBlob(policy=policy, ciphertext=ciphertext.to_bytes())
+    return seal_with(key, data, policy)
 
 
 def unseal(platform_secret, measurement, signer, blob):
@@ -73,7 +87,4 @@ def unseal(platform_secret, measurement, signer, blob):
     identity or platform does not match the sealer's."""
     identity = measurement if blob.policy is SealingPolicy.MRENCLAVE else signer
     key = derive_sealing_key(platform_secret, identity, blob.policy)
-    return key.decrypt(
-        Ciphertext.from_bytes(blob.ciphertext),
-        aad=blob.policy.value.encode("ascii"),
-    )
+    return unseal_with(key, blob)

@@ -223,16 +223,98 @@ class TestEntryEdges:
     def test_head_state_round_trip(self):
         chain = AuditChain(_KEY_A, "acme")
         chain.append(0.0, "a", "r", "ok")
-        chain.seen.add("req-1")
+        chain.mark_seen("req-1")
         state = chain.head_state()
+        assert sorted(state) == [
+            "count", "head", "seen_count", "seen_digest"
+        ]
         restored = AuditChain(_KEY_A, "acme")
-        restored.restore_head(state)
+        restored.restore_head(state, ["req-1"])
         assert restored.count == chain.count
         assert restored.head == chain.head
         assert restored.seen == {"req-1"}
+        assert restored.head_state() == state
 
     def test_empty_chain_verifies(self):
         chain = AuditChain(_KEY_A, "acme")
         assert verify_chain(
             _KEY_A, "acme", [], chain.count, chain.head
         ) == []
+
+
+_request_ids = st.lists(
+    st.text(min_size=1, max_size=24), min_size=2, max_size=12, unique=True
+)
+
+
+def _recorded_chain(tenant_id, specs, request_ids):
+    """A chain with ``specs`` appended and ``request_ids`` recorded, as
+    the gateway leaves it: the sealed head plus the host's id log."""
+    chain, _blobs = _build_chain(_KEY_A, tenant_id, specs)
+    for request_id in request_ids:
+        chain.mark_seen(request_id)
+    return chain, chain.head_state(), list(request_ids)
+
+
+class TestSeenCommitment:
+    """The sealed head commits to the seen-request set; the host keeps
+    the ids.  Restore must accept exactly the honest log."""
+
+    @settings(max_examples=30)
+    @given(st.lists(_entries, max_size=6), _request_ids)
+    def test_honest_log_restores_and_dedupes(self, specs, request_ids):
+        chain, state, log = _recorded_chain("acme", specs, request_ids)
+        restored = AuditChain(_KEY_A, "acme")
+        restored.restore_head(state, log)
+        assert restored.seen == chain.seen
+        assert restored.count == chain.count
+        assert restored.head == chain.head
+        # Replaying every logged id appends nothing: each is still a
+        # duplicate, which is all the gateway asks before it appends.
+        assert all(request_id in restored.seen for request_id in log)
+        assert restored.head_state() == state
+
+    @settings(max_examples=30)
+    @given(st.lists(_entries, max_size=6), _request_ids, st.data())
+    def test_tampered_log_fails_closed(self, specs, request_ids, data):
+        _chain, state, log = _recorded_chain("acme", specs, request_ids)
+        i = data.draw(st.integers(min_value=0, max_value=len(log) - 2))
+        j = data.draw(st.integers(min_value=i + 1, max_value=len(log) - 1))
+        swapped = list(log)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        tampered = {
+            "drop-one": log[:i] + log[i + 1:],
+            "swap-two": swapped,
+            "append-extra": log + ["forged|" + log[j]],
+            "duplicate-one": log[:j] + [log[i]] + log[j:],
+        }
+        for family, bad_log in tampered.items():
+            restored = AuditChain(_KEY_A, "acme")
+            with pytest.raises(IntegrityError):
+                restored.restore_head(state, bad_log)
+            # Fails before adopting anything.
+            assert (restored.count, restored.seen) == (0, set()), family
+
+    @settings(max_examples=30)
+    @given(st.lists(_entries, max_size=6), _request_ids)
+    def test_other_tenants_log_fails_closed(self, specs, request_ids):
+        """Tenant A's log under tenant B's head."""
+        _a, _state_a, log_a = _recorded_chain(
+            "acme", specs, ["acme|" + r for r in request_ids]
+        )
+        _b, state_b, _log_b = _recorded_chain(
+            "globex", specs, ["globex|" + r for r in request_ids]
+        )
+        with pytest.raises(IntegrityError):
+            AuditChain(_KEY_A, "globex").restore_head(state_b, log_a)
+
+    @settings(max_examples=30)
+    @given(_request_ids)
+    def test_commitment_is_tenant_bound(self, request_ids):
+        """Two tenants recording the very same ids still commit to
+        different digests: a head cannot move between tenants."""
+        _a, state_a, log = _recorded_chain("acme", [], request_ids)
+        _b, state_b, _log = _recorded_chain("globex", [], request_ids)
+        assert state_a["seen_digest"] != state_b["seen_digest"]
+        with pytest.raises(IntegrityError):
+            AuditChain(_KEY_A, "acme").restore_head(state_b, log)

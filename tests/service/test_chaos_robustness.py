@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.chaos.injector import ChaosConfig, ChaosInjector
-from repro.errors import IntegrityError
+from repro.errors import ConfigurationError, IntegrityError
 from repro.service import FrontDoorConfig, SecureFrontDoor
 from repro.service.gateway import GATEWAY_CODE
 from repro.sim.events import Environment
@@ -143,3 +143,152 @@ class TestRestoreHardening:
         assert door.audit_head("acme") == head_before
         assert door.upload_dataset("acme", "d2", [b"y"]).ok
         assert door.verify_audit("acme") == head_before[0] + 1
+
+    def test_failed_restore_installs_nothing(self):
+        """Tenant 1's head and log are honest, tenant 2's head is
+        forged: the restore must not leave a live gateway holding the
+        root key and tenant 1's chain behind the IntegrityError."""
+        env = Environment()
+        door = SecureFrontDoor(env, seed=47)
+        door.register_tenant("acme")
+        door.register_tenant("globex")
+        door.upload_dataset("acme", "d", [b"x"])
+        fresh = door.platform.load_enclave(GATEWAY_CODE, name="half")
+        forged = {
+            "acme": door.audit_heads["acme"],
+            "globex": door.audit_heads["acme"],
+        }
+        with pytest.raises(IntegrityError):
+            fresh.ecall(
+                "restore", door.sealed_root, forged,
+                door.audit_request_ids,
+            )
+        for call in (
+            ("audit_head", "acme"),
+            ("append_audit", "acme", "r-1", 0.0, "a", "r", "ok"),
+            ("seal_dataset", "acme", "d", [b"x"]),
+        ):
+            with pytest.raises(
+                ConfigurationError, match="gateway enclave is not set up"
+            ):
+                fresh.ecall(*call)
+
+    def test_tampered_request_log_fails_closed(self):
+        """The host omits, reorders, forges, or withholds the request
+        id log the sealed head commits to: caught at restore, and
+        nothing is installed."""
+        env = Environment()
+        door = SecureFrontDoor(env, seed=48)
+        door.register_tenant("acme", rate=1000.0, burst=1000.0)
+        door.register_tenant("globex", rate=1000.0, burst=1000.0)
+        for index in range(4):
+            door.upload_dataset("acme", "d-%d" % index, [b"x"])
+            door.upload_dataset("globex", "d-%d" % index, [b"y"])
+        log = door.audit_request_ids["acme"]
+        assert len(log) == 4
+        bad_logs = {
+            "omitted": log[:-1],
+            "reordered": [log[1], log[0]] + log[2:],
+            "forged": log + ["acme|dataset.upload|d-9|5"],
+            "duplicated": log + [log[0]],
+            "foreign": door.audit_request_ids["globex"],
+            "withheld": None,
+        }
+        for family, bad in bad_logs.items():
+            logs = dict(door.audit_request_ids)
+            if bad is None:
+                del logs["acme"]
+            else:
+                logs["acme"] = bad
+            fresh = door.platform.load_enclave(GATEWAY_CODE, name=family)
+            with pytest.raises(IntegrityError):
+                fresh.ecall(
+                    "restore", door.sealed_root, door.audit_heads, logs
+                )
+            with pytest.raises(ConfigurationError):
+                fresh.ecall("audit_head", "globex")
+
+    def test_replaying_every_logged_id_appends_nothing(self):
+        env = Environment()
+        door = SecureFrontDoor(env, seed=49)
+        door.register_tenant("acme", rate=1000.0, burst=1000.0)
+        for index in range(6):
+            door.upload_dataset("acme", "d-%d" % index, [b"x"])
+        head_before = door.audit_head("acme")
+        door.gateway.destroy()
+        door._recover_gateway()
+        for request_id in list(door.audit_request_ids["acme"]):
+            door._audit(
+                "acme", request_id, "dataset.upload", "replayed", "ok"
+            )
+        assert door.audit_head("acme") == head_before
+        assert len(door.audit_request_ids["acme"]) == 6
+        assert door.verify_audit("acme") == 7
+
+
+class TestConstantHead:
+    def test_sealed_head_does_not_grow_with_history(self):
+        """The regression guard for the O(history) head: what the
+        gateway platform-seals per request holds a commitment to the
+        seen ids, not the ids, so only the two decimal counters can
+        widen it."""
+        env = Environment()
+        door = SecureFrontDoor(env, seed=50)
+        door.register_tenant("acme")
+
+        def head_length_after(appends):
+            while len(door.audit_request_ids["acme"]) < appends:
+                door._audit(
+                    "acme",
+                    "acme|bench|r|%d" % len(door.audit_request_ids["acme"]),
+                    "bench", "r", "ok",
+                )
+            return len(door.audit_heads["acme"].to_bytes())
+
+        short, long = head_length_after(20), head_length_after(2000)
+        # count: 21 -> 2001, seen_count: 20 -> 2000.
+        assert 0 <= long - short <= 4
+        assert door.verify_audit("acme") == 2001
+
+
+class _CrashAtNextAck:
+    """Scripted chaos: kill the gateway once, at the next ``ack``
+    stage after :meth:`arm` (after the append, before the reply)."""
+
+    def __init__(self):
+        self.armed = False
+
+    def arm(self):
+        self.armed = True
+
+    def crashes_shard(self, _shard_id, operation):
+        if self.armed and operation.startswith("ack|"):
+            self.armed = False
+            return True
+        return False
+
+
+class TestLongHistoryReplay:
+    def test_ack_crash_after_long_history_lands_exactly_once(self):
+        """Restore rebuilds a 500-id dedupe set from the host log, and
+        the replayed request is still recognised as already recorded."""
+        env = Environment()
+        chaos = _CrashAtNextAck()
+        door = SecureFrontDoor(env, seed=51, chaos=chaos)
+        door.register_tenant("acme", rate=1e6, burst=1e6)
+        requests = 500
+        for index in range(requests):
+            assert door.upload_dataset("acme", "d-%d" % index, [b"x"]).ok
+        chaos.arm()
+        receipt = door.upload_dataset("acme", "d-last", [b"x"])
+        assert receipt.ok
+        assert door.gateway_recoveries == 1
+        requests += 1
+        assert door.audit_request_ids["acme"].count(
+            receipt.request_id
+        ) == 1
+        assert door.verify_audit("acme") == requests + 1
+        totals = FrontDoorOracle(
+            door._root_key.key_bytes
+        ).assert_books_balance(door)
+        assert totals["completed"] == requests
