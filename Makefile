@@ -7,7 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
-        service-smoke perf-smoke perf-compare experiments
+        service-smoke perf-smoke perf-compare perf-pairs experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -23,23 +23,9 @@ bench:
 bench-smoke:
 	$(PYTHON) -m repro.cli smoke
 
-# Performance gate: run A1, A9, A10, E6, E7, and E8 in smoke mode and
-# fail if any gated metric (visits/match, virtual_ms/match,
-# virtual_ms/MB, virtual_ms/pub, detect_ms_med, recover_ms_med,
-# ms_per_join, silent_loss) regressed more than 10% against the
-# checked-in benchmarks/out/gate_*.json baselines, printing one
-# aggregated summary table with a single exit code.  The A9 rows pin
-# the chunked-parallel sealing cost model (serial XOF vs. chunked at
-# 64/256 KiB chunks x 1/2/4/8 workers); the E7 rows pin node-failover
-# detection/recovery latency and zero silent loss; the E8 rows pin the
-# attested-join cost model (cold vs. cached vs. batched vs. ticket)
-# and provisioned mass-recovery latency; the E9 rows pin the streaming
-# plane's shed accounting, commit-lag tail, recovery latency, and zero
-# silent loss under overload and churn; the E10 rows pin the front
-# door's completed-request p99, the victim tenant's latency ratio
-# under a noisy tenant's chaos, and zero silent request loss.
-# Regenerate with:
-#   $(PYTHON) -m repro.cli gate --update
+# Performance gate: the smoke-mode rows of every experiment in
+# GATE_SPECS (src/repro/cli.py) against benchmarks/out/gate_*.json;
+# regenerate with `$(PYTHON) -m repro.cli gate --update`.
 bench-gate:
 	$(PYTHON) -m repro.cli gate
 
@@ -81,6 +67,29 @@ perf-smoke:
 #   make perf-compare A=parent.json B=change.json
 perf-compare:
 	python3 -m benchmarks.perf --compare $(A) $(B)
+
+# Paired before/after runs of one benchmark workload, alternating which
+# checkout goes first, then the benchmark's own comparison:
+#   make perf-pairs PARENT=/root/scratch/parent W=tenant_mix N=10
+# Appends to $(OUT)/parent.$(W).json and $(OUT)/change.$(W).json; S is
+# the time box per run (BENCHMARK.json's run_seconds).
+N ?= 10
+S ?= 10
+OUT ?= /root/scratch/pairs
+perf-pairs:
+	@test -d "$(PARENT)/benchmarks/perf" || \
+	  { echo "PARENT=<checkout of the parent commit> is required"; exit 2; }
+	@test -n "$(W)" || { echo "W=<workload> is required"; exit 2; }
+	@mkdir -p $(OUT)
+	@here=$$(pwd); a=$(OUT)/parent.$(W).json; b=$(OUT)/change.$(W).json; \
+	run() { (cd $$1 && python3 -m benchmarks.perf --workload $(W) \
+	         --seconds $(S) --out $$2 >/dev/null) || exit 1; }; \
+	for i in $$(seq 1 $(N)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then run $(PARENT) $$a; run $$here $$b; \
+	  else run $$here $$b; run $(PARENT) $$a; fi; \
+	  echo "pair $$i/$(N) done"; \
+	done; \
+	python3 -m benchmarks.perf --compare $$a $$b
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -10,10 +10,12 @@ outside.
 Splits, shuffle partitions, and outputs are sealed with the batch AEAD
 framing (:class:`~repro.crypto.aead.SealedBatch`): one nonce and one tag
 per boundary crossing instead of per record, and one keystream pass over
-the whole frame.  The driver dispatches map tasks and reduce tasks on a
-thread pool sized by ``job.mappers`` / ``job.reducers`` -- the dominant
-ecall cost is HMAC-SHA256 inside hashlib's C code, which releases the
-GIL, so threads overlap the crypto work of independent tasks.
+the whole frame.  The driver runs map tasks, then reduce tasks, one
+after another in index order: ``job.mappers`` / ``job.reducers`` set
+how many worker enclaves share the work.  The host loop is serial on
+purpose -- an ecall is CPU-bound Python under the GIL, where host
+threads overlap nothing -- and concurrency across workers belongs to
+the cycle model.
 
 The plain reference implementation (:func:`plain_mapreduce`) defines
 the semantics; the property tests assert the secure engine computes the
@@ -35,7 +37,6 @@ splits instead of starting over.
 import json
 import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -290,12 +291,6 @@ class SecureMapReduce:
         self.crashes_detected = 0
         self.splits_resumed = 0
         self._recovery_lock = threading.Lock()
-        # Worker threads share the platform clock, so a *per-task*
-        # cycle delta would fold in whatever the other threads charged
-        # meanwhile -- a nondeterministic number.  The registry instead
-        # gets per-split sealed sizes (thread-free facts) and whole-
-        # phase clock deltas measured from the driver thread after the
-        # pool joins.
         registry = default_registry()
         self._tel_map_tasks = registry.counter("bigdata.map_tasks")
         self._tel_reduce_tasks = registry.counter("bigdata.reduce_tasks")
@@ -331,8 +326,7 @@ class SecureMapReduce:
         """Execute one task with bounded retry on worker crashes.
 
         ``enclaves`` is the role's worker list; on recovery the crashed
-        slot is replaced by a freshly loaded, re-attested worker (each
-        task owns its slot, so concurrent tasks never race).  Backoff
+        slot is replaced by a freshly loaded, re-attested worker.  Backoff
         is charged to the shared virtual clock and every recovery
         episode is recorded for the E5 latency report.
         """
@@ -409,38 +403,32 @@ class SecureMapReduce:
         ]
         for sealed in sealed_splits:
             self._tel_split_bytes.observe(len(sealed))
-        # 2. Map phase: every mapper's ecall runs on its own thread;
-        #    results are merged on the driver thread so the
-        #    sealed_bytes_moved accounting never races.  Crashed tasks
-        #    are retried per the retry policy; completed tasks are
-        #    checkpointed and skipped on resume.
+        # 2. Map phase, in split order.  Crashed tasks are retried per
+        #    the retry policy; completed tasks are checkpointed and
+        #    skipped on resume.
         crash_check = self.chaos.mapper_crashes if self.chaos else None
-        done = checkpoint.map_outputs if checkpoint is not None else {}
+        partition_maps = (
+            dict(checkpoint.map_outputs) if checkpoint is not None else {}
+        )
         pending = [
-            (index, sealed)
-            for index, sealed in enumerate(sealed_splits)
-            if index not in done
+            index for index in range(len(sealed_splits))
+            if index not in partition_maps
         ]
         self.splits_resumed += len(sealed_splits) - len(pending)
         self._tel_resumed.inc(len(sealed_splits) - len(pending))
-
-        def run_map(task):
-            index, sealed = task
-            return index, self._run_task(
-                "map", index, self._mappers,
-                ("map", self.job.map_fn, sealed, self.job.combiner_fn),
-                crash_check,
-            )
-
-        partition_maps = dict(done)
         if pending:
             map_phase_start = self.platform.clock.now
-            with ThreadPoolExecutor(max_workers=len(pending)) as pool:
-                for index, partitions in pool.map(run_map, pending):
-                    partition_maps[index] = partitions
-                    if checkpoint is not None:
-                        checkpoint.record_map(index, partitions)
-                        self._tel_checkpoints.inc()
+            for index in pending:
+                partitions = self._run_task(
+                    "map", index, self._mappers,
+                    ("map", self.job.map_fn, sealed_splits[index],
+                     self.job.combiner_fn),
+                    crash_check,
+                )
+                partition_maps[index] = partitions
+                if checkpoint is not None:
+                    checkpoint.record_map(index, partitions)
+                    self._tel_checkpoints.inc()
             self._tel_map_tasks.inc(len(pending))
             self._tel_map_phase.observe(
                 self.platform.clock.now - map_phase_start
@@ -451,32 +439,29 @@ class SecureMapReduce:
                 self.sealed_bytes_moved += len(blob)
                 self._tel_sealed_bytes.inc(len(blob))
                 shuffle_bins[partition].append(blob)
-        # 3. Reduce phase, same pattern: concurrent ecalls, serial
-        #    merge, bounded re-execution, per-partition checkpoints.
+        # 3. Reduce phase, same pattern in partition order: bounded
+        #    re-execution, per-partition checkpoints.
         crash_check = self.chaos.reducer_crashes if self.chaos else None
-        reduce_done = checkpoint.reduce_outputs if checkpoint is not None else {}
+        output_blobs = (
+            dict(checkpoint.reduce_outputs) if checkpoint is not None else {}
+        )
         reduce_pending = [
             partition for partition in range(self.job.reducers)
-            if partition not in reduce_done
+            if partition not in output_blobs
         ]
-
-        def run_reduce(partition):
-            return partition, self._run_task(
-                "reduce", partition, self._reducers,
-                ("reduce", self.job.reduce_fn,
-                 shuffle_bins.get(partition, [])),
-                crash_check,
-            )
-
-        output_blobs = dict(reduce_done)
         if reduce_pending:
             reduce_phase_start = self.platform.clock.now
-            with ThreadPoolExecutor(max_workers=len(reduce_pending)) as pool:
-                for partition, blob in pool.map(run_reduce, reduce_pending):
-                    output_blobs[partition] = blob
-                    if checkpoint is not None:
-                        checkpoint.record_reduce(partition, blob)
-                        self._tel_checkpoints.inc()
+            for partition in reduce_pending:
+                blob = self._run_task(
+                    "reduce", partition, self._reducers,
+                    ("reduce", self.job.reduce_fn,
+                     shuffle_bins.get(partition, [])),
+                    crash_check,
+                )
+                output_blobs[partition] = blob
+                if checkpoint is not None:
+                    checkpoint.record_reduce(partition, blob)
+                    self._tel_checkpoints.inc()
             self._tel_reduce_tasks.inc(len(reduce_pending))
             self._tel_reduce_phase.observe(
                 self.platform.clock.now - reduce_phase_start

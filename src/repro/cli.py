@@ -70,29 +70,42 @@ EXPERIMENTS = {
 
 # Performance gate (``python -m repro.cli gate`` / ``make bench-gate``).
 # Each entry: experiment id -> (baseline artifact name, header attribute
-# on the benchmark module, {row column index: metric name}).  Gated
-# experiments run in smoke mode -- the virtual cycle model is
-# deterministic, so smoke rows are stable across runs -- and every gated
-# column is compared per labelled row against the checked-in baseline
-# under benchmarks/out/.  The baselines are separate files from the full
-# benchmark artifacts so a full ``make bench`` never overwrites them;
-# only ``gate --update`` does.
+# on the benchmark module, gated column names).  Columns are looked up
+# by *name* in the header -- the module's for fresh rows, the stored one
+# for baseline rows -- so a reordered table cannot silently gate the
+# wrong column.  Gated experiments run in smoke mode -- the virtual
+# cycle model is deterministic, so smoke rows are stable across runs --
+# and every gated column is compared per labelled row against the
+# checked-in baseline under benchmarks/out/.  The baselines are separate
+# files from the full benchmark artifacts so a full ``make bench`` never
+# overwrites them; only ``gate --update`` does.
 GATE_SPECS = {
-    "a1": ("gate_a1", "A1_HEADER", {1: "visits/match", 3: "virtual_ms/match"}),
-    "a9": ("gate_a9", "A9_HEADER", {1: "virtual_ms/MB"}),
-    "a10": ("gate_a10", "A10_HEADER", {1: "virtual_ms/pub"}),
-    "e6": ("gate_e6", "E6_HEADER", {5: "recover_ms_med", 7: "silent_loss"}),
+    "a1": ("gate_a1", "A1_HEADER", ("visits/match", "virtual_ms/match")),
+    "a9": ("gate_a9", "A9_HEADER", ("virtual_ms/MB",)),
+    "a10": ("gate_a10", "A10_HEADER", ("virtual_ms/pub",)),
+    "e6": ("gate_e6", "E6_HEADER", ("recover_ms_med", "silent_loss")),
     "e7": ("gate_e7", "E7_HEADER",
-           {5: "detect_ms_med", 6: "recover_ms_med", 8: "silent_loss"}),
+           ("detect_ms_med", "recover_ms_med", "silent_loss")),
     "e8": ("gate_e8", "E8_HEADER",
-           {5: "ms_per_join", 7: "recover_ms_med", 8: "silent_loss"}),
+           ("ms_per_join", "recover_ms_med", "silent_loss")),
     "e9": ("gate_e9", "E9_HEADER",
-           {4: "shed", 12: "p99_lag_vsec", 13: "recover_ms_med",
-            14: "silent_loss"}),
+           ("shed", "p99_lag_vsec", "recover_ms_med", "silent_loss")),
     "e10": ("gate_e10", "E10_HEADER",
-            {8: "p99_ms", 10: "victim_ratio", 14: "silent_loss"}),
+            ("p99_ms", "victim_ratio", "silent_loss")),
 }
 GATE_TOLERANCE = 0.10
+
+
+def _gate_columns(header, metrics, where):
+    """Column index of every gated metric name in ``header``."""
+    header = list(header)
+    missing = [name for name in metrics if name not in header]
+    if missing:
+        raise SystemExit(
+            "gate: %s has no column named %s (columns: %s)"
+            % (where, ", ".join(map(repr, missing)), ", ".join(header))
+        )
+    return {name: header.index(name) for name in metrics}
 
 
 def _load(experiment_id):
@@ -430,18 +443,19 @@ def run_gate(update=False):
     for experiment_id in sorted(GATE_SPECS):
         baseline_name, header_attribute, metrics = GATE_SPECS[experiment_id]
         module, function = _load(experiment_id)
+        header = getattr(module, header_attribute)
+        columns = _gate_columns(header, metrics, header_attribute)
         rows = function(smoke=True)
         if update:
             _harness.report(
                 baseline_name,
                 "Performance gate baseline: %s (smoke mode)"
                 % experiment_id.upper(),
-                getattr(module, header_attribute),
+                header,
                 rows,
                 notes=(
                     "regenerate with: python -m repro.cli gate --update",
-                    "compared columns: %s"
-                    % ", ".join(metrics[i] for i in sorted(metrics)),
+                    "compared columns: %s" % ", ".join(metrics),
                 ),
             )
             continue
@@ -453,9 +467,9 @@ def run_gate(update=False):
             )
             return 1
         with open(path, "r", encoding="utf-8") as handle:
-            baseline_rows = {
-                row[0]: row for row in json.load(handle)["rows"]
-            }
+            stored = json.load(handle)
+        baseline_columns = _gate_columns(stored["header"], metrics, path)
+        baseline_rows = {row[0]: row for row in stored["rows"]}
         for row in rows:
             label = row[0]
             baseline = baseline_rows.get(label)
@@ -466,14 +480,15 @@ def run_gate(update=False):
                     "FAIL (gate --update needed?)",
                 ))
                 continue
-            for column in sorted(metrics):
-                fresh, old = float(row[column]), float(baseline[column])
+            for metric in metrics:
+                fresh = float(row[columns[metric]])
+                old = float(baseline[baseline_columns[metric]])
                 delta = (fresh / old - 1.0) * 100.0 if old else 0.0
                 regressed = fresh > old * (1.0 + GATE_TOLERANCE)
                 if regressed:
                     failures += 1
                 summary.append((
-                    experiment_id, label, metrics[column],
+                    experiment_id, label, metric,
                     "%.4g" % old, "%.4g" % fresh,
                     "%+.1f%%" % delta,
                     "FAIL" if regressed else "ok",

@@ -263,16 +263,26 @@ class CachedAttestationVerifier:
         return True
 
 
+def _require_verifier(attestation):
+    """There is no unverified mode: an enclave set up without a
+    verifier cannot grant or complete any plane join."""
+    if attestation is None:
+        raise ConfigurationError(
+            "no attestation service configured; refusing an unverified "
+            "plane join"
+        )
+    return attestation
+
+
 def verify_quote(attestation, quote, compute=None, **kwargs):
     """Verify under whatever verifier the deployment wired in.
 
-    ``None`` means trusting-driver mode (no verification, no cost); a
-    :class:`CachedAttestationVerifier` prices hits and misses itself; a
-    plain :class:`~repro.sgx.attestation.AttestationService` charges
-    the full cost every time.
+    A :class:`CachedAttestationVerifier` prices hits and misses itself;
+    a plain :class:`~repro.sgx.attestation.AttestationService` charges
+    the full cost every time; ``None`` raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    if attestation is None:
-        return True
+    _require_verifier(attestation)
     if isinstance(attestation, CachedAttestationVerifier):
         return attestation.verify(quote, compute=compute, **kwargs)
     if compute is not None:
@@ -283,7 +293,7 @@ def verify_quote(attestation, quote, compute=None, **kwargs):
 # --- shard-side ECALLs -------------------------------------------------
 #
 # Registered in repro.scbr.sharding's SHARD_ENTRY_POINTS; they share
-# the shard enclave's state dict with the legacy join ECALLs.
+# the shard enclave's state dict with the partition ECALLs there.
 
 _JOIN_KEY_REUSE_CYCLES = 2_000     # unseal + keypair reconstruction
 
@@ -338,15 +348,13 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     roster = [(shard_id, public) for shard_id, public in offers]
     if (ctx.state["shard_id"], dh.public_value) not in roster:
         raise AttestationError("this shard's offer is not in the batch")
-    attestation = ctx.state.get("attestation")
-    if attestation is not None:
-        verify_quote(
-            attestation, quote, compute=ctx.compute,
-            expected_measurement=ctx.state.get("coordinator_measurement"),
-            expected_report_data=batch_join_commitment(
-                coordinator_public, roster
-            ),
-        )
+    verify_quote(
+        ctx.state.get("attestation"), quote, compute=ctx.compute,
+        expected_measurement=ctx.state.get("coordinator_measurement"),
+        expected_report_data=batch_join_commitment(
+            coordinator_public, roster
+        ),
+    )
     ctx.compute(DH_SHARED_CYCLES)
     transport = AeadKey(
         dh.shared_key(coordinator_public, info=b"scbr-plane-join")
@@ -473,16 +481,13 @@ def coord_enroll_batch(ctx, offers):
     roster = []
     platforms = {}
     for shard_id, shard_public, quote in offers:
-        if attestation is not None:
-            verify_quote(
-                attestation, quote, compute=ctx.compute,
-                expected_measurement=ctx.state.get("shard_measurement"),
-                expected_report_data=dh_commitment(shard_public),
-            )
-        roster.append((shard_id, shard_public))
-        platforms[shard_id] = (
-            quote.platform_id if quote is not None else None
+        verify_quote(
+            attestation, quote, compute=ctx.compute,
+            expected_measurement=ctx.state.get("shard_measurement"),
+            expected_report_data=dh_commitment(shard_public),
         )
+        roster.append((shard_id, shard_public))
+        platforms[shard_id] = quote.platform_id
     epoch = ctx.state["plane_epoch"]
     dh = ctx.state.get("epoch_join_dh")
     if dh is None or ctx.state.get("epoch_join_dh_epoch") != epoch:
@@ -530,6 +535,7 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     since the ticket was minted.  The host then falls back to the full
     attested handshake.
     """
+    attestation = _require_verifier(ctx.state.get("attestation"))
     ctx.compute(TICKET_RESUME_CYCLES)
     try:
         payload = ctx.state["ticket_key"].decrypt(
@@ -544,22 +550,18 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
             "resumption ticket is for epoch %d, plane is at %d"
             % (record["epoch"], epoch)
         )
-    attestation = ctx.state.get("attestation")
-    if attestation is not None:
-        measurement = ctx.state.get("shard_measurement")
-        revoked = getattr(attestation, "measurement_revoked", None)
-        if (measurement is not None and revoked is not None
-                and revoked(measurement)):
-            raise AttestationError(
-                "shard measurement revoked; resumption refused"
-            )
-        platform_id = record["platform"]
-        if platform_id is not None and not attestation.platform_registered(
-            platform_id
-        ):
-            raise AttestationError(
-                "platform %r deregistered; resumption refused" % platform_id
-            )
+    measurement = ctx.state.get("shard_measurement")
+    revoked = getattr(attestation, "measurement_revoked", None)
+    if (measurement is not None and revoked is not None
+            and revoked(measurement)):
+        raise AttestationError(
+            "shard measurement revoked; resumption refused"
+        )
+    platform_id = record["platform"]
+    if not attestation.platform_registered(platform_id):
+        raise AttestationError(
+            "platform %r deregistered; resumption refused" % platform_id
+        )
     secret = bytes.fromhex(record["secret"])
     if ctx.state["resumption"].get(record["platform"]) != secret:
         raise AttestationError("resumption secret no longer current")

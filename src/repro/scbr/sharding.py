@@ -18,10 +18,10 @@ the watermark:
   index keeps its pruning power after partitioning;
 - :class:`ShardedMatchingPlane` is the index-level plane used by the
   memory experiments: one simulated machine (clock, LLC, EPC) per
-  shard, publications matched on every shard in parallel
-  (``ThreadPoolExecutor``, as in the map/reduce driver), virtual
-  latency taken as the slowest shard (the critical path) plus nothing
-  else -- the merge is a set union;
+  shard, publications matched on every shard in turn (the host loop
+  is serial; parallelism is the cycle model's: separate clocks),
+  virtual latency taken as the slowest shard (the critical path) plus
+  nothing else -- the merge is a set union;
 - :class:`ShardedScbrRouter` is the full enclave-level plane: a
   client-facing *coordinator* enclave (attested key exchange, covering
   placement, batched notification fan-out with cached per-subscriber
@@ -29,15 +29,14 @@ the watermark:
   partitions of the subscription database.
 
 The plane key shared by the coordinator and the shards is provisioned
-over a mutually attested Diffie-Hellman exchange
-(:func:`shard_join_offer` / :func:`coord_enroll_shard` /
-:func:`shard_join_complete`): the untrusted plane driver only relays
+over a mutually attested, batched Diffie-Hellman exchange
+(:mod:`repro.scbr.provisioning`: ``join_offer2`` / ``enroll_batch`` /
+``join_complete_batch``): the untrusted plane driver only relays
 quotes and wrapped keys, and never sees key material -- unlike the
 map/reduce driver, the broker host is part of the threat model.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -49,21 +48,16 @@ from repro.errors import (
     PartialCoverageError,
 )
 from repro.crypto.aead import AeadKey, Ciphertext, SealedBatch
-from repro.crypto.dh import DhKeyPair
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
 from repro.scbr.index import ContainmentIndex, HOT_BYTES
 from repro.scbr.keyexchange import (
-    dh_commitment,
     enclave_channel_accept,
     enclave_channel_offer,
 )
 from repro.scbr.provisioning import (
-    DH_KEYGEN_CYCLES,
-    DH_SHARED_CYCLES,
     CachedAttestationVerifier,
     PlaneProvisioner,
-    verify_quote,
     coord_enroll_batch,
     coord_resume,
     coord_rotate,
@@ -103,7 +97,6 @@ _AAD_PUBLICATION = b"plane|publication"
 _AAD_MATCHED = b"plane|matched"
 _AAD_MIGRATE = b"plane|migrate"
 _AAD_SNAPSHOT = b"plane|snapshot"
-_AAD_JOIN = b"plane|join|"
 
 DEFAULT_RECORD_BYTES = 512
 
@@ -283,9 +276,10 @@ class ShardedMatchingPlane:
     N per-shard enclave memories instead of one.  Inserting splits a
     shard through the :class:`EpcWatermarkPolicy` before it can cross
     the watermark (whole root subtrees migrate, so covering chains stay
-    intact); matching fans out to every shard on a thread pool and the
-    virtual latency of a publication is the *slowest shard's* cycles --
-    shards are separate machines matching in parallel.
+    intact); matching visits every shard in order and the virtual
+    latency of a publication is the *slowest shard's* cycles -- shards
+    are separate machines with separate clocks, which is all the
+    parallelism the cycle model needs.
     """
 
     def __init__(self, index_factory=ContainmentIndex,
@@ -386,23 +380,16 @@ class ShardedMatchingPlane:
     def match(self, publication):
         """Union of every shard's matches.
 
-        All shards match concurrently; the plane's virtual latency for
-        the publication is the slowest shard's elapsed cycles (shards
-        are independent machines), accumulated in :attr:`match_cycles`.
+        Each shard charges its own clock, so the plane's virtual
+        latency for the publication is the slowest shard's elapsed
+        cycles (shards are independent machines), accumulated in
+        :attr:`match_cycles`.
         """
-        shards = self.shards
-        if len(shards) == 1:
-            matched, elapsed, visits = shards[0].match(publication)
-            results = [(matched, elapsed, visits)]
-        else:
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                results = list(
-                    pool.map(lambda shard: shard.match(publication), shards)
-                )
         union = set()
         slowest = 0
         visits = 0
-        for matched, elapsed, shard_visits in results:
+        for shard in self.shards:
+            matched, elapsed, shard_visits = shard.match(publication)
             union |= matched
             slowest = max(slowest, elapsed)
             visits += shard_visits
@@ -482,12 +469,12 @@ def shard_setup(ctx, shard_id, record_bytes=DEFAULT_RECORD_BYTES,
                 telemetry_key=None):
     """ECALL: initialise an empty partition.
 
-    ``attestation`` / ``coordinator_measurement`` (optional) let the
-    shard verify the coordinator's quote during the join handshake;
-    omitting them models a deployment that pins trust at the client
-    side only.  ``telemetry_key`` (optional) provisions in-enclave
-    telemetry: match timings are then recorded inside the enclave and
-    leave only as sealed snapshots (:func:`plane_telemetry_export`).
+    ``attestation`` / ``coordinator_measurement`` let the shard verify
+    the coordinator's quote during the join handshake; a shard set up
+    without them can never join.  ``telemetry_key`` (optional)
+    provisions in-enclave telemetry: match timings are then recorded
+    inside the enclave and leave only as sealed snapshots
+    (:func:`plane_telemetry_export`).
     """
     ctx.state["shard_id"] = shard_id
     ctx.state["record_bytes"] = record_bytes
@@ -502,46 +489,6 @@ def shard_setup(ctx, shard_id, record_bytes=DEFAULT_RECORD_BYTES,
         ctx.state["telemetry"] = EnclaveTelemetry(
             telemetry_key, "shard-%d" % shard_id
         )
-    return True
-
-
-def shard_join_offer(ctx):
-    """ECALL: start the attested join; returns a DH value + report."""
-    ctx.compute(DH_KEYGEN_CYCLES)
-    dh = DhKeyPair.generate()
-    ctx.state["join_dh"] = dh
-    return {
-        "dh_public": dh.public_value,
-        "report": ctx.report(dh_commitment(dh.public_value)),
-    }
-
-
-def shard_join_complete(ctx, coordinator_public, quote, wrapped_key):
-    """ECALL: finish the join; unwraps the plane key.
-
-    The coordinator's DH value arrives quoted; when the shard was set
-    up with an attestation service it verifies the quote chains to a
-    registered platform, to the pinned coordinator measurement, and to
-    this DH value -- a host substituting its own key exchange cannot
-    produce that quote.
-    """
-    dh = ctx.state.pop("join_dh", None)
-    if dh is None:
-        raise AttestationError("no pending plane join")
-    attestation = ctx.state.get("attestation")
-    if attestation is not None:
-        verify_quote(
-            attestation, quote, compute=ctx.compute,
-            expected_measurement=ctx.state.get("coordinator_measurement"),
-            expected_report_data=dh_commitment(coordinator_public),
-        )
-    ctx.compute(DH_SHARED_CYCLES)
-    transport = AeadKey(
-        dh.shared_key(coordinator_public, info=b"scbr-plane-join")
-    )
-    aad = _AAD_JOIN + str(ctx.state["shard_id"]).encode("ascii")
-    key_bytes = transport.decrypt(Ciphertext.from_bytes(wrapped_key), aad=aad)
-    ctx.state["plane_key"] = AeadKey(key_bytes)
     return True
 
 
@@ -755,8 +702,6 @@ def shard_stats(ctx):
 
 SHARD_ENTRY_POINTS = {
     "setup": shard_setup,
-    "join_offer": shard_join_offer,
-    "join_complete": shard_join_complete,
     "join_offer2": shard_join_offer2,
     "join_complete_batch": shard_join_complete_batch,
     "resume_offer": shard_resume_offer,
@@ -795,8 +740,7 @@ def coord_setup(ctx, attestation=None, shard_measurement=None,
     """ECALL: initialise the coordinator; mints the plane key in-enclave.
 
     ``attestation`` + ``shard_measurement`` pin which shard code may
-    join the plane; without them any joiner that completes the DH
-    exchange is admitted (trusting-driver mode, as in map/reduce).
+    join the plane; a coordinator set up without them enrolls nobody.
     ``telemetry_key`` (optional) provisions sealed in-enclave telemetry,
     exported via :func:`plane_telemetry_export`.
     """
@@ -817,38 +761,6 @@ def coord_setup(ctx, attestation=None, shard_measurement=None,
     if telemetry_key is not None:
         ctx.state["telemetry"] = EnclaveTelemetry(telemetry_key, "coord")
     return True
-
-
-def coord_enroll_shard(ctx, shard_id, shard_public, quote):
-    """ECALL: verify a shard's join offer and wrap the plane key for it.
-
-    Returns the coordinator's DH value, its own report over that value
-    (for the shard to verify in turn), and the plane key wrapped under
-    the DH-derived transport key.
-    """
-    attestation = ctx.state.get("attestation")
-    if attestation is not None:
-        verify_quote(
-            attestation, quote, compute=ctx.compute,
-            expected_measurement=ctx.state.get("shard_measurement"),
-            expected_report_data=dh_commitment(shard_public),
-        )
-    ctx.compute(DH_KEYGEN_CYCLES + DH_SHARED_CYCLES)
-    dh = DhKeyPair.generate()
-    transport = AeadKey(dh.shared_key(shard_public, info=b"scbr-plane-join"))
-    aad = _AAD_JOIN + str(shard_id).encode("ascii")
-    wrapped = transport.encrypt(
-        ctx.state["plane_key"].key_bytes, aad=aad
-    ).to_bytes()
-    # Membership roster: from now on every publication expects an
-    # answer from this partition.  Re-enrolling the same id (a
-    # recovered replacement) keeps the roster unchanged.
-    ctx.state.setdefault("enrolled", set()).add(shard_id)
-    return {
-        "dh_public": dh.public_value,
-        "report": ctx.report(dh_commitment(dh.public_value)),
-        "wrapped_key": wrapped,
-    }
 
 
 def coord_admit(ctx, envelope):
@@ -981,7 +893,6 @@ COORD_ENTRY_POINTS = {
     "setup": coord_setup,
     "channel_offer": enclave_channel_offer,
     "channel_accept": enclave_channel_accept,
-    "enroll_shard": coord_enroll_shard,
     "enroll_batch": coord_enroll_batch,
     "resume": coord_resume,
     "rotate": coord_rotate,
@@ -1047,8 +958,9 @@ class ShardedScbrRouter:
 
     Virtual-time accounting: the coordinator runs on its platform's
     clock; every shard is a separate machine with its own clock.  A
-    publish is ``ingest`` (coordinator) + the *slowest* shard's match
-    (they run concurrently on a thread pool) + ``finalize``
+    publish is ``ingest`` (coordinator) + the *busiest* shard
+    machine's match cycles (the host asks shards one after another;
+    their concurrency is the separate clocks) + ``finalize``
     (coordinator); the sum lands in :attr:`last_publish_cycles`.
 
     Fault tolerance: each shard keeps a plane-sealed snapshot plus a
@@ -1069,7 +981,7 @@ class ShardedScbrRouter:
     name = "scbr-plane"
 
     def __init__(self, platform, shard_platform_factory,
-                 attestation_service=None, shards=2,
+                 attestation_service, shards=2,
                  record_bytes=DEFAULT_RECORD_BYTES, policy=None,
                  auto_split=True, env=None, chaos=None, orchestrator=None,
                  health_policy=None, snapshot_interval=16,
@@ -1091,9 +1003,7 @@ class ShardedScbrRouter:
         # re-join with an unchanged (platform, measurement, payload,
         # signature) skips the expensive signature check while the
         # policy checks rerun live (see repro.scbr.provisioning).
-        if attestation_service is None:
-            self.verifier = None
-        elif isinstance(attestation_service, CachedAttestationVerifier):
+        if isinstance(attestation_service, CachedAttestationVerifier):
             self.verifier = attestation_service
             self.attestation_service = attestation_service.service
         else:
@@ -1212,15 +1122,13 @@ class ShardedScbrRouter:
         for shard_id in shard_ids:
             platform = self.shard_platform_factory(shard_id)
             baselines.setdefault(id(platform), platform.clock.now)
-            if self.attestation_service is not None:
-                # The infrastructure provider registers new machines
-                # with the verification service; without this, a shard
-                # spawned by a runtime split could never prove its
-                # quote.
-                self.attestation_service.register_platform(
-                    platform.platform_id,
-                    platform.quoting_enclave.public_key,
-                )
+            # The infrastructure provider registers new machines with
+            # the verification service; without this, a shard spawned
+            # by a runtime split could never prove its quote.
+            self.attestation_service.register_platform(
+                platform.platform_id,
+                platform.quoting_enclave.public_key,
+            )
             enclave = platform.load_enclave(
                 SHARD_CODE, name="scbr-shard-%d" % shard_id
             )
@@ -1662,44 +1570,20 @@ class ShardedScbrRouter:
                 return None, 0, shard.platform.clock.now - start
             return blob, visits, shard.platform.clock.now - start
 
-        # Shards sharing a platform (several enclaves on one node)
-        # match *serially* within that machine: their cycle charges
-        # land on one shared clock/LLC/EPC, and a fixed order keeps
-        # two same-seed runs byte-identical.  Distinct machines still
-        # run concurrently on the pool, and the critical path is the
-        # busiest machine's total, not the slowest single shard.
-        groups = []
-        by_platform = {}
-        for shard in self.shards:
+        # Machines match concurrently in the cycle model; shards
+        # sharing a platform (several enclaves on one node) charge one
+        # shared clock/LLC/EPC, so the critical path is the busiest
+        # machine's total, not the slowest single shard.  Matching in
+        # ``self.shards`` order keeps same-seed runs byte-identical.
+        results = [match_on(shard) for shard in self.shards]
+        machine_cycles = {}
+        for shard, (_blob, _visits, elapsed) in zip(self.shards, results):
             key = id(shard.platform)
-            if key not in by_platform:
-                by_platform[key] = []
-                groups.append(by_platform[key])
-            by_platform[key].append(shard)
-
-        def match_group(group):
-            return [match_on(shard) for shard in group]
-
-        if len(groups) == 1:
-            grouped = [match_group(groups[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                grouped = list(pool.map(match_group, groups))
-        by_shard = {}
-        for group, group_results in zip(groups, grouped):
-            for shard, result in zip(group, group_results):
-                by_shard[shard.shard_id] = result
-        results = [by_shard[shard.shard_id] for shard in self.shards]
-        slowest = max(
-            sum(elapsed for _b, _v, elapsed in group_results)
-            for group_results in grouped
-        )
-        # Observed from this (single) driver thread after the pool
-        # joined: per-shard match latencies plus the coverage wait --
-        # how long this publication stayed parked in the coordinator
-        # waiting for its slowest partition.
-        for _blob, _visits, elapsed in results:
+            machine_cycles[key] = machine_cycles.get(key, 0) + elapsed
             self._tel_shard_match.observe(elapsed)
+        slowest = max(machine_cycles.values())
+        # The coverage wait: how long this publication stayed parked in
+        # the coordinator waiting for its slowest partition.
         self._tel_coverage_wait.observe(slowest)
         self.last_visits = sum(visits for _b, visits, _e in results)
         self._tel_visits.inc(self.last_visits)

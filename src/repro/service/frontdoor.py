@@ -91,7 +91,7 @@ class SecureFrontDoor:
     """Admission, quotas, sealed audit, and routing for N tenants."""
 
     def __init__(self, env, seed=0, config=None, chaos=None,
-                 root_key=None, attested=True):
+                 root_key=None):
         self.env = env
         self.seed = seed
         self.config = config or FrontDoorConfig()
@@ -106,10 +106,7 @@ class SecureFrontDoor:
         # The PR 8 cached verifier fronts every quote check the door
         # performs -- gateway bring-up, recovery re-attestation, and
         # (transitively) the SCBR/stream planes it instantiates.
-        self.verifier = (
-            CachedAttestationVerifier(self.attestation) if attested
-            else None
-        )
+        self.verifier = CachedAttestationVerifier(self.attestation)
         # The operator's service root: seed-derived by default so two
         # same-seed doors seal byte-identical state (the determinism
         # gates diff exactly that); production hands in a real key.
@@ -171,13 +168,12 @@ class SecureFrontDoor:
         self.gateway = self.platform.load_enclave(
             GATEWAY_CODE, name="svc-gateway"
         )
-        if self.verifier is not None:
-            quote = self.platform.quote(
-                self.gateway, report_data=b"svc-gateway-join"
-            )
-            self.verifier.verify(
-                quote, expected_measurement=GATEWAY_CODE.measurement
-            )
+        quote = self.platform.quote(
+            self.gateway, report_data=b"svc-gateway-join"
+        )
+        self.verifier.verify(
+            quote, expected_measurement=GATEWAY_CODE.measurement
+        )
         if first:
             self.sealed_root = self.gateway.ecall(
                 "setup", self._root_key.key_bytes

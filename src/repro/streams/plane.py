@@ -125,7 +125,7 @@ class SecureStreamPlane:
 
     def __init__(self, topology, config=None, shards=2, seed=0,
                  name="stream-plane", env=None, chaos=None,
-                 attested=True, telemetry_key=None):
+                 telemetry_key=None):
         if not topology.sgx_nodes():
             raise SchedulingError(
                 "the topology has no SGX nodes; nowhere to run shards"
@@ -187,9 +187,7 @@ class SecureStreamPlane:
                 node.platform.platform_id,
                 node.platform.quoting_enclave.public_key,
             )
-        self.verifier = (
-            CachedAttestationVerifier(self.service) if attested else None
-        )
+        self.verifier = CachedAttestationVerifier(self.service)
         self.provisioner = PlaneProvisioner(
             attestation=self.verifier, chaos=chaos
         )
@@ -199,7 +197,7 @@ class SecureStreamPlane:
         self.ingest_key_bytes = AeadKey.generate().key_bytes
         self.coordinator.ecall(
             "setup", self.ingest_key_bytes, self.verifier,
-            STREAM_SHARD_CODE.measurement if attested else None,
+            STREAM_SHARD_CODE.measurement,
             telemetry_key,
         )
 
@@ -250,7 +248,7 @@ class SecureStreamPlane:
         enclave.ecall(
             "setup", shard_id, self.config.window, owned.to_json(),
             self.config.pane_budget, self.verifier,
-            STREAM_COORD_CODE.measurement if self.verifier else None,
+            STREAM_COORD_CODE.measurement,
             self.telemetry_key,
         )
         node.bind_shard(shard_id)

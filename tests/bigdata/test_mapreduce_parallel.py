@@ -1,8 +1,9 @@
-"""Tests for the parallel secure map/reduce driver.
+"""Tests for the multi-worker secure map/reduce driver.
 
-The driver dispatches map and reduce ecalls on thread pools; these tests
-pin down that concurrency changes neither the computed function nor the
-accounting, and that small jobs no longer pay for empty splits.
+The driver spreads a job over ``mappers`` / ``reducers`` worker
+enclaves; these tests pin down that the worker count changes neither
+the computed function nor the accounting, and that small jobs do not
+pay for empty splits.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -56,6 +56,27 @@ class TestCrashRecovery:
             assert episode["attempts"] >= 2
             assert episode["backoff_seconds"] > 0.0
 
+    def test_same_seed_recoveries_are_equal_and_in_task_order(self):
+        """The driver runs tasks in index order, map before reduce, so
+        the recovery log is a pure function of the chaos seed."""
+        def recoveries():
+            chaos = ChaosInjector(seed=23, mapper_crash_rate=0.6,
+                                  reducer_crash_rate=0.6)
+            engine = make_engine(
+                chaos=chaos,
+                policy=RetryPolicy(max_attempts=12, base_delay=0.005),
+            )
+            assert engine.run(RECORDS) == EXPECTED
+            return engine.recoveries
+
+        first, second = recoveries(), recoveries()
+        assert first == second
+        tasks = [episode["task"] for episode in first]
+        maps = [task for task in tasks if task.startswith("map-")]
+        reduces = [task for task in tasks if task.startswith("reduce-")]
+        assert len(maps) >= 2 and reduces
+        assert tasks == sorted(maps) + sorted(reduces)
+
     def test_without_retry_policy_crashes_propagate(self):
         chaos = ChaosInjector(seed=23, mapper_crash_rate=1.0)
         engine = make_engine(chaos=chaos, policy=None)

@@ -430,3 +430,61 @@ class TestPlatformFingerprint:
         a = SgxPlatform(seed=7, quoting_key_bits=512)
         b = SgxPlatform(seed=8, quoting_key_bits=512)
         assert platform_fingerprint(a) != platform_fingerprint(b)
+
+
+class TestAttestationIsMandatory:
+    def test_router_requires_an_attestation_service(self):
+        platform = SgxPlatform(seed=70, quoting_key_bits=512)
+        with pytest.raises(TypeError):
+            ShardedScbrRouter(
+                platform,
+                lambda i: SgxPlatform(seed=170 + i, quoting_key_bits=512),
+            )
+
+    def test_unverifying_coordinator_grants_nothing(self):
+        """A coordinator set up without an attestation service cannot
+        enroll or resume anyone: there is no unverified way in."""
+        from repro.scbr.sharding import COORD_CODE
+
+        _platform, _attestation, router = _plane(shards=1)
+        shard = router.shards[0]
+        offer = shard.enclave.ecall("join_offer2", None)
+        quote = shard.platform.quoting_enclave.quote(offer["report"])
+        fingerprint = platform_fingerprint(shard.platform)
+        ticket, _sealed = router.provisioner._resume[fingerprint]
+
+        lone = SgxPlatform(seed=71, quoting_key_bits=512)
+        coordinator = lone.load_enclave(COORD_CODE)
+        coordinator.ecall("setup", None, None, None)
+        with pytest.raises(ConfigurationError):
+            coordinator.ecall(
+                "enroll_batch", [(0, offer["dh_public"], quote)]
+            )
+        with pytest.raises(ConfigurationError):
+            coordinator.ecall("resume", 0, ticket, b"n" * 32)
+
+    def test_unverifying_shard_cannot_complete_a_join(self):
+        """The shard side too: set up without a verifier, it refuses
+        the grant instead of accepting an unchecked coordinator."""
+        from repro.scbr.sharding import SHARD_CODE
+
+        _platform, attestation, router = _plane(shards=1)
+        machine = SgxPlatform(seed=72, quoting_key_bits=512)
+        attestation.register_platform(
+            machine.platform_id, machine.quoting_enclave.public_key
+        )
+        enclave = machine.load_enclave(SHARD_CODE)
+        enclave.ecall("setup", 5, 512, None, None, None)
+        offer = enclave.ecall("join_offer2", None)
+        quote = machine.quoting_enclave.quote(offer["report"])
+        grant = router.coordinator.ecall(
+            "enroll_batch", [(5, offer["dh_public"], quote)]
+        )
+        coordinator_quote = router.platform.quoting_enclave.quote(
+            grant["report"]
+        )
+        with pytest.raises(ConfigurationError):
+            enclave.ecall(
+                "join_complete_batch", grant["dh_public"],
+                coordinator_quote, grant["offers"], grant["grants"][5],
+            )

@@ -315,14 +315,14 @@ class TestShardedScbrRouter:
         host cannot splice its own key into the plane join."""
         platform, _attestation, router = plane_setup
         shard = router.shards[0]
-        offer = shard.enclave.ecall("join_offer")
+        offer = shard.enclave.ecall("join_offer2")
         quote = shard.platform.quoting_enclave.quote(offer["report"])
         from repro.crypto.dh import DhKeyPair
 
         mallory = DhKeyPair.generate()
         with pytest.raises(AttestationError):
             router.coordinator.ecall(
-                "enroll_shard", 99, mallory.public_value, quote
+                "enroll_batch", [(99, mallory.public_value, quote)]
             )
 
     def test_wrong_measurement_rejected(self, plane_setup):
@@ -333,7 +333,7 @@ class TestShardedScbrRouter:
         quote = platform.quoting_enclave.quote(offer["report"])
         with pytest.raises(AttestationError):
             router.coordinator.ecall(
-                "enroll_shard", 99, offer["dh_public"], quote
+                "enroll_batch", [(99, offer["dh_public"], quote)]
             )
 
 
