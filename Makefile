@@ -45,9 +45,7 @@ test-cov:
 # (backpressure, shedding, crash replay, autoscaling), and the E10
 # front-door scenarios (gateway crash replay, sealed audit chains)
 # must produce identical results (fault log, delivery set, sealed
-# audit digests, and telemetry snapshot) across two same-seed runs,
-# and the same payload sealed twice through the chunked process pool
-# (plus once serially) must yield byte-identical ciphertext.
+# audit digests, and telemetry snapshot) across two same-seed runs.
 chaos-smoke:
 	$(PYTHON) -m repro.cli smoke --chaos
 

@@ -6,7 +6,8 @@ publication stream, end to end through the attested client protocol:
 - **seed per-match**: the original fan-out -- the publication is
   re-serialized and a full envelope sealed for every matched
   *subscription* (a subscriber with several matching subscriptions
-  receives duplicates);
+  receives duplicates).  It lives here, not in ``repro.scbr``: a
+  frozen reference loaded into this benchmark's own router enclave;
 - **batched router**: the reworked hot path -- serialize once, dedupe
   by subscriber, one sealed-batch envelope per subscriber through
   cached sealing contexts;
@@ -23,10 +24,20 @@ subscription id surfaces exactly once in every mode.
 import pytest
 
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
-from repro.scbr.router import ScbrClient, ScbrRouter
+from repro.scbr.router import (
+    ROUTER_ENTRY_POINTS,
+    SEAL_CYCLES_PER_BYTE,
+    SEAL_SETUP_CYCLES,
+    SERIALIZE_CYCLES_PER_BYTE,
+    ScbrClient,
+    ScbrRouter,
+    _client_key,
+    _open_publication,
+)
 from repro.scbr.sharding import ShardedScbrRouter
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
+from repro.sgx.enclave import EnclaveCode
 from repro.sgx.platform import SgxPlatform
 from repro.sim.clock import cycles_to_seconds
 
@@ -40,6 +51,47 @@ SUBSCRIBERS = 30
 
 A10_HEADER = ("mode", "virtual_ms/pub", "envelopes/pub", "matched/pub",
               "speedup_vs_seed")
+
+
+def enclave_publish_unbatched(ctx, envelope):
+    """ECALL: the seed fan-out path, frozen as the A10 baseline."""
+    publication = _open_publication(ctx, envelope)
+    matched = ctx.state["index"].match(publication)
+    notifications = []
+    for subscription_id in sorted(matched):
+        subscriber = ctx.state["subscriber_of"][subscription_id]
+        subscriber_key = _client_key(ctx, subscriber)
+        serialized = serialize_publication(publication)
+        ctx.compute(SERIALIZE_CYCLES_PER_BYTE * len(serialized))
+        envelope_out = EncryptedEnvelope.seal(
+            subscriber_key, "router", "notify", serialized
+        )
+        ctx.compute(
+            SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(envelope_out.blob)
+        )
+        notifications.append(envelope_out)
+    return notifications
+
+
+SEED_ROUTER_CODE = EnclaveCode(
+    "scbr-router",
+    dict(ROUTER_ENTRY_POINTS, publish_unbatched=enclave_publish_unbatched),
+)
+
+
+class SeedFanOutRouter(ScbrRouter):
+    """A monolithic router whose enclave also carries the seed fan-out."""
+
+    def __init__(self, platform, record_bytes=512):
+        self.platform = platform
+        self.enclave = platform.load_enclave(SEED_ROUTER_CODE)
+        self.enclave.ecall("setup", record_bytes)
+        self.publications_routed = 0
+
+    def publish_unbatched(self, envelope):
+        notifications = self.enclave.ecall("publish_unbatched", envelope)
+        self.publications_routed += 1
+        return notifications
 
 
 def _workload(total_subscriptions, total_publications):
@@ -122,13 +174,13 @@ def run_a10(smoke=False):
 
     # Seed per-match fan-out and batched fan-out: one monolithic router
     # enclave each, on identical fresh platforms.
-    for mode, seed, entry in (
-        ("seed per-match", 301, "publish_unbatched"),
-        ("batched router", 302, "publish"),
+    for mode, seed, router_class, entry in (
+        ("seed per-match", 301, SeedFanOutRouter, "publish_unbatched"),
+        ("batched router", 302, ScbrRouter, "publish"),
     ):
         platform = SgxPlatform(seed=seed, quoting_key_bits=512)
         service = _attested(platform)
-        router = ScbrRouter(platform)
+        router = router_class(platform)
         service.trust_measurement(router.measurement)
         clients, publisher = _connect_clients(router, service, subscriptions)
         publish = getattr(router, entry)

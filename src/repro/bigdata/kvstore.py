@@ -165,14 +165,13 @@ class SecureTable:
     def _export_aad(self):
         return b"kvstore-export|" + self.name.encode("utf-8")
 
-    def export_sealed(self, export_key, workers=None):
+    def export_sealed(self, export_key):
         """Seal the whole table as one batch blob for bulk movement.
 
         Record 0 is the sorted key list; records 1..n are the row
         values in that order, so membership travels authenticated with
         the data.  The table pays one nonce and one tag; tables larger
-        than one chunk auto-select the chunked ``SB2`` framing, and
-        ``workers`` spreads the keystream over the process pool.  Row
+        than one chunk auto-select the chunked ``SB2`` framing.  Row
         values flow from the shield into the frame with no intermediate
         copy beyond the frame itself.
         """
@@ -180,12 +179,11 @@ class SecureTable:
         payloads = [json.dumps(keys).encode("utf-8")]
         payloads.extend(self.get(key) for key in keys)
         return export_key.encrypt_batch(
-            payloads, aad=self._export_aad(), workers=workers
+            payloads, aad=self._export_aad()
         ).to_bytes()
 
     @classmethod
-    def import_sealed(cls, volume, name, export_key, blob, workers=None,
-                      retry_policy=None):
+    def import_sealed(cls, volume, name, export_key, blob, retry_policy=None):
         """Open a sealed export and materialise it as a table.
 
         Tampering anywhere -- the key list, any row, truncation,
@@ -194,9 +192,7 @@ class SecureTable:
         """
         table = cls(volume, name, retry_policy=retry_policy)
         records = export_key.decrypt_batch(
-            SealedBatch.from_bytes(blob),
-            aad=table._export_aad(),
-            workers=workers,
+            SealedBatch.from_bytes(blob), aad=table._export_aad()
         )
         if not records:
             raise IntegrityError("sealed table export carries no key list")

@@ -92,25 +92,20 @@ def _decode(raw):
     return json.loads(raw.decode("utf-8"))
 
 
-def _seal_batch(key, kind, items, workers=None):
+def _seal_batch(key, kind, items):
     """Seal a list of JSON-encodable items as one batch blob.
 
     The whole list is one JSON payload inside the batch frame: one
     ``json.dumps``, one keystream pass, one nonce+tag -- per-item
     encoding would cost a dumps/loads round per record.  Splits larger
-    than one chunk auto-select the chunked ``SB2`` framing, and
-    ``workers`` spreads their keystream over the process pool.
+    than one chunk auto-select the chunked ``SB2`` framing.
     """
-    return key.encrypt_batch(
-        [_encode(items)], aad=kind, workers=workers
-    ).to_bytes()
+    return key.encrypt_batch([_encode(items)], aad=kind).to_bytes()
 
 
-def _open_batch(key, kind, blob, workers=None):
+def _open_batch(key, kind, blob):
     try:
-        records = key.decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=kind, workers=workers
-        )
+        records = key.decrypt_batch(SealedBatch.from_bytes(blob), aad=kind)
     except IntegrityError as exc:
         raise IntegrityError(
             "map/reduce %s data failed authentication" % kind.decode()
@@ -120,11 +115,10 @@ def _open_batch(key, kind, blob, workers=None):
 
 # --- enclave entry points ---
 
-def _enclave_init(ctx, job_key_bytes, reducers, seal_workers=None):
+def _enclave_init(ctx, job_key_bytes, reducers):
     ctx.state["key"] = AeadKey(bytes.fromhex(job_key_bytes))
     ctx.state["reducers"] = reducers
     ctx.state["partition_salt"] = ctx.state["key"].key_bytes[:16]
-    ctx.state["seal_workers"] = seal_workers
     return True
 
 
@@ -136,8 +130,7 @@ def _partition_of(ctx, key_repr):
 def _enclave_map(ctx, map_fn, sealed_split, combiner_fn=None):
     """Run one map task: open split, map, (combine,) seal partitions."""
     key = ctx.state["key"]
-    seal_workers = ctx.state.get("seal_workers")
-    records = _open_batch(key, b"split", sealed_split, workers=seal_workers)
+    records = _open_batch(key, b"split", sealed_split)
     partitions = defaultdict(list)
     # Output keys repeat heavily in aggregations; memoise the keyed
     # partition hash per distinct key instead of HMACing every pair.
@@ -163,7 +156,7 @@ def _enclave_map(ctx, map_fn, sealed_split, combiner_fn=None):
                 for out_key, values in groups.items()
             ]
     return {
-        partition: _seal_batch(key, b"shuffle", pairs, workers=seal_workers)
+        partition: _seal_batch(key, b"shuffle", pairs)
         for partition, pairs in partitions.items()
     }
 
@@ -171,12 +164,9 @@ def _enclave_map(ctx, map_fn, sealed_split, combiner_fn=None):
 def _enclave_reduce(ctx, reduce_fn, sealed_shuffles):
     """Run one reduce task: group its partition's pairs and reduce."""
     key = ctx.state["key"]
-    seal_workers = ctx.state.get("seal_workers")
     groups = defaultdict(list)
     for blob in sealed_shuffles:
-        for out_key, out_value in _open_batch(
-            key, b"shuffle", blob, workers=seal_workers
-        ):
+        for out_key, out_value in _open_batch(key, b"shuffle", blob):
             # JSON round-trips tuples as lists; normalise to hashable.
             if isinstance(out_key, list):
                 out_key = tuple(out_key)
@@ -185,9 +175,7 @@ def _enclave_reduce(ctx, reduce_fn, sealed_shuffles):
         repr(out_key): reduce_fn(out_key, values)
         for out_key, values in groups.items()
     }
-    return _seal_batch(
-        key, b"output", sorted(result.items()), workers=seal_workers
-    )
+    return _seal_batch(key, b"output", sorted(result.items()))
 
 
 WORKER_ENTRY_POINTS = {
@@ -262,22 +250,17 @@ class SecureMapReduce:
     """
 
     def __init__(self, platform, job, attestation_service=None,
-                 chaos=None, retry_policy=None, job_key=None,
-                 seal_workers=None):
+                 chaos=None, retry_policy=None, job_key=None):
         """``chaos`` (a :class:`~repro.chaos.ChaosInjector`) injects
         worker crashes; ``retry_policy`` bounds re-execution of crashed
         tasks (default: crashes propagate, matching the seed
         behaviour).  ``job_key`` lets a restarted driver reuse a prior
-        job's key so it can resume that job's checkpoint.
-        ``seal_workers`` spreads the keystream of chunk-sized splits,
-        shuffle partitions, and outputs over the process pool (sealed
-        bytes are identical at any worker count)."""
+        job's key so it can resume that job's checkpoint."""
         self.platform = platform
         self.job = job
         self.job_key = job_key if job_key is not None else AeadKey.generate()
         self.chaos = chaos
         self.retry_policy = retry_policy
-        self.seal_workers = seal_workers
         self._attestation_service = attestation_service
         self._mappers = [
             self._spawn_worker("mapper-%d" % i) for i in range(job.mappers)
@@ -316,10 +299,7 @@ class SecureMapReduce:
             self._attestation_service.verify(
                 quote, expected_measurement=WORKER_CODE.measurement
             )
-        enclave.ecall(
-            "init", self.job_key.key_bytes.hex(), self.job.reducers,
-            self.seal_workers,
-        )
+        enclave.ecall("init", self.job_key.key_bytes.hex(), self.job.reducers)
         return enclave
 
     def _run_task(self, role, index, enclaves, ecall_args, crash_check):
@@ -396,9 +376,7 @@ class SecureMapReduce:
         #    sealing itself happens at the data owner / ingestion side,
         #    modelled by using the job key here).
         sealed_splits = [
-            _seal_batch(
-                self.job_key, b"split", split, workers=self.seal_workers
-            )
+            _seal_batch(self.job_key, b"split", split)
             for split in self._splits(records)
         ]
         for sealed in sealed_splits:
@@ -472,8 +450,7 @@ class SecureMapReduce:
             self.sealed_bytes_moved += len(output_blob)
             self._tel_sealed_bytes.inc(len(output_blob))
             for key_repr, value in _open_batch(
-                self.job_key, b"output", output_blob,
-                workers=self.seal_workers,
+                self.job_key, b"output", output_blob
             ):
                 merged[key_repr] = value
         return merged

@@ -89,15 +89,10 @@ class SimulatedNetwork:
 
 
 class BulkTransfer:
-    """Chunk + compress + seal + batch sender, and the matching receiver.
-
-    ``seal_workers`` flows into the AEAD layer: frames large enough for
-    the chunked ``SB2`` framing spread their keystream over the process
-    pool (the wire bytes are identical at any worker count).
-    """
+    """Chunk + compress + seal + batch sender, and the matching receiver."""
 
     def __init__(self, key, chunk_size=64 * 1024, batch_size=8, compress=True,
-                 compression_level=1, seal_workers=None):
+                 compression_level=1):
         if chunk_size < 1 or batch_size < 1:
             raise ConfigurationError("chunk_size and batch_size must be >= 1")
         self.key = key
@@ -105,7 +100,6 @@ class BulkTransfer:
         self.batch_size = batch_size
         self.compress = compress
         self.compression_level = compression_level
-        self.seal_workers = seal_workers
 
     def _frame_aad(self, frame_index, frame_count, transfer_id):
         return b"bulk|%s|%d|%d|%d" % (
@@ -143,7 +137,6 @@ class BulkTransfer:
             self.key.encrypt_batch(
                 batch,
                 aad=self._frame_aad(frame_index, len(batches), transfer_id),
-                workers=self.seal_workers,
             ).to_bytes()
             for frame_index, batch in enumerate(batches)
         ]
@@ -186,7 +179,6 @@ class BulkTransfer:
             return self.key.decrypt_batch(
                 batch,
                 aad=self._frame_aad(frame_index, frame_count, transfer_id),
-                workers=self.seal_workers,
             )
         except IntegrityError as exc:
             raise IntegrityError(

@@ -192,9 +192,7 @@ def run_chaos_check():
     every chaos test is flaky by construction.  Each pass runs under a
     fresh metrics registry and the canonical snapshots must also be
     byte-identical: the telemetry plane may not observe anything the
-    seed does not determine.  The chunked sealing plane is held to the
-    same bar: the same payload sealed twice through the process pool
-    (and once serially) must produce byte-identical ciphertext.
+    seed does not determine.
     """
     from repro import telemetry
 
@@ -234,48 +232,10 @@ def run_chaos_check():
             return 1
         _render(experiment_id, first)
         total += len(first)
-    if _chunked_seal_determinism() != 0:
-        return 1
     print(
         "chaos determinism ok: %d scenarios identical across two runs, "
-        "metric snapshots byte-identical, chunked seals byte-identical "
-        "(%.1fs)"
+        "metric snapshots byte-identical (%.1fs)"
         % (total, time.perf_counter() - start)
-    )
-    return 0
-
-
-def _chunked_seal_determinism():
-    """Assert chunked-parallel sealing is byte-deterministic.
-
-    Seals the same payload twice with the process pool enabled (4
-    workers) and once serially, under a fixed key/nonce/chunk-size:
-    all three ciphertexts must be byte-identical.  Worker scheduling
-    must never leak into the wire bytes -- otherwise sealed artifacts
-    would differ across hosts and every chunked test would be flaky.
-    """
-    from repro.crypto.aead import AeadKey
-    from repro.crypto.primitives import DeterministicRandomSource
-
-    key = AeadKey.generate(DeterministicRandomSource(77))
-    nonce = DeterministicRandomSource(78).bytes(16)
-    payload = DeterministicRandomSource(79).bytes(512 * 1024)
-    seals = [
-        key.encrypt_batch(
-            [payload], nonce=nonce, chunk_size=64 * 1024, workers=workers
-        ).to_bytes()
-        for workers in (4, 4, 1)
-    ]
-    if seals[0] != seals[1] or seals[0] != seals[2]:
-        print(
-            "chaos determinism FAILED: chunked seals diverged "
-            "(pool run A == pool run B: %s; pool == serial: %s)"
-            % (seals[0] == seals[1], seals[0] == seals[2])
-        )
-        return 1
-    print(
-        "chunked seal determinism ok: 2 pooled runs + 1 serial run "
-        "byte-identical (%d wire bytes)" % len(seals[0])
     )
     return 0
 

@@ -25,14 +25,13 @@ from single-record tags, so a batch can never verify as a
 
 Payloads larger than one chunk are sealed *chunked* (magic ``SB2``):
 the body keystream is generated per chunk from derived per-chunk
-material (see :mod:`repro.crypto.chunked`), optionally across a
-process pool, and the frame carries a manifest of per-chunk sizes and
-ciphertext digests.  The single AEAD tag covers the manifest together
-with the chunk count and chunk size, so truncation, chunk reordering,
-duplication, and cross-payload splicing all fail closed; the ciphertext
-is byte-identical for a fixed key/nonce/chunk-size regardless of the
-worker count.  Sub-chunk payloads keep the exact ``SB1`` bytes they
-always produced -- auto-selection never changes small-record framing.
+material (see :mod:`repro.crypto.chunked`), and the frame carries a
+manifest of per-chunk sizes and ciphertext digests.  The single AEAD
+tag covers the manifest together with the chunk count and chunk size,
+so truncation, chunk reordering, duplication, and cross-payload
+splicing all fail closed.  Sub-chunk payloads keep the exact ``SB1``
+bytes they always produced -- auto-selection never changes
+small-record framing.
 """
 
 from dataclasses import dataclass
@@ -105,8 +104,7 @@ class SealedBatch:
     carries ``manifest``: per body chunk, its size and the SHA-256 of
     its ciphertext, in order.  The tag then covers the manifest (plus
     count and chunk size) instead of the raw body -- the body is held
-    to the authenticated manifest chunk by chunk, which is what lets
-    verification and de-keystreaming run per chunk in parallel.
+    to the authenticated manifest chunk by chunk.
     """
 
     nonce: bytes
@@ -290,8 +288,7 @@ class AeadKey:
     def _chunked_tag(self, nonce, aad, count, chunk_size, manifest):
         # The chunked tag authenticates the *manifest*, not the body:
         # every body chunk is separately held to its authenticated size
-        # and digest, so body integrity follows transitively and the
-        # digest checks can run per chunk (in parallel).  The SB2 magic
+        # and digest, so body integrity follows transitively.  The SB2 magic
         # and the chunk size in the header domain-separate this from
         # both SB1 batch tags and single-record tags.
         ctx = self._mac_context.copy()
@@ -322,8 +319,7 @@ class AeadKey:
             raise IntegrityError("AEAD tag verification failed")
         return keystream_xor(self._enc_key, ciphertext.nonce, ciphertext.body)
 
-    def encrypt_batch(self, payloads, aad=b"", nonce=None, chunk_size=None,
-                      workers=None):
+    def encrypt_batch(self, payloads, aad=b"", nonce=None, chunk_size=None):
         """Seal a sequence of records as one :class:`SealedBatch`.
 
         Equivalent in confidentiality/integrity to encrypting each
@@ -333,10 +329,8 @@ class AeadKey:
         ``chunk_size`` selects the framing: ``None`` (default)
         auto-selects -- frames larger than one default chunk are sealed
         chunked (``SB2``), smaller frames keep the byte-identical
-        serial ``SB1`` path; ``0`` forces serial; a positive value
-        forces chunked at that size.  ``workers > 1`` spreads chunk
-        keystreams over the process pool (output bytes are identical
-        either way).
+        ``SB1`` path; ``0`` forces ``SB1``; a positive value forces
+        chunked at that size.
         """
         payloads = list(payloads)
         if nonce is None:
@@ -350,7 +344,7 @@ class AeadKey:
             )
         if chunk_size:
             body = chunked_keystream_xor(
-                self._enc_key, nonce, frame, chunk_size, workers
+                self._enc_key, nonce, frame, chunk_size
             )
             manifest = build_manifest(body, chunk_size)
             tag = self._chunked_tag(
@@ -364,7 +358,7 @@ class AeadKey:
         tag = self._batch_tag(nonce, aad, len(payloads), body)
         return SealedBatch(nonce=nonce, body=body, tag=tag, count=len(payloads))
 
-    def decrypt_batch(self, batch, aad=b"", workers=None):
+    def decrypt_batch(self, batch, aad=b""):
         """Verify and open a :class:`SealedBatch`; returns the records.
 
         Chunked batches verify the tag over the manifest first, then
@@ -380,8 +374,7 @@ class AeadKey:
                 raise IntegrityError("sealed batch tag verification failed")
             verify_manifest(batch.body, batch.chunk_size, batch.manifest)
             frame = chunked_keystream_xor(
-                self._enc_key, batch.nonce, batch.body, batch.chunk_size,
-                workers,
+                self._enc_key, batch.nonce, batch.body, batch.chunk_size
             )
             return _unframe_records(frame, batch.count)
         expected = self._batch_tag(batch.nonce, aad, batch.count, batch.body)

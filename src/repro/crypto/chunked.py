@@ -1,20 +1,20 @@
-"""Chunked-parallel sealing: per-chunk keystreams, one manifest, one tag.
+"""Chunked sealing (``SB2``): per-chunk keystreams, one manifest, one tag.
 
 Large payloads are split into fixed-size chunks.  Every chunk gets its
 own keystream, generated from material *derived* for that chunk alone:
 
-- chunk key  ``HMAC(enc_key, label || nonce || index)`` -- a worker that
-  is handed one chunk's key learns nothing about any other chunk or any
-  other payload (the base nonce is folded into the derivation);
+- chunk key  ``HMAC(enc_key, label || nonce || index)`` -- one chunk's
+  key says nothing about any other chunk or any other payload (the
+  base nonce is folded into the derivation);
 - chunk nonce ``nonce[:8] || index`` -- the base-nonce-plus-counter
   pattern, so the (key, nonce) pair feeding the XOF is unique per
   (payload, chunk).
 
-Because each chunk's keystream depends only on ``(enc_key, nonce,
-index, chunk_size)``, the ciphertext is **byte-identical** for a fixed
-key/nonce/chunk-size no matter how many workers computed it -- serial,
-thread, or process execution all produce the same bytes, which is what
-keeps the chaos determinism gate honest with the pool enabled.
+Each chunk's keystream depends only on ``(enc_key, nonce, index,
+chunk_size)``, so the ciphertext is a function of key, nonce, chunk
+size and plaintext alone.  Chunks are sealed one after another inside
+the call that was asked for them: chunk keys and plaintext never leave
+it.
 
 Integrity comes from a *manifest*: per chunk, its size and the SHA-256
 digest of its ciphertext, concatenated in chunk order.  The AEAD layer
@@ -26,19 +26,12 @@ duplication breaks the size ledger, and splicing a chunk from another
 payload produces a foreign digest -- all fail closed before a byte of
 plaintext is released.
 
-Real CPU parallelism uses a process pool (``fork`` start method when
-available): workers receive only ``(chunk key, chunk nonce, chunk
-bytes)`` tuples, never the AEAD key.  The pool is created lazily, kept
-for the process lifetime, and sized to the largest worker count
-requested.  The virtual cost model (:func:`chunked_seal_cycles`,
+The virtual cost model (:func:`chunked_seal_cycles`,
 :func:`serial_seal_cycles`) mirrors the repository's cycle accounting
-so benchmarks report deterministic sealed-bytes-per-virtual-ms numbers
-independent of host core count.
+so benchmarks report deterministic sealed-bytes-per-virtual-ms numbers.
 """
 
-import atexit
 import hashlib
-import os
 
 from repro.errors import IntegrityError
 from repro.crypto.primitives import (
@@ -56,8 +49,7 @@ def _registry():
 
     return default_registry()
 
-# Chunks this size balance pool dispatch overhead against parallelism;
-# payloads at or below one chunk stay on the serial path automatically.
+# Frames at or below one chunk keep the single-pass ``SB1`` framing.
 DEFAULT_CHUNK_SIZE = 256 * 1024
 
 # Manifest entry: 4-byte chunk size || 32-byte ciphertext digest.
@@ -71,12 +63,11 @@ _CHUNK_KEY_LABEL = b"securecloud-chunk-key"
 #
 # Matches the sealing constants the SCBR plane charges
 # (repro.scbr.router): a setup per sealed unit plus a per-byte AEAD
-# pass.  The chunked path additionally pays a serial per-chunk dispatch
-# on the coordinator, so infinite workers do not drive the makespan to
-# zero.
+# pass.  The chunked path additionally pays a per-chunk dispatch (key
+# derivation, slicing, manifest entry).
 CHUNK_SETUP_CYCLES = 2_000
 CHUNK_SEAL_CYCLES_PER_BYTE = 4
-POOL_DISPATCH_CYCLES = 1_000
+CHUNK_DISPATCH_CYCLES = 1_000
 
 
 def chunk_spans(length, chunk_size):
@@ -92,11 +83,7 @@ def chunk_spans(length, chunk_size):
 
 
 def derive_chunk_key(enc_key, nonce, index):
-    """Per-chunk keystream key; binds the base nonce and chunk index.
-
-    Workers get this 32-byte derivation, never ``enc_key``: compromising
-    a worker leaks at most one chunk's keystream of one payload.
-    """
+    """Per-chunk keystream key; binds the base nonce and chunk index."""
     return hmac_sha256(
         enc_key, _CHUNK_KEY_LABEL + bytes(nonce) + index.to_bytes(8, "big")
     )
@@ -107,101 +94,28 @@ def chunk_nonce(nonce, index):
     return bytes(nonce[:8]) + index.to_bytes(8, "big")
 
 
-def _seal_chunk(task):
-    """Pool worker: XOR one chunk with its derived keystream."""
-    key, nonce, data = task
-    return xof_keystream_xor(key, nonce, data)
-
-
-# One process pool per interpreter, sized to the largest request; fork
-# (when the platform has it) skips re-importing the world per worker.
-_POOL = None
-_POOL_WORKERS = 0
-
-
-def _process_pool(workers):
-    global _POOL, _POOL_WORKERS
-    if _POOL is None or _POOL_WORKERS < workers:
-        from concurrent.futures import ProcessPoolExecutor
-        import multiprocessing
-
-        if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        _POOL = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(method),
-        )
-        _POOL_WORKERS = workers
-    return _POOL
-
-
-def shutdown_pool():
-    """Tear down the shared process pool (atexit; tests may call it)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_WORKERS = 0
-
-
-atexit.register(shutdown_pool)
-
-
-def resolve_workers(workers):
-    """Normalise a ``workers`` argument: ``None``/0/1 mean serial."""
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return int(workers)
-
-
-def chunked_keystream_xor(enc_key, nonce, data, chunk_size=DEFAULT_CHUNK_SIZE,
-                          workers=None):
+def chunked_keystream_xor(enc_key, nonce, data, chunk_size=DEFAULT_CHUNK_SIZE):
     """XOR ``data`` against the chunked keystream (its own inverse).
 
     ``data`` may be any bytes-like object; chunks are sliced as
-    ``memoryview``\\ s, so the serial path never copies the payload.
-    With ``workers > 1`` chunks are dispatched round-robin to the
-    process pool (each task ships only derived per-chunk material); the
-    output bytes are identical either way.
+    ``memoryview``\\ s, so the payload is never copied.
     """
     view = memoryview(data)
     spans = chunk_spans(len(view), chunk_size)
     if not spans:
         return b""
-    workers = resolve_workers(workers)
     registry = _registry()
     registry.counter("crypto.chunked_passes").inc()
     registry.counter("crypto.chunks_processed").inc(len(spans))
     registry.counter("crypto.chunked_bytes").inc(len(view))
-    registry.histogram("crypto.pool_occupancy").observe(
-        min(workers, len(spans))
-    )
-    if workers == 1 or len(spans) == 1:
-        return b"".join(
-            xof_keystream_xor(
-                derive_chunk_key(enc_key, nonce, index),
-                chunk_nonce(nonce, index),
-                view[offset : offset + size],
-            )
-            for index, (offset, size) in enumerate(spans)
-        )
-    pool = _process_pool(workers)
-    tasks = [
-        (
+    return b"".join(
+        xof_keystream_xor(
             derive_chunk_key(enc_key, nonce, index),
             chunk_nonce(nonce, index),
-            bytes(view[offset : offset + size]),
+            view[offset : offset + size],
         )
         for index, (offset, size) in enumerate(spans)
-    ]
-    return b"".join(pool.map(_seal_chunk, tasks))
+    )
 
 
 def build_manifest(body, chunk_size):
@@ -254,28 +168,15 @@ def serial_seal_cycles(length):
     return CHUNK_SETUP_CYCLES + CHUNK_SEAL_CYCLES_PER_BYTE * length
 
 
-def chunked_seal_cycles(length, chunk_size=DEFAULT_CHUNK_SIZE, workers=1):
-    """Virtual makespan of a chunked-parallel seal.
+def chunked_seal_cycles(length, chunk_size=DEFAULT_CHUNK_SIZE):
+    """Virtual cycles to seal ``length`` bytes chunk by chunk.
 
-    Chunks are assigned round-robin (matching the dispatch order of
-    :func:`chunked_keystream_xor`); the coordinator pays a serial
-    dispatch per chunk and the makespan is that serial cost plus the
-    most-loaded worker's keystream work.  Deterministic by construction
-    -- the model depends on sizes and worker count, never on host
-    scheduling -- so gated benchmarks stay stable.
+    Every chunk pays its dispatch, its setup and its per-byte pass.
+    Deterministic by construction -- the model depends on sizes alone,
+    never on the host -- so gated benchmarks stay stable.
     """
-    workers = resolve_workers(workers)
-    spans = chunk_spans(length, chunk_size)
-    if not spans:
-        return 0
-    loads = [0] * min(workers, len(spans))
-    for index, (_offset, size) in enumerate(spans):
-        loads[index % len(loads)] += (
-            CHUNK_SETUP_CYCLES + CHUNK_SEAL_CYCLES_PER_BYTE * size
-        )
-    return POOL_DISPATCH_CYCLES * len(spans) + max(loads)
-
-
-def host_workers():
-    """Worker count for this host (benchmarks' ``workers=None`` case)."""
-    return os.cpu_count() or 1
+    chunks = len(chunk_spans(length, chunk_size))
+    return (
+        (CHUNK_DISPATCH_CYCLES + CHUNK_SETUP_CYCLES) * chunks
+        + CHUNK_SEAL_CYCLES_PER_BYTE * length
+    )

@@ -131,10 +131,6 @@ class EncryptedEnvelope:
                 % (self.sender, self.kind)
             ) from exc
 
-    def is_batch(self):
-        """Whether the payload carries the sealed-batch framing."""
-        return SealedBatch.is_batch(self.blob)
-
 
 NOTIFY_KIND = "notify"
 NOTIFY_SENDER = "router"
@@ -184,20 +180,18 @@ class NotificationSealer:
 def open_notification(envelope, key):
     """Open a notification; returns ``(publication, subscription_ids)``.
 
-    Understands both the batched per-subscriber format (publication +
-    the subscriber's matched subscription ids in one envelope) and the
-    seed per-match format (bare publication, no ids).
+    A notification is one sealed batch per subscriber: the publication
+    plus that subscriber's matched subscription ids.  Anything else
+    fails authentication.
     """
-    if envelope.is_batch():
-        records = envelope.open_batch(key)
-        if len(records) != 2:
-            raise IntegrityError(
-                "notification batch carries %d records, expected 2"
-                % len(records)
-            )
-        try:
-            subscription_ids = json.loads(records[1].decode("utf-8"))
-        except ValueError as exc:
-            raise IntegrityError("malformed notification ids: %s" % exc) from exc
-        return deserialize_publication(records[0]), list(subscription_ids)
-    return deserialize_publication(envelope.open(key)), []
+    records = envelope.open_batch(key)
+    if len(records) != 2:
+        raise IntegrityError(
+            "notification batch carries %d records, expected 2"
+            % len(records)
+        )
+    try:
+        subscription_ids = json.loads(records[1].decode("utf-8"))
+    except ValueError as exc:
+        raise IntegrityError("malformed notification ids: %s" % exc) from exc
+    return deserialize_publication(records[0]), list(subscription_ids)

@@ -134,33 +134,6 @@ def enclave_publish_routed(ctx, envelope):
     return _fan_out(ctx, _open_publication(ctx, envelope))
 
 
-def enclave_publish_unbatched(ctx, envelope):
-    """ECALL: the seed fan-out path, kept as the A10 ablation baseline.
-
-    Re-serializes the publication and seals a full envelope for every
-    matched *subscription* -- a subscriber with several matching
-    subscriptions receives duplicate notifications.  Nothing should
-    call this outside the benchmark comparing it against
-    :func:`enclave_publish`.
-    """
-    publication = _open_publication(ctx, envelope)
-    matched = ctx.state["index"].match(publication)
-    notifications = []
-    for subscription_id in sorted(matched):
-        subscriber = ctx.state["subscriber_of"][subscription_id]
-        subscriber_key = _client_key(ctx, subscriber)
-        serialized = serialize_publication(publication)
-        ctx.compute(SERIALIZE_CYCLES_PER_BYTE * len(serialized))
-        envelope_out = EncryptedEnvelope.seal(
-            subscriber_key, "router", "notify", serialized
-        )
-        ctx.compute(
-            SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(envelope_out.blob)
-        )
-        notifications.append(envelope_out)
-    return notifications
-
-
 def enclave_unsubscribe(ctx, client_id, subscription_id):
     """ECALL: remove a subscription; only its owner may do so."""
     _client_key(ctx, client_id)  # the client must hold a channel
@@ -230,7 +203,6 @@ ROUTER_ENTRY_POINTS = {
     "unsubscribe": enclave_unsubscribe,
     "publish": enclave_publish,
     "publish_routed": enclave_publish_routed,
-    "publish_unbatched": enclave_publish_unbatched,
     "stats": enclave_stats,
     "checkpoint": enclave_checkpoint,
     "restore": enclave_restore,
@@ -282,12 +254,6 @@ class ScbrRouter:
         routed = self.enclave.ecall("publish_routed", envelope)
         self.publications_routed += 1
         return routed
-
-    def publish_unbatched(self, envelope):
-        """Seed fan-out path (per-subscription sealing); A10 baseline."""
-        notifications = self.enclave.ecall("publish_unbatched", envelope)
-        self.publications_routed += 1
-        return notifications
 
     def stats(self):
         """Operational counters from inside the enclave."""

@@ -87,18 +87,18 @@ class ShieldedStreamReader:
         name = self.stream_name.encode("utf-8")
         data_aad = b"%s|%d" % (name, self._sequence)
         if SealedBatch.is_batch(record):
+            # A single record leads with its random nonce, which can
+            # spell the batch magic: what does not open as a batch is
+            # still tried as a single record before it is refused.
             try:
                 chunks = self.key.decrypt_batch(
                     SealedBatch.from_bytes(record), aad=data_aad
                 )
             except IntegrityError:
-                raise IntegrityError(
-                    "stream %s record %d failed authentication (tampered, "
-                    "reordered, replayed, or dropped)"
-                    % (self.stream_name, self._sequence)
-                ) from None
-            self._sequence += 1
-            return b"".join(chunks)
+                pass
+            else:
+                self._sequence += 1
+                return b"".join(chunks)
         ciphertext = Ciphertext.from_bytes(record)
         try:
             plaintext = self.key.decrypt(ciphertext, aad=data_aad)

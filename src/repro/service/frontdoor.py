@@ -12,7 +12,7 @@ Routing:
 ====================  =============================================
 request               plane
 ====================  =============================================
-dataset upload        chunked-parallel sealing (``crypto.chunked``,
+dataset upload        batch sealing (``SB2`` above one chunk,
                       per-tenant dataset key, AAD-bound name)
 job submit            secure map/reduce (``bigdata.mapreduce``,
                       per-job key minted in the gateway)
@@ -56,14 +56,11 @@ class FrontDoorConfig:
     """Tunables of one front door (all deterministic)."""
 
     def __init__(self, admit_rate=50.0, admit_burst=10.0,
-                 default_quota=None, chunk_size=None, seal_workers=None,
-                 scbr_shards=2, stream_shards=2, stream_window=None,
-                 retry_policy=None):
+                 default_quota=None, scbr_shards=2, stream_shards=2,
+                 stream_window=None, retry_policy=None):
         self.admit_rate = admit_rate
         self.admit_burst = admit_burst
         self.default_quota = default_quota or TenantQuota()
-        self.chunk_size = chunk_size
-        self.seal_workers = seal_workers
         self.scbr_shards = scbr_shards
         self.stream_shards = stream_shards
         self.stream_window = stream_window
@@ -358,15 +355,12 @@ class SecureFrontDoor:
     # -- datasets -------------------------------------------------------
 
     def upload_dataset(self, tenant_id, name, records):
-        """Seal ``records`` under the tenant's dataset key (chunked)."""
+        """Seal ``records`` under the tenant's dataset key."""
         records = [bytes(record) for record in records]
         payload = sum(len(record) for record in records)
 
         def body():
-            blob = self.gateway.ecall(
-                "seal_dataset", tenant_id, name, records,
-                self.config.chunk_size, self.config.seal_workers,
-            )
+            blob = self.gateway.ecall("seal_dataset", tenant_id, name, records)
             self.datasets[tenant_id][name] = blob
             return {
                 "sealed_bytes": len(blob),
@@ -388,10 +382,7 @@ class SecureFrontDoor:
                 "tenant %r has no dataset %r" % (tenant_id, name)
             )
         return self._with_recovery(
-            lambda: self.gateway.ecall(
-                "open_dataset", tenant_id, name, blob,
-                self.config.seal_workers,
-            )
+            lambda: self.gateway.ecall("open_dataset", tenant_id, name, blob)
         )
 
     # -- jobs -----------------------------------------------------------
@@ -423,7 +414,6 @@ class SecureFrontDoor:
                 chaos=self.chaos,
                 retry_policy=self.config.retry_policy,
                 job_key=job_key,
-                seal_workers=self.config.seal_workers,
             )
             result = engine.run(records)
             summary = {

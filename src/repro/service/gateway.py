@@ -33,7 +33,7 @@ it already holds job keys and provisions attested workers).
 import json
 
 from repro.errors import ConfigurationError, IntegrityError
-from repro.crypto.aead import AeadKey
+from repro.crypto.aead import AeadKey, SealedBatch
 from repro.crypto.kdf import hkdf
 from repro.sgx.enclave import EnclaveCode
 
@@ -215,13 +215,12 @@ def gw_append_audit(ctx, tenant_id, request_id, vtime, action, resource,
     return blob, _seal_head(ctx, tenant)
 
 
-def gw_seal_dataset(ctx, tenant_id, name, records, chunk_size=None,
-                    workers=None):
-    """Seal a tenant's records under *their* dataset key (chunked).
+def gw_seal_dataset(ctx, tenant_id, name, records):
+    """Seal a tenant's records under *their* dataset key.
 
-    Large frames go through the chunked-parallel plane (``SB2``); the
-    associated data binds tenant and dataset name, so a blob can never
-    be opened as another tenant's -- or another dataset's -- data.
+    Large frames take the chunked ``SB2`` framing; the associated data
+    binds tenant and dataset name, so a blob can never be opened as
+    another tenant's -- or another dataset's -- data.
     """
     tenant = _tenant(ctx, tenant_id)
     records = [bytes(record) for record in records]
@@ -230,22 +229,17 @@ def gw_seal_dataset(ctx, tenant_id, name, records, chunk_size=None,
         + DATASET_SEAL_RECORD_CYCLES * len(records)
     )
     batch = tenant.dataset_key.encrypt_batch(
-        records, aad=dataset_aad(tenant_id, name),
-        chunk_size=chunk_size, workers=workers,
+        records, aad=dataset_aad(tenant_id, name)
     )
     return batch.to_bytes()
 
 
-def gw_open_dataset(ctx, tenant_id, name, blob, workers=None):
+def gw_open_dataset(ctx, tenant_id, name, blob):
     """Open a sealed dataset for in-boundary processing (job staging)."""
-    from repro.crypto.aead import SealedBatch
-
     tenant = _tenant(ctx, tenant_id)
     ctx.compute(DATASET_SEAL_BASE_CYCLES)
     return tenant.dataset_key.decrypt_batch(
-        SealedBatch.from_bytes(blob),
-        aad=dataset_aad(tenant_id, name),
-        workers=workers,
+        SealedBatch.from_bytes(blob), aad=dataset_aad(tenant_id, name)
     )
 
 

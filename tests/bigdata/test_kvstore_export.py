@@ -41,14 +41,12 @@ class TestSealedExport:
         table = SecureTable(volume, "big")
         row = bytes(64 * 1024)
         table.put_many([("r%d" % i, row) for i in range(6)])
-        blob = table.export_sealed(export_key, workers=2)
+        blob = table.export_sealed(export_key)
         assert blob[:3] == CHUNKED_MAGIC
         assert len(blob) > DEFAULT_CHUNK_SIZE
 
         dest = ProtectedVolume(UntrustedStore(), chunk_size=128)
-        imported = SecureTable.import_sealed(
-            dest, "big", export_key, blob, workers=2
-        )
+        imported = SecureTable.import_sealed(dest, "big", export_key, blob)
         assert imported.get("r3") == row
 
     def test_tampered_export_fails_closed(self, volume, export_key):

@@ -1,10 +1,9 @@
-"""Unit tests for the chunked-parallel sealing core.
+"""Unit tests for the chunked sealing core.
 
-Covers the chunk geometry, the per-chunk derivations, worker-count
-invariance (serial, inline, and process-pool execution must produce
-byte-identical ciphertext), manifest verification, the auto-selection
-threshold between ``SB1`` and ``SB2`` framing, and the deterministic
-virtual cost model the benchmarks gate on.
+Covers the chunk geometry, the per-chunk derivations, the keystream
+pass, manifest verification, the auto-selection threshold between
+``SB1`` and ``SB2`` framing, and the deterministic virtual cost model
+the benchmarks gate on.
 """
 
 import dataclasses
@@ -17,7 +16,7 @@ from repro.crypto.chunked import (
     CHUNK_SETUP_CYCLES,
     DEFAULT_CHUNK_SIZE,
     MANIFEST_ENTRY_SIZE,
-    POOL_DISPATCH_CYCLES,
+    CHUNK_DISPATCH_CYCLES,
     build_manifest,
     chunk_nonce,
     chunk_spans,
@@ -75,14 +74,6 @@ class TestDerivations:
 
 
 class TestWorkerInvariance:
-    def test_serial_and_pool_bytes_identical(self):
-        data = _payload(5 * CHUNK + 123)
-        enc = b"e" * 32
-        nonce = b"v" * 16
-        serial = chunked_keystream_xor(enc, nonce, data, CHUNK, workers=1)
-        pooled = chunked_keystream_xor(enc, nonce, data, CHUNK, workers=3)
-        assert serial == pooled
-
     def test_xor_is_its_own_inverse(self):
         data = _payload(3 * CHUNK + 1)
         sealed = chunked_keystream_xor(b"e" * 32, b"v" * 16, data, CHUNK)
@@ -96,10 +87,6 @@ class TestWorkerInvariance:
             b"e" * 32, b"v" * 16, memoryview(data), CHUNK
         )
         assert direct == viewed
-
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            chunked_keystream_xor(b"e" * 32, b"v" * 16, b"x", CHUNK, workers=0)
 
 
 class TestManifest:
@@ -166,21 +153,6 @@ class TestAutoSelection:
             opened = key.decrypt_batch(SealedBatch.from_bytes(raw), aad=b"w")
             assert opened == payloads
 
-    def test_chunked_ciphertext_worker_invariant_end_to_end(self):
-        key = _key()
-        nonce = DeterministicRandomSource(5).bytes(16)
-        payloads = [_payload(4 * CHUNK + 77)]
-        one = key.encrypt_batch(
-            payloads, nonce=nonce, chunk_size=CHUNK, workers=1
-        ).to_bytes()
-        four = key.encrypt_batch(
-            payloads, nonce=nonce, chunk_size=CHUNK, workers=4
-        ).to_bytes()
-        assert one == four
-        assert key.decrypt_batch(
-            SealedBatch.from_bytes(four), workers=4
-        ) == payloads
-
 
 class TestChunkedFailClosed:
     def test_tampered_chunk_fails_before_plaintext(self):
@@ -225,31 +197,13 @@ class TestCostModel:
             CHUNK_SETUP_CYCLES + 1000 * CHUNK_SEAL_CYCLES_PER_BYTE
         )
 
-    def test_makespan_shrinks_with_workers(self):
-        length = 16 * DEFAULT_CHUNK_SIZE
-        serial = chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE, workers=1)
-        quad = chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE, workers=4)
-        assert quad < serial
-        assert serial / quad >= 2.0
-
-    def test_makespan_deterministic(self):
-        a = chunked_seal_cycles(10_000_000, 65536, workers=8)
-        b = chunked_seal_cycles(10_000_000, 65536, workers=8)
-        assert a == b
-
-    def test_workers_beyond_chunks_do_not_help(self):
-        length = 2 * DEFAULT_CHUNK_SIZE
-        assert chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE, workers=2) == (
-            chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE, workers=16)
-        )
-
     def test_empty_payload_costs_nothing(self):
-        assert chunked_seal_cycles(0, DEFAULT_CHUNK_SIZE, workers=4) == 0
+        assert chunked_seal_cycles(0, DEFAULT_CHUNK_SIZE) == 0
 
     def test_dispatch_cost_charged_per_chunk(self):
         length = 4 * DEFAULT_CHUNK_SIZE
-        makespan = chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE, workers=4)
+        cycles = chunked_seal_cycles(length, DEFAULT_CHUNK_SIZE)
         per_chunk = CHUNK_SETUP_CYCLES + (
             DEFAULT_CHUNK_SIZE * CHUNK_SEAL_CYCLES_PER_BYTE
         )
-        assert makespan == 4 * POOL_DISPATCH_CYCLES + per_chunk
+        assert cycles == 4 * (CHUNK_DISPATCH_CYCLES + per_chunk)

@@ -2,10 +2,10 @@
 
 Mirrors the ``SB1`` suite in :mod:`tests.crypto.test_aead_properties`:
 random payloads at chunk-size boundaries (empty, one byte, exactly N
-chunks, N chunks plus one) must round-trip byte-exactly at any worker
-count, and every adversarial move against the chunk structure --
-truncation, chunk reordering, chunk duplication, splicing a chunk from
-another payload, or the wrong key -- must fail *closed* with
+chunks, N chunks plus one) must round-trip byte-exactly, and every
+adversarial move against the chunk structure -- truncation, chunk
+reordering, chunk duplication, splicing a chunk from another payload,
+or the wrong key -- must fail *closed* with
 :class:`~repro.errors.IntegrityError` before any plaintext is released.
 """
 
@@ -26,11 +26,9 @@ def _key(seed):
     return AeadKey.generate(DeterministicRandomSource(seed))
 
 
-def _seal(key, payload, seed=0, chunk_size=CHUNK, workers=None):
+def _seal(key, payload, seed=0, chunk_size=CHUNK):
     nonce = DeterministicRandomSource(seed + 1000).bytes(16)
-    return key.encrypt_batch(
-        [payload], nonce=nonce, chunk_size=chunk_size, workers=workers
-    )
+    return key.encrypt_batch([payload], nonce=nonce, chunk_size=chunk_size)
 
 
 # Payload sizes pinned to the interesting chunk boundaries: empty, one
@@ -54,19 +52,6 @@ class TestRoundTrip:
         raw = batch.to_bytes()
         opened = key.decrypt_batch(SealedBatch.from_bytes(raw))
         assert opened == [payload]
-
-    @settings(max_examples=20)
-    @given(
-        st.integers(min_value=0, max_value=2**16),
-        _boundary_sizes,
-        st.sampled_from([1, 2, 4]),
-    )
-    def test_worker_count_never_changes_bytes(self, seed, size, workers):
-        key = _key(seed)
-        payload = _payload(size, seed)
-        serial = _seal(key, payload, seed, workers=1).to_bytes()
-        pooled = _seal(key, payload, seed, workers=workers).to_bytes()
-        assert serial == pooled
 
 
 class TestFailClosed:

@@ -153,3 +153,40 @@ class TestBatchedRecords:
             single_writer.write(chunk)
         assert sum(map(len, batch_transport)) < sum(map(len, single_transport))
         assert batch_reader.read_record(batch_transport[0]) == b"".join(chunks)
+
+
+class TestNonceSpellingBatchMagic:
+    """A single record leads with its random nonce, which may read
+    ``SB1``/``SB2``; the reader must not mistake it for a batch."""
+
+    @pytest.mark.parametrize("magic", [b"SB1", b"SB2"])
+    def test_data_record_reads_back(self, magic):
+        k = key()
+        reader = ShieldedStreamReader(k)
+        record = k.encrypt(
+            b"hello", aad=b"stdout|0", nonce=magic + bytes(13)
+        ).to_bytes()
+        assert record[:3] == magic
+        assert reader.read_record(record) == b"hello"
+        follow_up = k.encrypt(b"next", aad=b"stdout|1").to_bytes()
+        assert reader.read_record(follow_up) == b"next"
+
+    @pytest.mark.parametrize("magic", [b"SB1", b"SB2"])
+    def test_eof_marker_closes_the_stream(self, magic):
+        k = key()
+        reader = ShieldedStreamReader(k)
+        marker = k.encrypt(
+            b"", aad=b"stdout|eof|0", nonce=magic + bytes(13)
+        ).to_bytes()
+        assert reader.read_record(marker) == b""
+        assert reader.closed
+
+    def test_tampered_batch_fails_closed_without_advancing(self):
+        writer, reader, transport = pair()
+        writer.write_batch([b"data", b"more"])
+        blob = bytearray(transport[0])
+        blob[-1] ^= 1
+        with pytest.raises(IntegrityError, match="record 0 failed auth"):
+            reader.read_record(bytes(blob))
+        assert not reader.closed
+        assert reader.read_record(transport[0]) == b"datamore"

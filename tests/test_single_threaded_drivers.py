@@ -1,19 +1,30 @@
-"""The plane drivers start no host thread.
+"""The plane drivers start no host thread, the seal paths no process.
 
 Shards and workers are concurrent in the cycle model (separate clocks,
-slowest-machine latency); the host loops that drive them are serial.
+slowest-machine latency); the host loops that drive them are serial,
+and every sealed byte is produced inside the call that was asked for it.
 """
 
+import multiprocessing.process
+import os
+import subprocess
 import threading
 
 import pytest
 
+from repro.bigdata.kvstore import SecureTable
 from repro.bigdata.mapreduce import MapReduceJob, SecureMapReduce
+from repro.bigdata.transfer import BulkTransfer, SimulatedNetwork
+from repro.crypto.aead import AeadKey, CHUNKED_MAGIC
+from repro.crypto.primitives import DeterministicRandomSource
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.router import ScbrClient
 from repro.scbr.sharding import ShardedMatchingPlane, ShardedScbrRouter
+from repro.scone.fs_shield import ProtectedVolume, UntrustedStore
+from repro.service import SecureFrontDoor
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
+from repro.sim.events import Environment
 
 
 @pytest.fixture()
@@ -22,6 +33,16 @@ def no_threads(monkeypatch):
         raise AssertionError("a plane driver started a host thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+@pytest.fixture()
+def no_processes(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a seal path started a host process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 def _subscription(subscription_id, bound, subscriber):
@@ -75,3 +96,30 @@ def test_mapreduce_runs_without_threads(no_threads):
     assert result == {"'a'": 4, "'b'": 2, "'c'": 2}
     assert all(mapper.ecall_count == 2 for mapper in engine._mappers)
     assert all(reducer.ecall_count == 2 for reducer in engine._reducers)
+
+
+def test_large_seals_run_without_processes(no_threads, no_processes):
+    source = DeterministicRandomSource(15)
+
+    door = SecureFrontDoor(Environment(), seed=51)
+    door.register_tenant("acme")
+    records = [source.bytes(4096) for _ in range(256)]
+    assert door.upload_dataset("acme", "big", records).ok
+    assert door.datasets["acme"]["big"][:3] == CHUNKED_MAGIC
+    assert door.open_dataset("acme", "big") == records
+
+    export_key = AeadKey(source.bytes(32))
+    table = SecureTable(ProtectedVolume(UntrustedStore()), "t")
+    table.put_many([("r%d" % i, source.bytes(64 * 1024)) for i in range(5)])
+    blob = table.export_sealed(export_key)
+    assert blob[:3] == CHUNKED_MAGIC
+    imported = SecureTable.import_sealed(
+        ProtectedVolume(UntrustedStore()), "t", export_key, blob
+    )
+    assert imported.get("r4") == table.get("r4")
+
+    payload = source.bytes(1024 * 1024)
+    transfer = BulkTransfer(AeadKey(source.bytes(32)), compress=False)
+    frames, _stats = transfer.send(payload, SimulatedNetwork())
+    assert frames[0][:3] == CHUNKED_MAGIC
+    assert transfer.receive(frames) == payload
