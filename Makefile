@@ -7,7 +7,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
-        service-smoke perf-smoke perf-compare perf-pairs experiments
+        service-smoke perf-smoke perf-compare perf-pairs lines experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -88,6 +88,13 @@ perf-pairs:
 	  echo "pair $$i/$(N) done"; \
 	done; \
 	python3 -m benchmarks.perf --compare $$a $$b
+
+# Source line counts, exactly as `python3 -m benchmarks.perf` reports
+# them (`repo.src_lines` and one row per package), without a benchmark
+# run: a simplicity PR states its delta from two of these.
+lines:
+	@python3 -c "from benchmarks.perf.__main__ import source_lines; \
+	[print('%-24s %6d' % row) for row in sorted(source_lines().items())]"
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -205,7 +205,7 @@ def _epc_migration_trial(subscriptions, publications):
         "the subscription load must push node-0 past its EPC watermark"
     )
     victim = max(
-        tiny.shard_ids,
+        router.fleet.on_node(tiny),
         key=lambda sid: router._shard_by_id(sid).database_bytes,
     )
 

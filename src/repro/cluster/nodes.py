@@ -149,19 +149,24 @@ class ClusterNode:
     # -- shard residency ------------------------------------------------
 
     def bind_shard(self, shard_id):
-        """Home shard ``shard_id`` here (server container + ledger)."""
+        """Home shard ``shard_id`` here (server container + ledger).
+
+        Any hashable names a shard; planes sharing a topology key
+        theirs ``(plane name, shard id)`` so ids never collide.
+        """
         if not self.sgx:
             raise SchedulingError(
-                "node %s has no SGX support; cannot host shard %d"
+                "node %s has no SGX support; cannot host shard %r"
                 % (self.name, shard_id)
             )
         if not self.alive:
             raise SchedulingError(
-                "node %s is down; cannot host shard %d"
+                "node %s is down; cannot host shard %r"
                 % (self.name, shard_id)
             )
+        parts = shard_id if isinstance(shard_id, tuple) else (shard_id,)
         container = RunningContainer(spec=ContainerSpec(
-            container_id="shard-%d" % shard_id,
+            container_id="shard-" + "-".join(map(str, parts)),
             arrival=0.0, lifetime=float("inf"),
             cpu_request=SHARD_CPU_REQUEST, mem_request=SHARD_MEM_REQUEST,
             cpu_usage_mean=SHARD_CPU_REQUEST, workload_class="service",
@@ -291,7 +296,7 @@ class NodeTopology:
             for shard_id in node.shard_ids:
                 if shard_id in seen:
                     raise ConfigurationError(
-                        "shard %d homed on both %s and %s"
+                        "shard %r homed on both %s and %s"
                         % (shard_id, seen[shard_id], node.name)
                     )
                 seen[shard_id] = node.name

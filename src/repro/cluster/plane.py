@@ -6,8 +6,8 @@ instead of a nodeless factory.  Three things change, all of them the
 robustness story the base plane could not tell:
 
 * **Placement** is anti-affinity- and EPC-watermark-aware
-  (:meth:`ShardPlanner.choose_node`): spawns, splits, and recoveries
-  all land on the reachable SGX node hosting the fewest plane shards,
+  (:func:`repro.plane.choose_node`): spawns, splits, and recoveries
+  all land on the reachable SGX node hosting the fewest shards,
   preferring nodes under their EPC watermark -- so one machine failure
   darkens as few partitions as possible and no node's shared EPC is
   quietly overcommitted.
@@ -49,14 +49,10 @@ from repro.errors import (
     EnclaveLostError,
     SchedulingError,
 )
-from repro.scbr.sharding import ShardedScbrRouter, ShardPlanner
+from repro.plane import DEFAULT_NODE_EPC_WATERMARK, choose_node
+from repro.scbr.sharding import ShardedScbrRouter
 from repro.sim.clock import cycles_to_seconds
 from repro.telemetry import default_registry
-
-# A node whose resident enclave state crosses this fraction of its
-# usable EPC stops attracting new shards and becomes a migration
-# source; mirrors the per-shard EpcWatermarkPolicy default.
-DEFAULT_NODE_EPC_WATERMARK = 0.85
 
 # "Evacuate everything" sentinel: extract_subtrees keeps detaching
 # roots until the moved bytes reach the target, so any target above
@@ -70,11 +66,10 @@ class MigrationTicket:
     attested, joined, and waiting for the sealed evacuation batch."""
 
     shard_id: int
-    source: object          # ShardEnclave still serving matches
-    replacement: object     # ShardEnclave on the destination node
+    source: object          # the member, still serving matches
+    replacement: object     # staged stand-in on the destination node
     source_node: object
     dest_node: object
-    started_at: object      # env.now at begin (None without an env)
     source_clock_start: int
     dest_clock_start: int
 
@@ -84,10 +79,10 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
 
     Construction takes a :class:`NodeTopology` in place of the base
     plane's ``shard_platform_factory``: every spawn (initial bring-up,
-    runtime split, crash recovery, migration) asks the topology for a
-    destination via :meth:`ShardPlanner.choose_node` and binds the
-    shard to that node's server ledger, so GenPack's cluster
-    invariants keep holding underneath the enclave plane.
+    runtime split, crash recovery) asks the topology for a destination
+    via :func:`repro.plane.choose_node` and the fleet binds the shard
+    to that node's server ledger, so GenPack's cluster invariants keep
+    holding underneath the enclave plane.
     """
 
     name = "scbr-node-plane"
@@ -109,8 +104,6 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
             )
         self.topology = topology
         self.epc_node_watermark = epc_node_watermark
-        self._node_of = {}      # shard_id -> ClusterNode (residency)
-        self._staging = {}      # shard_id -> dest node mid-migration
         self.node_detector = None  # created after super() (needs monitor)
         self.node_failures = 0
         self.node_partitions = 0
@@ -123,87 +116,30 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
             "cluster.node_recoveries"
         )
         self._tel_migrations = registry.counter("cluster.migrations")
-        super().__init__(platform, self._platform_for_shard, **kwargs)
+        super().__init__(platform, None, **kwargs)
         if self.monitor is not None:
-            self.node_detector = NodeFailureDetector(
-                self.monitor, node_health_policy
+            self.node_detector = self.fleet.node_detector = (
+                NodeFailureDetector(self.monitor, node_health_policy)
             )
             # Replay the assignments made while super() spawned the
             # initial shards (the detector did not exist yet).
-            for shard_id, node in self._node_of.items():
-                self.node_detector.assign(shard_id, node.name)
+            for shard in self.shards:
+                self.node_detector.assign(shard.shard_id, shard.node.name)
 
     # -- node-aware placement ------------------------------------------
 
-    def _now(self):
-        return self.env.now if self.env is not None else None
-
-    def _choose_node(self, exclude=()):
-        """Anti-affinity + EPC-watermark placement over reachable nodes."""
-        candidates = self.topology.placement_candidates(
-            self._now(), exclude=exclude
-        )
-        if not candidates:
-            raise SchedulingError(
-                "no reachable SGX node can host a shard enclave"
-            )
-        return candidates[ShardPlanner.choose_node(
-            [len(node.shard_ids) for node in candidates],
-            [node.epc_utilization() for node in candidates],
-            [node.epc_watermark_exceeded(self.epc_node_watermark)
-             for node in candidates],
-        )]
-
-    def _platform_for_shard(self, shard_id):
-        """The factory the base plane calls for every spawn.
-
-        A staged migration destination wins (residency flips only at
-        cutover); otherwise the planner picks a node and the shard is
-        re-homed there immediately -- unbinding it from wherever it
-        lived before, which on recovery is the crashed (or partitioned)
-        node.
-        """
-        staged = self._staging.pop(shard_id, None)
-        if staged is not None:
-            return staged.platform
-        node = self._choose_node()
-        previous = self._node_of.get(shard_id)
-        if previous is not None and previous is not node:
-            previous.unbind_shard(shard_id)
-        if shard_id not in node.shard_ids:
-            node.bind_shard(shard_id)
-        self._node_of[shard_id] = node
-        if self.node_detector is not None:
-            self.node_detector.assign(shard_id, node.name)
-        return node.platform
+    def _placement(self):
+        """Shard enclaves run on the topology's nodes."""
+        return {
+            "topology": self.topology,
+            "watermark": self.epc_node_watermark,
+        }
 
     def node_of(self, shard_id):
         """The node currently serving shard ``shard_id``."""
-        node = self._node_of.get(shard_id)
-        if node is None:
-            raise ConfigurationError(
-                "shard %r is not homed on any node" % (shard_id,)
-            )
-        return node
+        return self._shard_by_id(shard_id).node
 
-    # -- reachability (network partitions) ------------------------------
-
-    def _shard_reachable(self, shard):
-        node = self._node_of.get(shard.shard_id)
-        if node is None:
-            return True
-        return node.reachable(self._now())
-
-    def _heal_dark_shards(self):
-        # Widen "dark" to unreachable-but-live: a partitioned shard is
-        # conservatively respawned on a reachable node (recovery
-        # destroys the old side first -- fencing, not split-brain).
-        dark = [
-            shard.shard_id for shard in self.shards
-            if shard.enclave.destroyed or not self._shard_reachable(shard)
-        ]
-        if dark:
-            self.recover_shards(dark)
+    # -- network partitions ---------------------------------------------
 
     def partition_node(self, name, duration):
         """Cut node ``name`` off the network for ``duration`` virtual
@@ -228,11 +164,8 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
         released.  Returns the shard ids that went dark.
         """
         node = self.topology.node(name)
-        onset = self._now()
-        dark = [
-            shard_id for shard_id in sorted(self._node_of)
-            if self._node_of[shard_id] is node
-        ]
+        onset = self.fleet.now()
+        dark = self.fleet.on_node(node)
         for shard_id in dark:
             self.fail_shard(shard_id)
         node.crash()
@@ -255,13 +188,8 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
         ``placement_candidates``).  Returns the recovered shard ids.
         """
         node = self.topology.node(name)
-        shard_ids = [
-            shard_id for shard_id in sorted(self._node_of)
-            if self._node_of[shard_id] is node
-        ]
-        before = len(self.recovery_episodes)
-        self.recover_shards(shard_ids)
-        episodes = self.recovery_episodes[before:]
+        shard_ids = self.fleet.on_node(node)
+        episodes = self.fleet.recover(shard_ids)
         episode = {
             "node": name,
             "shard_ids": shard_ids,
@@ -284,37 +212,16 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
             )
         return shard_ids
 
-    def start_health(self, duration, auto_recover=True):
-        """Node-aware health loop.
-
-        Each tick probes heartbeats as usual, then asks the node
-        detector for correlated verdicts *before* falling back to
-        per-shard recovery: a machine death is healed as one mass
-        recovery, and only down shards not explained by a node verdict
-        are recovered individually (process death on a healthy node).
-        """
-        if self.monitor is None:
-            raise ConfigurationError(
-                "the health loop needs an Environment (env=...)"
-            )
-        period = self.monitor.policy.heartbeat_period
-
-        def tick():
-            down_shards = self.probe_heartbeats()
-            handled = set()
-            if self.node_detector is not None:
-                for node_name in self.node_detector.poll():
-                    if auto_recover:
-                        handled.update(self.recover_node(node_name))
-            if auto_recover:
-                for shard_id in down_shards:
-                    if shard_id not in handled:
-                        self.recover_shard(shard_id)
-
-        beats = int(duration / period)
-        for index in range(1, beats + 1):
-            self.env.call_at(self.env.now + index * period, tick)
-        return beats
+    def _heal(self, down_shards, down_nodes):
+        """A machine death is healed as one mass recovery; only down
+        shards not explained by a node verdict are recovered
+        individually (process death on a healthy node)."""
+        handled = set()
+        for node_name in down_nodes:
+            handled.update(self.recover_node(node_name))
+        super()._heal(
+            [s for s in down_shards if s not in handled], down_nodes
+        )
 
     # -- live migration -------------------------------------------------
 
@@ -341,12 +248,15 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
                 raise SchedulingError(
                     "node %s has no SGX support" % node_name
                 )
-            if not dest.reachable(self._now()):
+            if not dest.reachable(self.fleet.now()):
                 raise SchedulingError(
                     "node %s is unreachable" % node_name
                 )
         else:
-            dest = self._choose_node(exclude=(source_node,))
+            dest = choose_node(
+                self.topology, self.fleet.now(), self.epc_node_watermark,
+                exclude=(source_node,),
+            )
         if dest is source_node:
             raise SchedulingError(
                 "migration needs a destination other than %s"
@@ -354,15 +264,10 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
             )
         source_clock_start = source.platform.clock.now
         dest_clock_start = dest.platform.clock.now
-        self._staging[shard_id] = dest
-        try:
-            replacement = self._spawn_shard_enclave(shard_id)
-        finally:
-            self._staging.pop(shard_id, None)
         return MigrationTicket(
-            shard_id=shard_id, source=source, replacement=replacement,
+            shard_id=shard_id, source=source,
+            replacement=self.fleet.stage(shard_id, dest),
             source_node=source_node, dest_node=dest,
-            started_at=self._now(),
             source_clock_start=source_clock_start,
             dest_clock_start=dest_clock_start,
         )
@@ -372,11 +277,11 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
 
         The source evacuates its *entire* forest as one plane-sealed
         batch (``extract_subtrees`` with an everything target), the
-        replacement loads it, and partition residency swaps atomically:
-        membership list, home map, node ledgers, detector assignment.
-        The retired source is destroyed (EPC pages EREMOVEd) and the
-        replacement immediately re-snapshotted, so the next crash
-        replays from the post-migration state.
+        replacement loads it, and partition residency swaps atomically
+        (:meth:`repro.plane.ShardFleet.cutover`): enclave, node ledgers,
+        detector assignment.  The retired source is destroyed (EPC
+        pages EREMOVEd) and the partition immediately re-snapshotted,
+        so the next crash replays from the post-migration state.
 
         If the source died mid-migration the staged replacement is
         abandoned and the shard recovered from its snapshot instead --
@@ -400,25 +305,14 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
             "evacuate", _EVACUATE_ALL_BYTES
         )
         replacement.enclave.ecall("load", batch)
-        replacement.database_bytes = source.database_bytes
         # Swap the partition: same shard id, new machine.
-        self.shards[self.shards.index(source)] = replacement
-        self._retired.append(source)
-        source.enclave.destroy()
-        for subscription_id, home in list(self._home.items()):
-            if home is source:
-                self._home[subscription_id] = replacement
-        ticket.source_node.unbind_shard(shard_id)
-        if shard_id not in ticket.dest_node.shard_ids:
-            ticket.dest_node.bind_shard(shard_id)
-        self._node_of[shard_id] = ticket.dest_node
-        if self.node_detector is not None:
-            self.node_detector.assign(shard_id, ticket.dest_node.name)
-        self._snapshot(replacement)
+        self.fleet.cutover(source, replacement)
+        self.fleet.checkpoint(source)
         migration_cycles = (
-            source.platform.clock.now - ticket.source_clock_start
+            ticket.source_node.platform.clock.now
+            - ticket.source_clock_start
         ) + (
-            replacement.platform.clock.now - ticket.dest_clock_start
+            ticket.dest_node.platform.clock.now - ticket.dest_clock_start
         )
         self.migrated += len(moved_ids)
         self.migrations_completed += 1
@@ -445,16 +339,13 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
         for node in self.topology.sgx_nodes():
             if not node.epc_watermark_exceeded(watermark):
                 continue
-            local = [
-                shard_id for shard_id in sorted(node.shard_ids)
-                if self._node_of.get(shard_id) is node
-            ]
+            local = self.fleet.on_node(node)
             if not local:
                 continue
             candidates = [
                 other for other
                 in self.topology.placement_candidates(
-                    self._now(), exclude=(node,)
+                    self.fleet.now(), exclude=(node,)
                 )
                 if not other.epc_watermark_exceeded(watermark)
             ]
@@ -501,28 +392,8 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
         return plane
 
     def check_invariants(self):
-        """Plane invariants, topology invariants, and their agreement:
-        every live shard runs on the platform of the node its ledger
-        says it lives on."""
+        """Plane invariants (the fleet's include live-shard / node
+        ledger agreement) and the topology's own."""
         super().check_invariants()
         self.topology.check_invariants()
-        for shard in self.shards:
-            if shard.enclave.destroyed:
-                continue
-            node = self._node_of.get(shard.shard_id)
-            if node is None:
-                raise ConfigurationError(
-                    "live shard %d is homed on no node" % shard.shard_id
-                )
-            if shard.platform is not node.platform:
-                raise ConfigurationError(
-                    "shard %d runs on %r but is ledgered on %s"
-                    % (shard.shard_id, shard.platform.platform_id,
-                       node.name)
-                )
-            if shard.shard_id not in node.shard_ids:
-                raise ConfigurationError(
-                    "node %s does not ledger its shard %d"
-                    % (node.name, shard.shard_id)
-                )
         return True

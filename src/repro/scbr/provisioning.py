@@ -808,7 +808,7 @@ class PlaneProvisioner:
     # -- rotation -------------------------------------------------------
 
     def rotate(self, coordinator, shards):
-        """Drive one key rotation across ``shards`` (ShardEnclave list).
+        """Drive one key rotation across ``shards`` (plane members).
 
         Every live shard rolls to the new plane key via its rekey blob;
         fresh tickets replace the invalidated ones.  Returns the new

@@ -48,6 +48,7 @@ from repro.errors import (
     PartialCoverageError,
 )
 from repro.crypto.aead import AeadKey, Ciphertext, SealedBatch
+from repro.plane import ShardFleet, ShardMember
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
 from repro.scbr.index import ContainmentIndex, HOT_BYTES
@@ -81,7 +82,7 @@ from repro.scbr.router import (
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import EnclaveCode
 from repro.sgx.memory import EpcModel, SimulatedMemory
-from repro.sim.clock import CycleClock, cycles_to_seconds
+from repro.sim.clock import CycleClock
 from repro.telemetry import (
     DEFAULT_CYCLE_BUCKETS,
     EnclaveTelemetry,
@@ -197,49 +198,6 @@ class ShardPlanner:
             [index.covers_any_root(subscription) for index in indexes],
             [index.database_bytes for index in indexes],
             balance_slack=balance_slack,
-        )
-
-    @staticmethod
-    def choose_node(shard_counts, epc_loads, over_watermark=None):
-        """Pick a *node* position for a new shard enclave.
-
-        Placement is a pure function of the per-node shard counts and
-        EPC loads, like :meth:`choose` is for subscriptions:
-
-        1. anti-affinity first -- the node hosting the fewest plane
-           shards wins, so one machine failure darkens as few
-           partitions as possible (and mass recovery has somewhere to
-           spread them);
-        2. ties break toward the lowest EPC utilisation (the new
-           partition will grow; start it where pages are cheapest),
-           then toward position.
-
-        ``over_watermark`` (optional per-node flags) demotes nodes
-        already past their EPC watermark: they are considered only when
-        *every* candidate is over -- a full fleet still beats refusing
-        to place at all.
-        """
-        if not shard_counts or len(shard_counts) != len(epc_loads):
-            raise ConfigurationError(
-                "shard counts and EPC loads must align, non-empty"
-            )
-        positions = list(range(len(shard_counts)))
-        if over_watermark is not None:
-            if len(over_watermark) != len(shard_counts):
-                raise ConfigurationError(
-                    "watermark flags must align with the candidates"
-                )
-            under = [
-                position for position in positions
-                if not over_watermark[position]
-            ]
-            if under:
-                positions = under
-        return min(
-            positions,
-            key=lambda position: (
-                shard_counts[position], epc_loads[position], position,
-            ),
         )
 
 
@@ -926,25 +884,12 @@ class PartialCoverage:
         return not self.missing
 
 
-class ShardEnclave:
-    """Host handle of one shard enclave on its own platform.
+class _ScbrShard(ShardMember):
+    """A plane member plus the router's host mirror of its size."""
 
-    Besides the live enclave, the host keeps the shard's *durability
-    state*: the latest plane-sealed snapshot and the mutation log of
-    operations applied since (already-sealed blobs the host relayed
-    anyway -- it learns nothing new by storing them).  Snapshot + log
-    is everything a replacement enclave needs to rebuild the partition.
-    """
-
-    def __init__(self, shard_id, platform, enclave):
-        self.shard_id = shard_id
-        self.platform = platform
-        self.enclave = enclave
-        self.database_bytes = 0  # host mirror, updated by the router
-        self.snapshot = None          # sealed batch (plane key)
-        self.snapshot_version = -1    # partition version it captured
-        self.log = []                 # mutations since the snapshot
-        self.failed_at = None         # virtual onset of the last crash
+    def __init__(self, shard_id):
+        super().__init__(shard_id)
+        self.database_bytes = 0
 
 
 class ShardedScbrRouter:
@@ -963,19 +908,17 @@ class ShardedScbrRouter:
     their concurrency is the separate clocks) + ``finalize``
     (coordinator); the sum lands in :attr:`last_publish_cycles`.
 
-    Fault tolerance: each shard keeps a plane-sealed snapshot plus a
-    mutation log (:class:`ShardEnclave`); a crashed shard is respawned
-    on a fresh platform from the factory, re-attested, re-joined over
-    DH, restored from its snapshot, and the log replayed
-    (:meth:`recover_shard`).  Failure *detection* is heartbeat-driven:
-    :meth:`probe_heartbeats` pings every shard and feeds a phi-accrual
-    :class:`~repro.scbr.health.ShardHealthMonitor`; :meth:`start_health`
-    schedules the probing on the simulated clock and auto-recovers on
-    detection.  A publish that cannot cover every enrolled partition
-    never shrinks silently: ``on_partial="retry"`` (default) heals the
-    missing shards and republishes under the retry policy;
-    ``on_partial="report"`` returns a :class:`PartialCoverage` naming
-    the unanswered partitions.
+    Fault tolerance: the shard life cycle -- spawn, attested join,
+    plane-sealed snapshot plus mutation log, failure, heartbeat
+    detection, respawn + restore + replay -- is the shared
+    :class:`~repro.plane.ShardFleet`; the router supplies the shard
+    code, its setup arguments, and how to snapshot, restore and replay
+    a partition.  :meth:`start_health` schedules heartbeat probing on
+    the simulated clock and auto-recovers on detection.  A publish that
+    cannot cover every enrolled partition never shrinks silently:
+    ``on_partial="retry"`` (default) heals the missing shards and
+    republishes under the retry policy; ``on_partial="report"`` returns
+    a :class:`PartialCoverage` naming the unanswered partitions.
     """
 
     name = "scbr-plane"
@@ -994,8 +937,6 @@ class ShardedScbrRouter:
                 "on_partial must be 'retry' or 'report', got %r"
                 % (on_partial,)
             )
-        if snapshot_interval < 1:
-            raise ConfigurationError("snapshot_interval must be >= 1")
         self.platform = platform
         self.shard_platform_factory = shard_platform_factory
         self.attestation_service = attestation_service
@@ -1020,7 +961,6 @@ class ShardedScbrRouter:
         self.env = env
         self.chaos = chaos
         self.orchestrator = orchestrator
-        self.snapshot_interval = snapshot_interval
         self.on_partial = on_partial
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=4, base_delay=0.0005
@@ -1052,22 +992,28 @@ class ShardedScbrRouter:
             "scbr.shard_match_cycles", buckets=DEFAULT_CYCLE_BUCKETS
         )
         self._tel_visits = registry.counter("scbr.visits")
-        self._tel_failures = registry.counter("scbr.shard_failures")
-        self._tel_recoveries = registry.counter("scbr.recoveries")
-        self._tel_recovery_cycles = registry.histogram(
-            "scbr.recovery_cycles", buckets=DEFAULT_CYCLE_BUCKETS
-        )
         self._tel_splits = registry.counter("scbr.splits")
         self._tel_partial = registry.counter("scbr.partial_publishes")
-        self._tel_snapshots = registry.counter("scbr.snapshots")
         self.coordinator = platform.load_enclave(COORD_CODE)
         self.coordinator.ecall(
             "setup", self.verifier, SHARD_CODE.measurement,
             telemetry_key,
         )
+        self.fleet = ShardFleet(
+            self.name, "scbr", SHARD_CODE, self.coordinator, platform,
+            self.provisioner, self.attestation_service,
+            setup_args=lambda shard_id: (
+                shard_id, record_bytes, self.verifier,
+                COORD_CODE.measurement, telemetry_key,
+            ),
+            snapshot=lambda shard: shard.enclave.ecall("snapshot")[1],
+            restore=self._restore, replay=self._replay,
+            interval=snapshot_interval, member=_ScbrShard,
+            now=lambda: env.now if env is not None else None,
+            chaos=chaos, monitor=self.monitor, orchestrator=orchestrator,
+            tracer=self.tracer, **self._placement()
+        )
         self.shards = []
-        self._retired = []
-        self._beat_sequence = {}
         self._home = {}
         self.publications_routed = 0
         self.publish_cycles = 0
@@ -1075,128 +1021,54 @@ class ShardedScbrRouter:
         self.last_visits = 0
         self.splits = 0
         self.migrated = 0
-        self.shard_failures = 0
-        self.snapshots_taken = 0
         self.partial_publishes = 0
-        self.recovery_episodes = []
-        for shard in self._spawn_shard_enclaves_batch(list(range(shards))):
-            self.shards.append(shard)
-            if self.monitor is not None:
-                self.monitor.register(shard.shard_id)
-            self._snapshot(shard)
+        self._spawn_shards(range(shards))
 
     # -- plane membership ----------------------------------------------
 
-    def _spawn_shard(self):
-        """Grow the plane by one shard (a split or initial bring-up)."""
-        shard = self._spawn_shard_enclave(len(self.shards))
-        self.shards.append(shard)
-        if self.monitor is not None:
-            self.monitor.register(shard.shard_id)
-        self._snapshot(shard)
-        return shard
+    def _placement(self):
+        """Where shard enclaves run: each on a fresh machine of its own."""
+        return {"platform_factory": self.shard_platform_factory}
 
-    def _spawn_shard_enclave(self, shard_id):
-        """Load a shard enclave on a fresh platform and join it."""
-        return self._spawn_shard_enclaves_batch([shard_id])[0]
-
-    def _spawn_shard_enclaves_batch(self, shard_ids):
-        """Bring up one enclave per shard id and join them in one round.
-
-        Used for initial bring-up (all shards), growth (one), and mass
-        recovery (a dead node's displaced set); either way each enclave
-        earns the plane key only through the provisioner's attested
-        enrollment -- batched, cache-priced, ticket-resumable
-        (:class:`~repro.scbr.provisioning.PlaneProvisioner`).
-        """
-        shards, _baselines = self._provision_batch(shard_ids)
-        return shards
-
-    def _provision_batch(self, shard_ids):
-        """Spawn + enroll ``shard_ids``; also return per-machine clock
-        baselines (captured before each machine does any join work) so
-        recovery can attribute cycle *deltas* even on pooled node
-        platforms whose clocks carry history."""
-        entries = []
-        baselines = {}
-        for shard_id in shard_ids:
-            platform = self.shard_platform_factory(shard_id)
-            baselines.setdefault(id(platform), platform.clock.now)
-            # The infrastructure provider registers new machines with
-            # the verification service; without this, a shard spawned
-            # by a runtime split could never prove its quote.
-            self.attestation_service.register_platform(
-                platform.platform_id,
-                platform.quoting_enclave.public_key,
-            )
-            enclave = platform.load_enclave(
-                SHARD_CODE, name="scbr-shard-%d" % shard_id
-            )
-            enclave.ecall(
-                "setup", shard_id, self.record_bytes,
-                self.verifier, COORD_CODE.measurement,
-                self.telemetry_key,
-            )
-            entries.append((shard_id, platform, enclave))
-        # The host only relays public DH values, quotes, wrapped keys,
-        # sealed blobs, and tickets.
-        self.provisioner.join(self.coordinator, self.platform, entries)
-        return [
-            ShardEnclave(shard_id, platform, enclave)
-            for shard_id, platform, enclave in entries
-        ], baselines
+    def _spawn_shards(self, shard_ids):
+        """Grow the plane (initial bring-up or a split): spawn, join,
+        and snapshot, so even an empty partition can be restored."""
+        spawned = self.fleet.spawn(list(shard_ids))
+        self.shards.extend(spawned)
+        for shard in spawned:
+            self.fleet.checkpoint(shard)
+        return spawned
 
     def _shard_by_id(self, shard_id):
-        for shard in self.shards:
-            if shard.shard_id == shard_id:
-                return shard
-        raise ConfigurationError("no shard %r in the plane" % (shard_id,))
-
-    # -- durability -----------------------------------------------------
-
-    def _snapshot(self, shard):
-        """Refresh ``shard``'s sealed snapshot; the log starts over."""
-        version, blob = shard.enclave.ecall("snapshot")
-        shard.snapshot = blob
-        shard.snapshot_version = version
-        shard.log = []
-        self.snapshots_taken += 1
-        self._tel_snapshots.inc()
-        return version
-
-    def _log_mutation(self, shard, entry):
-        """Append one mutation to the shard's replay log.
-
-        Entries hold the already-plane-sealed blobs the host relayed
-        anyway; once the log reaches ``snapshot_interval`` the shard is
-        re-snapshotted and the log truncated, bounding replay work.
-        """
-        shard.log.append(entry)
-        if len(shard.log) >= self.snapshot_interval:
-            self._snapshot(shard)
+        return self.fleet.member(shard_id)
 
     # -- failure, detection, recovery -----------------------------------
 
-    def fail_shard(self, shard_id):
-        """Kill one shard enclave (the chaos/fault-schedule hook).
+    @property
+    def shard_failures(self):
+        return self.fleet.failures
 
-        The partition goes dark: its enclave state is unreachable, its
-        EPC pages and cache lines are reclaimed by the dying enclave's
-        teardown, and subsequent ecalls raise
-        :class:`~repro.errors.EnclaveLostError`.  Recovery is a
-        separate, explicit act (:meth:`recover_shard` or the health
-        loop).  Returns False if the shard was already dead.
-        """
-        shard = self._shard_by_id(shard_id)
-        if shard.enclave.destroyed:
-            return False
-        shard.failed_at = self.env.now if self.env is not None else None
-        shard.enclave.destroy()
-        self.shard_failures += 1
-        self._tel_failures.inc()
-        if self.monitor is not None:
-            self.monitor.record_onset(shard_id, shard.failed_at)
-        return True
+    @property
+    def recovery_episodes(self):
+        return self.fleet.episodes
+
+    def fail_shard(self, shard_id):
+        """Kill one shard enclave; False if it was already dead."""
+        return self.fleet.fail(shard_id)
+
+    def _restore(self, shard):
+        return shard.enclave.ecall(
+            "restore", shard.snapshot, shard.shard_id
+        )
+
+    def _replay(self, shard):
+        for entry in shard.log:
+            shard.enclave.ecall(*entry)
+        replayed = len(shard.log)
+        # Consolidate: the replacement snapshots its rebuilt partition,
+        # so the next crash replays from here, not from the old log.
+        self.fleet.checkpoint(shard)
+        return replayed
 
     def recover_shard(self, shard_id):
         """Respawn a dead shard from its sealed snapshot + mutation log.
@@ -1205,198 +1077,33 @@ class ShardedScbrRouter:
         re-registers with the attestation service, re-joins the plane
         over attested DH (earning the plane key), restores the last
         snapshot, and replays the logged mutations -- so the rebuilt
-        partition is byte-for-byte the pre-crash database.  The old
-        enclave is destroyed unconditionally first: a false-positive
-        detection (heartbeats lost from a live shard) then degrades to
-        an unnecessary but harmless respawn instead of a split-brain
-        partition.
-
-        Recovery work happens "now" in simulated time (the environment
-        clock does not advance inside a callback), so its latency is
-        measured in enclave cycles: the replacement platform's clock
-        (fresh, starts at zero) plus the coordinator cycles spent on
-        the re-join, converted to virtual seconds.
+        partition is byte-for-byte the pre-crash database.
         """
         return self.recover_shards([shard_id])[0]
 
     def recover_shards(self, shard_ids):
-        """Respawn a *set* of dead shards in one provisioning round.
-
-        The whole displaced set re-attests through ONE batched
-        enrollment (or ticket resumptions) instead of per-shard serial
-        handshakes -- the coordinator signs one quote over a commitment
-        to every offered DH value.  Restore and replay stay per-shard.
-
-        Virtual-time attribution: each shard is charged its own
-        platform's cycle *delta* (shards sharing a machine split their
-        group's delta) plus an equal slice of the coordinator's delta
-        -- the batched round's cost amortizes across the set, which is
-        the point.
-        """
-        shard_ids = list(shard_ids)
-        if not shard_ids:
-            return []
-        olds = {}
-        for shard_id in shard_ids:
-            old = self._shard_by_id(shard_id)
-            old.enclave.destroy()  # idempotent; see recover_shard
-            olds[shard_id] = old
-        coordinator_clock = self.platform.clock
-        coordinator_start = coordinator_clock.now
-        spawned, baselines = self._provision_batch(shard_ids)
-        replacements = dict(zip(shard_ids, spawned))
-        # Group shards by machine: a node may host several of them, and
-        # they split their machine's cycle delta.
-        platform_groups = {}
-        for shard_id in shard_ids:
-            platform = replacements[shard_id].platform
-            platform_groups.setdefault(id(platform), []).append(shard_id)
-        details = {}
-        for shard_id in shard_ids:
-            old = olds[shard_id]
-            replacement = replacements[shard_id]
-            restored = 0
-            if old.snapshot is not None:
-                restored = replacement.enclave.ecall(
-                    "restore", old.snapshot, shard_id
-                )
-            replayed = 0
-            for entry in old.log:
-                if entry[0] == "insert":
-                    replacement.enclave.ecall("insert", entry[1])
-                elif entry[0] == "remove":
-                    replacement.enclave.ecall("remove", entry[1], entry[2])
-                else:
-                    raise ConfigurationError(
-                        "unknown log entry kind %r" % (entry[0],)
-                    )
-                replayed += 1
-            replacement.database_bytes = old.database_bytes
-            self.shards[self.shards.index(old)] = replacement
-            self._retired.append(old)
-            for subscription_id, home in list(self._home.items()):
-                if home is old:
-                    self._home[subscription_id] = replacement
-            # Consolidate: the replacement snapshots its rebuilt
-            # partition, so the next crash replays from here, not from
-            # the old log.
-            self._snapshot(replacement)
-            details[shard_id] = (restored, replayed)
-        coordinator_delta = coordinator_clock.now - coordinator_start
-        coordinator_share = coordinator_delta // len(shard_ids)
-        coordinator_rem = coordinator_delta - coordinator_share * len(
-            shard_ids
-        )
-        shard_cycles = {}
-        for group in platform_groups.values():
-            platform = replacements[group[0]].platform
-            delta = platform.clock.now - baselines[id(platform)]
-            if platform.clock is coordinator_clock:
-                # A shard co-located with the coordinator: its cycles
-                # are already in the coordinator delta.
-                delta = 0
-            share = delta // len(group)
-            remainder = delta - share * len(group)
-            for position, shard_id in enumerate(group):
-                shard_cycles[shard_id] = share + (
-                    remainder if position == 0 else 0
-                )
-        results = []
-        for position, shard_id in enumerate(shard_ids):
-            old = olds[shard_id]
-            replacement = replacements[shard_id]
-            restored, replayed = details[shard_id]
-            recovery_cycles = shard_cycles[shard_id] + coordinator_share + (
-                coordinator_rem if position == 0 else 0
-            )
-            recovery_seconds = cycles_to_seconds(recovery_cycles)
-            self._tel_recoveries.inc()
-            self._tel_recovery_cycles.observe(recovery_cycles)
-            self.tracer.record(
-                "scbr.recover", coordinator_start,
-                coordinator_start + recovery_cycles,
-                shard=shard_id, restored=restored, replayed=replayed,
-            )
-            episode = {
-                "shard_id": shard_id,
-                "onset": old.failed_at,
-                "restored": restored,
-                "replayed": replayed,
-                "recovery_cycles": recovery_cycles,
-                "recovery_seconds": recovery_seconds,
-            }
-            self.recovery_episodes.append(episode)
-            if self.monitor is not None:
-                self.monitor.register(shard_id)
-            if self.orchestrator is not None:
-                self.orchestrator.report_recovery(
-                    "%s/shard-%d" % (self.name, shard_id),
-                    "shard-recovery",
-                    recovery_seconds,
-                    onset=old.failed_at,
-                )
-            results.append(replacement)
-        return results
+        """Respawn a *set* of dead shards in one provisioning round
+        (:meth:`repro.plane.ShardFleet.recover`)."""
+        self.fleet.recover(shard_ids)
+        return [self.fleet.member(shard_id) for shard_id in shard_ids]
 
     def probe_heartbeats(self):
-        """One heartbeat round: ping every shard, feed the detector.
+        """One heartbeat round; returns the newly-down shard ids."""
+        return self.fleet.probe()
 
-        A dead enclave fails the ping; chaos may eat a live shard's
-        beat (``heartbeat_loss_rate``).  Returns the shards the monitor
-        *newly* declares down this round.
-        """
-        if self.monitor is None:
-            raise ConfigurationError(
-                "heartbeat probing needs an Environment (env=...)"
-            )
-        for shard in list(self.shards):
-            beat = self._beat_sequence.get(shard.shard_id, 0)
-            self._beat_sequence[shard.shard_id] = beat + 1
-            try:
-                shard.enclave.ecall("ping")
-            except EnclaveLostError:
-                continue
-            if not self._shard_reachable(shard):
-                # Alive behind a partition: the probe (and hence the
-                # beat) never crosses, so suspicion accrues exactly as
-                # for a dead shard -- the detector cannot tell them
-                # apart, and conservative recovery handles both.
-                continue
-            if self.chaos is not None and self.chaos.drops_heartbeat(
-                shard.shard_id, beat
-            ):
-                continue
-            self.monitor.beat(shard.shard_id)
-        down = self.monitor.poll()
-        if self.orchestrator is not None:
-            for shard_id in down:
-                self.orchestrator.report_anomaly(
-                    "%s/shard-%d" % (self.name, shard_id),
-                    "shard-liveness",
-                    onset=self._shard_by_id(shard_id).failed_at,
-                )
-        return down
+    def _heal(self, down_shards, _down_nodes):
+        for shard_id in down_shards:
+            self.recover_shard(shard_id)
 
     def start_health(self, duration, auto_recover=True):
         """Schedule heartbeat probing every monitor period until
         ``duration``; newly detected-down shards are recovered in place
         when ``auto_recover`` (the paper's orchestration loop: detect,
         then adapt the infrastructure)."""
-        if self.monitor is None:
-            raise ConfigurationError(
-                "the health loop needs an Environment (env=...)"
-            )
-        period = self.monitor.policy.heartbeat_period
-
-        def tick():
-            for shard_id in self.probe_heartbeats():
-                if auto_recover:
-                    self.recover_shard(shard_id)
-
-        beats = int(duration / period)
-        for index in range(1, beats + 1):
-            self.env.call_at(self.env.now + index * period, tick)
-        return beats
+        return self.fleet.start_health(
+            self.env, duration,
+            self._heal if auto_recover else lambda *_down: None,
+        )
 
     @property
     def measurement(self):
@@ -1437,7 +1144,7 @@ class ShardedScbrRouter:
         shard.enclave.ecall("insert", blob)
         shard.database_bytes += self.record_bytes
         self._home[subscription_id] = shard
-        self._log_mutation(shard, ("insert", blob))
+        self.fleet.log(shard, ("insert", blob))
         self._tel_subscribes.inc()
         return subscription_id
 
@@ -1455,35 +1162,18 @@ class ShardedScbrRouter:
         snapshots sealed under the retired key cannot restore into the
         new epoch.  Returns the new epoch number.
         """
-        self._heal_dark_shards()
+        self.recover_shards(self.fleet.dark())
         epoch = self.provisioner.rotate(self.coordinator, self.shards)
         for shard in self.shards:
-            self._snapshot(shard)
+            self.fleet.checkpoint(shard)
         return epoch
 
-    def _shard_reachable(self, shard):
-        """Whether the host can currently talk to ``shard``.
-
-        The nodeless base plane always can (a shard is either live or
-        destroyed); node-bound planes override this to model network
-        partitions -- a partitioned shard's enclave keeps running, but
-        no match request or heartbeat crosses until the partition
-        heals.
-        """
-        return True
-
-    def _live_shards(self):
-        return [
-            s for s in self.shards
-            if not s.enclave.destroyed and self._shard_reachable(s)
-        ]
-
     def _place(self, blob):
-        live = self._live_shards()
+        live = self.fleet.live()
         if not live:
             # Total darkness: heal the plane before admitting state.
-            self.recover_shards([shard.shard_id for shard in self.shards])
-            live = self._live_shards()
+            self.recover_shards(self.fleet.dark())
+            live = self.fleet.live()
         flags = [shard.enclave.ecall("covers_root", blob) for shard in live]
         loads = [shard.database_bytes for shard in live]
         return live[ShardPlanner.choose(flags, loads)]
@@ -1495,7 +1185,7 @@ class ShardedScbrRouter:
         vocabulary, so both sides are re-snapshotted immediately -- the
         replay logs restart from the post-split state.
         """
-        fresh = self._spawn_shard()
+        fresh, = self._spawn_shards([len(self.shards)])
         target = self.policy.split_target_bytes(shard.database_bytes)
         moved_ids, batch = shard.enclave.ecall("evacuate", target)
         fresh.enclave.ecall("load", batch)
@@ -1507,8 +1197,8 @@ class ShardedScbrRouter:
         self.splits += 1
         self.migrated += len(moved_ids)
         self._tel_splits.inc()
-        self._snapshot(shard)
-        self._snapshot(fresh)
+        self.fleet.checkpoint(shard)
+        self.fleet.checkpoint(fresh)
         return fresh
 
     def unsubscribe(self, client_id, subscription_id):
@@ -1529,7 +1219,7 @@ class ShardedScbrRouter:
         shard.enclave.ecall("remove", subscription_id, client_id)
         shard.database_bytes -= self.record_bytes
         del self._home[subscription_id]
-        self._log_mutation(shard, ("remove", subscription_id, client_id))
+        self.fleet.log(shard, ("remove", subscription_id, client_id))
         self._tel_unsubscribes.inc()
         return True
 
@@ -1556,7 +1246,7 @@ class ShardedScbrRouter:
         )
 
         def match_on(shard):
-            if not self._shard_reachable(shard):
+            if not self.fleet.reachable(shard):
                 # The request never crosses the partition; the enclave
                 # is alive but its authenticated match blob cannot
                 # arrive, so finalize will report it missing.
@@ -1627,7 +1317,8 @@ class ShardedScbrRouter:
             return PartialCoverage(routed=routed, missing=missing)
 
         def heal_and_republish(attempt):
-            self._heal_dark_shards()
+            # Dark means destroyed or (node-bound) live but unreachable.
+            self.recover_shards(self.fleet.dark())
             retried, still_missing = self._publish_once(envelope)
             if still_missing:
                 raise PartialCoverageError(
@@ -1641,22 +1332,6 @@ class ShardedScbrRouter:
         return retry_call(
             heal_and_republish, self.retry_policy, self.backoff
         )
-
-    def _heal_dark_shards(self):
-        """Recover every partition that cannot answer a publish.
-
-        In the base plane "dark" means destroyed.  Node-bound planes
-        widen this to unreachable-but-live shards: a partitioned
-        partition is conservatively respawned on a reachable node (the
-        same harmless-false-positive degradation as the phi detector's)
-        rather than stalling coverage until the partition heals.
-        """
-        dark = [
-            shard.shard_id for shard in self.shards
-            if shard.enclave.destroyed
-        ]
-        if dark:
-            self.recover_shards(dark)
 
     def publish(self, envelope):
         """Route a publication; returns the sealed notifications."""
@@ -1725,7 +1400,7 @@ class ShardedScbrRouter:
             "migrated": self.migrated,
             "shard_failures": self.shard_failures,
             "recoveries": len(self.recovery_episodes),
-            "snapshots": self.snapshots_taken,
+            "snapshots": self.fleet.checkpoints,
             "partial_publishes": self.partial_publishes,
             "per_shard": per_shard,
         }
@@ -1735,49 +1410,11 @@ class ShardedScbrRouter:
         return [e["recovery_seconds"] for e in self.recovery_episodes]
 
     def check_invariants(self):
-        """Leak and consistency audit across the whole plane.
-
-        - every retired enclave (dead and replaced) released its memory:
-          zero resident bytes and nothing left under its name in its
-          platform's shared EPC;
-        - global resident bytes equal the sum over *live* shard
-          enclaves -- dead state contributes nothing;
-        - the home map points only at current member shards.
-        """
-        live_bytes = 0
-        for shard in self.shards:
-            memory = shard.enclave.memory
-            if shard.enclave.destroyed:
-                if memory.resident_bytes or not memory.released:
-                    raise ConfigurationError(
-                        "dead shard %d still holds %d resident bytes"
-                        % (shard.shard_id, memory.resident_bytes)
-                    )
-            else:
-                live_bytes += memory.resident_bytes
-        total_bytes = live_bytes
-        for old in self._retired:
-            memory = old.enclave.memory
-            total_bytes += memory.resident_bytes
-            if memory.resident_bytes or not memory.released:
-                raise ConfigurationError(
-                    "retired shard %d leaked %d resident bytes"
-                    % (old.shard_id, memory.resident_bytes)
-                )
-            if memory.epc is not None:
-                for key in memory.epc.resident_page_keys():
-                    if key[0] == memory.name:
-                        raise ConfigurationError(
-                            "retired shard %d left EPC page %r resident"
-                            % (old.shard_id, key)
-                        )
-        if total_bytes != live_bytes:
-            raise ConfigurationError(
-                "plane resident bytes %d != live shard bytes %d"
-                % (total_bytes, live_bytes)
-            )
+        """The fleet's leak and ledger audit, plus: the home map points
+        only at current member shards."""
+        self.fleet.check_invariants()
         for subscription_id, shard in self._home.items():
-            if shard not in self.shards:
+            if self.fleet.members.get(shard.shard_id) is not shard:
                 raise ConfigurationError(
                     "subscription %r homed on a retired shard"
                     % (subscription_id,)

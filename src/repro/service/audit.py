@@ -195,12 +195,12 @@ class AuditChain:
     """The in-enclave, append-only side of one tenant's trail.
 
     Lives in the gateway enclave's state; the host receives each sealed
-    blob for storage but can neither read nor reorder them.  ``seen``
-    holds request ids already recorded so a request replayed through
-    the retry substrate (after an enclave crash mid-request) lands in
-    the chain exactly once.  ``seen_digest`` is a rolling commitment to
-    those ids in recording order: the sealed head carries it instead of
-    the ids, and the host-kept id log must reproduce it at restore.
+    blob for storage but can neither read nor reorder them.  The chain
+    position is also the exactly-once state: the door serves one
+    request at a time and each request appends at most one entry, so a
+    request replayed after an enclave crash names the position it was
+    offered at and the gateway appends only if the chain is still
+    there (``gw_append_audit``).
     """
 
     def __init__(self, key, tenant_id):
@@ -208,11 +208,6 @@ class AuditChain:
         self.tenant_id = tenant_id
         self.count = 0
         self.head = genesis_hash(tenant_id)
-        self.seen = set()
-        # Per-tenant start, so one tenant's id log never fits another's.
-        self.seen_digest = sha256(
-            AUDIT_DOMAIN + b"|seen|" + tenant_id.encode("utf-8")
-        )
 
     def append(self, vtime, action, resource, outcome, detail=""):
         """Seal the next entry; returns its blob."""
@@ -226,41 +221,11 @@ class AuditChain:
         self.count += 1
         return blob
 
-    def mark_seen(self, request_id):
-        """Record a request id: dedupe set and commitment, together."""
-        raw = request_id.encode("utf-8")
-        self.seen.add(request_id)
-        self.seen_digest = sha256(
-            self.seen_digest + len(raw).to_bytes(4, "big") + raw
-        )
-
     def head_state(self):
         """The serialisable head: constant-size, whatever the history."""
-        return {
-            "count": self.count,
-            "head": self.head.hex(),
-            "seen_count": len(self.seen),
-            "seen_digest": self.seen_digest.hex(),
-        }
+        return {"count": self.count, "head": self.head.hex()}
 
-    def restore_head(self, state, seen_ids):
-        """Adopt a previously sealed head (post-crash recovery).
-
-        ``seen_ids``, the host-kept request-id log, is replayed on a
-        scratch chain first: an id missing, extra, reordered, duplicated,
-        or from another tenant changes the commitment and raises
-        :class:`IntegrityError` with this chain untouched.
-        """
-        replay = AuditChain(self.key, self.tenant_id)
-        for request_id in seen_ids:
-            replay.mark_seen(request_id)
-        if (len(replay.seen) != state["seen_count"]
-                or replay.seen_digest.hex() != state["seen_digest"]):
-            raise IntegrityError(
-                "request-id log for tenant %r does not match the sealed "
-                "seen-set commitment" % self.tenant_id
-            )
+    def restore_head(self, state):
+        """Adopt a previously sealed head (post-crash recovery)."""
         self.count = int(state["count"])
         self.head = bytes.fromhex(state["head"])
-        self.seen = replay.seen
-        self.seen_digest = replay.seen_digest

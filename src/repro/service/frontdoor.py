@@ -22,9 +22,10 @@ stream attach         sealed streaming plane (``repro.streams``)
 
 Failure handling rides the shared substrate: gateway crashes surface
 as :class:`~repro.errors.EnclaveLostError`, the retry loop recovers
-the enclave from its platform-sealed root, the host-stored sealed
-chain heads and the host-kept request-id logs, and the request replays
--- the in-enclave request-id dedup makes the audit entry exactly-once.
+the enclave from its platform-sealed root and the host-stored sealed
+chain heads alone, and the request replays -- it appends at the chain
+position captured when it arrived, which makes the audit entry
+exactly-once.
 Every terminal outcome is counted: ``offered == completed + shed +
 quota_rejected + failed`` is an asserted identity, not a hope.
 """
@@ -132,12 +133,9 @@ class SecureFrontDoor:
         self.subscriptions = {}
         self.streams = {}
         # The sealed audit store the host keeps for each tenant: the
-        # ordered blobs, the latest platform-sealed head, and the log
-        # of recorded request ids that head commits to (ids are minted
-        # here and appear in every Receipt, so the log holds no secret).
+        # ordered blobs and the latest platform-sealed head.
         self.audit_blobs = {}
         self.audit_heads = {}
-        self.audit_request_ids = {}
 
         # Terminal-outcome accounting (the silent-loss identity).
         self.completed = {}
@@ -177,8 +175,7 @@ class SecureFrontDoor:
             )
         else:
             self.gateway.ecall(
-                "restore", self.sealed_root, dict(self.audit_heads),
-                self.audit_request_ids,
+                "restore", self.sealed_root, dict(self.audit_heads)
             )
 
     def _recover_gateway(self):
@@ -210,7 +207,6 @@ class SecureFrontDoor:
         )
         self.audit_blobs[tenant_id] = [blob] if blob is not None else []
         self.audit_heads[tenant_id] = head
-        self.audit_request_ids[tenant_id] = []
         if blob is not None:
             self._tel_audit_entries.inc()
         self.admission.register(
@@ -237,17 +233,20 @@ class SecureFrontDoor:
 
     # -- the audited request pipeline ----------------------------------
 
-    def _audit(self, tenant_id, request_id, action, resource, outcome,
+    def _audit(self, tenant_id, position, action, resource, outcome,
                detail=""):
-        """One exactly-once audit append, storing blob and head."""
+        """One exactly-once audit append, storing blob and head.
+
+        ``position`` is the chain length captured when the request
+        arrived: a replay after the entry landed appends nothing.
+        """
         blob, head = self.gateway.ecall(
-            "append_audit", tenant_id, request_id, self.env.now,
+            "append_audit", tenant_id, position, self.env.now,
             action, resource, outcome, detail,
         )
         self.audit_heads[tenant_id] = head
         if blob is not None:
             self.audit_blobs[tenant_id].append(blob)
-            self.audit_request_ids[tenant_id].append(request_id)
             self._tel_audit_entries.inc()
 
     def _request(self, tenant_id, action, resource, body,
@@ -258,21 +257,26 @@ class SecureFrontDoor:
         request_id = "%s|%s|%s|%d" % (
             tenant_id, action, resource, self._request_seq[tenant_id]
         )
+        position = len(self.audit_blobs[tenant_id])
         clock = self.platform.clock
         start = clock.now
 
+        def audit(outcome, detail=""):
+            # Every append of this request names the same position, so
+            # however often it is replayed at most one of them lands.
+            self._audit(
+                tenant_id, position, action, resource, outcome, detail
+            )
+
         def finish(outcome, detail):
             elapsed = clock.now - start
-            virtual_ms = 1000.0 * cycles_to_seconds(
-                elapsed, clock.frequency_hz
-            )
+            seconds = cycles_to_seconds(elapsed, clock.frequency_hz)
+            virtual_ms = 1000.0 * seconds
             self._tel_requests.observe(elapsed)
             if outcome == "ok":
                 self.completed[tenant_id] += 1
                 self.latencies_ms[tenant_id].append(virtual_ms)
-                self.billing.observe(
-                    tenant_id, cycles_to_seconds(elapsed, clock.frequency_hz)
-                )
+                self.billing.observe(tenant_id, seconds)
             return Receipt(
                 request_id=request_id, tenant=tenant_id, action=action,
                 resource=resource, outcome=outcome, detail=detail,
@@ -282,21 +286,14 @@ class SecureFrontDoor:
         if not self.admission.admit(tenant_id, self.env.now, cost):
             # Shed before any sealed-plane work -- but never silently:
             # the rejection itself is an audited, sealed fact.
-            self._with_recovery(
-                lambda: self._audit(
-                    tenant_id, request_id, action, resource, "shed"
-                )
-            )
+            self._with_recovery(lambda: audit("shed"))
             return finish("shed", {})
         if quota_kind is not None:
             try:
                 self.quota.charge(tenant_id, quota_kind, quota_amount)
             except QuotaExceededError as exc:
                 self._with_recovery(
-                    lambda: self._audit(
-                        tenant_id, request_id, action, resource,
-                        "quota", exc.__class__.__name__,
-                    )
+                    lambda: audit("quota", exc.__class__.__name__)
                 )
                 return finish("quota", {"error": str(exc)})
 
@@ -308,10 +305,7 @@ class SecureFrontDoor:
             # replay converges on exactly one chain entry.
             self._maybe_crash("pre")
             detail = body()
-            self._audit(
-                tenant_id, request_id, action, resource, "ok",
-                detail.get("audit", ""),
-            )
+            audit("ok", detail.get("audit", ""))
             self._maybe_crash("ack")
             return detail
 
@@ -331,10 +325,7 @@ class SecureFrontDoor:
                 self.quota.release(tenant_id, quota_kind, quota_amount)
             self.failed[tenant_id] += 1
             self._with_recovery(
-                lambda: self._audit(
-                    tenant_id, request_id, action, resource, "error",
-                    exc.__class__.__name__,
-                )
+                lambda: audit("error", exc.__class__.__name__)
             )
             return finish("error", {"error": str(exc)})
         return finish("ok", detail)

@@ -15,15 +15,12 @@ cannot read.  The trust split mirrors the rest of the stack:
   per-job) derive from the tenant root with domain-separated labels,
   so no ciphertext sealed for tenant A can ever open under tenant B's
   keys -- the conformance oracle asserts exactly this, stack-wide;
-- the *audit chain* appends happen in-enclave with request-id
-  deduplication, so a request replayed through the retry substrate
+- the *audit chain* appends happen in-enclave at a caller-named
+  chain position, so a request replayed through the retry substrate
   after a mid-request enclave crash is recorded exactly once; the
-  head (count, hash, and a rolling commitment to the seen request ids
-  -- constant size, whatever the history) is platform-sealed back to
-  the host on every append, which is what makes the crash recoverable
-  at all.  The ids themselves are host-minted and not secret: the host
-  keeps them in a per-tenant log, and restore rebuilds the dedupe set
-  from that log only if it reproduces the sealed commitment.
+  head (count and hash -- constant size, whatever the history) is
+  platform-sealed back to the host on every append, and it alone is
+  what a restarted gateway recovers from.
 
 Per-job keys are returned to the map/reduce driver, which -- as since
 PR 1 -- stands inside the trust boundary (it models a driver enclave;
@@ -146,17 +143,16 @@ def gw_setup(ctx, root_key_bytes):
     return ctx.seal(_ROOT_SEAL_PREFIX + bytes(root_key_bytes))
 
 
-def gw_restore(ctx, sealed_root, sealed_heads, request_ids=None):
+def gw_restore(ctx, sealed_root, sealed_heads):
     """Post-crash restart: unseal the root, re-derive, restore heads.
 
     ``sealed_heads`` maps tenant id to the latest platform-sealed head
-    blob the host stored, ``request_ids`` to the host-kept log of that
-    tenant's recorded request ids (absent means empty).  Key
-    re-derivation is deterministic, so the restarted gateway continues
-    every chain exactly where the sealed head says it stopped; a host
-    feeding a stale head is caught the moment the exported chain is
-    verified against it.  Nothing is installed until every head and
-    every id log has verified: a failed restore leaves no gateway.
+    blob the host stored.  Key re-derivation is deterministic, so the
+    restarted gateway continues every chain exactly where the sealed
+    head says it stopped; a host feeding a stale head is caught at that
+    tenant's next append (its position is past the head's count) and
+    whenever the exported chain is verified.  Nothing is installed
+    until every head has verified: a failed restore leaves no gateway.
     """
     ctx.compute(GATEWAY_SETUP_CYCLES)
     raw = ctx.unseal(sealed_root)
@@ -164,7 +160,6 @@ def gw_restore(ctx, sealed_root, sealed_heads, request_ids=None):
         raise IntegrityError("sealed gateway root has a foreign prefix")
     root = raw[len(_ROOT_SEAL_PREFIX):]
     state = {"root": root, "tenants": {}}
-    request_ids = request_ids or {}
     for tenant_id, head_blob in sealed_heads.items():
         tenant = _TenantState(root, tenant_id)
         head = json.loads(ctx.unseal(head_blob).decode("utf-8"))
@@ -173,7 +168,7 @@ def gw_restore(ctx, sealed_root, sealed_heads, request_ids=None):
                 "sealed audit head belongs to tenant %r, not %r"
                 % (head.get("tenant"), tenant_id)
             )
-        tenant.chain.restore_head(head, request_ids.get(tenant_id, ()))
+        tenant.chain.restore_head(head)
         state["tenants"][tenant_id] = tenant
     ctx.state["gateway"] = state
     return len(state["tenants"])
@@ -198,20 +193,27 @@ def gw_register_tenant(ctx, tenant_id, vtime):
     return blob, _seal_head(ctx, tenant)
 
 
-def gw_append_audit(ctx, tenant_id, request_id, vtime, action, resource,
+def gw_append_audit(ctx, tenant_id, position, vtime, action, resource,
                     outcome, detail=""):
-    """Append one audited request outcome, exactly once per request.
+    """Append one audited request outcome at chain ``position``.
 
-    Returns ``(audit_blob_or_None, sealed_head)`` -- ``None`` when the
-    request id was already recorded (a replay through the retry
-    substrate after a crash between append and acknowledgement).
+    ``position`` is the chain length the door held when the request
+    arrived.  Returns ``(audit_blob_or_None, sealed_head)`` -- ``None``
+    when the chain is already past it (a replay through the retry
+    substrate after a crash between append and acknowledgement).  A
+    chain *behind* the position was restored from a stale sealed head
+    and fails closed: nothing is appended.
     """
     tenant = _tenant(ctx, tenant_id)
     ctx.compute(AUDIT_APPEND_CYCLES)
-    if request_id in tenant.chain.seen:
+    if tenant.chain.count < position:
+        raise IntegrityError(
+            "audit chain for %r is at %d, behind the host's position %d: "
+            "stale sealed head" % (tenant_id, tenant.chain.count, position)
+        )
+    if tenant.chain.count > position:
         return None, _seal_head(ctx, tenant)
     blob = tenant.chain.append(vtime, action, resource, outcome, detail)
-    tenant.chain.mark_seen(request_id)
     return blob, _seal_head(ctx, tenant)
 
 

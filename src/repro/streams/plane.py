@@ -24,7 +24,8 @@ window closes.  Degradation is graceful and visible, never silent.
 **Exactly-once window emission.**  Shards checkpoint pane state as
 plane-key-sealed blobs every ``checkpoint_interval`` queue entries; the
 host keeps the (ciphertext) entries since the last checkpoint as a
-replay log.  Recovery = respawn (ticket re-join) + restore + replay.
+replay log.  Recovery = respawn (ticket re-join) + restore + replay --
+the shared shard life cycle of :class:`repro.plane.ShardFleet`.
 Replay re-closes windows already committed before the crash; the
 committer dedupes on the deterministic firing id, so a crash mid-window
 yields neither duplicate nor lost firings -- validated against a pure
@@ -49,14 +50,12 @@ from repro.errors import (
     CapacityError,
     ConfigurationError,
     EnclaveLostError,
-    SchedulingError,
 )
+from repro.plane import ShardFleet, ShardMember
 from repro.scbr.provisioning import CachedAttestationVerifier, PlaneProvisioner
-from repro.scbr.sharding import ShardPlanner
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.crypto.aead import AeadKey
-from repro.sim.clock import cycles_to_seconds
 from repro.streams.routing import RoutingTable
 from repro.streams.shards import STREAM_COORD_CODE, STREAM_SHARD_CODE
 from repro.telemetry import default_registry
@@ -94,17 +93,12 @@ class StreamConfig:
         self.batch_records = batch_records
 
 
-class _ShardRuntime:
-    """Host-side bookkeeping for one ingest shard."""
+class _ShardRuntime(ShardMember):
+    """A plane member plus the ingest shard's host-side queue."""
 
-    def __init__(self, shard_id, node, enclave):
-        self.shard_id = shard_id
-        self.node = node
-        self.enclave = enclave
+    def __init__(self, shard_id):
+        super().__init__(shard_id)
         self.queue = deque()        # ("batch", header, blob) | ("punct", t)
-        self.log = []               # entries applied since last checkpoint
-        self.checkpoint = None      # latest sealed checkpoint blob
-        self.pending_handoff = None  # (from_shard, blob) until checkpointed
         self.idle_rounds = 0
         self.last_open_panes = 0
 
@@ -126,10 +120,6 @@ class SecureStreamPlane:
     def __init__(self, topology, config=None, shards=2, seed=0,
                  name="stream-plane", env=None, chaos=None,
                  telemetry_key=None):
-        if not topology.sgx_nodes():
-            raise SchedulingError(
-                "the topology has no SGX nodes; nowhere to run shards"
-            )
         self.topology = topology
         self.config = config or StreamConfig()
         self.name = name
@@ -149,12 +139,9 @@ class SecureStreamPlane:
         self.committed = {}
         self.commit_times = {}
         self.duplicates_suppressed = 0
-        self.shard_crashes = 0
         self.node_failures = 0
-        self.recoveries = 0
         self.splits = 0
         self.merges = 0
-        self.recovery_episodes = []   # virtual ms per recovery
         self.throttled_rounds = 0
 
         registry = default_registry()
@@ -162,7 +149,6 @@ class SecureStreamPlane:
         self._tel_duplicates = registry.counter(
             "streams.duplicates_suppressed"
         )
-        self._tel_recoveries = registry.counter("streams.recoveries")
         self._tel_splits = registry.counter("streams.splits")
         self._tel_merges = registry.counter("streams.merges")
         self._tel_shed = registry.counter("streams.shed_records")
@@ -202,18 +188,28 @@ class SecureStreamPlane:
         )
 
         self.table = RoutingTable.even(range(shards))
-        self.shards = {}
-        entries = []
-        for shard_id in self.table.shard_ids():
-            runtime = self._spawn_runtime(shard_id)
-            self.shards[shard_id] = runtime
-            entries.append((shard_id, runtime.node.platform, runtime.enclave))
-        # ONE batched enrollment round brings the whole plane up.
-        self.provisioner.join(
-            self.coordinator, self.coordinator_platform, entries
+        self._staged_ranges = {}   # shard -> range, until routing cutover
+        self.fleet = ShardFleet(
+            name, "streams", STREAM_SHARD_CODE, self.coordinator,
+            self.coordinator_platform, self.provisioner, self.service,
+            setup_args=lambda shard_id: (
+                shard_id, self.config.window,
+                (self._staged_ranges.get(shard_id)
+                 or self.table.range_of(shard_id)).to_json(),
+                self.config.pane_budget, self.verifier,
+                STREAM_COORD_CODE.measurement, telemetry_key,
+            ),
+            snapshot=lambda runtime: runtime.enclave.ecall(
+                "checkpoint"
+            )["blob"],
+            restore=self._restore, replay=self._replay,
+            interval=self.config.checkpoint_interval,
+            topology=topology, watermark=DEFAULT_NODE_EPC_WATERMARK,
+            member=_ShardRuntime, now=self._now, chaos=chaos,
         )
-        for shard_id in self.table.shard_ids():
-            self._install_ingest_key(shard_id)
+        self.shards = self.fleet.members
+        # ONE batched enrollment round brings the whole plane up.
+        self._spawn(self.table.shard_ids())
 
     # -- time -----------------------------------------------------------
 
@@ -222,45 +218,20 @@ class SecureStreamPlane:
             return self.env.now
         return self._vnow
 
-    # -- placement and spawning -----------------------------------------
+    # -- spawning -------------------------------------------------------
 
-    def _choose_node(self):
-        candidates = self.topology.placement_candidates(self._now())
-        if not candidates:
-            raise SchedulingError(
-                "no reachable SGX node can host a stream shard"
+    def _spawn(self, shard_ids):
+        """Spawn + join through the fleet, then the stream plane's
+        post-join step: every new shard gets the ingest key."""
+        for runtime in self.fleet.spawn(list(shard_ids)):
+            self._depth_gauges[runtime.shard_id] = self._registry.gauge(
+                "streams.queue_depth", shard=runtime.shard_id
             )
-        return candidates[ShardPlanner.choose_node(
-            [len(node.shard_ids) for node in candidates],
-            [node.epc_utilization() for node in candidates],
-            [node.epc_watermark_exceeded(DEFAULT_NODE_EPC_WATERMARK)
-             for node in candidates],
-        )]
+            self._install_ingest_key(runtime)
 
-    def _spawn_runtime(self, shard_id, key_range=None):
-        node = self._choose_node()
-        enclave = node.platform.load_enclave(
-            STREAM_SHARD_CODE, name="%s-shard-%d" % (self.name, shard_id)
-        )
-        owned = key_range if key_range is not None else (
-            self.table.range_of(shard_id)
-        )
-        enclave.ecall(
-            "setup", shard_id, self.config.window, owned.to_json(),
-            self.config.pane_budget, self.verifier,
-            STREAM_COORD_CODE.measurement,
-            self.telemetry_key,
-        )
-        node.bind_shard(shard_id)
-        if shard_id not in self._depth_gauges:
-            self._depth_gauges[shard_id] = self._registry.gauge(
-                "streams.queue_depth", shard=shard_id
-            )
-        return _ShardRuntime(shard_id, node, enclave)
-
-    def _install_ingest_key(self, shard_id):
-        wrapped = self.coordinator.ecall("wrap_ingest_key", shard_id)
-        self.shards[shard_id].enclave.ecall("install_ingest_key", wrapped)
+    def _install_ingest_key(self, runtime):
+        wrapped = self.coordinator.ecall("wrap_ingest_key", runtime.shard_id)
+        runtime.enclave.ecall("install_ingest_key", wrapped)
 
     # -- routing and credits (the source-facing surface) ---------------
 
@@ -318,58 +289,49 @@ class SecureStreamPlane:
 
     # -- fault hooks (FaultSchedule-compatible) -------------------------
 
+    @property
+    def shard_crashes(self):
+        return self.fleet.failures
+
+    @property
+    def recoveries(self):
+        return len(self.fleet.episodes)
+
+    @property
+    def recovery_episodes(self):
+        """Virtual ms each recovery took."""
+        return [
+            episode["recovery_seconds"] * 1e3
+            for episode in self.fleet.episodes
+        ]
+
     def fail_shard(self, shard_id):
         """Crash one shard enclave (chaos hook).  Detection happens on
         the next service touch; recovery restores + replays."""
-        runtime = self.shards[shard_id]
-        if not runtime.enclave.destroyed:
-            runtime.enclave.destroy()
-        self.shard_crashes += 1
+        return self.fleet.fail(shard_id)
 
     def fail_node(self, node_name):
         """Machine failure: every stream shard on the node goes dark."""
         node = self.topology.node(node_name)
-        dark = node.crash()
+        dark = self.fleet.on_node(node)
+        node.crash()
         self.node_failures += 1
-        return [shard_id for shard_id in dark if shard_id in self.shards]
+        return dark
 
     def recover_shard(self, shard_id):
         """Respawn + ticket re-join + sealed restore + replay."""
-        runtime = self.shards[shard_id]
-        clocks_before = self._fleet_cycles()
-        if runtime.node.alive:
-            runtime.node.unbind_shard(shard_id)
-        fresh = self._spawn_runtime(
-            shard_id, key_range=self.table.range_of(shard_id)
-        )
-        self.provisioner.join(
-            self.coordinator, self.coordinator_platform,
-            [(shard_id, fresh.node.platform, fresh.enclave)],
-        )
-        fresh.queue = runtime.queue
-        fresh.checkpoint = runtime.checkpoint
-        fresh.pending_handoff = runtime.pending_handoff
-        self.shards[shard_id] = fresh
-        self._install_ingest_key(shard_id)
-        if fresh.checkpoint is not None:
-            fresh.enclave.ecall("restore", fresh.checkpoint)
-        elif fresh.pending_handoff is not None:
-            from_shard, blob = fresh.pending_handoff
-            fresh.enclave.ecall("load_range", from_shard, blob)
-        for entry in runtime.log:
-            result = self._apply(fresh, entry)
-            self._commit(result["firings"])
-        fresh.log = runtime.log
-        self.recoveries += 1
-        self._tel_recoveries.inc()
-        self.recovery_episodes.append(
-            cycles_to_seconds(self._fleet_cycles() - clocks_before) * 1e3
-        )
+        self.fleet.recover([shard_id])
 
-    def _fleet_cycles(self):
-        return self.coordinator_platform.clock.now + sum(
-            node.platform.clock.now for node in self.topology.sgx_nodes()
-        )
+    def _restore(self, runtime):
+        self._install_ingest_key(runtime)
+        if runtime.snapshot is None:
+            return 0    # crashed before its first checkpoint: log only
+        return runtime.enclave.ecall("restore", runtime.snapshot)
+
+    def _replay(self, runtime):
+        for entry in runtime.log:
+            self._commit(self._apply(runtime, entry)["firings"])
+        return len(runtime.log)
 
     # -- the service loop -----------------------------------------------
 
@@ -381,12 +343,6 @@ class SecureStreamPlane:
         if entry[0] == "flush":
             return runtime.enclave.ecall("flush")
         raise ConfigurationError("unknown queue entry %r" % (entry[0],))
-
-    def _checkpoint(self, runtime):
-        result = runtime.enclave.ecall("checkpoint")
-        runtime.checkpoint = result["blob"]
-        runtime.pending_handoff = None
-        runtime.log = []
 
     def _export_counters(self, shard_id, result):
         """Mirror per-shard sealed counters onto plane-level telemetry.
@@ -413,12 +369,10 @@ class SecureStreamPlane:
         except EnclaveLostError:
             self.recover_shard(runtime.shard_id)
             return False
-        runtime.log.append(entry)
         self._commit(result["firings"])
         self._export_counters(runtime.shard_id, result)
         runtime.last_open_panes = result["open_panes"]
-        if len(runtime.log) >= self.config.checkpoint_interval:
-            self._checkpoint(self.shards[runtime.shard_id])
+        self.fleet.log(runtime, entry)
         return True
 
     def _service_shard(self, shard_id, budget=None):
@@ -539,7 +493,7 @@ class SecureStreamPlane:
             if self.table.range_of(shard_id).width < 2:
                 continue
             self.split_shard(shard_id)
-        if len(self.shards) > max(1, self._base_shards()):
+        if len(self.shards) > max(1, self._base_shard_count):
             for shard_id in self.table.shard_ids():
                 runtime = self.shards.get(shard_id)
                 if runtime is None:
@@ -550,12 +504,9 @@ class SecureStreamPlane:
                     runtime.idle_rounds += 1
             self._maybe_merge()
 
-    def _base_shards(self):
-        return self._base_shard_count
-
     def _maybe_merge(self):
         for shard_id in self.table.shard_ids():
-            if len(self.shards) <= max(1, self._base_shards()):
+            if len(self.shards) <= max(1, self._base_shard_count):
                 return
             runtime = self.shards.get(shard_id)
             if runtime is None:
@@ -583,23 +534,19 @@ class SecureStreamPlane:
         self._service_shard(shard_id)   # drain: no in-flight misroutes
         new_id = self._next_shard_id
         self._next_shard_id += 1
-        kept, moved = self.table.range_of(shard_id).split()
-        fresh = self._spawn_runtime(new_id, key_range=moved)
-        self.shards[new_id] = fresh
-        self.provisioner.join(
-            self.coordinator, self.coordinator_platform,
-            [(new_id, fresh.node.platform, fresh.enclave)],
-        )
-        self._install_ingest_key(new_id)
+        _kept, moved = self.table.range_of(shard_id).split()
+        self._staged_ranges[new_id] = moved
+        self._spawn([new_id])
+        fresh = self.shards[new_id]
         donor = self.shards[shard_id]
         blob = donor.enclave.ecall(
             "extract_range", moved.to_json(), new_id
         )
-        self._checkpoint(donor)
-        fresh.pending_handoff = (shard_id, blob)
+        self.fleet.checkpoint(donor)
         fresh.enclave.ecall("load_range", shard_id, blob)
-        self._checkpoint(fresh)
+        self.fleet.checkpoint(fresh)
         self.table.split(shard_id, new_id)
+        del self._staged_ranges[new_id]
         self.splits += 1
         self._tel_splits.inc()
         return new_id
@@ -629,10 +576,8 @@ class SecureStreamPlane:
             seen_shed + gone_shed, seen_late + gone_late
         )
         self.table.merge(into_id, retired_id)
-        self._checkpoint(survivor)
-        retiring.enclave.destroy()
-        retiring.node.unbind_shard(retired_id)
-        del self.shards[retired_id]
+        self.fleet.checkpoint(survivor)
+        self.fleet.retire(retired_id)
         self.merges += 1
         self._tel_merges.inc()
 
@@ -683,6 +628,12 @@ class SecureStreamPlane:
             "silent_loss": released - windowed - shed - late
             - buffered - queued,
         }
+
+    def check_invariants(self):
+        """The fleet's leak and ledger audit, and the topology's own."""
+        self.fleet.check_invariants()
+        self.topology.check_invariants()
+        return True
 
     def queue_depths(self):
         return {

@@ -16,7 +16,7 @@ from repro.errors import (
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.router import ScbrClient
-from repro.scbr.sharding import ShardPlanner
+from repro.plane import least_loaded
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
@@ -80,20 +80,20 @@ class TestChooseNode:
     """The pure placement function: anti-affinity, then EPC."""
 
     def test_fewest_shards_wins(self):
-        assert ShardPlanner.choose_node([2, 0, 1], [0.9, 0.9, 0.0]) == 1
+        assert least_loaded([2, 0, 1], [0.9, 0.9, 0.0]) == 1
 
     def test_ties_break_toward_low_epc_then_position(self):
-        assert ShardPlanner.choose_node([1, 1, 1], [0.5, 0.1, 0.1]) == 1
-        assert ShardPlanner.choose_node([1, 1], [0.3, 0.3]) == 0
+        assert least_loaded([1, 1, 1], [0.5, 0.1, 0.1]) == 1
+        assert least_loaded([1, 1], [0.3, 0.3]) == 0
 
     def test_over_watermark_nodes_are_demoted(self):
-        choice = ShardPlanner.choose_node(
+        choice = least_loaded(
             [0, 1], [0.99, 0.10], over_watermark=[True, False]
         )
         assert choice == 1, "emptier but over-watermark node must lose"
 
     def test_full_fleet_still_places(self):
-        choice = ShardPlanner.choose_node(
+        choice = least_loaded(
             [2, 1], [0.9, 0.95], over_watermark=[True, True]
         )
         assert choice == 1, "all-over-watermark falls back to anti-affinity"
@@ -105,7 +105,7 @@ class TestChooseNode:
     ])
     def test_misaligned_inputs_rejected(self, counts, loads, flags):
         with pytest.raises(ConfigurationError):
-            ShardPlanner.choose_node(counts, loads, over_watermark=flags)
+            least_loaded(counts, loads, over_watermark=flags)
 
 
 class TestConstruction:
@@ -204,7 +204,7 @@ class TestLiveMigration:
         tiny = router.topology.node("node-0")
         assert tiny.epc_watermark_exceeded(router.epc_node_watermark)
         victim = max(
-            tiny.shard_ids,
+            router.fleet.on_node(tiny),
             key=lambda sid: router._shard_by_id(sid).database_bytes,
         )
 

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, IntegrityError
 from repro.crypto.aead import AeadKey
+from repro.service.gateway import GATEWAY_CODE
+from repro.sgx.platform import SgxPlatform
 from repro.service.audit import (
     MAX_DETAIL_BYTES,
     AuditChain,
@@ -223,16 +225,12 @@ class TestEntryEdges:
     def test_head_state_round_trip(self):
         chain = AuditChain(_KEY_A, "acme")
         chain.append(0.0, "a", "r", "ok")
-        chain.mark_seen("req-1")
         state = chain.head_state()
-        assert sorted(state) == [
-            "count", "head", "seen_count", "seen_digest"
-        ]
+        assert sorted(state) == ["count", "head"]
         restored = AuditChain(_KEY_A, "acme")
-        restored.restore_head(state, ["req-1"])
+        restored.restore_head(state)
         assert restored.count == chain.count
         assert restored.head == chain.head
-        assert restored.seen == {"req-1"}
         assert restored.head_state() == state
 
     def test_empty_chain_verifies(self):
@@ -242,79 +240,86 @@ class TestEntryEdges:
         ) == []
 
 
-_request_ids = st.lists(
-    st.text(min_size=1, max_size=24), min_size=2, max_size=12, unique=True
-)
+_PLATFORM = SgxPlatform(seed=97, quoting_key_bits=512)
+_ROOT = b"\x5e" * 32
 
 
-def _recorded_chain(tenant_id, specs, request_ids):
-    """A chain with ``specs`` appended and ``request_ids`` recorded, as
-    the gateway leaves it: the sealed head plus the host's id log."""
-    chain, _blobs = _build_chain(_KEY_A, tenant_id, specs)
-    for request_id in request_ids:
-        chain.mark_seen(request_id)
-    return chain, chain.head_state(), list(request_ids)
+def _gateway(specs, tenants=("acme",)):
+    """A gateway with ``specs`` appended to every tenant's chain the
+    way the door does it: each append names the position it expects.
+    Returns the enclave, its sealed root, and the host's store."""
+    gateway = _PLATFORM.load_enclave(GATEWAY_CODE)
+    sealed_root = gateway.ecall("setup", _ROOT)
+    blobs, heads = {}, {}
+    for tenant in tenants:
+        blob, heads[tenant] = gateway.ecall("register_tenant", tenant, 0.0)
+        blobs[tenant] = [blob]
+        for vtime, action, outcome, detail in specs:
+            blob, heads[tenant] = gateway.ecall(
+                "append_audit", tenant, len(blobs[tenant]), vtime,
+                action, "res", outcome, detail,
+            )
+            blobs[tenant].append(blob)
+    return gateway, sealed_root, blobs, heads
 
 
-class TestSeenCommitment:
-    """The sealed head commits to the seen-request set; the host keeps
-    the ids.  Restore must accept exactly the honest log."""
+class TestPositionDedupe:
+    """The chain position is the exactly-once state: a restarted
+    gateway needs the sealed root and the sealed heads, nothing else."""
 
-    @settings(max_examples=30)
-    @given(st.lists(_entries, max_size=6), _request_ids)
-    def test_honest_log_restores_and_dedupes(self, specs, request_ids):
-        chain, state, log = _recorded_chain("acme", specs, request_ids)
-        restored = AuditChain(_KEY_A, "acme")
-        restored.restore_head(state, log)
-        assert restored.seen == chain.seen
-        assert restored.count == chain.count
-        assert restored.head == chain.head
-        # Replaying every logged id appends nothing: each is still a
-        # duplicate, which is all the gateway asks before it appends.
-        assert all(request_id in restored.seen for request_id in log)
-        assert restored.head_state() == state
-
-    @settings(max_examples=30)
-    @given(st.lists(_entries, max_size=6), _request_ids, st.data())
-    def test_tampered_log_fails_closed(self, specs, request_ids, data):
-        _chain, state, log = _recorded_chain("acme", specs, request_ids)
-        i = data.draw(st.integers(min_value=0, max_value=len(log) - 2))
-        j = data.draw(st.integers(min_value=i + 1, max_value=len(log) - 1))
-        swapped = list(log)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        tampered = {
-            "drop-one": log[:i] + log[i + 1:],
-            "swap-two": swapped,
-            "append-extra": log + ["forged|" + log[j]],
-            "duplicate-one": log[:j] + [log[i]] + log[j:],
-        }
-        for family, bad_log in tampered.items():
-            restored = AuditChain(_KEY_A, "acme")
-            with pytest.raises(IntegrityError):
-                restored.restore_head(state, bad_log)
-            # Fails before adopting anything.
-            assert (restored.count, restored.seen) == (0, set()), family
-
-    @settings(max_examples=30)
-    @given(st.lists(_entries, max_size=6), _request_ids)
-    def test_other_tenants_log_fails_closed(self, specs, request_ids):
-        """Tenant A's log under tenant B's head."""
-        _a, _state_a, log_a = _recorded_chain(
-            "acme", specs, ["acme|" + r for r in request_ids]
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_entries, max_size=6))
+    def test_honest_head_restores_and_dedupes(self, specs):
+        gateway, sealed_root, blobs, heads = _gateway(specs)
+        head_before = gateway.ecall("audit_head", "acme")
+        fresh = _PLATFORM.load_enclave(GATEWAY_CODE)
+        assert fresh.ecall("restore", sealed_root, heads) == 1
+        assert fresh.ecall("audit_head", "acme") == head_before
+        # Replaying any recorded position appends nothing ...
+        for position in range(len(blobs["acme"])):
+            blob, _head = fresh.ecall(
+                "append_audit", "acme", position, 0.0, "a", "r", "ok"
+            )
+            assert blob is None
+        assert fresh.ecall("audit_head", "acme") == head_before
+        # ... and the next position continues the very same chain.
+        blob, _head = fresh.ecall(
+            "append_audit", "acme", len(blobs["acme"]), 1.0, "a", "r", "ok"
         )
-        _b, state_b, _log_b = _recorded_chain(
-            "globex", specs, ["globex|" + r for r in request_ids]
-        )
-        with pytest.raises(IntegrityError):
-            AuditChain(_KEY_A, "globex").restore_head(state_b, log_a)
+        assert fresh.ecall(
+            "verify_audit", "acme", blobs["acme"] + [blob]
+        ) == len(blobs["acme"]) + 1
 
-    @settings(max_examples=30)
-    @given(_request_ids)
-    def test_commitment_is_tenant_bound(self, request_ids):
-        """Two tenants recording the very same ids still commit to
-        different digests: a head cannot move between tenants."""
-        _a, state_a, log = _recorded_chain("acme", [], request_ids)
-        _b, state_b, _log = _recorded_chain("globex", [], request_ids)
-        assert state_a["seen_digest"] != state_b["seen_digest"]
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(_entries, min_size=1, max_size=6), st.data())
+    def test_stale_head_fails_closed_at_the_next_append(self, specs, data):
+        """A host that restores from an older sealed head is caught by
+        the first append: its position is past the stale count."""
+        _gw, sealed_root, blobs, _heads = _gateway(specs)
+        behind = data.draw(
+            st.integers(min_value=1, max_value=len(specs)), label="behind"
+        )
+        # Same platform, root and prefix: exactly the head the host
+        # stored ``behind`` appends ago.
+        _old, _root, _blobs, stale_heads = _gateway(
+            specs[:len(specs) - behind]
+        )
+        fresh = _PLATFORM.load_enclave(GATEWAY_CODE)
+        fresh.ecall("restore", sealed_root, stale_heads)
+        head_before = fresh.ecall("audit_head", "acme")
         with pytest.raises(IntegrityError):
-            AuditChain(_KEY_A, "acme").restore_head(state_b, log)
+            fresh.ecall(
+                "append_audit", "acme", len(blobs["acme"]), 1.0,
+                "a", "r", "ok",
+            )
+        assert fresh.ecall("audit_head", "acme") == head_before
+
+    def test_sealed_head_is_tenant_bound(self):
+        """Two tenants with identical histories still seal different
+        heads: a head cannot move between tenants."""
+        _gw, sealed_root, _blobs, heads = _gateway(
+            [(0.0, "a", "ok", "")], tenants=("acme", "globex")
+        )
+        fresh = _PLATFORM.load_enclave(GATEWAY_CODE)
+        with pytest.raises(IntegrityError):
+            fresh.ecall("restore", sealed_root, {"acme": heads["globex"]})

@@ -145,8 +145,8 @@ class TestRestoreHardening:
         assert door.verify_audit("acme") == head_before[0] + 1
 
     def test_failed_restore_installs_nothing(self):
-        """Tenant 1's head and log are honest, tenant 2's head is
-        forged: the restore must not leave a live gateway holding the
+        """Tenant 1's head is honest, tenant 2's head is forged: the
+        restore must not leave a live gateway holding the
         root key and tenant 1's chain behind the IntegrityError."""
         env = Environment()
         door = SecureFrontDoor(env, seed=47)
@@ -159,13 +159,10 @@ class TestRestoreHardening:
             "globex": door.audit_heads["acme"],
         }
         with pytest.raises(IntegrityError):
-            fresh.ecall(
-                "restore", door.sealed_root, forged,
-                door.audit_request_ids,
-            )
+            fresh.ecall("restore", door.sealed_root, forged)
         for call in (
             ("audit_head", "acme"),
-            ("append_audit", "acme", "r-1", 0.0, "a", "r", "ok"),
+            ("append_audit", "acme", 2, 0.0, "a", "r", "ok"),
             ("seal_dataset", "acme", "d", [b"x"]),
         ):
             with pytest.raises(
@@ -173,42 +170,27 @@ class TestRestoreHardening:
             ):
                 fresh.ecall(*call)
 
-    def test_tampered_request_log_fails_closed(self):
-        """The host omits, reorders, forges, or withholds the request
-        id log the sealed head commits to: caught at restore, and
-        nothing is installed."""
+    def test_stale_head_fails_closed_at_the_next_append(self):
+        """The host restores the gateway from a sealed head one append
+        old.  The next request's position is past that head's count:
+        the append raises, and nothing is appended or stored."""
         env = Environment()
         door = SecureFrontDoor(env, seed=48)
         door.register_tenant("acme", rate=1000.0, burst=1000.0)
-        door.register_tenant("globex", rate=1000.0, burst=1000.0)
-        for index in range(4):
-            door.upload_dataset("acme", "d-%d" % index, [b"x"])
-            door.upload_dataset("globex", "d-%d" % index, [b"y"])
-        log = door.audit_request_ids["acme"]
-        assert len(log) == 4
-        bad_logs = {
-            "omitted": log[:-1],
-            "reordered": [log[1], log[0]] + log[2:],
-            "forged": log + ["acme|dataset.upload|d-9|5"],
-            "duplicated": log + [log[0]],
-            "foreign": door.audit_request_ids["globex"],
-            "withheld": None,
-        }
-        for family, bad in bad_logs.items():
-            logs = dict(door.audit_request_ids)
-            if bad is None:
-                del logs["acme"]
-            else:
-                logs["acme"] = bad
-            fresh = door.platform.load_enclave(GATEWAY_CODE, name=family)
-            with pytest.raises(IntegrityError):
-                fresh.ecall(
-                    "restore", door.sealed_root, door.audit_heads, logs
-                )
-            with pytest.raises(ConfigurationError):
-                fresh.ecall("audit_head", "globex")
+        door.upload_dataset("acme", "d-0", [b"x"])
+        stale = door.audit_heads["acme"]
+        door.upload_dataset("acme", "d-1", [b"x"])
+        door.audit_heads["acme"] = stale
+        door.gateway.destroy()
+        door._recover_gateway()
+        stored = list(door.audit_blobs["acme"])
+        with pytest.raises(IntegrityError, match="stale sealed head"):
+            door.upload_dataset("acme", "d-2", [b"x"])
+        assert door.audit_blobs["acme"] == stored
+        assert door.audit_heads["acme"] is stale
+        assert door.audit_head("acme")[0] == len(stored) - 1
 
-    def test_replaying_every_logged_id_appends_nothing(self):
+    def test_replayed_positions_append_nothing(self):
         env = Environment()
         door = SecureFrontDoor(env, seed=49)
         door.register_tenant("acme", rate=1000.0, burst=1000.0)
@@ -217,37 +199,35 @@ class TestRestoreHardening:
         head_before = door.audit_head("acme")
         door.gateway.destroy()
         door._recover_gateway()
-        for request_id in list(door.audit_request_ids["acme"]):
+        for position in range(7):
             door._audit(
-                "acme", request_id, "dataset.upload", "replayed", "ok"
+                "acme", position, "dataset.upload", "replayed", "ok"
             )
         assert door.audit_head("acme") == head_before
-        assert len(door.audit_request_ids["acme"]) == 6
+        assert len(door.audit_blobs["acme"]) == 7
         assert door.verify_audit("acme") == 7
 
 
 class TestConstantHead:
     def test_sealed_head_does_not_grow_with_history(self):
         """The regression guard for the O(history) head: what the
-        gateway platform-seals per request holds a commitment to the
-        seen ids, not the ids, so only the two decimal counters can
-        widen it."""
+        gateway platform-seals per request is ``{tenant, count, head}``,
+        so only the decimal counter can widen it."""
         env = Environment()
         door = SecureFrontDoor(env, seed=50)
         door.register_tenant("acme")
 
         def head_length_after(appends):
-            while len(door.audit_request_ids["acme"]) < appends:
+            while len(door.audit_blobs["acme"]) <= appends:
                 door._audit(
-                    "acme",
-                    "acme|bench|r|%d" % len(door.audit_request_ids["acme"]),
+                    "acme", len(door.audit_blobs["acme"]),
                     "bench", "r", "ok",
                 )
             return len(door.audit_heads["acme"].to_bytes())
 
         short, long = head_length_after(20), head_length_after(2000)
-        # count: 21 -> 2001, seen_count: 20 -> 2000.
-        assert 0 <= long - short <= 4
+        # count: 21 -> 2001.
+        assert 0 <= long - short <= 2
         assert door.verify_audit("acme") == 2001
 
 
@@ -270,8 +250,9 @@ class _CrashAtNextAck:
 
 class TestLongHistoryReplay:
     def test_ack_crash_after_long_history_lands_exactly_once(self):
-        """Restore rebuilds a 500-id dedupe set from the host log, and
-        the replayed request is still recognised as already recorded."""
+        """Restore needs nothing proportional to the 500-entry history,
+        and the replayed request is still recognised as already
+        recorded."""
         env = Environment()
         chaos = _CrashAtNextAck()
         door = SecureFrontDoor(env, seed=51, chaos=chaos)
@@ -284,9 +265,7 @@ class TestLongHistoryReplay:
         assert receipt.ok
         assert door.gateway_recoveries == 1
         requests += 1
-        assert door.audit_request_ids["acme"].count(
-            receipt.request_id
-        ) == 1
+        assert len(door.audit_blobs["acme"]) == requests + 1
         assert door.verify_audit("acme") == requests + 1
         totals = FrontDoorOracle(
             door._root_key.key_bytes
