@@ -23,15 +23,17 @@ subscription id surfaces exactly once in every mode.
 
 import pytest
 
-from repro.scbr.messages import EncryptedEnvelope, serialize_publication
+from repro.crypto.chunked import serial_seal_cycles
+from repro.scbr.messages import (
+    EncryptedEnvelope,
+    client_key,
+    serialize_publication,
+)
 from repro.scbr.router import (
     ROUTER_ENTRY_POINTS,
-    SEAL_CYCLES_PER_BYTE,
-    SEAL_SETUP_CYCLES,
     SERIALIZE_CYCLES_PER_BYTE,
     ScbrClient,
     ScbrRouter,
-    _client_key,
     _open_publication,
 )
 from repro.scbr.sharding import ShardedScbrRouter
@@ -60,15 +62,13 @@ def enclave_publish_unbatched(ctx, envelope):
     notifications = []
     for subscription_id in sorted(matched):
         subscriber = ctx.state["subscriber_of"][subscription_id]
-        subscriber_key = _client_key(ctx, subscriber)
+        subscriber_key = client_key(ctx, subscriber)
         serialized = serialize_publication(publication)
         ctx.compute(SERIALIZE_CYCLES_PER_BYTE * len(serialized))
         envelope_out = EncryptedEnvelope.seal(
             subscriber_key, "router", "notify", serialized
         )
-        ctx.compute(
-            SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(envelope_out.blob)
-        )
+        ctx.compute(serial_seal_cycles(len(envelope_out.blob)))
         notifications.append(envelope_out)
     return notifications
 

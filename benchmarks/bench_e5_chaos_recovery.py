@@ -149,7 +149,7 @@ def _broker_trial(drop_rate, publications=30, fail_at=0.0105):
     subscriber.subscribe(
         Subscription("s-all", [Constraint("t", Operator.GE, 0)], "bob")
     )
-    FaultSchedule(env, injector=chaos).fail_broker_at(fail_at, broker)
+    FaultSchedule(env, injector=chaos).fail_at(fail_at, broker)
 
     for index in range(publications):
         def publish(index=index):

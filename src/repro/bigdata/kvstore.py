@@ -19,7 +19,6 @@ hiccup.
 
 import json
 
-from repro.crypto.aead import SealedBatch
 from repro.errors import ConfigurationError, IntegrityError
 from repro.retry import BackoffClock, retry_call
 
@@ -178,9 +177,7 @@ class SecureTable:
         keys = self.keys()
         payloads = [json.dumps(keys).encode("utf-8")]
         payloads.extend(self.get(key) for key in keys)
-        return export_key.encrypt_batch(
-            payloads, aad=self._export_aad()
-        ).to_bytes()
+        return export_key.seal_records(payloads, self._export_aad())
 
     @classmethod
     def import_sealed(cls, volume, name, export_key, blob, retry_policy=None):
@@ -191,9 +188,7 @@ class SecureTable:
         batch tag or the chunk manifest before a single row is written.
         """
         table = cls(volume, name, retry_policy=retry_policy)
-        records = export_key.decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=table._export_aad()
-        )
+        records = export_key.open_records(blob, table._export_aad())
         if not records:
             raise IntegrityError("sealed table export carries no key list")
         keys = json.loads(records[0].decode("utf-8"))

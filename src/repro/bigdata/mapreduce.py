@@ -8,9 +8,9 @@ shuffle partitions by a keyed hash so even key *names* are opaque
 outside.
 
 Splits, shuffle partitions, and outputs are sealed with the batch AEAD
-framing (:class:`~repro.crypto.aead.SealedBatch`): one nonce and one tag
-per boundary crossing instead of per record, and one keystream pass over
-the whole frame.  The driver runs map tasks, then reduce tasks, one
+framing (:meth:`~repro.crypto.aead.AeadKey.seal_records`): one nonce and
+one tag per boundary crossing instead of per record, and one keystream
+pass over the whole frame.  The driver runs map tasks, then reduce tasks, one
 after another in index order: ``job.mappers`` / ``job.reducers`` set
 how many worker enclaves share the work.  The host loop is serial on
 purpose -- an ecall is CPU-bound Python under the GIL, where host
@@ -40,8 +40,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ConfigurationError, IntegrityError, WorkerCrashError
-from repro.crypto.aead import AeadKey, SealedBatch
+from repro.errors import ConfigurationError, WorkerCrashError
+from repro.crypto.aead import AeadKey
 from repro.crypto.primitives import hmac_sha256
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.sgx.enclave import EnclaveCode
@@ -92,7 +92,7 @@ def _decode(raw):
     return json.loads(raw.decode("utf-8"))
 
 
-def _seal_batch(key, kind, items):
+def _seal_items(key, kind, items):
     """Seal a list of JSON-encodable items as one batch blob.
 
     The whole list is one JSON payload inside the batch frame: one
@@ -100,16 +100,13 @@ def _seal_batch(key, kind, items):
     encoding would cost a dumps/loads round per record.  Splits larger
     than one chunk auto-select the chunked ``SB2`` framing.
     """
-    return key.encrypt_batch([_encode(items)], aad=kind).to_bytes()
+    return key.seal_records([_encode(items)], kind)
 
 
-def _open_batch(key, kind, blob):
-    try:
-        records = key.decrypt_batch(SealedBatch.from_bytes(blob), aad=kind)
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "map/reduce %s data failed authentication" % kind.decode()
-        ) from exc
+def _open_items(key, kind, blob):
+    records = key.open_records(
+        blob, kind, what="map/reduce %s data" % kind.decode()
+    )
     return _decode(records[0]) if records else []
 
 
@@ -130,7 +127,7 @@ def _partition_of(ctx, key_repr):
 def _enclave_map(ctx, map_fn, sealed_split, combiner_fn=None):
     """Run one map task: open split, map, (combine,) seal partitions."""
     key = ctx.state["key"]
-    records = _open_batch(key, b"split", sealed_split)
+    records = _open_items(key, b"split", sealed_split)
     partitions = defaultdict(list)
     # Output keys repeat heavily in aggregations; memoise the keyed
     # partition hash per distinct key instead of HMACing every pair.
@@ -156,7 +153,7 @@ def _enclave_map(ctx, map_fn, sealed_split, combiner_fn=None):
                 for out_key, values in groups.items()
             ]
     return {
-        partition: _seal_batch(key, b"shuffle", pairs)
+        partition: _seal_items(key, b"shuffle", pairs)
         for partition, pairs in partitions.items()
     }
 
@@ -166,7 +163,7 @@ def _enclave_reduce(ctx, reduce_fn, sealed_shuffles):
     key = ctx.state["key"]
     groups = defaultdict(list)
     for blob in sealed_shuffles:
-        for out_key, out_value in _open_batch(key, b"shuffle", blob):
+        for out_key, out_value in _open_items(key, b"shuffle", blob):
             # JSON round-trips tuples as lists; normalise to hashable.
             if isinstance(out_key, list):
                 out_key = tuple(out_key)
@@ -175,7 +172,7 @@ def _enclave_reduce(ctx, reduce_fn, sealed_shuffles):
         repr(out_key): reduce_fn(out_key, values)
         for out_key, values in groups.items()
     }
-    return _seal_batch(key, b"output", sorted(result.items()))
+    return _seal_items(key, b"output", sorted(result.items()))
 
 
 WORKER_ENTRY_POINTS = {
@@ -376,7 +373,7 @@ class SecureMapReduce:
         #    sealing itself happens at the data owner / ingestion side,
         #    modelled by using the job key here).
         sealed_splits = [
-            _seal_batch(self.job_key, b"split", split)
+            _seal_items(self.job_key, b"split", split)
             for split in self._splits(records)
         ]
         for sealed in sealed_splits:
@@ -449,12 +446,8 @@ class SecureMapReduce:
             output_blob = output_blobs[partition]
             self.sealed_bytes_moved += len(output_blob)
             self._tel_sealed_bytes.inc(len(output_blob))
-            for key_repr, value in _open_batch(
+            for key_repr, value in _open_items(
                 self.job_key, b"output", output_blob
             ):
                 merged[key_repr] = value
         return merged
-
-    def run_matching_plain(self, records):
-        """Secure run, keyed like :func:`plain_mapreduce` for comparison."""
-        return self.run(records)

@@ -1,8 +1,8 @@
 """Efficient transmission of large amounts of data.
 
 Bulk transfers chunk the payload, compress each chunk, and seal each
-*frame* of ``batch_size`` chunks as one
-:class:`~repro.crypto.aead.SealedBatch`: the chunks travel
+*frame* of ``batch_size`` chunks with one
+:meth:`~repro.crypto.aead.AeadKey.seal_records`: the chunks travel
 length-prefixed inside a single AEAD frame, so the 48-byte nonce+tag
 overhead and the MAC finalisation are paid per frame, not per chunk.
 The frame's associated data binds the transfer id, the frame index, the
@@ -31,7 +31,6 @@ from repro.errors import (
     RetryExhaustedError,
     TransportError,
 )
-from repro.crypto.aead import SealedBatch
 from repro.retry import BackoffClock, RetryPolicy
 
 
@@ -134,10 +133,9 @@ class BulkTransfer:
             for offset in range(0, len(bodies), self.batch_size)
         ]
         frames = [
-            self.key.encrypt_batch(
-                batch,
-                aad=self._frame_aad(frame_index, len(batches), transfer_id),
-            ).to_bytes()
+            self.key.seal_records(
+                batch, self._frame_aad(frame_index, len(batches), transfer_id)
+            )
             for frame_index, batch in enumerate(batches)
         ]
         return frames, len(chunks), compressed_total
@@ -174,17 +172,10 @@ class BulkTransfer:
         frames independently, so one corrupted frame NACKs alone
         instead of failing the whole transfer.
         """
-        try:
-            batch = SealedBatch.from_bytes(frame)
-            return self.key.decrypt_batch(
-                batch,
-                aad=self._frame_aad(frame_index, frame_count, transfer_id),
-            )
-        except IntegrityError as exc:
-            raise IntegrityError(
-                "bulk frame %d failed authentication (tampered, "
-                "reordered, or dropped)" % frame_index
-            ) from exc
+        return self.key.open_records(
+            frame, self._frame_aad(frame_index, frame_count, transfer_id),
+            what="bulk frame %d" % frame_index,
+        )
 
     def receive(self, frames, transfer_id=b"t0"):
         """Verify, decrypt, decompress, and reassemble the payload."""

@@ -330,13 +330,6 @@ class FaultSchedule:
             time, self._fire(kind or default_kind, name, action)
         )
 
-    def fail_broker_at(self, time, replicated_broker):
-        """Destroy the active broker replica at virtual ``time``.
-
-        Thin alias of :meth:`fail_at`, kept for existing call sites.
-        """
-        return self.fail_at(time, replicated_broker)
-
     def crash_shard_at(self, time, plane, shard_id):
         """Destroy shard ``shard_id`` of a sharded matching plane at
         virtual ``time`` (records the shard id in the fault log)."""

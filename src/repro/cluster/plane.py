@@ -87,7 +87,7 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
 
     name = "scbr-node-plane"
 
-    def __init__(self, platform, topology, node_health_policy=None,
+    def __init__(self, platform, topology,
                  epc_node_watermark=DEFAULT_NODE_EPC_WATERMARK,
                  **kwargs):
         if not isinstance(topology, NodeTopology):
@@ -119,7 +119,7 @@ class NodeBoundScbrRouter(ShardedScbrRouter):
         super().__init__(platform, None, **kwargs)
         if self.monitor is not None:
             self.node_detector = self.fleet.node_detector = (
-                NodeFailureDetector(self.monitor, node_health_policy)
+                NodeFailureDetector(self.monitor)
             )
             # Replay the assignments made while super() spawned the
             # initial shards (the detector did not exist yet).

@@ -1,5 +1,20 @@
 """Authenticated encryption with associated data (AEAD).
 
+The boundary every other package uses is bytes in, bytes out:
+:meth:`AeadKey.seal` / :meth:`AeadKey.open` for one payload and
+:meth:`AeadKey.seal_records` / :meth:`AeadKey.open_records` for a list
+of records.  ``seal*`` returns the wire blob; ``open*`` parses it,
+checks the tag and raises :class:`~repro.errors.IntegrityError` on
+anything else -- a blob that is not bytes, a truncated or foreign
+framing, a flipped bit -- naming the caller's ``what`` when one is
+given.  The framing classes below (:class:`Ciphertext`,
+:class:`SealedBatch`) and the object layer that produces them
+(:meth:`AeadKey.encrypt` / :meth:`AeadKey.decrypt` /
+:meth:`AeadKey.encrypt_batch` / :meth:`AeadKey.decrypt_batch`) stay
+inside this package: the only outside user is
+:mod:`repro.scone.fs_shield`, which stores a chunk's tag detached from
+its body (DESIGN section 10, "The seal boundary").
+
 Encrypt-then-MAC over an HMAC-SHA256 counter-mode keystream:
 
 - encryption key and MAC key are derived independently from the AEAD key;
@@ -8,9 +23,10 @@ Encrypt-then-MAC over an HMAC-SHA256 counter-mode keystream:
 - nonces are 16 random bytes drawn per encryption (collision probability
   negligible at simulation scales).
 
-This mirrors AES-GCM's interface: :meth:`AeadKey.encrypt` returns a
-self-contained :class:`Ciphertext`, and :meth:`AeadKey.decrypt` raises
-:class:`~repro.errors.IntegrityError` on any tampering.
+Underneath, :meth:`AeadKey.encrypt` mirrors AES-GCM's interface: it
+returns a self-contained :class:`Ciphertext`, and
+:meth:`AeadKey.decrypt` raises :class:`~repro.errors.IntegrityError` on
+any tampering.
 
 For bulk data the per-record nonce+tag framing (48 bytes) dominates small
 records, and every record pays its own MAC finalisation.  The batch API
@@ -82,10 +98,12 @@ class Ciphertext:
         """Parse a blob produced by :meth:`to_bytes`."""
         if len(raw) < NONCE_SIZE + TAG_SIZE:
             raise IntegrityError("ciphertext too short")
+        # bytes() of a bytes slice is the slice itself; a bytearray or
+        # memoryview blob parses to the same three immutable fields.
         return cls(
-            nonce=raw[:NONCE_SIZE],
-            tag=raw[NONCE_SIZE : NONCE_SIZE + TAG_SIZE],
-            body=raw[NONCE_SIZE + TAG_SIZE :],
+            nonce=bytes(raw[:NONCE_SIZE]),
+            tag=bytes(raw[NONCE_SIZE : NONCE_SIZE + TAG_SIZE]),
+            body=bytes(raw[NONCE_SIZE + TAG_SIZE :]),
         )
 
     def __len__(self):
@@ -382,6 +400,44 @@ class AeadKey:
             raise IntegrityError("sealed batch tag verification failed")
         frame = xof_keystream_xor(self._enc_key, batch.nonce, batch.body)
         return _unframe_records(frame, batch.count)
+
+    def seal(self, plaintext, aad, nonce=None):
+        """Seal one payload; the wire bytes of a :class:`Ciphertext`."""
+        return self.encrypt(plaintext, aad=aad, nonce=nonce).to_bytes()
+
+    def open(self, blob, aad, what=None):
+        """Parse, verify and decrypt a :meth:`seal` blob.
+
+        Raises :class:`IntegrityError` -- reading ``"<what> failed
+        authentication"`` when the caller names what it was opening --
+        for anything but bytes sealed under this key and ``aad``.
+        """
+        return self._open(Ciphertext, self.decrypt, blob, aad, what)
+
+    def seal_records(self, records, aad):
+        """Seal a list of records as one frame (``SB1``, or ``SB2`` when
+        large); returns the wire bytes of a :class:`SealedBatch`."""
+        return self.encrypt_batch(records, aad=aad).to_bytes()
+
+    def open_records(self, blob, aad, what=None):
+        """Parse, verify and open a :meth:`seal_records` blob; returns the
+        records.  Fails closed exactly as :meth:`open` does."""
+        return self._open(SealedBatch, self.decrypt_batch, blob, aad, what)
+
+    @staticmethod
+    def _open(framing, decrypt, blob, aad, what):
+        try:
+            # Blobs come back from untrusted stores: whatever is not
+            # bytes is refused here, before a parser can trip on it.
+            if not isinstance(blob, (bytes, bytearray, memoryview)):
+                raise IntegrityError(
+                    "sealed blob is %s, not bytes" % type(blob).__name__
+                )
+            return decrypt(framing.from_bytes(blob), aad=aad)
+        except IntegrityError as exc:
+            if what is None:
+                raise
+            raise IntegrityError("%s failed authentication" % what) from exc
 
     def __eq__(self, other):
         return isinstance(other, AeadKey) and constant_time_equal(

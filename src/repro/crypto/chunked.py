@@ -39,15 +39,7 @@ from repro.crypto.primitives import (
     hmac_sha256,
     xof_keystream_xor,
 )
-
-
-def _registry():
-    # Imported lazily: repro.telemetry's package __init__ pulls in the
-    # sealed-snapshot module, which imports this package back -- a
-    # top-level import here would make crypto unimportable on its own.
-    from repro.telemetry.registry import default_registry
-
-    return default_registry()
+from repro.telemetry.registry import default_registry
 
 # Frames at or below one chunk keep the single-pass ``SB1`` framing.
 DEFAULT_CHUNK_SIZE = 256 * 1024
@@ -61,10 +53,12 @@ _CHUNK_KEY_LABEL = b"securecloud-chunk-key"
 
 # --- virtual cost model (cycles on the repo-wide 2.6 GHz clock) ---
 #
-# Matches the sealing constants the SCBR plane charges
-# (repro.scbr.router): a setup per sealed unit plus a per-byte AEAD
-# pass.  The chunked path additionally pays a per-chunk dispatch (key
-# derivation, slicing, manifest entry).
+# The one price of a sealed byte: every enclave that charges for a seal
+# (SCBR fan-out and plane messages, stream firings, checkpoints and
+# handoffs) calls serial_seal_cycles.  AES-class sealing streams at a
+# few cycles/byte; the setup constant folds nonce derivation, MAC
+# finalisation, and framing.  The chunked path additionally pays a
+# per-chunk dispatch (key derivation, slicing, manifest entry).
 CHUNK_SETUP_CYCLES = 2_000
 CHUNK_SEAL_CYCLES_PER_BYTE = 4
 CHUNK_DISPATCH_CYCLES = 1_000
@@ -104,7 +98,7 @@ def chunked_keystream_xor(enc_key, nonce, data, chunk_size=DEFAULT_CHUNK_SIZE):
     spans = chunk_spans(len(view), chunk_size)
     if not spans:
         return b""
-    registry = _registry()
+    registry = default_registry()
     registry.counter("crypto.chunked_passes").inc()
     registry.counter("crypto.chunks_processed").inc(len(spans))
     registry.counter("crypto.chunked_bytes").inc(len(view))

@@ -20,7 +20,7 @@ This is how SCF delivery authenticates the *enclave*, not just a key.
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError, TransportError
-from repro.crypto.aead import AeadKey, Ciphertext
+from repro.crypto.aead import AeadKey
 from repro.crypto.dh import DhKeyPair
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import sha256
@@ -63,20 +63,14 @@ class SecureChannel:
         """Encrypt ``plaintext`` as the next outgoing record."""
         aad = record_type + b"|" + self._send_sequence.to_bytes(8, "big")
         self._send_sequence += 1
-        return self.send_key.encrypt(plaintext, aad=aad).to_bytes()
+        return self.send_key.seal(plaintext, aad)
 
     def open(self, record, record_type=b"data"):
         """Decrypt the peer's next record; raises on tamper or replay."""
         aad = record_type + b"|" + self._receive_sequence.to_bytes(8, "big")
-        try:
-            plaintext = self.receive_key.decrypt(
-                Ciphertext.from_bytes(record), aad=aad
-            )
-        except IntegrityError as exc:
-            raise IntegrityError(
-                "record %d failed authentication (tampered, replayed, or "
-                "out of order): %s" % (self._receive_sequence, exc)
-            ) from exc
+        plaintext = self.receive_key.open(
+            record, aad, what="record %d" % self._receive_sequence
+        )
         self._receive_sequence += 1
         return plaintext
 

@@ -25,7 +25,6 @@ nothing new from the redelivery buffer.
 from collections import OrderedDict
 
 from repro.errors import ConfigurationError, IntegrityError
-from repro.crypto.aead import Ciphertext
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS, default_registry
 
 
@@ -45,23 +44,16 @@ class SealedEvent:
     @classmethod
     def seal(cls, key, topic, sender, sequence, plaintext):
         """Encrypt ``plaintext`` as event ``sequence`` on ``topic``."""
-        blob = key.encrypt(
-            plaintext, aad=cls._aad(topic, sender, sequence)
-        ).to_bytes()
+        blob = key.seal(plaintext, cls._aad(topic, sender, sequence))
         return cls(topic, sender, sequence, blob)
 
     def open(self, key):
         """Decrypt; raises if topic, sender, or sequence was altered."""
-        try:
-            return key.decrypt(
-                Ciphertext.from_bytes(self.blob),
-                aad=self._aad(self.topic, self.sender, self.sequence),
-            )
-        except IntegrityError as exc:
-            raise IntegrityError(
-                "event %d on %r from %r failed authentication"
-                % (self.sequence, self.topic, self.sender)
-            ) from exc
+        return key.open(
+            self.blob, self._aad(self.topic, self.sender, self.sequence),
+            what="event %d on %r from %r"
+            % (self.sequence, self.topic, self.sender),
+        )
 
 
 class SequenceTracker:

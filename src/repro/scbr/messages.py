@@ -9,8 +9,8 @@ or attributed to a different client.
 
 import json
 
-from repro.errors import IntegrityError
-from repro.crypto.aead import Ciphertext, SealedBatch
+from repro.errors import AttestationError, IntegrityError
+from repro.crypto.chunked import serial_seal_cycles
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 
 
@@ -88,22 +88,15 @@ class EncryptedEnvelope:
     @classmethod
     def seal(cls, key, sender, kind, plaintext, recipient=None):
         """Encrypt ``plaintext`` under the client key."""
-        blob = key.encrypt(
-            plaintext, aad=cls._aad(sender, kind, recipient)
-        ).to_bytes()
+        blob = key.seal(plaintext, cls._aad(sender, kind, recipient))
         return cls(sender, kind, blob, recipient)
 
     def open(self, key):
         """Decrypt (inside the enclave, or by the owning client)."""
-        try:
-            return key.decrypt(
-                Ciphertext.from_bytes(self.blob),
-                aad=self._aad(self.sender, self.kind, self.recipient),
-            )
-        except IntegrityError as exc:
-            raise IntegrityError(
-                "envelope from %r (%s) failed authentication" % (self.sender, self.kind)
-            ) from exc
+        return key.open(
+            self.blob, self._aad(self.sender, self.kind, self.recipient),
+            what="envelope from %r (%s)" % (self.sender, self.kind),
+        )
 
     @classmethod
     def seal_batch(cls, key, sender, kind, plaintexts, recipient=None):
@@ -113,23 +106,17 @@ class EncryptedEnvelope:
         across a burst; the batch stays bound to (sender, kind) exactly
         like a single envelope.
         """
-        blob = key.encrypt_batch(
-            list(plaintexts), aad=cls._aad(sender, kind, recipient)
-        ).to_bytes()
+        blob = key.seal_records(
+            plaintexts, cls._aad(sender, kind, recipient)
+        )
         return cls(sender, kind, blob, recipient)
 
     def open_batch(self, key):
         """Open an envelope produced by :meth:`seal_batch`."""
-        try:
-            return key.decrypt_batch(
-                SealedBatch.from_bytes(self.blob),
-                aad=self._aad(self.sender, self.kind, self.recipient),
-            )
-        except IntegrityError as exc:
-            raise IntegrityError(
-                "batch envelope from %r (%s) failed authentication"
-                % (self.sender, self.kind)
-            ) from exc
+        return key.open_records(
+            self.blob, self._aad(self.sender, self.kind, self.recipient),
+            what="batch envelope from %r (%s)" % (self.sender, self.kind),
+        )
 
 
 NOTIFY_KIND = "notify"
@@ -171,10 +158,76 @@ class NotificationSealer:
             self._contexts[subscriber] = cached
         key, aad = cached
         ids_blob = json.dumps(sorted(subscription_ids)).encode("utf-8")
-        blob = key.encrypt_batch(
-            [serialized_publication, ids_blob], aad=aad
-        ).to_bytes()
+        blob = key.seal_records([serialized_publication, ids_blob], aad)
         return EncryptedEnvelope(self.sender, NOTIFY_KIND, blob, subscriber)
+
+
+# What the monolithic router enclave and the sharded plane's coordinator
+# enclave both do with a client's envelopes; ``ctx.state`` holds the
+# ``client_keys`` the attested key exchange installed and the enclave's
+# ``notification_sealer``.
+
+def client_key(ctx, client_id):
+    """The channel key ``client_id`` established with this enclave."""
+    key = ctx.state.get("client_keys", {}).get(client_id)
+    if key is None:
+        raise AttestationError("client %r has not established a key" % client_id)
+    return key
+
+
+def open_from_client(ctx, envelope, kind):
+    """Open a ``kind`` envelope under its sender's channel key."""
+    key = client_key(ctx, envelope.sender)
+    if envelope.kind != kind:
+        raise IntegrityError("expected a %s envelope" % kind)
+    return envelope.open(key)
+
+
+def admit_subscription(ctx, envelope):
+    """Open a client's subscription envelope; ``(subscription, payload)``.
+
+    The envelope authenticates its sender, so a subscription naming
+    any other subscriber is refused: nobody subscribes on another
+    client's behalf.
+    """
+    payload = open_from_client(ctx, envelope, "subscribe")
+    subscription = deserialize_subscription(payload)
+    if subscription.subscriber != envelope.sender:
+        raise IntegrityError(
+            "subscription claims subscriber %r but was sent by %r"
+            % (subscription.subscriber, envelope.sender)
+        )
+    return subscription, payload
+
+
+def fan_out(ctx, serialized_publication, matches):
+    """Seal the per-subscriber notifications of one publication.
+
+    ``matches`` is ``(subscription_id, subscriber)`` pairs.  They are
+    grouped (and thereby deduplicated) by subscriber, so a subscriber
+    holding several matching subscriptions receives one envelope
+    carrying all of its matched ids; each envelope is one sealed batch
+    (one nonce+tag) produced through the cached per-subscriber context
+    and charged on its sealed length.  The publication was serialized
+    by the caller, exactly once per publish.
+
+    Returns sorted ``(subscriber, envelope)`` pairs.
+    """
+    by_subscriber = {}
+    for subscription_id, subscriber in matches:
+        by_subscriber.setdefault(subscriber, []).append(subscription_id)
+    sealer = ctx.state["notification_sealer"]
+    routed = []
+    for subscriber in sorted(by_subscriber):
+        envelope = sealer.seal(
+            subscriber,
+            client_key(ctx, subscriber),
+            serialized_publication,
+            by_subscriber[subscriber],
+        )
+        ctx.compute(serial_seal_cycles(len(envelope.blob)))
+        routed.append((subscriber, envelope))
+    return routed
 
 
 def open_notification(envelope, key):

@@ -49,7 +49,7 @@ from repro.errors import (
     ConfigurationError,
     IntegrityError,
 )
-from repro.crypto.aead import AeadKey, Ciphertext
+from repro.crypto.aead import AeadKey
 from repro.crypto.dh import DhKeyPair
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import sha256
@@ -360,10 +360,7 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
         dh.shared_key(coordinator_public, info=b"scbr-plane-join")
     )
     aad = AAD_BATCH_JOIN + str(ctx.state["shard_id"]).encode("ascii")
-    try:
-        payload = transport.decrypt(Ciphertext.from_bytes(grant), aad=aad)
-    except IntegrityError as exc:
-        raise IntegrityError("join grant failed authentication") from exc
+    payload = transport.open(grant, aad, what="join grant")
     record = json.loads(payload.decode("utf-8"))
     ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
     ctx.state["plane_epoch"] = record["epoch"]
@@ -409,10 +406,7 @@ def shard_resume_complete(ctx, coordinator_nonce, wrapped):
         secret, nonce, coordinator_nonce, ctx.state["shard_id"]
     )
     aad = AAD_RESUME + str(ctx.state["shard_id"]).encode("ascii")
-    try:
-        payload = transport.decrypt(Ciphertext.from_bytes(wrapped), aad=aad)
-    except IntegrityError as exc:
-        raise IntegrityError("resume grant failed authentication") from exc
+    payload = transport.open(wrapped, aad, what="resume grant")
     record = json.loads(payload.decode("utf-8"))
     ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
     ctx.state["plane_epoch"] = record["epoch"]
@@ -430,10 +424,7 @@ def shard_rekey(ctx, blob):
     if plane_key is None:
         raise AttestationError("shard has not joined the plane")
     aad = AAD_REKEY + str(ctx.state["shard_id"]).encode("ascii")
-    try:
-        payload = plane_key.decrypt(Ciphertext.from_bytes(blob), aad=aad)
-    except IntegrityError as exc:
-        raise IntegrityError("rekey blob failed authentication") from exc
+    payload = plane_key.open(blob, aad, what="rekey blob")
     record = json.loads(payload.decode("utf-8"))
     ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
     ctx.state["plane_epoch"] = record["epoch"]
@@ -458,10 +449,7 @@ def _mint_ticket(ctx, platform_id):
         "epoch": ctx.state["plane_epoch"],
         "secret": secret.hex(),
     }, sort_keys=True).encode("utf-8")
-    ticket = ctx.state["ticket_key"].encrypt(
-        payload, aad=AAD_TICKET
-    ).to_bytes()
-    return secret, ticket
+    return secret, ctx.state["ticket_key"].seal(payload, AAD_TICKET)
 
 
 def coord_enroll_batch(ctx, offers):
@@ -512,7 +500,7 @@ def coord_enroll_batch(ctx, offers):
             "resume_secret": secret.hex(),
         }, sort_keys=True).encode("utf-8")
         aad = AAD_BATCH_JOIN + str(shard_id).encode("ascii")
-        grants[shard_id] = transport.encrypt(payload, aad=aad).to_bytes()
+        grants[shard_id] = transport.seal(payload, aad)
         tickets[shard_id] = ticket
         ctx.state.setdefault("enrolled", set()).add(shard_id)
         ctx.state.setdefault("shard_platform", {})[shard_id] = platform_id
@@ -538,9 +526,7 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     attestation = _require_verifier(ctx.state.get("attestation"))
     ctx.compute(TICKET_RESUME_CYCLES)
     try:
-        payload = ctx.state["ticket_key"].decrypt(
-            Ciphertext.from_bytes(ticket), aad=AAD_TICKET
-        )
+        payload = ctx.state["ticket_key"].open(ticket, AAD_TICKET)
     except IntegrityError as exc:
         raise AttestationError("resumption ticket invalid") from exc
     record = json.loads(payload.decode("utf-8"))
@@ -574,7 +560,7 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
         "epoch": epoch,
     }, sort_keys=True).encode("utf-8")
     aad = AAD_RESUME + str(shard_id).encode("ascii")
-    wrapped = transport.encrypt(payload, aad=aad).to_bytes()
+    wrapped = transport.seal(payload, aad)
     ctx.state.setdefault("enrolled", set()).add(shard_id)
     return {"nonce": coordinator_nonce, "wrapped": wrapped, "epoch": epoch}
 
@@ -611,7 +597,7 @@ def coord_rotate(ctx):
             "epoch": epoch,
         }, sort_keys=True).encode("utf-8")
         aad = AAD_REKEY + str(shard_id).encode("ascii")
-        rekey[shard_id] = old_key.encrypt(payload, aad=aad).to_bytes()
+        rekey[shard_id] = old_key.seal(payload, aad)
         platform_id = shard_platform.get(shard_id)
         if platform_id is not None:
             _secret, ticket = _mint_ticket(ctx, platform_id)

@@ -8,7 +8,7 @@ enclave, so the broker never observes content, subscriptions, or even
 which subscriber matched what beyond envelope counts.
 """
 
-from repro.errors import AttestationError, IntegrityError
+from repro.errors import IntegrityError
 from repro.scbr.index import ContainmentIndex
 from repro.scbr.keyexchange import (
     enclave_channel_accept,
@@ -17,29 +17,22 @@ from repro.scbr.keyexchange import (
 from repro.scbr.messages import (
     EncryptedEnvelope,
     NotificationSealer,
+    admit_subscription,
+    client_key,
     deserialize_publication,
     deserialize_subscription,
+    fan_out,
+    open_from_client,
     open_notification,
     serialize_publication,
     serialize_subscription,
 )
 from repro.sgx.enclave import EnclaveCode
 
-# In-enclave data-plane cycle charges for the publish fan-out (the
-# matching walk is charged by the index through enclave memory; these
-# cover the crypto and serialisation work per notification).  AES-class
-# sealing streams at a few cycles/byte; the setup constant folds nonce
-# derivation, MAC finalisation, and envelope framing.
+# In-enclave cycle charge for serialising a publication for the fan-out
+# (the matching walk is charged by the index through enclave memory, the
+# sealing by :func:`repro.crypto.chunked.serial_seal_cycles`).
 SERIALIZE_CYCLES_PER_BYTE = 2
-SEAL_SETUP_CYCLES = 2_000
-SEAL_CYCLES_PER_BYTE = 4
-
-
-def _client_key(ctx, client_id):
-    key = ctx.state.get("client_keys", {}).get(client_id)
-    if key is None:
-        raise AttestationError("client %r has not established a key" % client_id)
-    return key
 
 
 def enclave_setup(ctx, record_bytes=512):
@@ -54,72 +47,40 @@ def enclave_setup(ctx, record_bytes=512):
 
 def enclave_subscribe(ctx, envelope):
     """ECALL: decrypt, authenticate, and index a subscription."""
-    key = _client_key(ctx, envelope.sender)
-    if envelope.kind != "subscribe":
-        raise IntegrityError("expected a subscription envelope")
-    subscription = deserialize_subscription(envelope.open(key))
-    if subscription.subscriber != envelope.sender:
-        raise IntegrityError(
-            "subscription claims subscriber %r but was sent by %r"
-            % (subscription.subscriber, envelope.sender)
-        )
+    subscription, _payload = admit_subscription(ctx, envelope)
     ctx.state["index"].insert(subscription)
     ctx.state["subscriber_of"][subscription.subscription_id] = envelope.sender
     return subscription.subscription_id
 
 
 def _open_publication(ctx, envelope):
-    key = _client_key(ctx, envelope.sender)
-    if envelope.kind != "publish":
-        raise IntegrityError("expected a publication envelope")
-    return deserialize_publication(envelope.open(key))
+    return deserialize_publication(open_from_client(ctx, envelope, "publish"))
 
 
-def _fan_out(ctx, publication):
-    """Match and seal the per-subscriber notifications for a publication.
+def _publish(ctx, envelope):
+    """Open, match and seal the notifications of one publication.
 
-    The hot path of the router:
-
-    - the publication is serialized exactly once per publish;
-    - matches are grouped (and thereby deduplicated) by subscriber, so
-      a subscriber holding several matching subscriptions receives one
-      envelope carrying all of its matched subscription ids;
-    - each envelope is one sealed batch (one nonce+tag) produced
-      through a cached per-subscriber sealing context.
-
-    Returns sorted ``(subscriber, envelope)`` pairs.
+    The hot path: the publication is serialized exactly once per
+    publish, and :func:`~repro.scbr.messages.fan_out` seals one envelope
+    per matched subscriber.  Returns sorted ``(subscriber, envelope)``
+    pairs.
     """
+    publication = _open_publication(ctx, envelope)
     matched = ctx.state["index"].match(publication)
     if not matched:
         return []
     serialized = serialize_publication(publication)
     ctx.compute(SERIALIZE_CYCLES_PER_BYTE * len(serialized))
-    by_subscriber = {}
     subscriber_of = ctx.state["subscriber_of"]
-    for subscription_id in sorted(matched):
-        subscriber = subscriber_of[subscription_id]
-        by_subscriber.setdefault(subscriber, []).append(subscription_id)
-    sealer = ctx.state["notification_sealer"]
-    routed = []
-    for subscriber in sorted(by_subscriber):
-        envelope = sealer.seal(
-            subscriber,
-            _client_key(ctx, subscriber),
-            serialized,
-            by_subscriber[subscriber],
-        )
-        ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(envelope.blob))
-        routed.append((subscriber, envelope))
-    return routed
+    return fan_out(
+        ctx, serialized, ((sid, subscriber_of[sid]) for sid in sorted(matched))
+    )
 
 
 def enclave_publish(ctx, envelope):
     """ECALL: decrypt, match, and emit one notification per subscriber."""
     return [
-        notification
-        for _subscriber, notification in _fan_out(
-            ctx, _open_publication(ctx, envelope)
-        )
+        notification for _subscriber, notification in _publish(ctx, envelope)
     ]
 
 
@@ -131,12 +92,12 @@ def enclave_publish_routed(ctx, envelope):
     so exposing it leaks nothing new -- but it lets a replicating
     broker keep a per-subscriber redelivery log for failover replay.
     """
-    return _fan_out(ctx, _open_publication(ctx, envelope))
+    return _publish(ctx, envelope)
 
 
 def enclave_unsubscribe(ctx, client_id, subscription_id):
     """ECALL: remove a subscription; only its owner may do so."""
-    _client_key(ctx, client_id)  # the client must hold a channel
+    client_key(ctx, client_id)  # the client must hold a channel
     owner = ctx.state["subscriber_of"].get(subscription_id)
     if owner != client_id:
         raise IntegrityError(

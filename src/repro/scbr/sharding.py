@@ -47,7 +47,8 @@ from repro.errors import (
     IntegrityError,
     PartialCoverageError,
 )
-from repro.crypto.aead import AeadKey, Ciphertext, SealedBatch
+from repro.crypto.aead import AeadKey
+from repro.crypto.chunked import serial_seal_cycles
 from repro.plane import ShardFleet, ShardMember
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
@@ -70,15 +71,15 @@ from repro.scbr.provisioning import (
 )
 from repro.scbr.messages import (
     NotificationSealer,
+    admit_subscription,
+    client_key,
     deserialize_publication,
     deserialize_subscription,
+    fan_out,
+    open_from_client,
     serialize_subscription,
 )
-from repro.scbr.router import (
-    SEAL_CYCLES_PER_BYTE,
-    SEAL_SETUP_CYCLES,
-    SERIALIZE_CYCLES_PER_BYTE,
-)
+from repro.scbr.router import SERIALIZE_CYCLES_PER_BYTE
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import EnclaveCode
 from repro.sgx.memory import EpcModel, SimulatedMemory
@@ -389,13 +390,6 @@ def _plane_key(ctx):
     return key
 
 
-def _open_plane(ctx, blob, aad):
-    try:
-        return _plane_key(ctx).decrypt(Ciphertext.from_bytes(blob), aad=aad)
-    except IntegrityError as exc:
-        raise IntegrityError("plane message failed authentication") from exc
-
-
 def _tel(ctx):
     """In-enclave telemetry handles for this enclave's state.
 
@@ -453,7 +447,7 @@ def shard_setup(ctx, shard_id, record_bytes=DEFAULT_RECORD_BYTES,
 def shard_insert(ctx, blob):
     """ECALL: admit one plane-sealed subscription into the partition."""
     subscription = deserialize_subscription(
-        _open_plane(ctx, blob, _AAD_SUBSCRIPTION)
+        _plane_key(ctx).open(blob, _AAD_SUBSCRIPTION, what="plane message")
     )
     ctx.state["index"].insert(subscription)
     ctx.state["owners"][subscription.subscription_id] = subscription.subscriber
@@ -464,7 +458,7 @@ def shard_insert(ctx, blob):
 def shard_covers_root(ctx, blob):
     """ECALL: placement probe -- does a local root cover this filter?"""
     subscription = deserialize_subscription(
-        _open_plane(ctx, blob, _AAD_SUBSCRIPTION)
+        _plane_key(ctx).open(blob, _AAD_SUBSCRIPTION, what="plane message")
     )
     return ctx.state["index"].covers_any_root(subscription)
 
@@ -505,9 +499,9 @@ def shard_match(ctx, sealed_publication, trace=None):
     """
     registry, recorder = _tel(ctx)
     with recorder.span("shard.match", ctx.clock, trace=trace) as span:
-        publication = deserialize_publication(
-            _open_plane(ctx, sealed_publication, _AAD_PUBLICATION)
-        )
+        publication = deserialize_publication(_plane_key(ctx).open(
+            sealed_publication, _AAD_PUBLICATION, what="plane message"
+        ))
         index = ctx.state["index"]
         matched = index.match(publication)
         owners = ctx.state["owners"]
@@ -515,8 +509,8 @@ def shard_match(ctx, sealed_publication, trace=None):
         payload = json.dumps(
             {"shard": ctx.state["shard_id"], "pairs": pairs}
         ).encode("utf-8")
-        ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(payload))
-        blob = _plane_key(ctx).encrypt(payload, aad=_AAD_MATCHED).to_bytes()
+        ctx.compute(serial_seal_cycles(len(payload)))
+        blob = _plane_key(ctx).seal(payload, _AAD_MATCHED)
         span.attrs["visits"] = index.visits_last_match
         span.attrs["matches"] = len(pairs)
         registry.counter("scbr.shard.matched_pairs").inc(len(pairs))
@@ -542,18 +536,15 @@ def shard_evacuate(ctx, target_bytes):
     if moved:
         ctx.state["version"] += 1
     payloads = [serialize_subscription(s) for s in moved]
-    batch = _plane_key(ctx).encrypt_batch(payloads, aad=_AAD_MIGRATE)
-    return [s.subscription_id for s in moved], batch.to_bytes()
+    blob = _plane_key(ctx).seal_records(payloads, _AAD_MIGRATE)
+    return [s.subscription_id for s in moved], blob
 
 
 def shard_load(ctx, blob):
     """ECALL: admit a migrated batch (insertion order preserves chains)."""
-    try:
-        payloads = _plane_key(ctx).decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=_AAD_MIGRATE
-        )
-    except IntegrityError as exc:
-        raise IntegrityError("migration batch failed authentication") from exc
+    payloads = _plane_key(ctx).open_records(
+        blob, _AAD_MIGRATE, what="migration batch"
+    )
     index = ctx.state["index"]
     owners = ctx.state["owners"]
     for payload in payloads:
@@ -598,10 +589,9 @@ def shard_snapshot(ctx):
         "count": len(subscriptions),
     }).encode("utf-8")
     payloads = [header] + [serialize_subscription(s) for s in subscriptions]
-    total = sum(len(p) for p in payloads)
-    ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * total)
-    batch = _plane_key(ctx).encrypt_batch(payloads, aad=_AAD_SNAPSHOT)
-    return ctx.state["version"], batch.to_bytes()
+    ctx.compute(serial_seal_cycles(sum(len(p) for p in payloads)))
+    blob = _plane_key(ctx).seal_records(payloads, _AAD_SNAPSHOT)
+    return ctx.state["version"], blob
 
 
 def shard_restore(ctx, blob, expected_shard_id=None):
@@ -612,12 +602,9 @@ def shard_restore(ctx, blob, expected_shard_id=None):
     exactly the promised record count.  Sets the partition version to
     the snapshot's, so replayed log entries continue the version line.
     """
-    try:
-        payloads = _plane_key(ctx).decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=_AAD_SNAPSHOT
-        )
-    except IntegrityError as exc:
-        raise IntegrityError("shard snapshot failed authentication") from exc
+    payloads = _plane_key(ctx).open_records(
+        blob, _AAD_SNAPSHOT, what="shard snapshot"
+    )
     if not payloads:
         raise IntegrityError("shard snapshot is missing its header")
     header = json.loads(payloads[0].decode("utf-8"))
@@ -686,13 +673,6 @@ SHARD_CODE = EnclaveCode("scbr-shard", SHARD_ENTRY_POINTS)
 # DH, translates client envelopes into plane messages, and seals the
 # deduplicated per-subscriber notification fan-out.
 
-def _coord_client_key(ctx, client_id):
-    key = ctx.state.get("client_keys", {}).get(client_id)
-    if key is None:
-        raise AttestationError("client %r has not established a key" % client_id)
-    return key
-
-
 def coord_setup(ctx, attestation=None, shard_measurement=None,
                 telemetry_key=None):
     """ECALL: initialise the coordinator; mints the plane key in-enclave.
@@ -723,25 +703,14 @@ def coord_setup(ctx, attestation=None, shard_measurement=None,
 
 def coord_admit(ctx, envelope):
     """ECALL: open a client subscription and re-seal it for the plane."""
-    key = _coord_client_key(ctx, envelope.sender)
-    if envelope.kind != "subscribe":
-        raise IntegrityError("expected a subscription envelope")
-    payload = envelope.open(key)
-    subscription = deserialize_subscription(payload)
-    if subscription.subscriber != envelope.sender:
-        raise IntegrityError(
-            "subscription claims subscriber %r but was sent by %r"
-            % (subscription.subscriber, envelope.sender)
-        )
-    blob = ctx.state["plane_key"].encrypt(
-        payload, aad=_AAD_SUBSCRIPTION
-    ).to_bytes()
+    subscription, payload = admit_subscription(ctx, envelope)
+    blob = ctx.state["plane_key"].seal(payload, _AAD_SUBSCRIPTION)
     return subscription.subscription_id, blob
 
 
 def coord_authorize(ctx, client_id):
     """ECALL: assert the caller holds an attested channel."""
-    _coord_client_key(ctx, client_id)
+    client_key(ctx, client_id)
     return True
 
 
@@ -756,10 +725,7 @@ def coord_ingest(ctx, envelope, trace=None):
     """
     registry, recorder = _tel(ctx)
     with recorder.span("coord.ingest", ctx.clock, trace=trace):
-        key = _coord_client_key(ctx, envelope.sender)
-        if envelope.kind != "publish":
-            raise IntegrityError("expected a publication envelope")
-        serialized = envelope.open(key)
+        serialized = open_from_client(ctx, envelope, "publish")
         # Validate before fanning out; a malformed publication must fail
         # here, not on every shard.
         deserialize_publication(serialized)
@@ -773,10 +739,8 @@ def coord_ingest(ctx, envelope, trace=None):
         ctx.state["pending_publications"][token] = (
             serialized, frozenset(ctx.state.get("enrolled", ())),
         )
-        ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(serialized))
-        sealed = ctx.state["plane_key"].encrypt(
-            serialized, aad=_AAD_PUBLICATION
-        ).to_bytes()
+        ctx.compute(serial_seal_cycles(len(serialized)))
+        sealed = ctx.state["plane_key"].seal(serialized, _AAD_PUBLICATION)
         registry.counter("scbr.coord.publications").inc()
     return token, sealed
 
@@ -807,42 +771,20 @@ def coord_finalize(ctx, token, match_blobs, trace=None):
             raise ConfigurationError("no pending publication %r" % token)
         serialized, expected = pending
         plane_key = ctx.state["plane_key"]
-        by_subscriber = {}
+        pairs = []
         answered = set()
-        pairs_in = 0
         for blob in match_blobs:
-            try:
-                payload = plane_key.decrypt(
-                    Ciphertext.from_bytes(blob), aad=_AAD_MATCHED
-                )
-            except IntegrityError as exc:
-                raise IntegrityError(
-                    "shard match result failed authentication"
-                ) from exc
+            payload = plane_key.open(
+                blob, _AAD_MATCHED, what="shard match result"
+            )
             record = json.loads(payload.decode("utf-8"))
             answered.add(record["shard"])
-            for subscription_id, subscriber in record["pairs"]:
-                by_subscriber.setdefault(subscriber, []).append(
-                    subscription_id
-                )
-                pairs_in += 1
+            pairs.extend(record["pairs"])
         missing = sorted(expected - answered)
-        sealer = ctx.state["notification_sealer"]
-        routed = []
-        for subscriber in sorted(by_subscriber):
-            envelope = sealer.seal(
-                subscriber,
-                _coord_client_key(ctx, subscriber),
-                serialized,
-                by_subscriber[subscriber],
-            )
-            ctx.compute(
-                SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(envelope.blob)
-            )
-            routed.append((subscriber, envelope))
-        span.attrs["pairs"] = pairs_in
+        routed = fan_out(ctx, serialized, pairs)
+        span.attrs["pairs"] = len(pairs)
         span.attrs["notifications"] = len(routed)
-        registry.counter("scbr.coord.matched_pairs").inc(pairs_in)
+        registry.counter("scbr.coord.matched_pairs").inc(len(pairs))
         registry.counter("scbr.coord.notifications").inc(len(routed))
     return routed, missing
 
@@ -926,7 +868,7 @@ class ShardedScbrRouter:
     def __init__(self, platform, shard_platform_factory,
                  attestation_service, shards=2,
                  record_bytes=DEFAULT_RECORD_BYTES, policy=None,
-                 auto_split=True, env=None, chaos=None, orchestrator=None,
+                 env=None, chaos=None, orchestrator=None,
                  health_policy=None, snapshot_interval=16,
                  on_partial="retry", retry_policy=None,
                  telemetry_key=None, tracer=None, provisioner=None):
@@ -957,7 +899,6 @@ class ShardedScbrRouter:
         self.policy = policy or EpcWatermarkPolicy(
             platform.costs, record_bytes
         )
-        self.auto_split = auto_split
         self.env = env
         self.chaos = chaos
         self.orchestrator = orchestrator
@@ -1136,9 +1077,7 @@ class ShardedScbrRouter:
         """
         subscription_id, blob = self.coordinator.ecall("admit", envelope)
         shard = self._place(blob)
-        if self.auto_split and self.policy.needs_split(
-            shard.database_bytes, self.record_bytes
-        ):
+        if self.policy.needs_split(shard.database_bytes, self.record_bytes):
             self._split(shard)
             shard = self._place(blob)
         shard.enclave.ecall("insert", blob)

@@ -199,12 +199,12 @@ class FsProtectionFile:
 
     def encrypt(self, protection_key):
         """Seal the manifest with the volume protection key."""
-        return protection_key.encrypt(self.serialize(), aad=b"fspf").to_bytes()
+        return protection_key.seal(self.serialize(), b"fspf")
 
     @classmethod
     def decrypt(cls, blob, protection_key, expected_hash=None):
         """Open a sealed manifest; optionally check the SCF-bound hash."""
-        plaintext = protection_key.decrypt(Ciphertext.from_bytes(blob), aad=b"fspf")
+        plaintext = protection_key.open(blob, b"fspf")
         if expected_hash is not None and sha256(plaintext) != expected_hash:
             raise IntegrityError("FS protection file hash mismatch")
         return cls.deserialize(plaintext)

@@ -7,14 +7,13 @@ read, modify, reorder, replay, or drop records without detection.
 
 High-throughput writers can coalesce many chunks into one sealed record
 with :meth:`ShieldedStreamWriter.write_batch`: the chunks travel as one
-:class:`~repro.crypto.aead.SealedBatch` frame (one nonce, one tag, one
-keystream pass) under a single sequence number.  The reader recognises
-the batch framing transparently and yields the concatenated bytes, so
-stream semantics are unchanged.
+:meth:`~repro.crypto.aead.AeadKey.seal_records` frame (one nonce, one
+tag, one keystream pass) under a single sequence number.  The reader
+recognises the batch framing transparently and yields the concatenated
+bytes, so stream semantics are unchanged.
 """
 
 from repro.errors import IntegrityError
-from repro.crypto.aead import Ciphertext, SealedBatch
 
 
 class ShieldedStreamWriter:
@@ -36,7 +35,7 @@ class ShieldedStreamWriter:
 
     def write(self, data):
         """Encrypt ``data`` as the next record and hand it to the host."""
-        record = self.key.encrypt(data, aad=self._aad()).to_bytes()
+        record = self.key.seal(data, self._aad())
         self._sequence += 1
         self.transport.append(record)
         return record
@@ -47,7 +46,7 @@ class ShieldedStreamWriter:
         Consumes a single sequence number: the batch is one record on
         the wire, ordered and replay-protected like any other.
         """
-        record = self.key.encrypt_batch(list(chunks), aad=self._aad()).to_bytes()
+        record = self.key.seal_records(chunks, self._aad())
         self._sequence += 1
         self.transport.append(record)
         return record
@@ -58,9 +57,9 @@ class ShieldedStreamWriter:
         Without it, the untrusted host could silently truncate the
         stream; the reader treats missing closure as an error.
         """
-        record = self.key.encrypt(b"", aad=b"%s|eof|%d" % (
+        record = self.key.seal(b"", b"%s|eof|%d" % (
             self.stream_name.encode("utf-8"), self._sequence
-        )).to_bytes()
+        ))
         self.transport.append(record)
         return record
 
@@ -86,34 +85,23 @@ class ShieldedStreamReader:
             raise IntegrityError("records after authenticated end of stream")
         name = self.stream_name.encode("utf-8")
         data_aad = b"%s|%d" % (name, self._sequence)
-        if SealedBatch.is_batch(record):
-            # A single record leads with its random nonce, which can
-            # spell the batch magic: what does not open as a batch is
-            # still tried as a single record before it is refused.
-            try:
-                chunks = self.key.decrypt_batch(
-                    SealedBatch.from_bytes(record), aad=data_aad
-                )
-            except IntegrityError:
-                pass
-            else:
-                self._sequence += 1
-                return b"".join(chunks)
-        ciphertext = Ciphertext.from_bytes(record)
+        # A single record leads with its random nonce, which can spell
+        # the batch magic: what does not open as records (refused on its
+        # magic alone, nearly always) is still tried as a single record,
+        # then as the end-of-stream marker, before it is refused.
         try:
-            plaintext = self.key.decrypt(ciphertext, aad=data_aad)
+            plaintext = b"".join(self.key.open_records(record, data_aad))
         except IntegrityError:
-            eof_aad = b"%s|eof|%d" % (name, self._sequence)
             try:
-                self.key.decrypt(ciphertext, aad=eof_aad)
+                plaintext = self.key.open(record, data_aad)
             except IntegrityError:
-                raise IntegrityError(
-                    "stream %s record %d failed authentication (tampered, "
-                    "reordered, replayed, or dropped)"
-                    % (self.stream_name, self._sequence)
-                ) from None
-            self._closed = True
-            return b""
+                self.key.open(
+                    record, b"%s|eof|%d" % (name, self._sequence),
+                    what="stream %s record %d"
+                    % (self.stream_name, self._sequence),
+                )
+                self._closed = True
+                return b""
         self._sequence += 1
         return plaintext
 

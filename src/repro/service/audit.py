@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, IntegrityError
-from repro.crypto.aead import AeadKey, Ciphertext, NONCE_SIZE
+from repro.crypto.aead import NONCE_SIZE
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import sha256
 
@@ -122,11 +122,11 @@ def _entry_nonce(key, tenant_id, seq, prev_hash, raw):
 def seal_entry(key, tenant_id, entry, prev_hash):
     """Seal one entry onto the chain; returns ``(blob, new_head)``."""
     raw = entry.canonical()
-    blob = key.encrypt(
+    blob = key.seal(
         raw,
-        aad=entry_aad(tenant_id, entry.seq, prev_hash),
+        entry_aad(tenant_id, entry.seq, prev_hash),
         nonce=_entry_nonce(key, tenant_id, entry.seq, prev_hash, raw),
-    ).to_bytes()
+    )
     return blob, sha256(prev_hash + raw)
 
 
@@ -136,16 +136,10 @@ def open_entry(key, tenant_id, seq, prev_hash, blob):
     Any mutation of the blob, a wrong position, a wrong predecessor, or
     a foreign tenant's entry fails the AEAD tag.
     """
-    try:
-        raw = key.decrypt(
-            Ciphertext.from_bytes(blob),
-            aad=entry_aad(tenant_id, seq, prev_hash),
-        )
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "audit entry %d failed authentication for tenant %r"
-            % (seq, tenant_id)
-        ) from exc
+    raw = key.open(
+        blob, entry_aad(tenant_id, seq, prev_hash),
+        what="audit entry %d of tenant %r" % (seq, tenant_id),
+    )
     entry = AuditEntry.from_canonical(raw)
     if entry.seq != seq:
         raise IntegrityError("audit entry sequence mismatch")

@@ -30,7 +30,7 @@ it already holds job keys and provisions attested workers).
 import json
 
 from repro.errors import ConfigurationError, IntegrityError
-from repro.crypto.aead import AeadKey, SealedBatch
+from repro.crypto.aead import AeadKey
 from repro.crypto.kdf import hkdf
 from repro.sgx.enclave import EnclaveCode
 
@@ -230,19 +230,16 @@ def gw_seal_dataset(ctx, tenant_id, name, records):
         DATASET_SEAL_BASE_CYCLES
         + DATASET_SEAL_RECORD_CYCLES * len(records)
     )
-    batch = tenant.dataset_key.encrypt_batch(
-        records, aad=dataset_aad(tenant_id, name)
+    return tenant.dataset_key.seal_records(
+        records, dataset_aad(tenant_id, name)
     )
-    return batch.to_bytes()
 
 
 def gw_open_dataset(ctx, tenant_id, name, blob):
     """Open a sealed dataset for in-boundary processing (job staging)."""
     tenant = _tenant(ctx, tenant_id)
     ctx.compute(DATASET_SEAL_BASE_CYCLES)
-    return tenant.dataset_key.decrypt_batch(
-        SealedBatch.from_bytes(blob), aad=dataset_aad(tenant_id, name)
-    )
+    return tenant.dataset_key.open_records(blob, dataset_aad(tenant_id, name))
 
 
 def gw_job_key(ctx, tenant_id, job_name):

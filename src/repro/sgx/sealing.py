@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import IntegrityError
-from repro.crypto.aead import AeadKey, Ciphertext
+from repro.crypto.aead import AeadKey
 from repro.crypto.kdf import hkdf
 
 
@@ -62,17 +62,14 @@ def derive_sealing_key(platform_secret, identity, policy):
 
 def seal_with(key, data, policy):
     """Seal ``data`` under an already derived sealing key."""
-    ciphertext = key.encrypt(data, aad=policy.value.encode("ascii"))
-    return SealedBlob(policy=policy, ciphertext=ciphertext.to_bytes())
+    ciphertext = key.seal(data, policy.value.encode("ascii"))
+    return SealedBlob(policy=policy, ciphertext=ciphertext)
 
 
 def unseal_with(key, blob):
     """Open ``blob`` under an already derived sealing key; raises
     :class:`IntegrityError` if it is not the sealer's."""
-    return key.decrypt(
-        Ciphertext.from_bytes(blob.ciphertext),
-        aad=blob.policy.value.encode("ascii"),
-    )
+    return key.open(blob.ciphertext, blob.policy.value.encode("ascii"))
 
 
 def seal(platform_secret, measurement, signer, data, policy=SealingPolicy.MRENCLAVE):

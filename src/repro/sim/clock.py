@@ -42,9 +42,10 @@ class CycleClock:
             raise ValueError("frequency_hz must be positive")
         self.frequency_hz = frequency_hz
         self._cycles = 0
-        # Charges arrive from worker threads (the parallel map/reduce
-        # driver runs ecalls concurrently); the read-modify-write must
-        # not interleave.
+        # Keeps the read-modify-write whole should a caller charge from
+        # several threads.  Nothing under src/ does since PR 14 (drivers
+        # are in-order loops; tests/test_single_threaded_drivers.py), so
+        # whether the lock stays is ROADMAP item 4c's question.
         self._lock = threading.Lock()
 
     @property

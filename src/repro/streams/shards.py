@@ -33,7 +33,8 @@ plane members).
 import json
 
 from repro.bigdata.streaming import SlidingWindow, TumblingWindow
-from repro.crypto.aead import AeadKey, Ciphertext, SealedBatch
+from repro.crypto.aead import AeadKey
+from repro.crypto.chunked import serial_seal_cycles
 from repro.crypto.kdf import hkdf
 from repro.errors import AttestationError, ConfigurationError, IntegrityError
 from repro.scbr.provisioning import (
@@ -46,7 +47,6 @@ from repro.scbr.provisioning import (
     shard_resume_complete,
     shard_resume_offer,
 )
-from repro.scbr.router import SEAL_CYCLES_PER_BYTE, SEAL_SETUP_CYCLES
 from repro.scbr.sharding import plane_telemetry_export
 from repro.sgx.enclave import EnclaveCode
 from repro.streams.routing import KeyRange, key_slot
@@ -54,7 +54,7 @@ from repro.streams.shedding import OldestPaneShedPolicy, meter_tenant
 from repro.telemetry import EnclaveTelemetry
 
 # Cycle cost of parsing + windowing one reading (JSON decode, key hash,
-# pane append); sealing costs ride the shared SEAL_* constants.
+# pane append); sealing is priced by the shared serial_seal_cycles.
 INGEST_CYCLES_PER_RECORD = 1_800
 
 _AAD_BATCH = b"streams|batch|"
@@ -152,15 +152,9 @@ def stream_setup(ctx, shard_id, window_config, key_range,
 def stream_install_ingest_key(ctx, wrapped):
     """ECALL: install the head-end ingest key (plane-key-wrapped)."""
     aad = _AAD_INGEST_KEY + str(ctx.state["shard_id"]).encode("ascii")
-    try:
-        key_bytes = _plane_key(ctx).decrypt(
-            Ciphertext.from_bytes(wrapped), aad=aad
-        )
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "wrapped ingest key failed authentication"
-        ) from exc
-    ctx.state["ingest_key"] = AeadKey(key_bytes)
+    ctx.state["ingest_key"] = AeadKey(
+        _plane_key(ctx).open(wrapped, aad, what="wrapped ingest key")
+    )
     return True
 
 
@@ -195,10 +189,10 @@ def _emit_firings(ctx, closed, operator):
                 "late_records": operator.late_records,
             },
         }, sort_keys=True).encode("utf-8")
-        ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(payload))
-        blob = plane_key.encrypt(
-            payload, aad=_AAD_FIRING + firing_id.encode("ascii")
-        ).to_bytes()
+        ctx.compute(serial_seal_cycles(len(payload)))
+        blob = plane_key.seal(
+            payload, _AAD_FIRING + firing_id.encode("ascii")
+        )
         firings.append((firing_id, blob))
     return firings
 
@@ -232,12 +226,7 @@ def stream_ingest(ctx, header, blob):
             % (header["shard"], ctx.state["shard_id"])
         )
     aad = _AAD_BATCH + canonical_header(header)
-    try:
-        payloads = ingest_key.decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=aad
-        )
-    except IntegrityError as exc:
-        raise IntegrityError("ingest batch failed authentication") from exc
+    payloads = ingest_key.open_records(blob, aad, what="ingest batch")
     if len(payloads) != header["count"]:
         raise IntegrityError(
             "batch count mismatch: header says %d, body holds %d"
@@ -297,8 +286,8 @@ def stream_checkpoint(ctx):
     }
     payload = json.dumps(state, sort_keys=True).encode("utf-8")
     aad = _AAD_CHECKPOINT + str(ctx.state["shard_id"]).encode("ascii")
-    ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(payload))
-    blob = _plane_key(ctx).encrypt(payload, aad=aad).to_bytes()
+    ctx.compute(serial_seal_cycles(len(payload)))
+    blob = _plane_key(ctx).seal(payload, aad)
     ctx.state["entries"] = 0
     return {"version": ctx.state["version"], "blob": blob}
 
@@ -317,14 +306,7 @@ def stream_restore(ctx, blob):
             "refusing to restore into a non-empty stream shard"
         )
     aad = _AAD_CHECKPOINT + str(ctx.state["shard_id"]).encode("ascii")
-    try:
-        payload = _plane_key(ctx).decrypt(
-            Ciphertext.from_bytes(blob), aad=aad
-        )
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "stream checkpoint failed authentication"
-        ) from exc
+    payload = _plane_key(ctx).open(blob, aad, what="stream checkpoint")
     state = json.loads(payload.decode("utf-8"))
     if state["shard"] != ctx.state["shard_id"]:
         raise IntegrityError(
@@ -389,8 +371,8 @@ def stream_extract_range(ctx, move_range, to_shard):
     aad = _AAD_RANGE + (
         "%d|%d" % (ctx.state["shard_id"], to_shard)
     ).encode("ascii")
-    ctx.compute(SEAL_SETUP_CYCLES + SEAL_CYCLES_PER_BYTE * len(body))
-    return _plane_key(ctx).encrypt(body, aad=aad).to_bytes()
+    ctx.compute(serial_seal_cycles(len(body)))
+    return _plane_key(ctx).seal(body, aad)
 
 
 def stream_load_range(ctx, from_shard, blob):
@@ -405,14 +387,7 @@ def stream_load_range(ctx, from_shard, blob):
     aad = _AAD_RANGE + (
         "%d|%d" % (from_shard, ctx.state["shard_id"])
     ).encode("ascii")
-    try:
-        payload = _plane_key(ctx).decrypt(
-            Ciphertext.from_bytes(blob), aad=aad
-        )
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "range handoff failed authentication"
-        ) from exc
+    payload = _plane_key(ctx).open(blob, aad, what="range handoff")
     state = json.loads(payload.decode("utf-8"))
     if state["to"] != ctx.state["shard_id"] or state["from"] != from_shard:
         raise IntegrityError("range handoff addressed to another shard")
@@ -513,9 +488,7 @@ def stream_coord_setup(ctx, ingest_key_bytes, attestation=None,
 def stream_coord_wrap_ingest_key(ctx, shard_id):
     """ECALL: wrap the ingest key for one enrolled shard."""
     aad = _AAD_INGEST_KEY + str(shard_id).encode("ascii")
-    return _plane_key(ctx).encrypt(
-        ctx.state["ingest_key"].key_bytes, aad=aad
-    ).to_bytes()
+    return _plane_key(ctx).seal(ctx.state["ingest_key"].key_bytes, aad)
 
 
 def stream_coord_open_firing(ctx, firing_id, blob):
@@ -527,13 +500,9 @@ def stream_coord_open_firing(ctx, firing_id, blob):
     AAD binds the firing id, so a host swapping ids to confuse the
     dedupe ledger fails closed.
     """
-    try:
-        payload = _plane_key(ctx).decrypt(
-            Ciphertext.from_bytes(blob),
-            aad=_AAD_FIRING + firing_id.encode("ascii"),
-        )
-    except IntegrityError as exc:
-        raise IntegrityError("firing failed authentication") from exc
+    payload = _plane_key(ctx).open(
+        blob, _AAD_FIRING + firing_id.encode("ascii"), what="firing"
+    )
     return json.loads(payload.decode("utf-8"))
 
 

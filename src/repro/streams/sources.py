@@ -2,8 +2,8 @@
 
 A :class:`MeterStreamSource` models one utility head-end collecting a
 slice of a :class:`~repro.smartgrid.meters.SmartMeterFleet` and
-publishing its readings into the plane as AEAD-sealed
-:class:`~repro.crypto.aead.SealedBatch` frames, one frame per target
+publishing its readings into the plane as AEAD-sealed record frames
+(:meth:`~repro.crypto.aead.AeadKey.seal_records`), one frame per target
 shard, routed by the public key-slot hash.
 
 Backpressure is credit-based and end-to-end: a source releases a batch
@@ -100,9 +100,9 @@ class MeterStreamSource:
                 payloads = [
                     canonical_header(record) for record in records
                 ]
-                blob = self.ingest_key.encrypt_batch(
-                    payloads, aad=_AAD_BATCH + canonical_header(header)
-                ).to_bytes()
+                blob = self.ingest_key.seal_records(
+                    payloads, _AAD_BATCH + canonical_header(header)
+                )
                 plane.enqueue(shard_id, header, blob)
             self.released += len(chunk)
             self.released_through = max(

@@ -11,8 +11,10 @@ usual sources of snapshot noise:
   no adaptive resizing whose shape depends on arrival order);
 - snapshots are emitted with sorted keys and canonical JSON;
 - counter/histogram updates take the registry lock, so concurrent
-  updates from the data plane's thread pools cannot lose increments
-  (a lost increment is a nondeterministic count).
+  updates could not lose increments (a lost increment is a
+  nondeterministic count).  Nothing under ``src/`` updates from a second
+  thread since PR 14 removed the data plane's thread pools; whether the
+  lock stays is ROADMAP item 4c's question.
 
 Zero-cost-when-disabled: the process-wide default registry is
 :data:`NULL_REGISTRY`, whose instruments are shared no-op singletons.

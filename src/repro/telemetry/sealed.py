@@ -20,9 +20,6 @@ hole.
 
 import json
 
-from repro.errors import IntegrityError
-from repro.crypto.aead import SealedBatch
-
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Span, SpanRecorder
 
@@ -35,19 +32,14 @@ def seal_snapshot(key, payload):
     """Seal a JSON-able telemetry payload under the telemetry key."""
     raw = json.dumps(payload, sort_keys=True,
                      separators=(",", ":")).encode("utf-8")
-    return key.encrypt_batch([raw], aad=TELEMETRY_AAD).to_bytes()
+    return key.seal_records([raw], TELEMETRY_AAD)
 
 
 def open_snapshot(key, blob):
     """Open a sealed telemetry blob; fails closed on any tampering."""
-    try:
-        records = key.decrypt_batch(
-            SealedBatch.from_bytes(blob), aad=TELEMETRY_AAD
-        )
-    except IntegrityError as exc:
-        raise IntegrityError(
-            "sealed telemetry snapshot failed authentication"
-        ) from exc
+    records = key.open_records(
+        blob, TELEMETRY_AAD, what="sealed telemetry snapshot"
+    )
     return json.loads(records[0].decode("utf-8"))
 
 

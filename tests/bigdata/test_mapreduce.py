@@ -108,9 +108,9 @@ class TestSecureEngine:
         job = MapReduceJob(word_count_map, sum_reduce, mappers=1, reducers=1)
         engine = SecureMapReduce(platform, job)
         mapper = engine._mappers[0]
-        from repro.bigdata.mapreduce import _seal_batch
+        from repro.bigdata.mapreduce import _seal_items
 
-        sealed_split = _seal_batch(engine.job_key, b"split", ["SECRETWORD data"])
+        sealed_split = _seal_items(engine.job_key, b"split", ["SECRETWORD data"])
         partitions = mapper.ecall("map", word_count_map, sealed_split)
         for blob in partitions.values():
             assert b"SECRETWORD" not in blob

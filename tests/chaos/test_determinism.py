@@ -104,7 +104,7 @@ def _failover_log():
     subscriber.subscribe(
         Subscription("s", [Constraint("t", Operator.GE, 0)], "bob")
     )
-    FaultSchedule(env, injector=chaos).fail_broker_at(0.0055, broker)
+    FaultSchedule(env, injector=chaos).fail_at(0.0055, broker)
     for index in range(12):
         env.call_at(0.001 * (index + 1), lambda index=index: publisher.publish(
             Publication(attributes={"t": index}, payload=b"p%d" % index)

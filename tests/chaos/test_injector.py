@@ -175,15 +175,6 @@ class TestFailAt:
         assert broker.failed == 1
         assert schedule.fired == [(0.25, "broker-failure", "rb-0")]
 
-    def test_fail_broker_at_is_a_thin_alias(self):
-        env = Environment()
-        schedule = FaultSchedule(env)
-        broker = _FailActive()
-        schedule.fail_broker_at(0.1, broker)
-        env.run()
-        assert broker.failed == 1
-        assert schedule.fired == [(0.1, "broker-failure", "rb-0")]
-
     def test_fail_method_and_callable_targets(self):
         env = Environment()
         schedule = FaultSchedule(env)

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.crypto.aead import (
     BATCH_MAGIC,
+    CHUNKED_MAGIC,
     NONCE_SIZE,
     TAG_SIZE,
     AeadKey,
@@ -168,3 +169,92 @@ class TestFailClosed:
         raw = _key(seed_a).encrypt_batch(payloads).to_bytes()
         with pytest.raises(IntegrityError):
             _open(_key(seed_b), raw)
+
+
+def _mutate(raw, data):
+    """One adversarial edit of a wire blob: a byte flip or a truncation."""
+    position = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    if data.draw(st.booleans()):
+        return raw[:position]
+    flipped = bytearray(raw)
+    flipped[position] ^= data.draw(st.integers(min_value=1, max_value=255))
+    return bytes(flipped)
+
+
+class TestSealBoundary:
+    """``seal``/``open`` and ``seal_records``/``open_records``: the
+    bytes-in/bytes-out boundary every package outside ``repro.crypto``
+    uses, held to the same fail-closed contract as the object layer."""
+
+    @settings(max_examples=50)
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.lists(st.binary(max_size=256), max_size=16),
+        st.binary(max_size=32),
+    )
+    def test_round_trip(self, seed, payloads, aad):
+        key = _key(seed)
+        sealed = key.seal_records(payloads, aad)
+        assert key.open_records(sealed, aad) == payloads
+        for payload in payloads:
+            assert key.open(key.seal(payload, aad), aad) == payload
+
+    @settings(max_examples=100)
+    @given(st.binary(max_size=128), st.booleans(), st.data())
+    def test_any_flip_or_truncation_names_the_callers_what(
+        self, payload, records, data
+    ):
+        key = _key(7)
+        if records:
+            raw, opener = key.seal_records([payload], b"aad"), key.open_records
+        else:
+            raw, opener = key.seal(payload, b"aad"), key.open
+        mutated = _mutate(raw, data)
+        with pytest.raises(IntegrityError) as raised:
+            opener(mutated, b"aad", what="meter frame 7")
+        assert str(raised.value).startswith("meter frame 7")
+        # The label is all ``what`` changes: without it the same
+        # underlying reason surfaces as the error itself.
+        with pytest.raises(IntegrityError) as bare:
+            opener(mutated, b"aad")
+        assert str(bare.value) == str(raised.value.__cause__)
+
+    @settings(max_examples=50)
+    @given(
+        st.binary(max_size=128),
+        st.sampled_from([None, BATCH_MAGIC, CHUNKED_MAGIC]),
+        st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE),
+    )
+    def test_the_two_framings_never_open_as_each_other(
+        self, payload, magic, nonce
+    ):
+        """Including a single record whose random nonce happens to
+        spell a batch magic (2 in 2**24 nonces do)."""
+        key = _key(8)
+        if magic is not None:
+            nonce = magic + nonce[len(magic):]
+        single = key.seal(payload, b"aad", nonce=nonce)
+        assert key.open(single, b"aad") == payload
+        with pytest.raises(IntegrityError):
+            key.open_records(single, b"aad", what="frame")
+        framed = key.seal_records([payload], b"aad")
+        assert key.open_records(framed, b"aad") == [payload]
+        with pytest.raises(IntegrityError):
+            key.open(framed, b"aad", what="record")
+
+    @pytest.mark.parametrize("blob", [None, "SB1 a str", 17, 1.5, [b"x"]])
+    def test_a_blob_that_is_not_bytes_is_an_integrity_error(self, blob):
+        """Blobs come back from untrusted stores; a wrong *type* is one
+        more way to be tampered with, not a ``TypeError``."""
+        key = _key(9)
+        for opener in (key.open, key.open_records):
+            with pytest.raises(IntegrityError, match="^dataset failed"):
+                opener(blob, b"aad", what="dataset")
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_blob_opens(self, wrap):
+        key = _key(10)
+        assert key.open(wrap(key.seal(b"one", b"aad")), b"aad") == b"one"
+        assert key.open_records(
+            wrap(key.seal_records([b"one", b"two"], b"aad")), b"aad"
+        ) == [b"one", b"two"]

@@ -10,12 +10,15 @@ or the wrong key -- must fail *closed* with
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aead import AeadKey, SealedBatch
+from repro.crypto import aead
+from repro.crypto.aead import CHUNKED_MAGIC, AeadKey, SealedBatch
+from repro.crypto.chunked import serial_seal_cycles
 from repro.crypto.primitives import DeterministicRandomSource
 from repro.errors import IntegrityError
 
@@ -156,3 +159,43 @@ class TestFailClosed:
         raw[position % len(raw)] ^= 1 << (position % 8)
         with pytest.raises(IntegrityError):
             key.decrypt_batch(SealedBatch.from_bytes(bytes(raw)))
+
+
+class TestSealBoundary:
+    """The same contract through ``seal_records``/``open_records``,
+    which pick ``SB2`` by size alone (the chunk size is lowered here so
+    many-chunk frames stay small)."""
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from([CHUNK + 1, 3 * CHUNK, 3 * CHUNK + 1]),
+        st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
+    )
+    def test_flip_or_truncation_of_a_chunked_frame_names_the_what(
+        self, seed, size, position, truncate
+    ):
+        key = _key(seed)
+        payload = _payload(size, seed)
+        with mock.patch.object(aead, "DEFAULT_CHUNK_SIZE", CHUNK):
+            raw = key.seal_records([payload], b"aad")
+        assert raw[:3] == CHUNKED_MAGIC
+        assert key.open_records(raw, b"aad") == [payload]
+        position %= len(raw)
+        if truncate:
+            mutated = raw[:position]
+        else:
+            mutated = bytearray(raw)
+            mutated[position] ^= 1 << (position % 8)
+        with pytest.raises(IntegrityError, match="^table export failed"):
+            key.open_records(mutated, b"aad", what="table export")
+        with pytest.raises(IntegrityError):
+            key.open(raw, b"aad")
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_one_price_per_sealed_byte(self, length):
+        """The formula every seal site charges (the SCBR fan-out and
+        plane messages, stream firings, checkpoints and handoffs, A9's
+        serial row): 2000 cycles of setup plus 4 per byte."""
+        assert serial_seal_cycles(length) == 2000 + 4 * length

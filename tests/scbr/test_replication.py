@@ -80,7 +80,7 @@ class TestFailover:
         broker = ReplicatedBroker(platform, env=env,
                                   orchestrator=orchestrator)
         publisher = FailoverClient("alice", broker, attestation)
-        FaultSchedule(env).fail_broker_at(0.010, broker)
+        FaultSchedule(env).fail_at(0.010, broker)
         env.call_at(0.020, lambda: publisher.publish(
             Publication(attributes={"t": 1}, payload=b"x")
         ))

@@ -261,6 +261,17 @@ class TestShardedScbrRouter:
         alice.unsubscribe("a1")
         assert router.publish_routed(_publication(publisher, {"x": 10})) == []
 
+    @pytest.mark.parametrize("blob", [None, "SB1 a str", 17])
+    def test_shard_ecall_refuses_a_non_bytes_blob(self, plane_setup, blob):
+        """What the untrusted driver relays need not even be bytes; the
+        enclave answers with the error recovery paths already handle."""
+        _platform, _attestation, router = plane_setup
+        shard = router.shards[0].enclave
+        with pytest.raises(IntegrityError, match="migration batch failed"):
+            shard.ecall("load", blob)
+        with pytest.raises(IntegrityError, match="plane message failed"):
+            shard.ecall("insert", blob)
+
     def test_auto_split_migrates_and_keeps_matching(self):
         platform = SgxPlatform(seed=43, quoting_key_bits=512)
         attestation = AttestationService()

@@ -89,6 +89,30 @@ class TestResourceModel:
         assert entries[-1].outcome == "error"
         assert entries[-1].detail == "ConfigurationError"
 
+    @pytest.mark.parametrize("stored", ["SB1 a str", 17])
+    def test_non_bytes_blob_from_the_host_store_is_an_audited_error(
+        self, stored
+    ):
+        """The host store is untrusted: whatever it hands back that is
+        not bytes fails closed as ``IntegrityError`` inside the gateway,
+        not as a ``TypeError`` that escapes the request's bookkeeping."""
+        env, door = _door()
+        door.register_tenant("acme", rate=100.0, burst=50.0)
+        door.upload_dataset("acme", "sales", _records())
+        env.run(until=env.now + 0.1)
+        door.datasets["acme"]["sales"] = stored
+        receipt = door.submit_job(
+            "acme", "wordcount", "sales", _map, _reduce
+        )
+        assert receipt.outcome == "error"
+        assert door.failed["acme"] == 1
+        assert door.quota.usage["acme"]["jobs"] == 0
+        totals = door.check_identity()
+        assert totals["offered"] == 2
+        assert door.verify_audit("acme") == totals["offered"] + 1
+        with pytest.raises(IntegrityError):
+            door.open_dataset("acme", "sales")
+
     def test_subscribe_and_publish_route_through_scbr(self):
         env, door = _door()
         door.register_tenant("pub", rate=100.0, burst=50.0)
