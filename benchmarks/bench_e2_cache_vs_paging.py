@@ -46,8 +46,9 @@ def _per_access_cycles(working_set_bytes, enclave):
     accesses = working_set_bytes // STRIDE
 
     def sweep():
-        for index in range(accesses):
-            memory.access(region, offset=index * STRIDE, size=64)
+        memory.scan(
+            region.slice(index * STRIDE, 64) for index in range(accesses)
+        )
 
     sweep()  # warm-up pass (cold faults excluded from the measurement)
     start = clock.now

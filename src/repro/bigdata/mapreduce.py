@@ -35,7 +35,6 @@ splits instead of starting over.
 """
 
 import json
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -270,7 +269,6 @@ class SecureMapReduce:
         self.recoveries = []
         self.crashes_detected = 0
         self.splits_resumed = 0
-        self._recovery_lock = threading.Lock()
         registry = default_registry()
         self._tel_map_tasks = registry.counter("bigdata.map_tasks")
         self._tel_reduce_tasks = registry.counter("bigdata.reduce_tasks")
@@ -324,21 +322,19 @@ class SecureMapReduce:
             enclaves[index] = self._spawn_worker(
                 "%s-retry%d" % (task_name, attempt)
             )
-            with self._recovery_lock:
-                self.crashes_detected += 1
-                self.backoff.sleep(delay)
+            self.crashes_detected += 1
+            self.backoff.sleep(delay)
             self._tel_crashes.inc()
 
         if self.retry_policy is None:
             return attempt_once(1)
         result = retry_call(attempt_once, self.retry_policy, on_retry=on_retry)
         if task_backoff.sleeps:
-            with self._recovery_lock:
-                self.recoveries.append({
-                    "task": task_name,
-                    "attempts": task_backoff.sleeps + 1,
-                    "backoff_seconds": task_backoff.seconds,
-                })
+            self.recoveries.append({
+                "task": task_name,
+                "attempts": task_backoff.sleeps + 1,
+                "backoff_seconds": task_backoff.seconds,
+            })
         return result
 
     def _splits(self, records):

@@ -5,17 +5,16 @@ coordinate *C* on attempt *A*?" -- by hashing the experiment seed with
 the fault kind and coordinates (:func:`repro.sim.rng.derive_seed`) and
 comparing a single uniform draw against the configured rate.  Because
 every decision is a pure function of ``(seed, kind, coordinates)``, the
-same seed yields the *same faults* regardless of thread scheduling or
-call order: the parallel map/reduce driver can ask from worker threads
-and two runs still produce identical injection logs, which is what the
-chaos determinism check in ``repro.cli smoke --chaos`` asserts.
+same seed yields the *same faults* regardless of call order: a driver
+may ask about its tasks in any order and two runs still produce
+identical injection logs, which is what the chaos determinism check in
+``repro.cli smoke --chaos`` asserts.
 
 Including the attempt number in the coordinates is what makes recovery
 terminate: a frame corrupted on attempt 0 is an independent draw on
 attempt 1, so with rate < 1 a bounded retry budget converges.
 """
 
-import threading
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
@@ -71,7 +70,7 @@ class ChaosConfig:
 
 
 class ChaosInjector:
-    """Deterministic fault decisions plus a thread-safe injection log."""
+    """Deterministic fault decisions plus the log of those that struck."""
 
     def __init__(self, config=None, **overrides):
         if config is None:
@@ -79,7 +78,6 @@ class ChaosInjector:
         elif overrides:
             raise ConfigurationError("pass either a config or overrides")
         self.config = config
-        self._lock = threading.Lock()
         self._log = []
 
     # --- the decision core ---
@@ -99,8 +97,7 @@ class ChaosInjector:
         return True
 
     def _record(self, kind, coordinates, detail=None):
-        with self._lock:
-            self._log.append((kind, tuple(coordinates), detail))
+        self._log.append((kind, tuple(coordinates), detail))
 
     # --- decisions, one per fault class ---
 
@@ -239,17 +236,15 @@ class ChaosInjector:
     @property
     def injections(self):
         """Number of faults injected so far."""
-        with self._lock:
-            return len(self._log)
+        return len(self._log)
 
     def log(self):
         """Sorted snapshot of injected faults (deterministic across runs).
 
-        Sorted because worker threads may append recovery-path entries
-        in scheduler order; the *set* of injections is seed-determined.
+        Sorted because the order entries were appended in is the
+        driver's call order; the *set* of injections is seed-determined.
         """
-        with self._lock:
-            return sorted(self._log, key=lambda entry: (entry[0], entry[1]))
+        return sorted(self._log, key=lambda entry: (entry[0], entry[1]))
 
     def counts(self):
         """Injection totals per fault kind."""

@@ -108,18 +108,21 @@ class HotColdIndex:
         per *match* (to produce the notification), never per visit.
         """
         matched = []
-        cold_reads = 0
+        visited = []
         for subscription, hot_region, cold_region in self._entries:
-            if self.memory is not None:
-                self.memory.access(hot_region, size=self.hot_bytes)
-                self.memory.compute(self.eval_cycles)
+            visited.append(hot_region)
             if subscription.matches(publication):
                 matched.append(subscription.subscription_id)
-                if self.memory is not None and cold_region is not None:
-                    self.memory.access(cold_region)
-                    cold_reads += 1
+                if cold_region is not None:
+                    visited.append(cold_region)
+        if self.memory is not None:
+            # Hot slots are exactly hot_bytes long, so "the whole region"
+            # is the hot read for a summary and the cold read for a
+            # record; the order above is the order the LRUs must see.
+            self.memory.scan(visited)
+            self.memory.compute(len(self._entries) * self.eval_cycles)
         self.visits_last_match = len(self._entries)
-        self.cold_reads_last_match = cold_reads
+        self.cold_reads_last_match = len(visited) - len(self._entries)
         return set(matched)
 
     def subscriptions(self):

@@ -69,12 +69,6 @@ class ContainmentIndex:
             self.record_bytes, label="sub-%s" % subscription.subscription_id
         )
 
-    def _visit(self, node):
-        """Charge one node visit (hot read + predicate evaluation)."""
-        if self.memory is not None:
-            self.memory.access(node.region, size=self.hot_bytes)
-            self.memory.compute(self.eval_cycles)
-
     def insert(self, subscription):
         """Add a subscription below its most specific covering node.
 
@@ -141,19 +135,22 @@ class ContainmentIndex:
 
         Visits a node only if all its ancestors matched; counts visits
         in :attr:`visits_last_match` for the comparison-reduction
-        ablation.
+        ablation.  Each visit is a hot read plus a predicate evaluation,
+        charged in one scan after the walk: evaluating a predicate
+        touches neither memory nor clock, so only the visit order counts.
         """
         matched = []
-        visits = 0
+        visited = []
         stack = list(self._roots)
         while stack:
             node = stack.pop()
-            visits += 1
-            self._visit(node)
+            visited.append(node.region)
             if node.subscription.matches(publication):
                 matched.append(node.subscription.subscription_id)
                 stack.extend(node.children)
-        self.visits_last_match = visits
+        if self.memory is not None:
+            self.memory.scan(visited, self.hot_bytes, self.eval_cycles)
+        self.visits_last_match = len(visited)
         return set(matched)
 
     def subscriptions(self):

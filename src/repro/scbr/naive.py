@@ -42,15 +42,17 @@ class LinearIndex:
 
     def match(self, publication):
         """IDs of all subscriptions matching ``publication``."""
-        matched = []
-        for subscription, region in self._entries:
-            if self.memory is not None:
-                self.memory.access(region, size=self.hot_bytes)
-                self.memory.compute(self.eval_cycles)
-            if subscription.matches(publication):
-                matched.append(subscription.subscription_id)
+        if self.memory is not None:
+            self.memory.scan(
+                [region for _subscription, region in self._entries],
+                self.hot_bytes, self.eval_cycles,
+            )
         self.visits_last_match = len(self._entries)
-        return set(matched)
+        return {
+            subscription.subscription_id
+            for subscription, _region in self._entries
+            if subscription.matches(publication)
+        }
 
     def subscriptions(self):
         """All stored subscriptions in insertion order."""

@@ -24,7 +24,7 @@ is why the paper's Figure 3 shows performance degrading *before* the
 128 MiB mark.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 MIB = 1024 * 1024
 
@@ -51,20 +51,7 @@ class MemoryCosts:
 
     def scaled(self, **overrides):
         """A copy of this cost model with selected fields replaced."""
-        fields = {
-            "llc_hit_cycles": self.llc_hit_cycles,
-            "dram_cycles": self.dram_cycles,
-            "mee_read_cycles": self.mee_read_cycles,
-            "page_fault_cycles": self.page_fault_cycles,
-            "transition_cycles": self.transition_cycles,
-            "line_size": self.line_size,
-            "page_size": self.page_size,
-            "llc_capacity": self.llc_capacity,
-            "epc_capacity": self.epc_capacity,
-            "epc_metadata_fraction": self.epc_metadata_fraction,
-        }
-        fields.update(overrides)
-        return MemoryCosts(**fields)
+        return replace(self, **overrides)
 
 
 DEFAULT_COSTS = MemoryCosts()

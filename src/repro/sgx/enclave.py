@@ -17,7 +17,7 @@ paper's "plaintext only inside the processor" property.
 import itertools
 
 from repro.errors import EnclaveError, EnclaveLostError
-from repro.crypto.primitives import sha256, sha256_hex
+from repro.crypto.primitives import sha256
 from repro.sgx.memory import SimulatedMemory
 from repro.telemetry import default_registry
 
@@ -231,8 +231,3 @@ class Enclave:
 def measure_code(entry_points, name="anonymous", config=b"", version=1):
     """Convenience: the measurement an :class:`EnclaveCode` would have."""
     return EnclaveCode(name, entry_points, config, version).measurement
-
-
-def code_fingerprint(data):
-    """Hex digest helper used by loaders to name code blobs."""
-    return sha256_hex(data)

@@ -19,7 +19,8 @@ modelled faithfully.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, replace
+from typing import NamedTuple
 
 from repro.errors import CapacityError
 from repro.sgx.costs import DEFAULT_COSTS
@@ -38,41 +39,49 @@ class MemoryStats:
 
     def snapshot(self):
         """An independent copy of the current counters."""
-        return MemoryStats(
-            accesses=self.accesses,
-            llc_hits=self.llc_hits,
-            llc_misses=self.llc_misses,
-            page_faults=self.page_faults,
-            cycles_memory=self.cycles_memory,
-            cycles_compute=self.cycles_compute,
-        )
+        return replace(self)
 
     def delta(self, earlier):
         """Counters accumulated since the ``earlier`` snapshot."""
         return MemoryStats(
-            accesses=self.accesses - earlier.accesses,
-            llc_hits=self.llc_hits - earlier.llc_hits,
-            llc_misses=self.llc_misses - earlier.llc_misses,
-            page_faults=self.page_faults - earlier.page_faults,
-            cycles_memory=self.cycles_memory - earlier.cycles_memory,
-            cycles_compute=self.cycles_compute - earlier.cycles_compute,
+            *(now - was for now, was in zip(astuple(self), astuple(earlier)))
         )
 
 
+# One memory's addresses, hence its line and page ids, stay below 1 TiB.
+ADDRESS_BITS = 40
+
+
 class _LruSet:
-    """An LRU-evicting set of keys with fixed capacity."""
+    """An LRU-evicting set of keys with fixed capacity.
+
+    Shared by every memory on a platform: each owner (a memory's name)
+    gets a range of int keys, :meth:`key_base` plus a line or page id.
+    Ints hash and compare faster than ``(name, id)`` tuples, and the
+    LLC alone holds 131 072 of them.
+    """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise CapacityError("LRU capacity must be >= 1")
         self.capacity = capacity
         self._entries = OrderedDict()
+        self._bases = {}
+        # The key touched last, or None when a removal may have taken
+        # it.  Moving the last entry to the end is a no-op, so a caller
+        # that compares first may skip the touch: a record scan
+        # re-touches the page it touched last 7 times in 8.
+        self.newest = None
 
     def __len__(self):
         return len(self._entries)
 
     def __contains__(self, key):
         return key in self._entries
+
+    def key_base(self, owner):
+        """The key of ``owner``'s id 0; its id ``n`` is ``base + n``."""
+        return self._bases.setdefault(owner, len(self._bases) << ADDRESS_BITS)
 
     def touch(self, key):
         """Record an access; returns True on hit, False on miss.
@@ -81,6 +90,7 @@ class _LruSet:
         entry if the set is full.
         """
         entries = self._entries
+        self.newest = key
         if key in entries:
             entries.move_to_end(key)
             return True
@@ -90,57 +100,52 @@ class _LruSet:
         return False
 
     def discard(self, key):
-        """Remove ``key`` if present."""
+        """Remove ``key`` if present (for an EPC page an EREMOVE: back
+        to the free pool without an eviction write-back)."""
         self._entries.pop(key, None)
+        self.newest = None
 
     def keys(self):
-        """Snapshot of resident keys in LRU order (oldest first)."""
-        return list(self._entries)
+        """Snapshot of resident ``(owner, id)`` pairs, oldest first."""
+        owners = list(self._bases)
+        return [
+            (owners[key >> ADDRESS_BITS], key & ((1 << ADDRESS_BITS) - 1))
+            for key in self._entries
+        ]
 
-    def discard_owner(self, owner):
-        """Drop every resident ``(owner, id)`` key; returns the count.
+    def release_owner(self, owner):
+        """Drop every resident key of ``owner``; returns the count.
 
-        Keys in this simulator are ``(memory name, page/line id)``
-        tuples, so an enclave tearing down can purge its whole resident
-        set in one pass over the (capacity-bounded) LRU instead of
-        walking its entire address space.
+        One pass over the (capacity-bounded) LRU, not over the owner's
+        address space.  A dying enclave's teardown must call this, or
+        its pages keep occupying the shared EPC and every survivor on
+        the platform pays its paging pressure.
         """
-        victims = [key for key in self._entries if key[0] == owner]
+        ordinal = self.key_base(owner) >> ADDRESS_BITS
+        victims = [
+            key for key in self._entries if key >> ADDRESS_BITS == ordinal
+        ]
         for key in victims:
             del self._entries[key]
+        self.newest = None
         return len(victims)
 
     def clear(self):
-        """Drop all entries (e.g. on enclave teardown)."""
+        """Drop all entries (platform reset); owners keep their bases."""
         self._entries.clear()
+        self.newest = None
 
 
-class LlcModel:
+class LlcModel(_LruSet):
     """Last-level cache tracked as an LRU over cache lines."""
 
     def __init__(self, costs=DEFAULT_COSTS):
-        self.costs = costs
-        self._lines = _LruSet(max(1, costs.llc_capacity // costs.line_size))
+        super().__init__(max(1, costs.llc_capacity // costs.line_size))
 
-    def touch_line(self, line_id):
-        """Access one cache line; True if it hit."""
-        return self._lines.touch(line_id)
-
-    def discard_line(self, line_id):
-        """Drop one line if resident (freed memory stops occupying LLC)."""
-        self._lines.discard(line_id)
-
-    def release_owner(self, owner):
-        """Drop every resident line belonging to ``owner`` (a memory
-        name); returns how many lines were released."""
-        return self._lines.discard_owner(owner)
-
-    def flush(self):
-        """Empty the cache."""
-        self._lines.clear()
+    flush = _LruSet.clear
 
 
-class EpcModel:
+class EpcModel(_LruSet):
     """The Enclave Page Cache: an LRU over resident 4 KiB enclave pages.
 
     Shared by all enclaves on a platform (as on real hardware).  The
@@ -150,56 +155,28 @@ class EpcModel:
     """
 
     def __init__(self, costs=DEFAULT_COSTS):
-        self.costs = costs
         self.capacity_pages = max(1, costs.epc_usable // costs.page_size)
-        self._pages = _LruSet(self.capacity_pages)
+        super().__init__(self.capacity_pages)
         self.faults = 0
         self.loads = 0
 
     @property
     def resident_pages(self):
         """Number of pages currently resident."""
-        return len(self._pages)
+        return len(self)
 
-    def touch_page(self, page_id):
-        """Access one enclave page; returns True if it was resident.
-
-        A miss counts as an EPC page fault: the OS evicts the LRU page
-        (encrypting it out to untrusted memory) and loads this one.
-        """
-        hit = self._pages.touch(page_id)
-        self.loads += 1
-        if not hit:
-            self.faults += 1
-        return hit
-
-    def discard_page(self, page_id):
-        """Drop one page if resident (an EREMOVE: the page is returned
-        to the free pool without an eviction write-back)."""
-        self._pages.discard(page_id)
-
-    def release_owner(self, owner):
-        """EREMOVE every resident page belonging to ``owner`` (a memory
-        name); returns how many pages were released.  This is what a
-        dying enclave's teardown path must call -- otherwise the dead
-        enclave's pages keep occupying the shared EPC and every
-        surviving enclave on the platform pays its paging pressure."""
-        return self._pages.discard_owner(owner)
-
-    def resident_page_keys(self):
-        """Snapshot of ``(owner, page_id)`` keys currently resident."""
-        return self._pages.keys()
+    resident_page_keys = _LruSet.keys
 
     def evict_all(self):
         """Drop every resident page (platform reset)."""
-        self._pages.clear()
+        self.clear()
         self.faults = 0
         self.loads = 0
 
 
-@dataclass(frozen=True)
-class MemoryRegion:
-    """A contiguous allocation in a simulated address space."""
+class MemoryRegion(NamedTuple):
+    """A contiguous allocation in a simulated address space (a tuple:
+    a Figure-3 database keeps one alive per record)."""
 
     base: int
     size: int
@@ -238,11 +215,13 @@ class SimulatedMemory:
         self.epc = epc
         self.llc = llc if llc is not None else LlcModel(costs)
         self.name = name
+        self._line_base = self.llc.key_base(name)
+        self._page_base = epc.key_base(name) if enclave else None
         self.stats = MemoryStats()
         self._next_address = 0
         self._freed_bytes = 0
         self._freed_regions = set()
-        self._released = False
+        self.released = False  # True once release_all tore this memory down
 
     @property
     def allocated_bytes(self):
@@ -263,16 +242,15 @@ class SimulatedMemory:
         """Reserve ``size`` contiguous bytes and return the region."""
         if size <= 0:
             raise CapacityError("allocation size must be positive")
+        if self._next_address + size > 1 << ADDRESS_BITS:
+            raise CapacityError("address space exhausted")
         region = MemoryRegion(self._next_address, size, label)
         self._next_address += size
         return region
 
     def allocate_aligned(self, size, label=""):
         """Allocate starting at the next page boundary."""
-        page = self.costs.page_size
-        remainder = self._next_address % page
-        if remainder:
-            self._next_address += page - remainder
+        self._next_address += -self._next_address % self.costs.page_size
         return self.allocate(size, label)
 
     def free(self, region):
@@ -285,7 +263,7 @@ class SimulatedMemory:
         and lines straddling the region boundary may hold neighbouring
         live data and stay resident.  Returns the bytes released.
         """
-        if region is None or self._released:
+        if region is None or self.released:
             return 0
         if region.end > self._next_address:
             raise CapacityError(
@@ -300,15 +278,15 @@ class SimulatedMemory:
         self._freed_regions.add(identity)
         self._freed_bytes += region.size
         costs = self.costs
-        if self.enclave and self.epc is not None:
+        if self.enclave:
             first_page = -(-region.base // costs.page_size)  # ceil
             last_page = region.end // costs.page_size        # exclusive
             for page_id in range(first_page, last_page):
-                self.epc.discard_page((self.name, page_id))
+                self.epc.discard(self._page_base + page_id)
         first_line = -(-region.base // costs.line_size)
         last_line = region.end // costs.line_size
         for line_id in range(first_line, last_line):
-            self.llc.discard_line((self.name, line_id))
+            self.llc.discard(self._line_base + line_id)
         return region.size
 
     def release_all(self):
@@ -321,20 +299,15 @@ class SimulatedMemory:
         shard stops exerting paging pressure on its platform.
         Idempotent; returns the bytes released.
         """
-        if self._released:
+        if self.released:
             return 0
-        self._released = True
+        self.released = True
         released = self.resident_bytes
         self._freed_bytes = self._next_address
-        if self.enclave and self.epc is not None:
+        if self.enclave:
             self.epc.release_owner(self.name)
         self.llc.release_owner(self.name)
         return released
-
-    @property
-    def released(self):
-        """True once :meth:`release_all` tore this memory down."""
-        return self._released
 
     def watermark_exceeded(self, fraction):
         """Whether the resident set crossed ``fraction`` of the usable EPC.
@@ -356,50 +329,95 @@ class SimulatedMemory:
         """Touch ``size`` bytes of ``region`` starting at ``offset``.
 
         Charges page faults (enclave only) plus per-line LLC costs and
-        updates :attr:`stats`.  Returns the cycles charged.
+        updates :attr:`stats`.  Returns the cycles charged.  Writes pay
+        the same read-modify-write path in this model; the MEE encrypts
+        on writeback, folded into mee_read_cycles.
         """
-        if size is None:
-            size = region.size - offset
-        if size <= 0:
-            return 0
-        if offset < 0 or offset + size > region.size:
+        return self.scan((region,), size, offset=offset)
+
+    def scan(self, regions, size=None, compute_cycles=0, offset=0):
+        """Touch ``size`` bytes at ``offset`` of each region, in the
+        given order, with ``compute_cycles`` of work per region.
+
+        The one place memory is touched: per region, pages (enclave
+        only) then lines.  Charges what one :meth:`access` and one
+        :meth:`compute` per region would, but totals hits, misses and
+        faults as ints and settles stats, EPC counters and clock once
+        -- also when a region is out of bounds, so what the LRUs saw is
+        what is charged.  Nothing may sample the clock between two
+        visits of one scan.  Returns the memory cycles.
+        """
+        if self.released:
+            raise CapacityError("memory %r was released" % self.name)
+        if offset < 0:
             raise CapacityError("access outside region bounds")
+        per_region = int(compute_cycles)
+        if per_region < 0:
+            raise ValueError("cannot charge a negative number of cycles")
         costs = self.costs
-        start = region.base + offset
-        end = start + size
-
-        charged = 0
-        if self.enclave:
-            first_page = start // costs.page_size
-            last_page = (end - 1) // costs.page_size
-            for page_id in range(first_page, last_page + 1):
-                if not self.epc.touch_page((self.name, page_id)):
-                    self.stats.page_faults += 1
-                    charged += costs.page_fault_cycles
-
-        first_line = start // costs.line_size
-        last_line = (end - 1) // costs.line_size
-        for line_id in range(first_line, last_line + 1):
-            self.stats.accesses += 1
-            if self.llc.touch_line((self.name, line_id)):
-                self.stats.llc_hits += 1
-                charged += costs.llc_hit_cycles
-            elif self.enclave:
-                self.stats.llc_misses += 1
-                charged += costs.mee_read_cycles
-            else:
-                self.stats.llc_misses += 1
-                charged += costs.dram_cycles
-        # Writes pay the same read-modify-write path in this model; the
-        # MEE encrypts on writeback, folded into mee_read_cycles.
-        self.stats.cycles_memory += charged
-        self.clock.charge(charged)
+        enclave = self.enclave
+        line_size = costs.line_size
+        page_size = costs.page_size
+        line_base = self._line_base
+        page_base = self._page_base
+        touch_line = self.llc.touch
+        newest_line = self.llc.newest
+        if enclave:
+            touch_page = self.epc.touch
+            newest_page = self.epc.newest
+        visited = lines = misses = pages = faults = 0
+        try:
+            for region in regions:
+                span = region.size - offset if size is None else size
+                if span < 0 or offset + span > region.size:
+                    raise CapacityError("access outside region bounds")
+                visited += 1
+                if span == 0:
+                    continue
+                start = region.base + offset
+                last = start + span - 1
+                if enclave:
+                    key = page_base + start // page_size
+                    stop = page_base + last // page_size
+                    pages += stop - key + 1
+                    while key <= stop:
+                        if key != newest_page:
+                            if not touch_page(key):
+                                faults += 1
+                            newest_page = key
+                        key += 1
+                key = line_base + start // line_size
+                stop = line_base + last // line_size
+                lines += stop - key + 1
+                while key <= stop:
+                    if key != newest_line:
+                        if not touch_line(key):
+                            misses += 1
+                        newest_line = key
+                    key += 1
+        finally:
+            hits = lines - misses
+            charged = (
+                faults * costs.page_fault_cycles
+                + hits * costs.llc_hit_cycles
+                + misses * (costs.mee_read_cycles if enclave
+                            else costs.dram_cycles)
+            )
+            stats = self.stats
+            stats.accesses += lines
+            stats.llc_hits += hits
+            stats.llc_misses += misses
+            stats.page_faults += faults
+            stats.cycles_memory += charged
+            stats.cycles_compute += visited * per_region
+            if enclave:
+                self.epc.loads += pages
+                self.epc.faults += faults
+            self.clock.charge(charged + visited * per_region)
         return charged
 
     def copy(self, source, destination, size=None):
         """Model a memcpy: read the source, write the destination."""
         if size is None:
             size = min(source.size, destination.size)
-        cycles = self.access(source, size=size)
-        cycles += self.access(destination, size=size, write=True)
-        return cycles
+        return self.scan((source, destination), size)

@@ -8,8 +8,6 @@ frequency matches the 2.6 GHz Xeon used by SCONE's evaluation so that
 converted latencies are directly comparable to published numbers.
 """
 
-import threading
-
 DEFAULT_FREQUENCY_HZ = 2_600_000_000
 
 
@@ -42,11 +40,6 @@ class CycleClock:
             raise ValueError("frequency_hz must be positive")
         self.frequency_hz = frequency_hz
         self._cycles = 0
-        # Keeps the read-modify-write whole should a caller charge from
-        # several threads.  Nothing under src/ does since PR 14 (drivers
-        # are in-order loops; tests/test_single_threaded_drivers.py), so
-        # whether the lock stays is ROADMAP item 4c's question.
-        self._lock = threading.Lock()
 
     @property
     def now(self):
@@ -62,9 +55,8 @@ class CycleClock:
         """Advance the clock by ``cycles`` and return the new time."""
         if cycles < 0:
             raise ValueError("cannot charge a negative number of cycles")
-        with self._lock:
-            self._cycles += int(cycles)
-            return self._cycles
+        self._cycles += int(cycles)
+        return self._cycles
 
     def measure(self):
         """Return a :class:`CycleSpan` starting now, for scoped timing."""
@@ -72,8 +64,7 @@ class CycleClock:
 
     def reset(self):
         """Reset the clock to zero (intended for benchmark harnesses)."""
-        with self._lock:
-            self._cycles = 0
+        self._cycles = 0
 
 
 class CycleSpan:

@@ -10,11 +10,9 @@ usual sources of snapshot noise:
 - histogram buckets are *fixed at creation* (deterministic bucketing;
   no adaptive resizing whose shape depends on arrival order);
 - snapshots are emitted with sorted keys and canonical JSON;
-- counter/histogram updates take the registry lock, so concurrent
-  updates could not lose increments (a lost increment is a
-  nondeterministic count).  Nothing under ``src/`` updates from a second
-  thread since PR 14 removed the data plane's thread pools; whether the
-  lock stays is ROADMAP item 4c's question.
+- instruments are updated from the one thread that drives the
+  simulation (``tests/test_single_threaded_drivers.py`` keeps it one),
+  so an update is a plain add and no increment can be lost.
 
 Zero-cost-when-disabled: the process-wide default registry is
 :data:`NULL_REGISTRY`, whose instruments are shared no-op singletons.
@@ -25,7 +23,6 @@ manager) or :func:`set_default_registry`.
 """
 
 import json
-import threading
 from contextlib import contextmanager
 
 from repro.errors import ConfigurationError
@@ -59,29 +56,25 @@ DEFAULT_SECONDS_BUCKETS = exponential_buckets(1e-6, 4, 12)
 class Counter:
     """A monotonically increasing count."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
-    def __init__(self, lock):
+    def __init__(self):
         self.value = 0
-        self._lock = lock
 
     def inc(self, amount=1):
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
 class Gauge:
     """A point-in-time value, last write wins."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
-    def __init__(self, lock):
+    def __init__(self):
         self.value = 0
-        self._lock = lock
 
     def set(self, value):
-        with self._lock:
-            self.value = value
+        self.value = value
 
 
 class Histogram:
@@ -90,13 +83,13 @@ class Histogram:
     ``buckets`` are ascending upper bounds; values above the last bound
     land in an implicit overflow bucket.  The shape is fixed at
     creation, so the bucket a value lands in depends only on the value
-    -- never on what was observed before it or on which thread observed
-    it -- which keeps snapshots order-independent and bit-stable.
+    -- never on what was observed before it -- which keeps snapshots
+    order-independent and bit-stable.
     """
 
-    __slots__ = ("buckets", "bucket_counts", "count", "total", "_lock")
+    __slots__ = ("buckets", "bucket_counts", "count", "total")
 
-    def __init__(self, lock, buckets=DEFAULT_CYCLE_BUCKETS):
+    def __init__(self, buckets=DEFAULT_CYCLE_BUCKETS):
         buckets = tuple(buckets)
         if not buckets or list(buckets) != sorted(buckets):
             raise ConfigurationError(
@@ -106,7 +99,6 @@ class Histogram:
         self.bucket_counts = [0] * (len(buckets) + 1)
         self.count = 0
         self.total = 0
-        self._lock = lock
 
     def _bucket_index(self, value):
         low, high = 0, len(self.buckets)
@@ -119,10 +111,9 @@ class Histogram:
         return low
 
     def observe(self, value):
-        with self._lock:
-            self.bucket_counts[self._bucket_index(value)] += 1
-            self.count += 1
-            self.total += value
+        self.bucket_counts[self._bucket_index(value)] += 1
+        self.count += 1
+        self.total += value
 
     def resolution(self, value):
         """Width of the bucket ``value`` falls in (the measurement's
@@ -159,31 +150,28 @@ class MetricsRegistry:
     active = True
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._instruments = {}
         self._gauge_fns = {}
         self._indexes = {}
 
     def _get(self, kind, name, labels, factory):
         key = (kind, name, tuple(sorted(labels.items())))
-        with self._lock:
-            instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = factory()
-                self._instruments[key] = instrument
-            return instrument
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = factory()
+            self._instruments[key] = instrument
+        return instrument
 
     def counter(self, name, **labels):
-        return self._get("counter", name, labels,
-                         lambda: Counter(self._lock))
+        return self._get("counter", name, labels, Counter)
 
     def gauge(self, name, **labels):
-        return self._get("gauge", name, labels, lambda: Gauge(self._lock))
+        return self._get("gauge", name, labels, Gauge)
 
     def histogram(self, name, buckets=None, **labels):
         return self._get(
             "histogram", name, labels,
-            lambda: Histogram(self._lock, buckets or DEFAULT_CYCLE_BUCKETS),
+            lambda: Histogram(buckets or DEFAULT_CYCLE_BUCKETS),
         )
 
     def next_index(self, name):
@@ -191,24 +179,19 @@ class MetricsRegistry:
         instances -- e.g. the Nth platform created under this registry,
         which is stable across same-seed runs where raw object ids and
         global instance counters are not)."""
-        with self._lock:
-            index = self._indexes.get(name, 0)
-            self._indexes[name] = index + 1
-            return index
+        index = self._indexes.get(name, 0)
+        self._indexes[name] = index + 1
+        return index
 
     def gauge_fn(self, name, fn, **labels):
         """Register ``fn()`` to be sampled at snapshot time."""
         key = (name, tuple(sorted(labels.items())))
-        with self._lock:
-            self._gauge_fns[key] = fn
+        self._gauge_fns[key] = fn
 
     def snapshot(self):
         """All instruments as a plain, sorted, JSON-able dict."""
-        with self._lock:
-            items = list(self._instruments.items())
-            gauge_fns = list(self._gauge_fns.items())
         counters, gauges, histograms = {}, {}, {}
-        for (kind, name, labels), instrument in items:
+        for (kind, name, labels), instrument in self._instruments.items():
             full_name = name + _label_suffix(dict(labels))
             if kind == "counter":
                 counters[full_name] = instrument.value
@@ -221,7 +204,7 @@ class MetricsRegistry:
                     "count": instrument.count,
                     "total": instrument.total,
                 }
-        for (name, labels), fn in gauge_fns:
+        for (name, labels), fn in self._gauge_fns.items():
             gauges[name + _label_suffix(dict(labels))] = fn()
         snapshot = {}
         if counters:

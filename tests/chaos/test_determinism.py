@@ -124,9 +124,10 @@ class TestSameSeedSameRun:
         assert _bus_detection_log() == _bus_detection_log()
 
     def test_parallel_mapreduce_recovery_identical(self):
-        # The driver runs tasks on a thread pool; hash-based fault
-        # decisions make the injected crash set (and hence the recovery
-        # trace) independent of thread scheduling.
+        # The driver runs tasks one after another in index order;
+        # hash-based fault decisions make the injected crash set (and
+        # hence the recovery trace) a function of the seed alone, not
+        # of the order the driver asks in.
         assert _mapreduce_recovery_log() == _mapreduce_recovery_log()
 
     def test_broker_failover_trace_identical(self):

@@ -148,6 +148,28 @@ class TestNativeAccess:
         mem = native_memory()
         region = mem.allocate(10)
         assert mem.access(region, size=0) == 0
+        assert mem.access(region, offset=region.size) == 0
+        assert mem.stats.accesses == 0
+
+    def test_start_outside_the_region_rejected(self):
+        # Used to return 0 as if nothing had been asked for.
+        mem = native_memory()
+        region = mem.allocate(10)
+        for offset in (region.size + 100, -1):
+            with pytest.raises(CapacityError):
+                mem.access(region, offset=offset)
+            with pytest.raises(CapacityError):
+                mem.access(region, offset=offset, size=0)
+        assert mem.clock.now == 0
+
+    def test_negative_size_rejected(self):
+        mem = native_memory()
+        region = mem.allocate(10)
+        with pytest.raises(CapacityError):
+            mem.access(region, size=-5)
+        with pytest.raises(CapacityError):
+            mem.scan([region], -5)
+        assert mem.clock.now == 0
 
     def test_no_page_faults_outside_enclave(self):
         costs = tiny_costs()
@@ -266,10 +288,12 @@ class TestLlcModel:
     def test_flush_forgets_lines(self):
         costs = tiny_costs()
         llc = LlcModel(costs)
-        assert not llc.touch_line(("m", 1))
-        assert llc.touch_line(("m", 1))
+        mem = SimulatedMemory(CycleClock(), costs, llc=llc, name="m")
+        line = mem.allocate(costs.line_size)
+        assert mem.access(line) == costs.dram_cycles
+        assert mem.access(line) == costs.llc_hit_cycles
         llc.flush()
-        assert not llc.touch_line(("m", 1))
+        assert mem.access(line) == costs.dram_cycles
 
     def test_namespaced_lines_do_not_collide(self):
         costs = tiny_costs()
@@ -379,6 +403,23 @@ class TestReleaseAll:
         assert mem.release_all() == 0
         # A straggler free after teardown is a no-op, not an error.
         assert mem.free(region) == 0
+
+    def test_released_memory_cannot_be_touched(self):
+        # A torn-down enclave used to re-occupy the shared EPC silently:
+        # pages resident, resident_bytes zero, the watermark blind to it.
+        costs = tiny_costs()
+        mem = enclave_memory(costs)
+        region = mem.allocate(2 * costs.page_size)
+        mem.access(region)
+        mem.release_all()
+        spent = mem.clock.now
+        for touch in (lambda: mem.access(region),
+                      lambda: mem.scan([region]),
+                      lambda: mem.copy(region, region)):
+            with pytest.raises(CapacityError):
+                touch()
+        assert mem.epc.resident_pages == 0
+        assert mem.clock.now == spent
 
     def test_release_owner_spares_other_tenants(self):
         costs = tiny_costs()

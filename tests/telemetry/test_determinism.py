@@ -3,9 +3,9 @@
 The chaos layer's guarantee is that everything observable is a pure
 function of the seed.  The telemetry plane widens "observable": two
 identical seeded chaos-smoke runs -- including the E6 shard-failover
-scenarios, whose recovery work runs through thread pools -- must
-produce byte-identical canonical metric snapshots, not just identical
-benchmark rows.
+scenarios, whose recovery work spans several shard platforms driven by
+one in-order host loop -- must produce byte-identical canonical metric
+snapshots, not just identical benchmark rows.
 """
 
 import pytest

@@ -3,12 +3,17 @@
 Shards and workers are concurrent in the cycle model (separate clocks,
 slowest-machine latency); the host loops that drive them are serial,
 and every sealed byte is produced inside the call that was asked for it.
+Nothing under ``src/repro`` imports a concurrency module at all, which is
+what lets the clock, the metrics registry, the chaos log and the
+map/reduce recovery books be plain unlocked state.
 """
 
+import ast
 import multiprocessing.process
 import os
 import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,36 @@ from repro.service import SecureFrontDoor
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.sim.events import Environment
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
+
+
+def _concurrency_imports(path):
+    """``(line, module)`` for every import of a concurrency module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            (node.lineno, name) for name in names
+            if name.split(".")[0] in CONCURRENCY_MODULES
+        ]
+    return found
+
+
+def test_no_module_under_src_imports_a_concurrency_module():
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        found = _concurrency_imports(path)
+        if found:
+            offenders[str(path.relative_to(SRC))] = found
+    assert not offenders, offenders
 
 
 @pytest.fixture()
