@@ -7,7 +7,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
-        service-smoke perf-smoke perf-compare perf-pairs lines experiments
+        service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
+        experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -95,6 +96,16 @@ perf-pairs:
 lines:
 	@python3 -c "from benchmarks.perf.__main__ import source_lines; \
 	[print('%-24s %6d' % row) for row in sorted(source_lines().items())]"
+
+# What a process pays before it does any work: CPU seconds, peak
+# resident memory and module count of a fresh interpreter that has
+# imported the front door and the smart-grid package, as the benchmark
+# harness and the examples do (DESIGN section 14, "Cold start").
+import-cost:
+	@$(PYTHON) -c "import resource, sys; import repro.service, repro.smartgrid; \
+	u = resource.getrusage(resource.RUSAGE_SELF); \
+	print('import repro.service, repro.smartgrid: %.2f CPU-s, %.1f MiB peak RSS,' \
+	      ' %d modules' % (u.ru_utime + u.ru_stime, u.ru_maxrss / 1024, len(sys.modules)))"
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -20,6 +20,7 @@ are SGX-capable, reachable, under their EPC watermark, and how many
 plane shards each already hosts (anti-affinity).
 """
 
+from repro.crypto.rsa import DEFAULT_KEY_BITS
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.genpack.cluster import Cluster, Server
 from repro.genpack.workload import ContainerSpec, RunningContainer
@@ -64,7 +65,7 @@ class ClusterNode:
     its containers orphaned.
     """
 
-    def __init__(self, spec, costs=DEFAULT_COSTS, quoting_key_bits=512):
+    def __init__(self, spec, costs=DEFAULT_COSTS, quoting_key_bits=DEFAULT_KEY_BITS):
         self.spec = spec
         self.name = spec.name
         self.server = Server(spec.name, spec.cpu_capacity, spec.mem_capacity)
@@ -234,7 +235,7 @@ class NodeTopology:
 
     @classmethod
     def build(cls, count, seed=0, epc_capacities=None, sgx_flags=None,
-              costs=DEFAULT_COSTS, quoting_key_bits=512):
+              costs=DEFAULT_COSTS, quoting_key_bits=DEFAULT_KEY_BITS):
         """``count`` nodes named node-0..; per-node EPC/SGX overrides.
 
         ``epc_capacities``/``sgx_flags`` are optional sequences indexed

@@ -7,7 +7,7 @@ before running it, and customise published images by adding layers.
 """
 
 from repro.errors import IntegrityError
-from repro.crypto.rsa import RsaKeyPair
+from repro.crypto.rsa import DEFAULT_KEY_BITS, RsaKeyPair
 from repro.containers.build import SecureImageBuilder
 
 
@@ -15,7 +15,7 @@ class SconeClient:
     """Build / sign / push / verify / customise secure images."""
 
     def __init__(self, registry, cas, signing_key=None, key_hierarchy=None,
-                 key_bits=1024):
+                 key_bits=DEFAULT_KEY_BITS):
         self.registry = registry
         self.cas = cas
         self.signing_key = signing_key or RsaKeyPair.generate(bits=key_bits)

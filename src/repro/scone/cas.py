@@ -14,7 +14,7 @@ channel only if:
 """
 
 from repro.errors import AttestationError
-from repro.crypto.rsa import RsaKeyPair
+from repro.crypto.rsa import DEFAULT_KEY_BITS, RsaKeyPair
 from repro.crypto.tls import establish_channel
 from repro.scone.scf import StartupConfiguration
 from repro.sgx.attestation import Quote
@@ -23,7 +23,7 @@ from repro.sgx.attestation import Quote
 class ConfigurationService:
     """Stores SCFs and releases them to attested enclaves only."""
 
-    def __init__(self, attestation_service, identity=None, key_bits=1024):
+    def __init__(self, attestation_service, identity=None, key_bits=DEFAULT_KEY_BITS):
         self.attestation_service = attestation_service
         self.identity = identity or RsaKeyPair.generate(bits=key_bits)
         self._configurations = {}
@@ -47,7 +47,7 @@ class ConfigurationService:
         callers pass their own to model key reuse attacks in tests).
         """
         if enclave_identity is None:
-            enclave_identity = RsaKeyPair.generate(bits=512)
+            enclave_identity = RsaKeyPair.generate()
 
         # Quote binds the ephemeral channel key to the enclave identity.
         binding = enclave_identity.public_key.fingerprint().encode("ascii")

@@ -18,7 +18,7 @@ requires.
 from dataclasses import dataclass
 
 from repro.errors import AttestationError, IntegrityError
-from repro.crypto.rsa import RsaKeyPair
+from repro.crypto.rsa import DEFAULT_KEY_BITS, RsaKeyPair
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class QuotingEnclave:
     :class:`AttestationService` out of band.
     """
 
-    def __init__(self, platform_id, random_source=None, key_bits=1024):
+    def __init__(self, platform_id, random_source=None, key_bits=DEFAULT_KEY_BITS):
         self.platform_id = platform_id
         self._keypair = RsaKeyPair.generate(bits=key_bits, random_source=random_source)
 

@@ -4,6 +4,7 @@ import itertools
 
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import DeterministicRandomSource, SystemRandomSource
+from repro.crypto.rsa import DEFAULT_KEY_BITS
 from repro.sgx.attestation import QuotingEnclave
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import Enclave
@@ -31,7 +32,7 @@ class SgxPlatform:
     """
 
     def __init__(self, costs=DEFAULT_COSTS, platform_id=None, seed=None,
-                 quoting_key_bits=1024):
+                 quoting_key_bits=DEFAULT_KEY_BITS):
         self.costs = costs
         self.platform_id = platform_id or ("sgx-platform-%d" % next(_platform_ids))
         self.clock = CycleClock()

@@ -6,7 +6,7 @@ power-quality monitoring) run as secure big-data applications; fault
 detection triggers millisecond-scale orchestration reactions.
 
 - :mod:`~repro.smartgrid.topology` -- substation/feeder/transformer/
-  meter hierarchy (networkx).
+  meter hierarchy.
 - :mod:`~repro.smartgrid.meters` -- synthetic load profiles and the
   meter data simulator, with theft and fault injection.
 - :mod:`~repro.smartgrid.theft` -- power-theft detection analytics.

@@ -56,7 +56,7 @@ class FaultDetector:
             for feeder in self.topology.feeders
             if all(
                 transformer in dark_transformers
-                for transformer in self.topology.graph.successors(feeder)
+                for transformer in self.topology.children_of(feeder)
             )
         }
         elements = set(dark_feeders)

@@ -7,8 +7,6 @@ of child meters; faults are localised to the deepest element whose
 entire subtree went dark).
 """
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 
 
@@ -16,9 +14,10 @@ class GridTopology:
     """A radial distribution network."""
 
     def __init__(self, substation="substation"):
-        self.graph = nx.DiGraph()
         self.substation = substation
-        self.graph.add_node(substation, kind="substation")
+        self._kind = {substation: "substation"}
+        self._parent = {substation: None}
+        self._children = {substation: []}
 
     @classmethod
     def build(cls, feeders=2, transformers_per_feeder=3, meters_per_transformer=8):
@@ -38,12 +37,12 @@ class GridTopology:
         return topology
 
     def _add(self, name, parent, kind):
-        if name in self.graph:
+        if name in self._kind:
             raise ConfigurationError("duplicate grid element %r" % name)
-        if parent not in self.graph:
-            raise ConfigurationError("unknown parent %r" % parent)
-        self.graph.add_node(name, kind=kind)
-        self.graph.add_edge(parent, name)
+        self._kind[name] = kind
+        self._parent[name] = parent
+        self._children[name] = []
+        self._children[parent].append(name)
 
     def add_feeder(self, name):
         """Attach a feeder to the substation."""
@@ -61,18 +60,20 @@ class GridTopology:
             raise ConfigurationError("%r is not a transformer" % transformer)
         self._add(name, transformer, "meter")
 
+    def _lookup(self, mapping, name):
+        try:
+            return mapping[name]
+        except KeyError:
+            raise ConfigurationError("unknown grid element %r" % (name,)) from None
+
     def kind_of(self, name):
         """Element kind: substation/feeder/transformer/meter."""
-        try:
-            return self.graph.nodes[name]["kind"]
-        except KeyError:
-            raise ConfigurationError("unknown grid element %r" % name) from None
+        return self._lookup(self._kind, name)
 
     def elements(self, kind):
         """All elements of one kind, sorted."""
         return sorted(
-            node for node, data in self.graph.nodes(data=True)
-            if data["kind"] == kind
+            name for name, its_kind in self._kind.items() if its_kind == kind
         )
 
     @property
@@ -88,17 +89,23 @@ class GridTopology:
         return self.elements("feeder")
 
     def parent_of(self, name):
-        """The upstream element."""
-        predecessors = list(self.graph.predecessors(name))
-        return predecessors[0] if predecessors else None
+        """The upstream element (``None`` for the substation)."""
+        return self._lookup(self._parent, name)
+
+    def children_of(self, name):
+        """The elements directly below ``name``, sorted."""
+        return sorted(self._lookup(self._children, name))
 
     def meters_under(self, element):
         """All meters in ``element``'s subtree."""
-        return sorted(
-            node
-            for node in nx.descendants(self.graph, element)
-            if self.graph.nodes[node]["kind"] == "meter"
-        )
+        meters = []
+        pending = list(self._lookup(self._children, element))
+        while pending:
+            name = pending.pop()
+            if self._kind[name] == "meter":
+                meters.append(name)
+            pending.extend(self._children[name])
+        return sorted(meters)
 
     def transformer_of(self, meter):
         """The transformer feeding ``meter``."""
@@ -108,7 +115,13 @@ class GridTopology:
 
     def path_to(self, element):
         """The chain substation -> ... -> element."""
-        return nx.shortest_path(self.graph, self.substation, element)
+        path = [element]
+        parent = self.parent_of(element)
+        while parent is not None:
+            path.append(parent)
+            parent = self._parent[parent]
+        path.reverse()
+        return path
 
     def deepest_common_ancestor(self, elements):
         """The lowest element whose subtree contains all ``elements``."""

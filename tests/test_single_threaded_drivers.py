@@ -8,12 +8,10 @@ what lets the clock, the metrics registry, the chaos log and the
 map/reduce recovery books be plain unlocked state.
 """
 
-import ast
 import multiprocessing.process
 import os
 import subprocess
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -30,35 +28,14 @@ from repro.service import SecureFrontDoor
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.sim.events import Environment
+from tests.source_imports import imports_outside
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 CONCURRENCY_MODULES = {"threading", "concurrent", "multiprocessing"}
 
 
-def _concurrency_imports(path):
-    """``(line, module)`` for every import of a concurrency module."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [
-            (node.lineno, name) for name in names
-            if name.split(".")[0] in CONCURRENCY_MODULES
-        ]
-    return found
-
-
 def test_no_module_under_src_imports_a_concurrency_module():
-    offenders = {}
-    for path in sorted(SRC.rglob("*.py")):
-        found = _concurrency_imports(path)
-        if found:
-            offenders[str(path.relative_to(SRC))] = found
+    offenders = imports_outside(lambda name: name not in CONCURRENCY_MODULES)
     assert not offenders, offenders
 
 
