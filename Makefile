@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        experiments
+        registration-cost experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -106,6 +106,13 @@ import-cost:
 	u = resource.getrusage(resource.RUSAGE_SELF); \
 	print('import repro.service, repro.smartgrid: %.2f CPU-s, %.1f MiB peak RSS,' \
 	      ' %d modules' % (u.ru_utime + u.ru_stime, u.ru_maxrss / 1024, len(sys.modules)))"
+
+# What registering a subscription costs as the database fills: CPU ms
+# per subscribe for each 1 000 of 4 000 through a seeded default front
+# door, and the share of it spent re-sealing shard checkpoints (DESIGN
+# section 8, "What a checkpoint costs").
+registration-cost:
+	@$(PYTHON) tools/registration_cost.py
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -233,17 +233,18 @@ def _frame_records(payloads):
 
 def _unframe_records(frame, count):
     view = memoryview(frame)
+    total = len(view)
     records = []
+    offset = 0
     for _ in range(count):
-        if len(view) < _LEN_SIZE:
+        start = offset + _LEN_SIZE
+        if start > total:
             raise IntegrityError("sealed batch record framing truncated")
-        length = int.from_bytes(view[:_LEN_SIZE], "big")
-        view = view[_LEN_SIZE:]
-        if len(view) < length:
+        offset = start + int.from_bytes(view[offset:start], "big")
+        if offset > total:
             raise IntegrityError("sealed batch record framing truncated")
-        records.append(bytes(view[:length]))
-        view = view[length:]
-    if len(view):
+        records.append(bytes(view[start:offset]))
+    if offset != total:
         raise IntegrityError("trailing bytes after sealed batch records")
     return records
 

@@ -26,7 +26,7 @@ class Operator(enum.Enum):
     RANGE = "[]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """One predicate over one attribute.
 
@@ -129,12 +129,27 @@ class Constraint:
         return False
 
 
+_set = object.__setattr__
+
+
 class Subscription:
-    """A conjunction of constraints, one per attribute."""
+    """A conjunction of constraints, one per attribute.
+
+    Immutable once built.  ``wire_memo`` is the canonical bytes of this
+    subscription, ``None`` until
+    :func:`repro.scbr.messages.serialize_subscription` first encodes it
+    and write-once after; a checkpoint or a migration then reuses the
+    bytes instead of re-encoding a subscription that cannot have changed.
+    ``constraints`` stays a plain dict because :meth:`matches` iterates
+    it on the hottest path there is; ``tests/test_subscription_immutable.py``
+    is what stops code from storing through it.
+    """
+
+    __slots__ = ("subscription_id", "subscriber", "constraints", "wire_memo")
 
     def __init__(self, subscription_id, constraints, subscriber=None):
-        self.subscription_id = subscription_id
-        self.subscriber = subscriber
+        _set(self, "subscription_id", subscription_id)
+        _set(self, "subscriber", subscriber)
         mapping = {}
         for constraint in constraints:
             if constraint.attribute in mapping:
@@ -144,7 +159,15 @@ class Subscription:
             mapping[constraint.attribute] = constraint
         if not mapping:
             raise ConfigurationError("subscription needs at least one constraint")
-        self.constraints = mapping
+        _set(self, "constraints", mapping)
+        _set(self, "wire_memo", None)
+
+    def __setattr__(self, name, value):
+        if name != "wire_memo" or self.wire_memo is not None:
+            raise AttributeError(
+                "a Subscription is immutable: cannot set %r" % name
+            )
+        _set(self, name, value)
 
     def __repr__(self):
         parts = ", ".join(

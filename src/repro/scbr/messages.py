@@ -15,18 +15,28 @@ from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 
 
 def serialize_subscription(subscription):
-    """JSON bytes of a subscription (inside-enclave format)."""
-    return json.dumps(
-        {
-            "id": subscription.subscription_id,
-            "subscriber": subscription.subscriber,
-            "constraints": [
-                [c.attribute, c.operator.value, c.value]
-                for c in subscription.constraints.values()
-            ],
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    """JSON bytes of a subscription (inside-enclave format).
+
+    A subscription is immutable, so it is encoded on first use and the
+    bytes stay with it (``Subscription.wire_memo``): a checkpoint, a
+    migration or a resend reuses them.  Only this encoder fills the
+    memo -- never bytes a client sent, which need not be canonical.
+    """
+    wire = subscription.wire_memo
+    if wire is None:
+        wire = json.dumps(
+            {
+                "id": subscription.subscription_id,
+                "subscriber": subscription.subscriber,
+                "constraints": [
+                    [c.attribute, c.operator.value, c.value]
+                    for c in subscription.constraints.values()
+                ],
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        subscription.wire_memo = wire
+    return wire
 
 
 def deserialize_subscription(raw):

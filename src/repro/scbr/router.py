@@ -8,6 +8,8 @@ enclave, so the broker never observes content, subscriptions, or even
 which subscriber matched what beyond envelope counts.
 """
 
+import json
+
 from repro.errors import IntegrityError
 from repro.scbr.index import ContainmentIndex
 from repro.scbr.keyexchange import (
@@ -127,8 +129,6 @@ def enclave_checkpoint(ctx):
     policy).  Client channel keys are deliberately *not* persisted --
     they are ephemeral, and clients re-attest after a restart.
     """
-    import json
-
     index = ctx.state["index"]
     payload = json.dumps(
         {
@@ -145,8 +145,6 @@ def enclave_checkpoint(ctx):
 
 def enclave_restore(ctx, blob, record_bytes=512):
     """ECALL: rebuild the subscription database from a sealed blob."""
-    import json
-
     payload = json.loads(ctx.unseal(blob).decode("utf-8"))
     enclave_setup(ctx, record_bytes)
     index = ctx.state["index"]

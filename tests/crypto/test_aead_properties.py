@@ -19,6 +19,8 @@ from repro.crypto.aead import (
     AeadKey,
     SealedBatch,
     _LEN_SIZE,
+    _frame_records,
+    _unframe_records,
 )
 from repro.crypto.primitives import DeterministicRandomSource
 from repro.errors import IntegrityError
@@ -169,6 +171,72 @@ class TestFailClosed:
         raw = _key(seed_a).encrypt_batch(payloads).to_bytes()
         with pytest.raises(IntegrityError):
             _open(_key(seed_b), raw)
+
+
+def _reference_unframe(frame, count):
+    """The record parser as first written: re-slice the view per field."""
+    view = memoryview(frame)
+    records = []
+    for _ in range(count):
+        if len(view) < _LEN_SIZE:
+            raise IntegrityError("sealed batch record framing truncated")
+        length = int.from_bytes(view[:_LEN_SIZE], "big")
+        view = view[_LEN_SIZE:]
+        if len(view) < length:
+            raise IntegrityError("sealed batch record framing truncated")
+        records.append(bytes(view[:length]))
+        view = view[length:]
+    if len(view):
+        raise IntegrityError("trailing bytes after sealed batch records")
+    return records
+
+
+def _outcome(parse, frame, count):
+    try:
+        return parse(frame, count)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+class TestRecordFraming:
+    """``_unframe_records`` runs on authenticated plaintext, so the tag
+    tests above never reach it with a malformed frame; these do."""
+
+    @settings(max_examples=50)
+    @given(st.lists(st.binary(max_size=64), max_size=12))
+    def test_round_trip_from_bytes_and_from_a_view(self, payloads):
+        frame = _frame_records(payloads)
+        assert _unframe_records(frame, len(payloads)) == payloads
+        assert _unframe_records(
+            memoryview(bytearray(frame)), len(payloads)
+        ) == payloads
+
+    @settings(max_examples=25)
+    @given(st.lists(st.binary(max_size=32), min_size=1, max_size=8))
+    def test_every_prefix_and_any_trailing_byte_fail_closed(self, payloads):
+        frame = _frame_records(payloads)
+        for cut in range(len(frame)):
+            with pytest.raises(IntegrityError, match="framing truncated"):
+                _unframe_records(frame[:cut], len(payloads))
+        with pytest.raises(IntegrityError, match="trailing bytes"):
+            _unframe_records(frame + b"\x00", len(payloads))
+        with pytest.raises(IntegrityError, match="trailing bytes"):
+            _unframe_records(frame, len(payloads) - 1)
+
+    @settings(max_examples=100)
+    @given(
+        st.one_of(
+            st.binary(max_size=96),
+            st.lists(st.binary(max_size=24), max_size=6).map(_frame_records),
+        ),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_same_records_or_same_refusal_as_the_reference(
+        self, frame, count
+    ):
+        assert _outcome(_unframe_records, frame, count) == _outcome(
+            _reference_unframe, frame, count
+        )
 
 
 def _mutate(raw, data):

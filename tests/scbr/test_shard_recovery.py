@@ -6,6 +6,7 @@ never let a publication's match set shrink silently.  The referee for
 every recovery is the single-index oracle (``tests.scbr.oracle``).
 """
 
+import json
 import random
 
 import pytest
@@ -15,11 +16,17 @@ from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.microservices import Orchestrator, QosMonitor, ServiceRegistry
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.health import ShardHealthPolicy
+from repro.scbr import messages
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.router import ScbrClient
-from repro.scbr.sharding import PartialCoverage, ShardedScbrRouter
+from repro.scbr.sharding import (
+    _AAD_SNAPSHOT,
+    PartialCoverage,
+    ShardedScbrRouter,
+)
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
+from repro.sgx.enclave import EnclaveContext
 from repro.sim.events import Environment
 
 from tests.scbr.oracle import oracle_match_sets
@@ -252,6 +259,19 @@ class TestHeartbeatDetection:
             router.start_health(0.01)
 
 
+def _churn_workload(seed):
+    return ScbrWorkload(seed=seed, num_attributes=6,
+                        containment_fraction=0.5, num_subscribers=1)
+
+
+def _alice_subscriptions(workload, count):
+    """``count`` workload subscriptions, re-owned by the one test client."""
+    return [
+        Subscription(s.subscription_id, list(s.constraints.values()), "alice")
+        for s in workload.subscriptions(count)
+    ]
+
+
 def _churn_scenario(seed, subscriptions=36, publications=6, crashes=3):
     """Randomised insert/remove churn with crashes at seeded points.
 
@@ -266,18 +286,12 @@ def _churn_scenario(seed, subscriptions=36, publications=6, crashes=3):
     )
     alice = ScbrClient("alice", router, attestation)
     publisher = ScbrClient("publisher", router, attestation)
-    workload = ScbrWorkload(seed=seed, num_attributes=6,
-                            containment_fraction=0.5, num_subscribers=1)
+    workload = _churn_workload(seed)
     live = {}
     crash_steps = sorted(rng.sample(range(subscriptions), crashes))
     for position, subscription in enumerate(
-        workload.subscriptions(subscriptions)
+        _alice_subscriptions(workload, subscriptions)
     ):
-        subscription = Subscription(
-            subscription.subscription_id,
-            list(subscription.constraints.values()),
-            "alice",
-        )
         alice.subscribe(subscription)
         live[subscription.subscription_id] = subscription
         if position % 5 == 2 and len(live) > 1:
@@ -368,3 +382,110 @@ class TestChaosShardPlane:
         router._publish_once = sabotaged
         with pytest.raises(RetryExhaustedError):
             hostile.publish_routed(_publication(publisher, {"x": 10}))
+
+
+# --- checkpoints over memoised subscription bytes -----------------------
+
+class _CountingJson:
+    """``json`` for ``repro.scbr.messages``, counting subscription encodes."""
+
+    loads = staticmethod(json.loads)
+
+    def __init__(self):
+        self.subscription_encodes = 0
+
+    def dumps(self, value, **kwargs):
+        if isinstance(value, dict) and "constraints" in value:
+            self.subscription_encodes += 1
+        return json.dumps(value, **kwargs)
+
+
+def _opened_snapshots(router):
+    """Each shard's next snapshot, opened: ``[header, record, ...]``."""
+    plane_key = EnclaveContext(router.coordinator).state["plane_key"]
+    return [
+        plane_key.open_records(
+            shard.enclave.ecall("snapshot")[1], _AAD_SNAPSHOT
+        )
+        for shard in router.shards
+    ]
+
+
+class TestCheckpointEncoding:
+    def test_a_checkpoint_encodes_only_what_is_new(self, monkeypatch):
+        """64 subscribes into a 500-subscription plane encode 128 times.
+
+        Once by the client that builds each subscription and once by
+        the shard that stores it -- however many checkpoints fall in
+        between, none re-encodes the partition it seals.
+        """
+        router, attestation = make_plane(seed=62)
+        alice = ScbrClient("alice", router, attestation)
+        subscriptions = _alice_subscriptions(_churn_workload(11), 564)
+        for subscription in subscriptions[:500]:
+            alice.subscribe(subscription)
+        for shard in router.shards:
+            router.fleet.checkpoint(shard)
+        counter = _CountingJson()
+        monkeypatch.setattr(messages, "json", counter)
+        before = router.fleet.checkpoints
+        for subscription in subscriptions[500:]:
+            alice.subscribe(subscription)
+        assert router.fleet.checkpoints - before >= 64 // 16
+        assert counter.subscription_encodes <= 2 * 64
+
+    def test_recovered_shard_seals_what_its_uncrashed_twin_seals(self):
+        def plane(crash):
+            router, attestation = make_plane(seed=61, snapshot_interval=8)
+            alice = ScbrClient("alice", router, attestation)
+            publisher = ScbrClient("publisher", router, attestation)
+            for position, subscription in enumerate(subscriptions):
+                alice.subscribe(subscription)
+                if crash and position == 40:
+                    # 41 subscribes in, so the victim's last checkpoint
+                    # sealed memoised bytes and its log is not empty.
+                    victim = router.shards[0].shard_id
+                    router.fail_shard(victim)
+                    router.recover_shard(victim)
+            deliveries = [
+                _matched_ids(alice, router.publish_routed(
+                    _publication(publisher, publication.attributes)
+                ))
+                for publication in publications
+            ]
+            router.check_invariants()
+            return router, deliveries
+
+        workload = _churn_workload(3)
+        subscriptions = _alice_subscriptions(workload, 60)
+        publications = workload.publications(6)
+        crashed, crashed_deliveries = plane(crash=True)
+        twin, twin_deliveries = plane(crash=False)
+        assert crashed.recovery_episodes[0]["replayed"] > 0
+        oracle = oracle_match_sets(subscriptions, publications)
+        assert crashed_deliveries == twin_deliveries == oracle
+        # Restore rebuilds the forest in snapshot order, so siblings may
+        # be walked in another order than in the twin: the header and
+        # every record are byte-equal, the sequence need not be.
+        for mine, theirs in zip(
+            _opened_snapshots(crashed), _opened_snapshots(twin)
+        ):
+            assert mine[0] == theirs[0]
+            assert sorted(mine[1:]) == sorted(theirs[1:])
+
+    def test_a_client_s_own_json_is_never_what_a_shard_seals(self):
+        router, attestation = make_plane(seed=63)
+        alice = ScbrClient("alice", router, attestation)
+        subscription = sub("spaced", 50)
+        canonical = messages.serialize_subscription(subscription)
+        sent = json.dumps(json.loads(canonical), indent=2).encode("utf-8")
+        assert sent != canonical
+        router.subscribe(EncryptedEnvelope.seal(
+            alice.key, alice.client_id, "subscribe", sent
+        ))
+        records = [
+            record
+            for snapshot in _opened_snapshots(router)
+            for record in snapshot[1:]
+        ]
+        assert records == [canonical]
