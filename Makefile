@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost experiments
+        registration-cost seal-sites experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -113,6 +113,15 @@ import-cost:
 # section 8, "What a checkpoint costs").
 registration-cost:
 	@$(PYTHON) tools/registration_cost.py
+
+# Where a benchmark workload's sealing CPU goes: per call site of
+# seal / open / seal_records / open_records, calls per op, mean payload
+# bytes, microseconds per call and share of the ops' CPU, plus the
+# HMAC-CTR keystream share (DESIGN section 10, "Which framing when"):
+#   make seal-sites W=publish_fanout
+seal-sites:
+	@test -n "$(W)" || { echo "W=<workload> is required"; exit 2; }
+	@$(PYTHON) tools/seal_sites.py $(W)
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

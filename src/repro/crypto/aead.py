@@ -1,9 +1,12 @@
 """Authenticated encryption with associated data (AEAD).
 
 The boundary every other package uses is bytes in, bytes out:
-:meth:`AeadKey.seal` / :meth:`AeadKey.open` for one payload and
-:meth:`AeadKey.seal_records` / :meth:`AeadKey.open_records` for a list
-of records.  ``seal*`` returns the wire blob; ``open*`` parses it,
+:meth:`AeadKey.seal` / :meth:`AeadKey.open` for one small fixed-size
+payload and :meth:`AeadKey.seal_records` / :meth:`AeadKey.open_records`
+for a list of records -- or, as a list of one opened with
+:meth:`AeadKey.open_record`, for a payload whose size grows with state
+(DESIGN section 10, "Which framing when").  ``seal*`` returns the wire
+blob; ``open*`` parses it,
 checks the tag and raises :class:`~repro.errors.IntegrityError` on
 anything else -- a blob that is not bytes, a truncated or foreign
 framing, a flipped bit -- naming the caller's ``what`` when one is
@@ -424,6 +427,18 @@ class AeadKey:
         """Parse, verify and open a :meth:`seal_records` blob; returns the
         records.  Fails closed exactly as :meth:`open` does."""
         return self._open(SealedBatch, self.decrypt_batch, blob, aad, what)
+
+    def open_record(self, blob, aad, what=None):
+        """Open a :meth:`seal_records` blob that must hold exactly one
+        record -- a state-sized message sealed as ``seal_records([payload],
+        aad)`` -- and return it; any other count fails closed too."""
+        records = self.open_records(blob, aad, what)
+        if len(records) != 1:
+            raise IntegrityError(
+                "%s holds %d records, not one"
+                % (what or "sealed blob", len(records))
+            )
+        return records[0]
 
     @staticmethod
     def _open(framing, decrypt, blob, aad, what):

@@ -10,7 +10,8 @@ optimisation the paper credits for SCBR's performance.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import eq, ge, gt, le, lt
 
 from repro.errors import ConfigurationError
 
@@ -26,19 +27,39 @@ class Operator(enum.Enum):
     RANGE = "[]"
 
 
+def _between(candidate, bounds):
+    low, high = bounds
+    return low <= candidate <= high
+
+
+# The comparison each operator stands for, as ``test(candidate, value)``.
+_TESTS = {
+    Operator.EQ: eq, Operator.LT: lt, Operator.LE: le,
+    Operator.GT: gt, Operator.GE: ge, Operator.RANGE: _between,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Constraint:
     """One predicate over one attribute.
 
     For :attr:`Operator.RANGE`, ``value`` is an inclusive ``(low,
     high)`` pair (use :meth:`range_between` to construct one).
+
+    ``test`` is the operator's comparison, chosen once here so that
+    :meth:`Subscription.matches` calls ``test(candidate, value)`` in C
+    instead of re-deciding the operator on every visit; :meth:`matches`
+    is the readable definition it must agree with.  It is shared per
+    operator (one slot a constraint), derived, and not part of equality.
     """
 
     attribute: str
     operator: Operator
     value: object
+    test: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "test", _TESTS[self.operator])
         if self.operator is Operator.RANGE:
             low, high = self.value  # raises for malformed values
             if low > high:
@@ -181,7 +202,7 @@ class Subscription:
         attributes = publication.attributes
         for attribute, constraint in self.constraints.items():
             value = attributes.get(attribute)
-            if value is None or not constraint.matches(value):
+            if value is None or not constraint.test(value, constraint.value):
                 return False
         return True
 

@@ -141,13 +141,18 @@ class ContainmentIndex:
         """
         matched = []
         visited = []
+        visit = visited.append
+        hit = matched.append
         stack = list(self._roots)
+        pop = stack.pop
+        push = stack.extend
         while stack:
-            node = stack.pop()
-            visited.append(node.region)
-            if node.subscription.matches(publication):
-                matched.append(node.subscription.subscription_id)
-                stack.extend(node.children)
+            node = pop()
+            visit(node.region)
+            subscription = node.subscription
+            if subscription.matches(publication):
+                hit(subscription.subscription_id)
+                push(node.children)
         if self.memory is not None:
             self.memory.scan(visited, self.hot_bytes, self.eval_cycles)
         self.visits_last_match = len(visited)

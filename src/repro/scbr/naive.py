@@ -7,6 +7,9 @@ ablation.  Shares the record layout and per-visit cost accounting with
 come from the number of comparisons, not from accounting artifacts.
 """
 
+from operator import itemgetter
+
+from repro.errors import ConfigurationError
 from repro.scbr.index import DEFAULT_RECORD_BYTES, EVAL_CYCLES, HOT_BYTES
 
 
@@ -43,8 +46,9 @@ class LinearIndex:
     def match(self, publication):
         """IDs of all subscriptions matching ``publication``."""
         if self.memory is not None:
+            # The region column, lazily: no 196 608-element list per call.
             self.memory.scan(
-                [region for _subscription, region in self._entries],
+                map(itemgetter(1), self._entries),
                 self.hot_bytes, self.eval_cycles,
             )
         self.visits_last_match = len(self._entries)
@@ -60,8 +64,6 @@ class LinearIndex:
 
     def remove(self, subscription_id):
         """Unsubscribe by id (linear search, like everything here)."""
-        from repro.errors import ConfigurationError
-
         for position, (subscription, region) in enumerate(self._entries):
             if subscription.subscription_id == subscription_id:
                 del self._entries[position]

@@ -36,6 +36,7 @@ quotes and wrapped keys, and never sees key material -- unlike the
 map/reduce driver, the broker host is part of the threat model.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -510,7 +511,7 @@ def shard_match(ctx, sealed_publication, trace=None):
             {"shard": ctx.state["shard_id"], "pairs": pairs}
         ).encode("utf-8")
         ctx.compute(serial_seal_cycles(len(payload)))
-        blob = _plane_key(ctx).seal(payload, _AAD_MATCHED)
+        blob = _plane_key(ctx).seal_records([payload], _AAD_MATCHED)
         span.attrs["visits"] = index.visits_last_match
         span.attrs["matches"] = len(pairs)
         registry.counter("scbr.shard.matched_pairs").inc(len(pairs))
@@ -774,7 +775,7 @@ def coord_finalize(ctx, token, match_blobs, trace=None):
         pairs = []
         answered = set()
         for blob in match_blobs:
-            payload = plane_key.open(
+            payload = plane_key.open_record(
                 blob, _AAD_MATCHED, what="shard match result"
             )
             record = json.loads(payload.decode("utf-8"))
@@ -789,6 +790,18 @@ def coord_finalize(ctx, token, match_blobs, trace=None):
     return routed, missing
 
 
+def coord_abandon(ctx, token):
+    """ECALL: drop a parked publication that will never be finalized.
+
+    The driver calls this when a publish fails between ingest and
+    finalize; a publication left parked would hold enclave memory for
+    good and make every later key rotation refuse.  Unknown tokens
+    (finalize pops first, then may fail) are fine.
+    """
+    ctx.state["pending_publications"].pop(token, None)
+    return True
+
+
 COORD_ENTRY_POINTS = {
     "setup": coord_setup,
     "channel_offer": enclave_channel_offer,
@@ -800,6 +813,7 @@ COORD_ENTRY_POINTS = {
     "authorize": coord_authorize,
     "ingest": coord_ingest,
     "finalize": coord_finalize,
+    "abandon": coord_abandon,
     "telemetry_export": plane_telemetry_export,
 }
 
@@ -1172,8 +1186,7 @@ class ShardedScbrRouter:
         and the coordinator's finalize reports it missing because its
         authenticated match blob never arrived.
         """
-        clock = self.platform.clock
-        coordinator_start = clock.now
+        coordinator_start = self.platform.clock.now
         # The publish root span's duration is *computed* (coordinator
         # cycles plus the slowest shard's cycles -- exactly
         # last_publish_cycles), so reserve its identity now, let the
@@ -1183,6 +1196,22 @@ class ShardedScbrRouter:
         token, sealed = self.coordinator.ecall(
             "ingest", envelope, trace=reservation
         )
+        try:
+            return self._match_and_finalize(
+                token, sealed, reservation, coordinator_start
+            )
+        except Exception:
+            # Whatever failed, the publication must not stay parked in
+            # the coordinator.  A dead coordinator holds nothing.
+            with contextlib.suppress(EnclaveLostError):
+                self.coordinator.ecall("abandon", token)
+            raise
+
+    def _match_and_finalize(self, token, sealed, reservation,
+                            coordinator_start):
+        """The rest of :meth:`_publish_once`, after ``ingest`` parked
+        the publication under ``token``."""
+        clock = self.platform.clock
 
         def match_on(shard):
             if not self.fleet.reachable(shard):

@@ -50,6 +50,9 @@ class MemoryStats:
 
 # One memory's addresses, hence its line and page ids, stay below 1 TiB.
 ADDRESS_BITS = 40
+# Keys a scan collects before it hands them to a cache: a 96 MiB table
+# scan touches 196 608 lines and must not hold them all as one list.
+_RUN = 4096
 
 
 class _LruSet:
@@ -98,6 +101,29 @@ class _LruSet:
             entries.popitem(last=False)
         entries[key] = None
         return False
+
+    def touch_many(self, keys):
+        """:meth:`touch` each key in order; returns how many missed.
+
+        One loop with everything local: a scan hands each cache its
+        whole run of keys instead of making a call per line.
+        """
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        evict = entries.popitem
+        capacity = self.capacity
+        misses = 0
+        key = self.newest
+        for key in keys:
+            if key in entries:
+                move_to_end(key)
+            else:
+                if len(entries) >= capacity:
+                    evict(last=False)
+                entries[key] = None
+                misses += 1
+        self.newest = key
+        return misses
 
     def discard(self, key):
         """Remove ``key`` if present (for an EPC page an EREMOVE: back
@@ -360,10 +386,17 @@ class SimulatedMemory:
         page_size = costs.page_size
         line_base = self._line_base
         page_base = self._page_base
-        touch_line = self.llc.touch
+        # The LLC and the EPC are independent LRUs, so each is handed
+        # its own run of keys (a key equal to its predecessor dropped:
+        # re-touching the newest entry is a no-op), at most _RUN at a
+        # time.  A region spanning several keys sends all but its last
+        # as a range, after what was collected before it.
+        touch_lines = self.llc.touch_many
         newest_line = self.llc.newest
+        line_keys = []
+        page_keys = []
         if enclave:
-            touch_page = self.epc.touch
+            touch_pages = self.epc.touch_many
             newest_page = self.epc.newest
         visited = lines = misses = pages = faults = 0
         try:
@@ -380,22 +413,38 @@ class SimulatedMemory:
                     key = page_base + start // page_size
                     stop = page_base + last // page_size
                     pages += stop - key + 1
-                    while key <= stop:
-                        if key != newest_page:
-                            if not touch_page(key):
-                                faults += 1
-                            newest_page = key
+                    if key == newest_page:
                         key += 1
+                    if key <= stop:
+                        if key < stop:
+                            faults += (touch_pages(page_keys)
+                                       + touch_pages(range(key, stop)))
+                            del page_keys[:]
+                        page_keys.append(stop)
+                        newest_page = stop
                 key = line_base + start // line_size
                 stop = line_base + last // line_size
                 lines += stop - key + 1
-                while key <= stop:
-                    if key != newest_line:
-                        if not touch_line(key):
-                            misses += 1
-                        newest_line = key
+                if key == newest_line:
                     key += 1
+                if key <= stop:
+                    if key < stop:
+                        misses += (touch_lines(line_keys)
+                                   + touch_lines(range(key, stop)))
+                        del line_keys[:]
+                    line_keys.append(stop)
+                    newest_line = stop
+                if len(line_keys) >= _RUN:
+                    # Page keys outnumber line keys by one at most.
+                    misses += touch_lines(line_keys)
+                    del line_keys[:]
+                    if page_keys:
+                        faults += touch_pages(page_keys)
+                        del page_keys[:]
         finally:
+            misses += touch_lines(line_keys)
+            if page_keys:
+                faults += touch_pages(page_keys)
             hits = lines - misses
             charged = (
                 faults * costs.page_fault_cycles

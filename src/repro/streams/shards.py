@@ -287,7 +287,7 @@ def stream_checkpoint(ctx):
     payload = json.dumps(state, sort_keys=True).encode("utf-8")
     aad = _AAD_CHECKPOINT + str(ctx.state["shard_id"]).encode("ascii")
     ctx.compute(serial_seal_cycles(len(payload)))
-    blob = _plane_key(ctx).seal(payload, aad)
+    blob = _plane_key(ctx).seal_records([payload], aad)
     ctx.state["entries"] = 0
     return {"version": ctx.state["version"], "blob": blob}
 
@@ -306,7 +306,9 @@ def stream_restore(ctx, blob):
             "refusing to restore into a non-empty stream shard"
         )
     aad = _AAD_CHECKPOINT + str(ctx.state["shard_id"]).encode("ascii")
-    payload = _plane_key(ctx).open(blob, aad, what="stream checkpoint")
+    payload = _plane_key(ctx).open_record(
+        blob, aad, what="stream checkpoint"
+    )
     state = json.loads(payload.decode("utf-8"))
     if state["shard"] != ctx.state["shard_id"]:
         raise IntegrityError(
@@ -372,7 +374,7 @@ def stream_extract_range(ctx, move_range, to_shard):
         "%d|%d" % (ctx.state["shard_id"], to_shard)
     ).encode("ascii")
     ctx.compute(serial_seal_cycles(len(body)))
-    return _plane_key(ctx).seal(body, aad)
+    return _plane_key(ctx).seal_records([body], aad)
 
 
 def stream_load_range(ctx, from_shard, blob):
@@ -387,7 +389,7 @@ def stream_load_range(ctx, from_shard, blob):
     aad = _AAD_RANGE + (
         "%d|%d" % (from_shard, ctx.state["shard_id"])
     ).encode("ascii")
-    payload = _plane_key(ctx).open(blob, aad, what="range handoff")
+    payload = _plane_key(ctx).open_record(blob, aad, what="range handoff")
     state = json.loads(payload.decode("utf-8"))
     if state["to"] != ctx.state["shard_id"] or state["from"] != from_shard:
         raise IntegrityError("range handoff addressed to another shard")

@@ -315,9 +315,27 @@ class TestSealBoundary:
         """Blobs come back from untrusted stores; a wrong *type* is one
         more way to be tampered with, not a ``TypeError``."""
         key = _key(9)
-        for opener in (key.open, key.open_records):
+        for opener in (key.open, key.open_records, key.open_record):
             with pytest.raises(IntegrityError, match="^dataset failed"):
                 opener(blob, b"aad", what="dataset")
+
+    @pytest.mark.parametrize("count", [0, 2, 5])
+    def test_open_record_takes_exactly_one_record(self, count):
+        """A state-sized message is a record list of one; a list of any
+        other length under the right key and AAD is refused as tampered,
+        never unpacked into a ``ValueError``."""
+        key = _key(11)
+        assert key.open_record(
+            key.seal_records([b"state"], b"aad"), b"aad"
+        ) == b"state"
+        several = key.seal_records([b"state"] * count, b"aad")
+        with pytest.raises(IntegrityError, match="^checkpoint holds %d" % count):
+            key.open_record(several, b"aad", what="checkpoint")
+        with pytest.raises(IntegrityError, match="^sealed blob holds"):
+            key.open_record(several, b"aad")
+        with pytest.raises(IntegrityError, match="^checkpoint failed"):
+            key.open_record(key.seal(b"state", b"aad"), b"aad",
+                            what="checkpoint")
 
     @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
     def test_any_bytes_like_blob_opens(self, wrap):

@@ -83,6 +83,29 @@ def test_handoff_blob_fails_closed_elsewhere(grid, fleet):
         plane.shards[donor].enclave.ecall("load_range", new_id, blob)
 
 
+def test_handoff_is_one_record_frame_and_nothing_else(grid, fleet):
+    """State-sized stream messages travel as a record list of one; the
+    same payload in the single-payload framing, or as two records under
+    the right key and AAD, is refused as tampered."""
+    from repro.sgx.enclave import EnclaveContext
+    from repro.streams.shards import _AAD_RANGE
+
+    plane = make_plane(shards=3)
+    donor = plane.table.shard_ids()[0]
+    new_id = plane.split_shard(donor)
+    blob = plane.shards[new_id].enclave.ecall(
+        "extract_range", plane.table.range_of(new_id).to_json(), donor
+    )
+    plane_key = EnclaveContext(plane.shards[donor].enclave).state["plane_key"]
+    aad = _AAD_RANGE + b"%d|%d" % (new_id, donor)
+    payload = plane_key.open_record(blob, aad)
+    for forged in (plane_key.seal(payload, aad),
+                   plane_key.seal_records([payload, payload], aad)):
+        with pytest.raises(IntegrityError, match="^range handoff"):
+            plane.shards[donor].enclave.ecall("load_range", new_id, forged)
+    plane.shards[donor].enclave.ecall("load_range", new_id, blob)
+
+
 def test_extract_requires_edge_alignment(grid, fleet):
     plane = make_plane(shards=1)
     owned = plane.table.range_of(0)

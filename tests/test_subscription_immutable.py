@@ -7,7 +7,10 @@ mapping is a plain dict (``matches()`` iterates it on the hottest path
 in the repository, so it is not wrapped); this test is what keeps code
 from storing through it, or from binding ``subscriber`` /
 ``subscription_id`` / ``wire_memo`` on anything outside the two places
-that own them.
+that own them.  A constraint's carried comparison (``test``, what
+``matches()`` calls) is held the same way: a frozen dataclass refuses
+plain assignment, and this scan refuses the ``object.__setattr__`` that
+would get around it anywhere but in ``Constraint.__post_init__``.
 """
 
 import ast
@@ -16,14 +19,17 @@ import os
 import repro
 
 SRC = os.path.dirname(repro.__file__)
-FIELDS = {"subscription_id", "subscriber", "constraints", "wire_memo"}
+SUBSCRIPTION_FIELDS = {"subscription_id", "subscriber", "constraints",
+                       "wire_memo"}
+FIELDS = SUBSCRIPTION_FIELDS | {"test"}
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__",
             "__delitem__"}
 SETTERS = {"setattr", "__setattr__", "_set"}
 # (module, function) pairs that may bind a field: the constructor, and
 # the encoder that fills the memo it is the only source of.
 OWNERS = {
-    (os.path.join("scbr", "filters.py"), "__init__"): FIELDS,
+    (os.path.join("scbr", "filters.py"), "__init__"): SUBSCRIPTION_FIELDS,
+    (os.path.join("scbr", "filters.py"), "__post_init__"): {"test"},
     (os.path.join("scbr", "messages.py"), "serialize_subscription"):
         {"wire_memo"},
 }
@@ -95,10 +101,11 @@ def test_the_scan_sees_each_kind_of_write():
         "    object.__setattr__(s, 'wire_memo', b'')\n"
         "    setattr(s, 'subscription_id', 1)\n"
         "    s.subscription_id += 1\n"
+        "    object.__setattr__(s.constraints['a'], 'test', max)\n"
     )
     found = [what for _line, _fn, what in _stores(ast.parse(source))]
     assert found == [
         "subscriber", "constraints[...]", "constraints[...]",
         "constraints.update()", "wire_memo", "subscription_id",
-        "subscription_id",
+        "subscription_id", "test",
     ]
