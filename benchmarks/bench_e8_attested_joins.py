@@ -8,7 +8,9 @@ under progressively more of the plane's machinery:
 
 - **cold per-shard joins**: the baseline CAS handshake.  Every join
   mints a fresh DH key, signs a fresh quote, and pays full FDH quote
-  verification on both sides (~19.8M cycles/join);
+  verification on both sides (~19.8M cycles/join).  The attestation
+  service's cache is on here as everywhere: fresh DH keys make every
+  quote new, so a cold scenario never presents one twice;
 - **batched cold joins**: one coordinator quote commits to a hash over
   every offered DH value, so N shards verify one coordinator quote
   (the verification cache collapses N-1 of them to cache hits);
@@ -40,10 +42,7 @@ import pytest
 from repro.cluster import NodeBoundScbrRouter, NodeTopology
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
-from repro.scbr.provisioning import (
-    CachedAttestationVerifier,
-    PlaneProvisioner,
-)
+from repro.scbr.provisioning import PlaneProvisioner
 from repro.scbr.router import ScbrClient
 from repro.scbr.sharding import COORD_CODE, SHARD_CODE, DEFAULT_RECORD_BYTES
 from repro.scbr.workload import ScbrWorkload
@@ -72,8 +71,7 @@ class _JoinFleet:
     matching cycles mixed in.
     """
 
-    def __init__(self, seed, size, cache=True, reuse=True, batch=True,
-                 tickets=True):
+    def __init__(self, seed, size, reuse=True, batch=True, tickets=True):
         self.size = size
         self.coordinator_platform = SgxPlatform(
             seed=seed, quoting_key_bits=512
@@ -83,16 +81,12 @@ class _JoinFleet:
             self.coordinator_platform.platform_id,
             self.coordinator_platform.quoting_enclave.public_key,
         )
-        self.verifier = CachedAttestationVerifier(
-            self.service, enabled=cache
-        )
         self.coordinator = self.coordinator_platform.load_enclave(COORD_CODE)
         self.coordinator.ecall(
-            "setup", self.verifier, SHARD_CODE.measurement, None
+            "setup", self.service, SHARD_CODE.measurement, None
         )
         self.provisioner = PlaneProvisioner(
-            attestation=self.verifier, reuse_join_keys=reuse, batch=batch,
-            tickets=tickets,
+            reuse_join_keys=reuse, batch=batch, tickets=tickets,
         )
         self.platforms = []
         for index in range(size):
@@ -125,7 +119,7 @@ class _JoinFleet:
                 SHARD_CODE, name="e8-shard-%d" % shard_id
             )
             enclave.ecall(
-                "setup", shard_id, DEFAULT_RECORD_BYTES, self.verifier,
+                "setup", shard_id, DEFAULT_RECORD_BYTES, self.service,
                 COORD_CODE.measurement, None,
             )
             entries.append((shard_id, platform, enclave))
@@ -139,23 +133,21 @@ class _JoinFleet:
         return after - before
 
 
-def _join_trial(scenario, size, cache, reuse, batch, tickets,
-                measured_round):
+def _join_trial(scenario, size, reuse, batch, tickets, measured_round):
     """Run ``measured_round`` join rounds, report the last one."""
-    fleet = _JoinFleet(SEED, size, cache=cache, reuse=reuse, batch=batch,
-                       tickets=tickets)
+    fleet = _JoinFleet(SEED, size, reuse=reuse, batch=batch, tickets=tickets)
     cycles = 0
     for _round in range(measured_round):
-        hits_before = fleet.verifier.hits
-        misses_before = fleet.verifier.misses
+        hits_before = fleet.service.hits
+        misses_before = fleet.service.misses
         cycles = fleet.join_round()
     seconds = cycles_to_seconds(cycles)
     return {
         "scenario": scenario,
         "shards": size,
         "joins": size,
-        "verify_full": fleet.verifier.misses - misses_before,
-        "verify_cached": fleet.verifier.hits - hits_before,
+        "verify_full": fleet.service.misses - misses_before,
+        "verify_cached": fleet.service.hits - hits_before,
         "ms_per_join": seconds * 1e3 / size,
         "joins_per_vsec": size / seconds,
         "recover_ms": 0.0,
@@ -188,8 +180,8 @@ def _recovery_trial(scenario, subscriptions, publications,
                     provisioned=True):
     """Machine death and mass recovery, cold vs. provisioned re-joins.
 
-    ``provisioned=False`` disables the verification cache, key reuse,
-    batching, and tickets: every displaced shard pays the full CAS
+    ``provisioned=False`` disables key reuse, batching, and tickets:
+    every displaced shard offers a fresh quote and pays the full CAS
     handshake again, as the plane did before E8.
     """
     topology = NodeTopology.build(4, seed=SEED + 4)
@@ -198,13 +190,11 @@ def _recovery_trial(scenario, subscriptions, publications,
     attestation.register_platform(
         platform.platform_id, platform.quoting_enclave.public_key
     )
-    verifier = CachedAttestationVerifier(attestation, enabled=provisioned)
     provisioner = PlaneProvisioner(
-        attestation=verifier, reuse_join_keys=provisioned,
-        batch=provisioned, tickets=provisioned,
+        reuse_join_keys=provisioned, batch=provisioned, tickets=provisioned,
     )
     router = NodeBoundScbrRouter(
-        platform, topology, attestation_service=verifier, shards=8,
+        platform, topology, attestation_service=attestation, shards=8,
         provisioner=provisioner, env=Environment(),
     )
     attestation.trust_measurement(router.measurement)
@@ -224,8 +214,8 @@ def _recovery_trial(scenario, subscriptions, publications,
     publisher = ScbrClient("publisher", router, attestation)
     stream = workload.publications(publications)
 
-    hits_before = verifier.hits
-    misses_before = verifier.misses
+    hits_before = attestation.hits
+    misses_before = attestation.misses
     dark = router.fail_node("node-1")
     recovered = router.recover_node("node-1")
     assert sorted(recovered) == sorted(dark), "every dark shard respawned"
@@ -246,8 +236,8 @@ def _recovery_trial(scenario, subscriptions, publications,
         "scenario": scenario,
         "shards": router.shard_count,
         "joins": len(recovered),
-        "verify_full": verifier.misses - misses_before,
-        "verify_cached": verifier.hits - hits_before,
+        "verify_full": attestation.misses - misses_before,
+        "verify_cached": attestation.hits - hits_before,
         "ms_per_join": 0.0,
         "joins_per_vsec": 0.0,
         "recover_ms": _median_ms(router.node_recovery_latencies()),
@@ -262,16 +252,16 @@ def run_e8(smoke=False):
     scale = 2 if smoke else 1
     size = FLEET // scale
     trials = [
-        _join_trial("cold per-shard joins", size, cache=False, reuse=False,
-                    batch=False, tickets=False, measured_round=1),
-        _join_trial("batched cold joins", size, cache=True, reuse=True,
-                    batch=True, tickets=False, measured_round=1),
-        _join_trial("cached re-joins", size, cache=True, reuse=True,
-                    batch=False, tickets=False, measured_round=2),
-        _join_trial("batched+cached re-joins", size, cache=True, reuse=True,
-                    batch=True, tickets=False, measured_round=2),
-        _join_trial("ticket re-joins", size, cache=True, reuse=True,
-                    batch=True, tickets=True, measured_round=2),
+        _join_trial("cold per-shard joins", size, reuse=False, batch=False,
+                    tickets=False, measured_round=1),
+        _join_trial("batched cold joins", size, reuse=True, batch=True,
+                    tickets=False, measured_round=1),
+        _join_trial("cached re-joins", size, reuse=True, batch=False,
+                    tickets=False, measured_round=2),
+        _join_trial("batched+cached re-joins", size, reuse=True, batch=True,
+                    tickets=False, measured_round=2),
+        _join_trial("ticket re-joins", size, reuse=True, batch=True,
+                    tickets=True, measured_round=2),
         _recovery_trial("mass recovery cold", 40 // scale, 8 // scale,
                         provisioned=False),
         _recovery_trial("mass recovery provisioned", 40 // scale,
@@ -351,7 +341,7 @@ def bench_e8_attested_joins(e8_rows, benchmark):
     )
 
     benchmark.pedantic(
-        lambda: _join_trial("ticket re-joins", 4, cache=True, reuse=True,
-                            batch=True, tickets=True, measured_round=2),
+        lambda: _join_trial("ticket re-joins", 4, reuse=True, batch=True,
+                            tickets=True, measured_round=2),
         rounds=1, iterations=1,
     )

@@ -116,7 +116,11 @@ class ShardFleet:
     Placement is either a ``platform_factory(shard_id)`` (every shard
     on a fresh machine of its own) or a ``topology`` (shards bound to
     cluster nodes, ledgered there under ``(name, shard_id)`` so several
-    planes can share one topology).  ``setup_args(shard_id)`` supplies
+    planes can share one topology); every machine a shard lands on is
+    registered with ``attestation_service``, the plane's one
+    :class:`~repro.sgx.attestation.AttestationService`, which the
+    coordinator and the shards verify each other's quotes with.
+    ``setup_args(shard_id)`` supplies
     the shard ``setup`` ECALL's arguments, ``snapshot(member)`` returns
     a plane-sealed snapshot blob, ``restore(member)`` loads
     ``member.snapshot`` into the fresh enclave and ``replay(member)``

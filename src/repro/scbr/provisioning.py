@@ -6,14 +6,11 @@ for a fleet.  This module is the CAS-style provisioning plane (paper
 Section V-A; BigDL's PPML attestation agent is the exemplar) that
 makes enclave joins a cached, batched, amortized hot path:
 
-- :class:`CachedAttestationVerifier` memoizes *successful* quote
-  verifications keyed by ``(platform_id, measurement, sha256(payload +
-  signature))``.  A hit skips only the expensive signature check; the
-  cheap policy checks (platform registered, measurement trusted,
-  report data bound) rerun on every hit, so revocation can never ride
-  a stale verdict.  Revoking a measurement or deregistering a platform
-  bumps the cache epoch -- every outstanding entry goes stale at once
-  (fail closed) -- and flushes the matching entries.
+- Quotes are judged by the deployment's one
+  :class:`~repro.sgx.attestation.AttestationService`, whose cache of
+  verified signatures turns a re-offered, byte-identical quote into a
+  policy re-check; the enclaves hand it their ``compute`` so hits and
+  misses are priced in virtual cycles.
 
 - :func:`coord_enroll_batch` enrolls N join offers in one coordinator
   ECALL: one coordinator quote whose report data commits to a hash
@@ -36,10 +33,10 @@ makes enclave joins a cached, batched, amortized hot path:
   and returns per-shard rekey blobs wrapped under the *old* plane key,
   so live shards roll forward without a re-join.
 
-All verification, signing, DH, and resume costs are charged in
-*virtual cycles* (the ``*_CYCLES`` constants below), so the E8
-benchmark measures the same cost model the rest of the reproduction
-gates on.
+All signing, DH, and resume costs are charged in *virtual cycles* (the
+``*_CYCLES`` constants below; verification prices itself, see
+:mod:`repro.sgx.attestation`), so the E8 benchmark measures the same
+cost model the rest of the reproduction gates on.
 """
 
 import json
@@ -58,16 +55,13 @@ from repro.telemetry import default_registry
 
 # --- the virtual cost model -------------------------------------------
 #
-# A quote verification stands in for the certificate-chain walk / IAS
-# round a DCAP verifier performs -- by far the dominant cost of a cold
-# join, which is exactly why CAS-style deployments cache it.  A cache
-# hit pays a digest lookup plus the policy re-check.  DH costs model
-# one 2048-bit modular exponentiation each; ticket resumption is pure
-# symmetric crypto.
+# Quote verification is priced by the attestation service itself
+# (``repro.sgx.attestation.QUOTE_VERIFY_CYCLES``); a quote signature
+# here is the quoting enclave's share.  DH costs model one 2048-bit
+# modular exponentiation each; ticket resumption is pure symmetric
+# crypto.
 
 QUOTE_SIGN_CYCLES = 900_000
-QUOTE_VERIFY_CYCLES = 8_000_000
-QUOTE_CACHED_CYCLES = 6_000
 DH_KEYGEN_CYCLES = 450_000
 DH_SHARED_CYCLES = 450_000
 TICKET_RESUME_CYCLES = 30_000
@@ -126,143 +120,6 @@ def platform_fingerprint(platform):
     ).hex()
 
 
-class CachedAttestationVerifier:
-    """An :class:`~repro.sgx.attestation.AttestationService` front that
-    memoizes successful quote verifications.
-
-    The cache key is ``(platform_id, measurement, sha256(signed_payload
-    + signature))``.  The signature is hashed into the key on purpose
-    -- one step beyond caching by payload alone -- so a forged
-    signature over a previously verified payload can never ride a hit.
-    Entries are epoch-bound: :meth:`revoke_measurement` and
-    :meth:`deregister_platform` bump the epoch (staling *every*
-    outstanding entry, fail closed) and flush the matching ones.  A hit
-    still reruns the service's cheap policy checks, so revocations
-    applied directly to the wrapped service -- behind this cache's back
-    -- are honoured too.
-
-    Only successes are cached; a failed verification raises and caches
-    nothing.  ``enabled=False`` degrades to a pass-through that charges
-    the full verification cost every time (the cold baseline).
-    """
-
-    def __init__(self, service, enabled=True):
-        self.service = service
-        self.enabled = enabled
-        self.epoch = 1
-        self._cache = {}
-        self._revoked = set()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        registry = default_registry()
-        self._tel_hits = registry.counter("provisioning.verify.hits")
-        self._tel_misses = registry.counter("provisioning.verify.misses")
-        self._tel_invalidations = registry.counter(
-            "provisioning.verify.invalidations"
-        )
-
-    # -- registry delegation -------------------------------------------
-
-    def register_platform(self, platform_id, public_key):
-        self.service.register_platform(platform_id, public_key)
-
-    def deregister_platform(self, platform_id):
-        """Deregister and flush: quotes and hits from the platform die."""
-        self.service.deregister_platform(platform_id)
-        self._invalidate(
-            lambda key: key[0] == platform_id
-        )
-
-    def trust_measurement(self, measurement):
-        self._revoked.discard(measurement)
-        self.service.trust_measurement(measurement)
-
-    def revoke_measurement(self, measurement):
-        """Revoke and flush: cached verdicts for the measurement die.
-
-        The revocation is also remembered explicitly, so even paths
-        that pin a measurement by expectation (``expected_measurement``
-        bypasses the allowlist) -- plane enrollment, ticket resumption
-        -- fail closed afterwards.
-        """
-        self.service.revoke_measurement(measurement)
-        self._revoked.add(measurement)
-        self._invalidate(
-            lambda key: key[1] == measurement
-        )
-
-    def measurement_revoked(self, measurement):
-        """Whether ``measurement`` has been explicitly revoked."""
-        return measurement in self._revoked
-
-    def platform_registered(self, platform_id):
-        return self.service.platform_registered(platform_id)
-
-    @property
-    def trusted_measurements(self):
-        return self.service.trusted_measurements
-
-    def _invalidate(self, matches):
-        flushed = [key for key in self._cache if matches(key)]
-        for key in flushed:
-            del self._cache[key]
-        # The epoch bump stales every *other* entry too: after a
-        # revocation event the whole cache re-earns its verdicts.
-        self.epoch += 1
-        self.invalidations += len(flushed)
-        self._tel_invalidations.inc(len(flushed))
-
-    # -- verification ---------------------------------------------------
-
-    def _key(self, quote):
-        return (
-            quote.platform_id,
-            quote.measurement,
-            sha256(
-                quote.signed_payload() + b"|" + _encode_int(quote.signature)
-            ),
-        )
-
-    def verify(self, quote, expected_measurement=None,
-               expected_report_data=None, compute=None):
-        """Validate ``quote``; ``compute`` (optional callable) is
-        charged the virtual verification cost -- the full
-        :data:`QUOTE_VERIFY_CYCLES` on a miss, :data:`QUOTE_CACHED_CYCLES`
-        on a hit."""
-        if quote.measurement in self._revoked:
-            raise AttestationError(
-                "measurement %s... has been revoked" % quote.measurement[:16]
-            )
-        key = self._key(quote)
-        if self.enabled and self._cache.get(key) == self.epoch:
-            if compute is not None:
-                compute(QUOTE_CACHED_CYCLES)
-            # The signature was proven under this epoch; policy is
-            # re-judged live so a revocation applied directly to the
-            # wrapped service still fails closed.
-            self.service.check_policy(
-                quote,
-                expected_measurement=expected_measurement,
-                expected_report_data=expected_report_data,
-            )
-            self.hits += 1
-            self._tel_hits.inc()
-            return True
-        if compute is not None:
-            compute(QUOTE_VERIFY_CYCLES)
-        self.service.verify(
-            quote,
-            expected_measurement=expected_measurement,
-            expected_report_data=expected_report_data,
-        )
-        if self.enabled:
-            self._cache[key] = self.epoch
-        self.misses += 1
-        self._tel_misses.inc()
-        return True
-
-
 def _require_verifier(attestation):
     """There is no unverified mode: an enclave set up without a
     verifier cannot grant or complete any plane join."""
@@ -272,22 +129,6 @@ def _require_verifier(attestation):
             "plane join"
         )
     return attestation
-
-
-def verify_quote(attestation, quote, compute=None, **kwargs):
-    """Verify under whatever verifier the deployment wired in.
-
-    A :class:`CachedAttestationVerifier` prices hits and misses itself;
-    a plain :class:`~repro.sgx.attestation.AttestationService` charges
-    the full cost every time; ``None`` raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    _require_verifier(attestation)
-    if isinstance(attestation, CachedAttestationVerifier):
-        return attestation.verify(quote, compute=compute, **kwargs)
-    if compute is not None:
-        compute(QUOTE_VERIFY_CYCLES)
-    return attestation.verify(quote, **kwargs)
 
 
 # --- shard-side ECALLs -------------------------------------------------
@@ -348,12 +189,13 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     roster = [(shard_id, public) for shard_id, public in offers]
     if (ctx.state["shard_id"], dh.public_value) not in roster:
         raise AttestationError("this shard's offer is not in the batch")
-    verify_quote(
-        ctx.state.get("attestation"), quote, compute=ctx.compute,
+    _require_verifier(ctx.state.get("attestation")).verify(
+        quote,
         expected_measurement=ctx.state.get("coordinator_measurement"),
         expected_report_data=batch_join_commitment(
             coordinator_public, roster
         ),
+        compute=ctx.compute,
     )
     ctx.compute(DH_SHARED_CYCLES)
     transport = AeadKey(
@@ -465,14 +307,15 @@ def coord_enroll_batch(ctx, offers):
     """
     if not offers:
         raise ConfigurationError("an enrollment batch cannot be empty")
-    attestation = ctx.state.get("attestation")
+    attestation = _require_verifier(ctx.state.get("attestation"))
     roster = []
     platforms = {}
     for shard_id, shard_public, quote in offers:
-        verify_quote(
-            attestation, quote, compute=ctx.compute,
+        attestation.verify(
+            quote,
             expected_measurement=ctx.state.get("shard_measurement"),
             expected_report_data=dh_commitment(shard_public),
+            compute=ctx.compute,
         )
         roster.append((shard_id, shard_public))
         platforms[shard_id] = quote.platform_id
@@ -537,9 +380,9 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
             % (record["epoch"], epoch)
         )
     measurement = ctx.state.get("shard_measurement")
-    revoked = getattr(attestation, "measurement_revoked", None)
-    if (measurement is not None and revoked is not None
-            and revoked(measurement)):
+    if measurement is not None and attestation.measurement_revoked(
+        measurement
+    ):
         raise AttestationError(
             "shard measurement revoked; resumption refused"
         )
@@ -627,9 +470,8 @@ class PlaneProvisioner:
       stale, revoked, or lost (``chaos.loses_ticket``).
     """
 
-    def __init__(self, attestation=None, reuse_join_keys=True, batch=True,
-                 tickets=True, chaos=None):
-        self.attestation = attestation
+    def __init__(self, reuse_join_keys=True, batch=True, tickets=True,
+                 chaos=None):
         self.reuse_join_keys = reuse_join_keys
         self.batch = batch
         self.tickets = tickets

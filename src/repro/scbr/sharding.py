@@ -59,7 +59,6 @@ from repro.scbr.keyexchange import (
     enclave_channel_offer,
 )
 from repro.scbr.provisioning import (
-    CachedAttestationVerifier,
     PlaneProvisioner,
     coord_enroll_batch,
     coord_resume,
@@ -895,19 +894,13 @@ class ShardedScbrRouter:
             )
         self.platform = platform
         self.shard_platform_factory = shard_platform_factory
+        # The coordinator, every shard and the fleet share this one
+        # service: a re-join with an unchanged quote hits its cache,
+        # and a revocation on it reaches every enclave at once.
         self.attestation_service = attestation_service
-        # Enclaves verify quotes through a shared memoizing front: a
-        # re-join with an unchanged (platform, measurement, payload,
-        # signature) skips the expensive signature check while the
-        # policy checks rerun live (see repro.scbr.provisioning).
-        if isinstance(attestation_service, CachedAttestationVerifier):
-            self.verifier = attestation_service
-            self.attestation_service = attestation_service.service
-        else:
-            self.verifier = CachedAttestationVerifier(attestation_service)
         self.provisioner = (
             provisioner if provisioner is not None
-            else PlaneProvisioner(attestation=self.verifier, chaos=chaos)
+            else PlaneProvisioner(chaos=chaos)
         )
         self.record_bytes = record_bytes
         self.policy = policy or EpcWatermarkPolicy(
@@ -951,14 +944,14 @@ class ShardedScbrRouter:
         self._tel_partial = registry.counter("scbr.partial_publishes")
         self.coordinator = platform.load_enclave(COORD_CODE)
         self.coordinator.ecall(
-            "setup", self.verifier, SHARD_CODE.measurement,
+            "setup", attestation_service, SHARD_CODE.measurement,
             telemetry_key,
         )
         self.fleet = ShardFleet(
             self.name, "scbr", SHARD_CODE, self.coordinator, platform,
-            self.provisioner, self.attestation_service,
+            self.provisioner, attestation_service,
             setup_args=lambda shard_id: (
-                shard_id, record_bytes, self.verifier,
+                shard_id, record_bytes, attestation_service,
                 COORD_CODE.measurement, telemetry_key,
             ),
             snapshot=lambda shard: shard.enclave.ecall("snapshot")[1],

@@ -42,7 +42,6 @@ from repro.crypto.aead import AeadKey
 from repro.crypto.primitives import DeterministicRandomSource
 from repro.microservices.qos import QosMonitor
 from repro.retry import BackoffClock, RetryPolicy, retry_call
-from repro.scbr.provisioning import CachedAttestationVerifier
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.sim.clock import cycles_to_seconds
@@ -95,16 +94,15 @@ class SecureFrontDoor:
         self.config = config or FrontDoorConfig()
         self.chaos = chaos
         self.platform = SgxPlatform(seed=seed, quoting_key_bits=512)
+        # One service judges every quote the door depends on: gateway
+        # bring-up, recovery re-attestation, and the SCBR plane it
+        # instantiates (the stream plane builds its own).
         self.attestation = AttestationService()
         self.attestation.register_platform(
             self.platform.platform_id,
             self.platform.quoting_enclave.public_key,
         )
         self.attestation.trust_measurement(GATEWAY_CODE.measurement)
-        # The PR 8 cached verifier fronts every quote check the door
-        # performs -- gateway bring-up, recovery re-attestation, and
-        # (transitively) the SCBR/stream planes it instantiates.
-        self.verifier = CachedAttestationVerifier(self.attestation)
         # The operator's service root: seed-derived by default so two
         # same-seed doors seal byte-identical state (the determinism
         # gates diff exactly that); production hands in a real key.
@@ -166,7 +164,7 @@ class SecureFrontDoor:
         quote = self.platform.quote(
             self.gateway, report_data=b"svc-gateway-join"
         )
-        self.verifier.verify(
+        self.attestation.verify(
             quote, expected_measurement=GATEWAY_CODE.measurement
         )
         if first:

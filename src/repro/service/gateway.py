@@ -6,8 +6,8 @@ every tenant's audit chain head -- lives in enclave memory the host
 cannot read.  The trust split mirrors the rest of the stack:
 
 - the *service root key* is released to the gateway only after its
-  quote verifies through the PR 8 cached attestation verifier (the
-  operator provisioning a measured gateway, CAS-style), and is
+  quote verifies through the door's attestation service (the operator
+  provisioning a measured gateway, CAS-style), and is
   immediately platform-sealed so a crashed gateway restarts without a
   second key release;
 - *per-tenant roots* are derived in-enclave via HKDF with per-tenant

@@ -12,13 +12,26 @@ Mirrors the SGX EPID/DCAP flow at the granularity the paper relies on:
 The SCF delivery path (:mod:`repro.scone.cas`) embeds quotes in channel
 handshakes so configuration secrets only ever flow to enclaves whose
 identity has been verified -- the property Section V-A of the paper
-requires.
+requires.  Every quote in the stack -- clients attesting a router, the
+CAS, map/reduce workers, plane joins, the front door's gateway -- is
+judged by :meth:`AttestationService.verify`, so its cache and its one
+revocation rule hold on every path.
 """
 
 from dataclasses import dataclass
 
 from repro.errors import AttestationError, IntegrityError
+from repro.crypto.primitives import sha256
 from repro.crypto.rsa import DEFAULT_KEY_BITS, RsaKeyPair
+from repro.telemetry import default_registry
+
+# Virtual cost of :meth:`AttestationService.verify`.  A quote
+# verification stands in for the certificate-chain walk / IAS round a
+# DCAP verifier performs -- by far the dominant cost of a cold join,
+# which is exactly why CAS-style deployments cache it.  A cache hit pays
+# a digest lookup plus the policy re-check.
+QUOTE_VERIFY_CYCLES = 8_000_000
+QUOTE_CACHED_CYCLES = 6_000
 
 
 @dataclass(frozen=True)
@@ -116,11 +129,36 @@ class QuotingEnclave:
 
 
 class AttestationService:
-    """A remote verifier with platform registry and measurement policy."""
+    """A remote verifier: platform registry, measurement policy, and a
+    cache of verified signatures.
+
+    :meth:`verify` remembers the quotes whose signature it has proven,
+    keyed by ``(platform_id, measurement, sha256(quote.to_bytes()))``.
+    The digest covers the length-prefixed quote -- every signed byte
+    and the signature itself -- so neither a forged signature nor a
+    shifted field boundary can ride a hit for the honest quote it
+    mimics.  A hit skips only the signature check: policy (registry,
+    revocation, allowlist or pin, report data) is judged live on every
+    call, and a failure caches nothing.  Entries are epoch-bound:
+    :meth:`revoke_measurement` and :meth:`deregister_platform` flush the
+    matching ones and bump the epoch.
+    """
 
     def __init__(self):
         self._platform_keys = {}
         self._trusted_measurements = set()
+        self._revoked = set()
+        self._cache = {}
+        self.epoch = 1
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+        registry = default_registry()
+        self._tel_hits = registry.counter("provisioning.verify.hits")
+        self._tel_misses = registry.counter("provisioning.verify.misses")
+        self._tel_invalidations = registry.counter(
+            "provisioning.verify.invalidations"
+        )
 
     def register_platform(self, platform_id, public_key):
         """Record a platform's attestation public key (provisioning)."""
@@ -133,69 +171,78 @@ class AttestationService:
         as if the platform had never been provisioned.
         """
         self._platform_keys.pop(platform_id, None)
+        self._invalidate(lambda key: key[0] == platform_id)
 
     def platform_registered(self, platform_id):
         """Whether ``platform_id`` currently has a registered key."""
         return platform_id in self._platform_keys
 
     def trust_measurement(self, measurement):
-        """Allowlist an enclave measurement."""
+        """Allowlist an enclave measurement (lifting any revocation)."""
+        self._revoked.discard(measurement)
         self._trusted_measurements.add(measurement)
 
     def revoke_measurement(self, measurement):
-        """Remove a measurement from the allowlist."""
+        """Remove a measurement from the allowlist and refuse it, even
+        where a caller pins it by ``expected_measurement``, until it is
+        trusted again."""
         self._trusted_measurements.discard(measurement)
+        self._revoked.add(measurement)
+        self._invalidate(lambda key: key[1] == measurement)
+
+    def measurement_revoked(self, measurement):
+        """Whether ``measurement`` is revoked: the one revocation rule,
+        applied to every quote and to every ticket re-join."""
+        return measurement in self._revoked
 
     @property
     def trusted_measurements(self):
         """The current allowlist (copy)."""
         return set(self._trusted_measurements)
 
-    def check_policy(self, quote, expected_measurement=None,
-                     expected_report_data=None):
-        """Apply the cheap policy checks of :meth:`verify` to ``quote``.
+    def _invalidate(self, matches):
+        flushed = [key for key in self._cache if matches(key)]
+        for key in flushed:
+            del self._cache[key]
+        # The epoch bump stales every *other* entry too: after a
+        # revocation event the whole cache re-earns its verdicts.
+        self.epoch += 1
+        self.invalidations += len(flushed)
+        self._tel_invalidations.inc(len(flushed))
 
-        Everything except the signature: the platform must be
-        registered, the measurement trusted (or equal to
-        ``expected_measurement``), and the report data equal to
-        ``expected_report_data`` when given.  Verification caches rerun
-        this on every hit so revocation and deregistration stay live
-        even when the signature check is skipped.
-        """
-        if quote.platform_id not in self._platform_keys:
-            raise AttestationError(
-                "platform %r is not registered" % quote.platform_id
-            )
-        self._check_measurement(quote, expected_measurement)
-        if expected_report_data is not None:
-            if quote.report_data != expected_report_data:
-                raise AttestationError("report data mismatch")
-        return True
-
-    def verify(self, quote, expected_measurement=None, expected_report_data=None):
+    def verify(self, quote, expected_measurement=None,
+               expected_report_data=None, compute=None):
         """Validate ``quote``; raises :class:`AttestationError` on failure.
 
-        Checks, in order: the platform is registered, the signature is
-        valid under that platform's key, the measurement is trusted (or
-        equals ``expected_measurement``), and the report data matches
-        ``expected_report_data`` when given.
+        Checks, in order: the measurement is not revoked, the platform
+        is registered, the signature is valid under that platform's key
+        (skipped on a cache hit), the measurement is trusted (or equals
+        ``expected_measurement``), and the report data matches
+        ``expected_report_data`` when given.  ``compute`` (optional
+        callable) is charged the virtual verification cost: the full
+        :data:`QUOTE_VERIFY_CYCLES` on a miss, :data:`QUOTE_CACHED_CYCLES`
+        on a hit.
         """
+        if self.measurement_revoked(quote.measurement):
+            raise AttestationError(
+                "measurement %s... has been revoked" % quote.measurement[:16]
+            )
+        key = (quote.platform_id, quote.measurement, sha256(quote.to_bytes()))
+        hit = self._cache.get(key) == self.epoch
+        if compute is not None:
+            compute(QUOTE_CACHED_CYCLES if hit else QUOTE_VERIFY_CYCLES)
         public_key = self._platform_keys.get(quote.platform_id)
         if public_key is None:
             raise AttestationError(
                 "platform %r is not registered" % quote.platform_id
             )
-        try:
-            public_key.verify(quote.signed_payload(), quote.signature)
-        except IntegrityError as exc:
-            raise AttestationError("quote signature invalid") from exc
-        self._check_measurement(quote, expected_measurement)
-        if expected_report_data is not None:
-            if quote.report_data != expected_report_data:
-                raise AttestationError("report data mismatch")
-        return True
-
-    def _check_measurement(self, quote, expected_measurement):
+        # A hit's signature was proven under this epoch; everything
+        # else is re-judged live.
+        if not hit:
+            try:
+                public_key.verify(quote.signed_payload(), quote.signature)
+            except IntegrityError as exc:
+                raise AttestationError("quote signature invalid") from exc
         if expected_measurement is not None:
             if quote.measurement != expected_measurement:
                 raise AttestationError(
@@ -206,3 +253,14 @@ class AttestationService:
             raise AttestationError(
                 "measurement %s... is not trusted" % quote.measurement[:16]
             )
+        if expected_report_data is not None:
+            if quote.report_data != expected_report_data:
+                raise AttestationError("report data mismatch")
+        if hit:
+            self.hits += 1
+            self._tel_hits.inc()
+        else:
+            self._cache[key] = self.epoch
+            self.misses += 1
+            self._tel_misses.inc()
+        return True

@@ -52,7 +52,7 @@ from repro.errors import (
     EnclaveLostError,
 )
 from repro.plane import ShardFleet, ShardMember
-from repro.scbr.provisioning import CachedAttestationVerifier, PlaneProvisioner
+from repro.scbr.provisioning import PlaneProvisioner
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.crypto.aead import AeadKey
@@ -156,10 +156,10 @@ class SecureStreamPlane:
         self._registry = registry
         self._depth_gauges = {}
 
-        # Attestation domain: the coordinator platform plus every SGX
-        # node registers with one service; the cached verifier and the
-        # provisioner (batched enrollment + resumption tickets) drive
-        # every join and re-join.
+        # Attestation domain: one service verifies every join and
+        # re-join the provisioner (batched enrollment + resumption
+        # tickets) drives.  The coordinator platform registers here,
+        # each shard's node when the fleet places a shard on it.
         self.coordinator_platform = SgxPlatform(
             seed=seed, quoting_key_bits=512
         )
@@ -168,21 +168,13 @@ class SecureStreamPlane:
             self.coordinator_platform.platform_id,
             self.coordinator_platform.quoting_enclave.public_key,
         )
-        for node in topology.sgx_nodes():
-            self.service.register_platform(
-                node.platform.platform_id,
-                node.platform.quoting_enclave.public_key,
-            )
-        self.verifier = CachedAttestationVerifier(self.service)
-        self.provisioner = PlaneProvisioner(
-            attestation=self.verifier, chaos=chaos
-        )
+        self.provisioner = PlaneProvisioner(chaos=chaos)
         self.coordinator = self.coordinator_platform.load_enclave(
             STREAM_COORD_CODE, name="%s-coord" % name
         )
         self.ingest_key_bytes = AeadKey.generate().key_bytes
         self.coordinator.ecall(
-            "setup", self.ingest_key_bytes, self.verifier,
+            "setup", self.ingest_key_bytes, self.service,
             STREAM_SHARD_CODE.measurement,
             telemetry_key,
         )
@@ -196,7 +188,7 @@ class SecureStreamPlane:
                 shard_id, self.config.window,
                 (self._staged_ranges.get(shard_id)
                  or self.table.range_of(shard_id)).to_json(),
-                self.config.pane_budget, self.verifier,
+                self.config.pane_budget, self.service,
                 STREAM_COORD_CODE.measurement, telemetry_key,
             ),
             snapshot=lambda runtime: runtime.enclave.ecall(

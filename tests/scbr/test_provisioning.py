@@ -8,7 +8,6 @@ from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.keyexchange import dh_commitment
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.provisioning import (
-    CachedAttestationVerifier,
     batch_join_commitment,
     platform_fingerprint,
 )
@@ -46,41 +45,40 @@ def verified_setup():
         platform.platform_id, platform.quoting_enclave.public_key
     )
     service.trust_measurement("m" * 64)
-    verifier = CachedAttestationVerifier(service)
-    return platform, service, verifier
+    return platform, service
 
 
-class TestCachedAttestationVerifier:
+class TestVerificationCache:
     def test_second_verification_is_a_hit(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
-        verifier.verify(quote)
-        assert (verifier.hits, verifier.misses) == (0, 1)
-        verifier.verify(quote)
-        assert (verifier.hits, verifier.misses) == (1, 1)
+        service.verify(quote)
+        assert (service.hits, service.misses) == (0, 1)
+        service.verify(quote)
+        assert (service.hits, service.misses) == (1, 1)
 
     def test_hit_charges_less_than_miss(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
         charged = []
-        verifier.verify(quote, compute=charged.append)
-        verifier.verify(quote, compute=charged.append)
+        service.verify(quote, compute=charged.append)
+        service.verify(quote, compute=charged.append)
         assert charged[1] < charged[0] // 100
 
     def test_failure_is_never_cached(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
         with pytest.raises(AttestationError):
-            verifier.verify(quote, expected_report_data=b"something else")
+            service.verify(quote, expected_report_data=b"something else")
         # The same quote still needs (and passes) a full verification:
         # the failure cached nothing.
-        verifier.verify(quote)
-        assert (verifier.hits, verifier.misses) == (0, 1)
+        service.verify(quote)
+        assert (service.hits, service.misses) == (0, 1)
 
     def test_forged_signature_cannot_ride_a_hit(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
-        verifier.verify(quote)
+        service.verify(quote)
         from repro.sgx.attestation import Quote
 
         forged = Quote(
@@ -92,72 +90,93 @@ class TestCachedAttestationVerifier:
         # Different signature -> different cache key -> full
         # verification, which the bad signature fails.
         with pytest.raises(AttestationError):
-            verifier.verify(forged)
+            service.verify(forged)
 
     def test_revocation_flushes_and_fails_closed(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
-        verifier.verify(quote)
-        epoch = verifier.epoch
-        verifier.revoke_measurement(quote.measurement)
-        assert verifier.epoch == epoch + 1
-        assert verifier.invalidations == 1
+        service.verify(quote)
+        epoch = service.epoch
+        service.revoke_measurement(quote.measurement)
+        assert service.epoch == epoch + 1
+        assert service.invalidations == 1
         with pytest.raises(AttestationError):
-            verifier.verify(quote)
+            service.verify(quote)
         # Pinning the measurement by expectation does not bypass an
         # explicit revocation either.
         with pytest.raises(AttestationError):
-            verifier.verify(quote, expected_measurement=quote.measurement)
+            service.verify(quote, expected_measurement=quote.measurement)
 
     def test_deregistration_flushes_and_fails_closed(self, verified_setup):
-        platform, _service, verifier = verified_setup
+        platform, service = verified_setup
         quote = _quoted(platform)
-        verifier.verify(quote)
-        verifier.deregister_platform(platform.platform_id)
-        assert not verifier.platform_registered(platform.platform_id)
-        assert verifier.invalidations == 1
+        service.verify(quote)
+        service.deregister_platform(platform.platform_id)
+        assert not service.platform_registered(platform.platform_id)
+        assert service.invalidations == 1
         with pytest.raises(AttestationError):
-            verifier.verify(quote)
+            service.verify(quote)
 
     def test_no_stale_verdict_across_epoch_bump(self, verified_setup):
         """An epoch bump stales *every* entry, not just the flushed
         ones: an unrelated platform's cached verdict re-earns a full
         verification after any revocation event."""
-        platform, service, verifier = verified_setup
+        platform, service = verified_setup
         other = SgxPlatform(seed=62, quoting_key_bits=512)
         service.register_platform(
             other.platform_id, other.quoting_enclave.public_key
         )
         quote = _quoted(platform)
         other_quote = _quoted(other)
-        verifier.verify(quote)
-        verifier.verify(other_quote)
-        assert verifier.misses == 2
-        verifier.deregister_platform(platform.platform_id)
-        verifier.verify(other_quote)  # unaffected platform...
-        assert verifier.hits == 0     # ...still re-verifies in full
-        assert verifier.misses == 3
+        service.verify(quote)
+        service.verify(other_quote)
+        assert service.misses == 2
+        service.deregister_platform(platform.platform_id)
+        service.verify(other_quote)  # unaffected platform...
+        assert service.hits == 0     # ...still re-verifies in full
+        assert service.misses == 3
 
     def test_behind_the_back_revocation_still_fails_closed(
         self, verified_setup
     ):
-        """Policy applied directly to the wrapped service (not through
-        the cache) is honoured on a hit: the hit path re-runs the
-        service's policy checks."""
-        platform, service, verifier = verified_setup
+        """A revocation made behind a cached verdict is honoured: the
+        next verification of the cached quote fails closed."""
+        platform, service = verified_setup
         quote = _quoted(platform)
-        verifier.verify(quote)
-        service.revoke_measurement(quote.measurement)  # not via verifier
+        service.verify(quote)
+        service.revoke_measurement(quote.measurement)
         with pytest.raises(AttestationError):
-            verifier.verify(quote)
+            service.verify(quote)
 
-    def test_disabled_cache_never_hits(self, verified_setup):
-        platform, _service, verifier = verified_setup
-        verifier.enabled = False
-        quote = _quoted(platform)
-        verifier.verify(quote)
-        verifier.verify(quote)
-        assert (verifier.hits, verifier.misses) == (0, 2)
+    def test_shifted_field_boundary_cannot_ride_a_hit(self, verified_setup):
+        """Moving signature bytes into the report data keeps ``payload
+        + "|" + signature`` byte-identical, so a key over that
+        concatenation would let the forgery hit; the key covers the
+        length-prefixed quote instead."""
+        from repro.sgx.attestation import Quote
+
+        platform, service = verified_setup
+        for value in range(64):
+            quote = _quoted(platform, value)
+            signature = quote.signature.to_bytes(
+                (quote.signature.bit_length() + 7) // 8, "big"
+            )
+            cut = signature.find(b"|")
+            if 0 <= cut < len(signature) - 1 and signature[cut + 1]:
+                break
+        else:
+            pytest.fail("no signature with a usable '|' byte")
+        forged = Quote(
+            platform_id=quote.platform_id,
+            measurement=quote.measurement,
+            report_data=quote.report_data + b"|" + signature[:cut],
+            signature=int.from_bytes(signature[cut + 1:], "big"),
+        )
+        assert (forged.signed_payload() + b"|" + signature[cut + 1:]
+                == quote.signed_payload() + b"|" + signature)
+        service.verify(quote)
+        with pytest.raises(AttestationError, match="signature invalid"):
+            service.verify(forged)
 
 
 class TestDhCommitmentEdge:
@@ -220,13 +239,13 @@ def _sub(sub_id, bound, subscriber="alice"):
 
 class TestBatchEnrollment:
     def test_bring_up_uses_one_batch(self):
-        _platform, _attestation, router = _plane(shards=4)
+        _platform, attestation, router = _plane(shards=4)
         assert router.provisioner.batches == 1
         assert router.provisioner.batched_joins == 4
         # One coordinator quote served all four shards: 1 miss + 3 hits
         # coordinator-side, plus 4 distinct shard-quote misses.
-        assert router.verifier.hits == 3
-        assert router.verifier.misses == 5
+        assert attestation.hits == 3
+        assert attestation.misses == 5
 
     def test_tampered_roster_rejected(self):
         """A host substituting a shard's DH value in the relayed batch
@@ -304,21 +323,19 @@ class TestResumptionTickets:
         """Seeded factory platforms share a fingerprint with their
         predecessors, so mass recovery re-joins on tickets alone --
         no quote verification at all."""
-        _platform, _attestation, router = _plane(shards=3)
-        hits, misses = router.verifier.hits, router.verifier.misses
+        _platform, attestation, router = _plane(shards=3)
+        hits, misses = attestation.hits, attestation.misses
         _fail_all(router)
         router.recover_shards([s.shard_id for s in router.shards])
         assert router.provisioner.resumed_joins == 3
-        assert (router.verifier.hits, router.verifier.misses) == (
-            hits, misses
-        )
+        assert (attestation.hits, attestation.misses) == (hits, misses)
 
     def test_ticket_after_revocation_rejected(self):
         """Revoking the shard measurement kills outstanding tickets:
         the re-join falls back to the full handshake, which also fails
         -- the revoked code cannot re-enter the plane at all."""
-        _platform, _attestation, router = _plane(shards=2)
-        router.verifier.revoke_measurement(
+        _platform, attestation, router = _plane(shards=2)
+        attestation.revoke_measurement(
             router.shards[0].enclave.code.measurement
         )
         _fail_all(router)
@@ -332,7 +349,7 @@ class TestResumptionTickets:
         ticket; the fresh replacement platform re-enrolls in full."""
         _platform, attestation, router = _plane(shards=1)
         enrolled_platform = router.shards[0].platform
-        router.verifier.deregister_platform(enrolled_platform.platform_id)
+        attestation.deregister_platform(enrolled_platform.platform_id)
         router.fail_shard(0)
         router.recover_shard(0)
         # The ticket named the deregistered platform: resumption

@@ -100,8 +100,8 @@ class TestCrashReplay:
         door = _chaos_session(seed=8)
         assert door.gateway_recoveries > 0
         # Bring-up plus one verification per recovery, all through the
-        # PR 8 cached-verification plane.
-        assert (door.verifier.hits + door.verifier.misses
+        # door's attestation service.
+        assert (door.attestation.hits + door.attestation.misses
                 >= 1 + door.gateway_recoveries)
 
 

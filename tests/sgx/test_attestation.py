@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AttestationError, IntegrityError
-from repro.sgx.attestation import AttestationService, Quote
+from repro.sgx.attestation import (
+    QUOTE_CACHED_CYCLES,
+    QUOTE_VERIFY_CYCLES,
+    AttestationService,
+    Quote,
+)
 from repro.sgx.enclave import EnclaveCode
 from repro.sgx.platform import SgxPlatform
 
@@ -188,24 +193,46 @@ class TestMeasurementPolicy:
         # Idempotent: deregistering twice is not an error.
         service.deregister_platform(platform.platform_id)
 
-    def test_check_policy_skips_only_the_signature(self, platform,
-                                                   enclave, service):
+    def test_cache_hit_skips_only_the_signature(self, platform, enclave,
+                                                service):
         service.trust_measurement(enclave.measurement)
         good = platform.quote(enclave, b"data")
-        forged = Quote(
-            platform_id=good.platform_id,
-            measurement=good.measurement,
-            report_data=good.report_data,
-            signature=good.signature ^ 1,
-        )
-        # check_policy passes a bad signature (that is verify's job)...
-        assert service.check_policy(forged, expected_report_data=b"data")
-        # ...but still applies registry, measurement, and report-data
-        # policy.
-        with pytest.raises(AttestationError):
-            service.check_policy(good, expected_report_data=b"other")
-        with pytest.raises(AttestationError):
-            service.check_policy(good, expected_measurement="f" * 64)
+        charged = []
+        assert service.verify(good, compute=charged.append)
+        # Every later call is a hit (priced as one), and a hit still
+        # applies the pin, report-data, revocation and registry policy.
+        with pytest.raises(AttestationError, match="report data"):
+            service.verify(good, expected_report_data=b"other",
+                           compute=charged.append)
+        with pytest.raises(AttestationError, match="measurement mismatch"):
+            service.verify(good, expected_measurement="f" * 64,
+                           compute=charged.append)
+        assert service.verify(good, expected_report_data=b"data",
+                              compute=charged.append)
+        assert charged == [QUOTE_VERIFY_CYCLES] + [QUOTE_CACHED_CYCLES] * 3
+        assert (service.hits, service.misses) == (1, 1)
         service.revoke_measurement(enclave.measurement)
-        with pytest.raises(AttestationError):
-            service.check_policy(good)
+        with pytest.raises(AttestationError, match="revoked"):
+            service.verify(good)
+        service.trust_measurement(enclave.measurement)
+        service.deregister_platform(platform.platform_id)
+        with pytest.raises(AttestationError, match="not registered"):
+            service.verify(good)
+
+    def test_retrust_lifts_a_revocation_pinned_or_not(self, platform,
+                                                      enclave, service):
+        measurement = enclave.measurement
+        service.trust_measurement(measurement)
+        quote = platform.quote(enclave)
+        assert service.verify(quote)
+        service.revoke_measurement(measurement)
+        for pin in (None, measurement):
+            with pytest.raises(AttestationError, match="revoked"):
+                service.verify(quote, expected_measurement=pin)
+        service.trust_measurement(measurement)
+        charged = []
+        for pin in (None, measurement, None, measurement):
+            assert service.verify(quote, expected_measurement=pin,
+                                  compute=charged.append)
+        # Cold (the revocation staled the cache), then warm.
+        assert charged == [QUOTE_VERIFY_CYCLES] + [QUOTE_CACHED_CYCLES] * 3
