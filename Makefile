@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost seal-sites experiments
+        registration-cost seal-sites e1-cost experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -122,6 +122,12 @@ registration-cost:
 seal-sites:
 	@test -n "$(W)" || { echo "W=<workload> is required"; exit 2; }
 	@$(PYTHON) tools/seal_sites.py $(W)
+
+# What Figure 3 costs on the host: CPU seconds of one 96 MiB enclave
+# LinearIndex match and of `repro.cli run e1` (DESIGN section 5, "A
+# table is one run").
+e1-cost:
+	@$(PYTHON) tools/e1_cost.py
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

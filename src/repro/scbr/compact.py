@@ -92,10 +92,15 @@ class HotColdIndex:
         self._entries.append((subscription, hot_region, cold_region))
 
     def remove(self, subscription_id):
-        """Unsubscribe (linear search; arena slot is simply retired)."""
-        for position, (subscription, _hot, _cold) in enumerate(self._entries):
+        """Unsubscribe (linear search).  The arena slot is retired, not
+        reused, and both it and the cold record are freed, so they leave
+        the resident set, the EPC and the LLC."""
+        for position, (subscription, hot, cold) in enumerate(self._entries):
             if subscription.subscription_id == subscription_id:
                 del self._entries[position]
+                if self.memory is not None:
+                    self.memory.free(hot)
+                    self.memory.free(cold)
                 return subscription
         raise ConfigurationError(
             "no subscription %r in the index" % subscription_id

@@ -5,6 +5,17 @@ matcher SCBR's containment index is compared against in the A1
 ablation.  Shares the record layout and per-visit cost accounting with
 :class:`~repro.scbr.index.ContainmentIndex`, so measured differences
 come from the number of comparisons, not from accounting artifacts.
+
+A table whose records form one run -- back to back in insertion order,
+as the bump allocator lays them out when nothing else allocates in
+between -- is charged through
+:meth:`~repro.sgx.memory.SimulatedMemory.scan_strided` (base, record
+size, count) instead of one region per record.  Whether it does is not
+an option but a property of the layout, read off the first and last
+record: a middle ``remove`` or a foreign allocation between two inserts
+leaves a gap and the table falls back to ``scan``; ``extract_subtrees``
+takes rows from the front and keeps the run.  Either path charges the
+same cycles.
 """
 
 from operator import itemgetter
@@ -18,6 +29,8 @@ class LinearIndex:
 
     def __init__(self, memory=None, record_bytes=DEFAULT_RECORD_BYTES,
                  hot_bytes=HOT_BYTES, eval_cycles=EVAL_CYCLES):
+        if record_bytes < hot_bytes:
+            raise ConfigurationError("record_bytes must cover hot_bytes")
         self.memory = memory
         self.record_bytes = record_bytes
         self.hot_bytes = hot_bytes
@@ -43,18 +56,40 @@ class LinearIndex:
             )
         self._entries.append((subscription, region))
 
+    @property
+    def one_run(self):
+        """Whether the records (of an index with a memory) lie back to
+        back in insertion order.
+
+        Bump-allocated bases rise by at least ``record_bytes`` from one
+        record to the next, so they rise by exactly that everywhere iff
+        the last lies ``(n - 1) * record_bytes`` past the first.
+        """
+        entries = self._entries
+        return bool(entries) and (
+            entries[-1][1].base - entries[0][1].base
+            == (len(entries) - 1) * self.record_bytes
+        )
+
     def match(self, publication):
         """IDs of all subscriptions matching ``publication``."""
+        entries = self._entries
         if self.memory is not None:
-            # The region column, lazily: no 196 608-element list per call.
-            self.memory.scan(
-                map(itemgetter(1), self._entries),
-                self.hot_bytes, self.eval_cycles,
-            )
-        self.visits_last_match = len(self._entries)
+            if self.one_run:
+                self.memory.scan_strided(
+                    entries[0][1].base, self.record_bytes, len(entries),
+                    self.hot_bytes, self.eval_cycles,
+                )
+            else:
+                # The region column, lazily: no per-call list of regions.
+                self.memory.scan(
+                    map(itemgetter(1), entries),
+                    self.hot_bytes, self.eval_cycles,
+                )
+        self.visits_last_match = len(entries)
         return {
             subscription.subscription_id
-            for subscription, _region in self._entries
+            for subscription, _region in entries
             if subscription.matches(publication)
         }
 

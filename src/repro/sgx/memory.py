@@ -110,16 +110,19 @@ class _LruSet:
         """
         entries = self._entries
         move_to_end = entries.move_to_end
-        evict = entries.popitem
-        capacity = self.capacity
+        evict = entries.popitem  # evict(False): the oldest entry
+        room = self.capacity - len(entries)
         misses = 0
         key = self.newest
         for key in keys:
             if key in entries:
                 move_to_end(key)
+            elif room:
+                room -= 1
+                entries[key] = None
+                misses += 1
             else:
-                if len(entries) >= capacity:
-                    evict(last=False)
+                evict(False)
                 entries[key] = None
                 misses += 1
         self.newest = key
@@ -365,8 +368,9 @@ class SimulatedMemory:
         """Touch ``size`` bytes at ``offset`` of each region, in the
         given order, with ``compute_cycles`` of work per region.
 
-        The one place memory is touched: per region, pages (enclave
-        only) then lines.  Charges what one :meth:`access` and one
+        One of the two places memory is touched (the other is
+        :meth:`scan_strided`): per region, pages (enclave only) then
+        lines.  Charges what one :meth:`access` and one
         :meth:`compute` per region would, but totals hits, misses and
         faults as ints and settles stats, EPC counters and clock once
         -- also when a region is out of bounds, so what the LRUs saw is
@@ -445,24 +449,74 @@ class SimulatedMemory:
             misses += touch_lines(line_keys)
             if page_keys:
                 faults += touch_pages(page_keys)
-            hits = lines - misses
-            charged = (
-                faults * costs.page_fault_cycles
-                + hits * costs.llc_hit_cycles
-                + misses * (costs.mee_read_cycles if enclave
-                            else costs.dram_cycles)
+            charged = self._settle(
+                lines, misses, pages, faults, visited * per_region
             )
-            stats = self.stats
-            stats.accesses += lines
-            stats.llc_hits += hits
-            stats.llc_misses += misses
-            stats.page_faults += faults
-            stats.cycles_memory += charged
-            stats.cycles_compute += visited * per_region
-            if enclave:
-                self.epc.loads += pages
-                self.epc.faults += faults
-            self.clock.charge(charged + visited * per_region)
+        return charged
+
+    def scan_strided(self, base, stride, count, size, compute_cycles=0):
+        """Touch ``size`` bytes at ``base + i * stride`` for each ``i``
+        below ``count``, with ``compute_cycles`` of work per record:
+        exactly what :meth:`scan` charges for those regions, in order.
+
+        The other place memory is touched, for a table of equal records
+        laid out back to back.  When each span lies inside one cache
+        line and the stride is a whole number of lines that divides the
+        page, record ``i`` touches line ``first + i * stride /
+        line_size`` (all distinct) and a page at most one past the
+        previous record's.  So the LLC gets one strided ``range`` and
+        the EPC one ``range`` of the pages in between: a page repeated
+        by the next record is the newest key, and re-touching it is a
+        no-op hit that the load count keeps.  No region is built.  Any
+        other geometry is handed to :meth:`scan` region by region.
+        """
+        costs = self.costs
+        line_size = costs.line_size
+        if not (count > 0 and 0 < size <= line_size - base % line_size
+                and stride > 0 and costs.page_size % stride == 0
+                and stride % line_size == 0):
+            return self.scan(
+                (MemoryRegion(base + i * stride, size) for i in range(count)),
+                size, compute_cycles,
+            )
+        if self.released:
+            raise CapacityError("memory %r was released" % self.name)
+        per_record = int(compute_cycles)
+        if per_record < 0:
+            raise ValueError("cannot charge a negative number of cycles")
+        step = stride // line_size
+        first = self._line_base + base // line_size
+        misses = self.llc.touch_many(range(first, first + count * step, step))
+        faults = 0
+        if self.enclave:
+            page_size = costs.page_size
+            first = self._page_base + base // page_size
+            last = self._page_base + (base + (count - 1) * stride) // page_size
+            faults = self.epc.touch_many(range(first, last + 1))
+        return self._settle(count, misses, count, faults, count * per_record)
+
+    def _settle(self, lines, misses, pages, faults, compute):
+        """Charge one scan's totals to the stats, the EPC counters and
+        the clock; returns the memory cycles."""
+        costs = self.costs
+        hits = lines - misses
+        charged = (
+            faults * costs.page_fault_cycles
+            + hits * costs.llc_hit_cycles
+            + misses * (costs.mee_read_cycles if self.enclave
+                        else costs.dram_cycles)
+        )
+        stats = self.stats
+        stats.accesses += lines
+        stats.llc_hits += hits
+        stats.llc_misses += misses
+        stats.page_faults += faults
+        stats.cycles_memory += charged
+        stats.cycles_compute += compute
+        if self.enclave:
+            self.epc.loads += pages
+            self.epc.faults += faults
+        self.clock.charge(charged + compute)
         return charged
 
     def copy(self, source, destination, size=None):

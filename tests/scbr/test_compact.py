@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scbr.compact import HotColdIndex
+from repro.scbr.filters import Constraint, Operator, Publication, Subscription
+from repro.scbr.index import HOT_BYTES
 from repro.scbr.naive import LinearIndex
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.costs import DEFAULT_COSTS
@@ -50,6 +52,37 @@ class TestCorrectness:
             index.insert(subscription)
         assert index.database_bytes == 100 * 512
         assert index.hot_bytes_total == 100 * 64
+
+
+class TestRemoveFrees:
+    def test_removed_record_leaves_the_resident_set_epc_and_llc(self):
+        costs = DEFAULT_COSTS
+        memory, _clock = enclave_memory(name="hc")
+        # A cold part of three pages holds at least two whole ones.
+        record_bytes = HOT_BYTES + 3 * costs.page_size
+        index = HotColdIndex(memory=memory, record_bytes=record_bytes)
+        low = Subscription("low", [Constraint("x", Operator.LE, 10)])
+        high = Subscription("high", [Constraint("x", Operator.GE, 90)])
+        index.insert(low)
+        index.insert(high)
+        assert index.match(Publication({"x": 5})) == {"low"}  # reads cold
+        _subscription, hot, cold = index._entries[0]
+        cold_pages = {
+            ("hc", page)
+            for page in range(-(-cold.base // costs.page_size),
+                              cold.end // costs.page_size)
+        }
+        assert len(cold_pages) >= 2
+        assert cold_pages <= set(memory.epc.resident_page_keys())
+        hot_line = ("hc", hot.base // costs.line_size)
+        assert hot_line in memory.llc.keys()
+        resident = memory.resident_bytes
+
+        index.remove("low")
+        assert memory.resident_bytes == resident - record_bytes
+        assert not cold_pages & set(memory.epc.resident_page_keys())
+        assert hot_line not in memory.llc.keys()
+        assert index.match(Publication({"x": 95})) == {"high"}
 
 
 class TestArenaLayout:

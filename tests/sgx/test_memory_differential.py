@@ -3,8 +3,8 @@
 Two enclave memories and one native memory share one EPC, one LLC and
 one clock -- once built from ``repro.sgx.memory`` and once from
 ``tests.sgx.reference_memory`` -- and hypothesis drives both through the
-same interleaving of allocations, visits, scans, copies, frees,
-teardowns and platform resets.  After *every* step the clock, every
+same interleaving of allocations, visits, scans, strided scans, copies,
+frees, teardowns and platform resets.  After *every* step the clock, every
 counter and both LRUs' resident keys *in order* must be equal: that is
 the whole meaning of "cycle-identical", and it is also what guards the
 batch accounting (the kernel settles the clock once per scan, so a
@@ -168,6 +168,30 @@ class MemoryDifferential(RuleBasedStateMachine):
             lambda: reference.scan(visited, size, cycles),
         )
 
+    # Strides below a line, of one line, of whole lines that divide the
+    # page (the fast geometry) and of whole lines that do not; spans
+    # from empty to past the stride, so records may overlap.
+    @rule(slot=slots, base=picks, aligned=st.booleans(),
+          stride=st.sampled_from([LINE // 2, LINE, 2 * LINE, 3 * LINE,
+                                  PAGE, 2 * PAGE])
+          | st.integers(1, 3 * PAGE),
+          count=st.sampled_from([0, 1]) | st.integers(2, 40),
+          size=st.sampled_from([0, 1, LINE // 2, LINE])
+          | st.integers(0, 3 * PAGE),
+          cycles=st.sampled_from([0, 7, 150, 2.9]))
+    def visit_strided(self, slot, base, aligned, stride, count, size, cycles):
+        """A table of ``count`` records ``stride`` bytes apart, against
+        the reference's scan over the same regions."""
+        base %= 4 * PAGE
+        if aligned:
+            base -= base % LINE
+        regions = [MemoryRegion(base + i * stride, size) for i in range(count)]
+        real, reference = self._sides(slot)
+        both_or_neither(
+            lambda: real.scan_strided(base, stride, count, size, cycles),
+            lambda: reference.scan(regions, size, cycles),
+        )
+
     @rule(slot=slots, source=picks, destination=picks)
     def copy(self, slot, source, destination):
         if not self.regions[slot]:
@@ -198,6 +222,10 @@ class MemoryDifferential(RuleBasedStateMachine):
                 real.access(region)
             with pytest.raises(CapacityError):
                 real.scan([region])
+        # The run geometry, the region-by-region one and the empty table.
+        for stride, count, size in ((LINE, 3, 1), (3, 3, LINE), (LINE, 0, 1)):
+            with pytest.raises(CapacityError):
+                real.scan_strided(0, stride, count, size)
         self.regions[slot] = []
         self.freed[slot] = set()
         self.generation[slot] += rename
