@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost seal-sites e1-cost experiments
+        registration-cost seal-sites e1-cost bringup-cost experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -128,6 +128,12 @@ seal-sites:
 # table is one run").
 e1-cost:
 	@$(PYTHON) tools/e1_cost.py
+
+# Where one cold front-door bring-up spends its CPU: calls and CPU ms of
+# RSA keygen, DH generate, DH shared_key, RSA sign and RSA verify, and
+# the residual (DESIGN section 14, "Fixed-parameter modexps").
+bringup-cost:
+	@$(PYTHON) tools/bringup_cost.py
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -1,5 +1,8 @@
 """Finite-field Diffie-Hellman key agreement (RFC 3526 group 14)."""
 
+import functools
+
+from repro.errors import IntegrityError
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import SystemRandomSource
 
@@ -19,7 +22,43 @@ DH_PRIME = int(
     16,
 )
 DH_GENERATOR = 2
+_PRIME_BYTES = (DH_PRIME.bit_length() + 7) // 8
 _SECRET_BITS = 256
+# generate() draws 2 + randbits(256); no other private value is accepted.
+_MAX_PRIVATE = (1 << _SECRET_BITS) + 1
+
+# Fixed-base comb for DH_GENERATOR: row i holds g^(d * 16^i) mod p for
+# every 4-bit digit d, so g^x is one modular product per nonzero digit
+# of x and no squaring (DESIGN section 14, "Fixed-parameter modexps").
+_COMB_BITS = 4
+_COMB_ROWS = -(-_MAX_PRIVATE.bit_length() // _COMB_BITS)
+_COMB_MASK = (1 << _COMB_BITS) - 1
+
+
+@functools.cache
+def _generator_comb():
+    """The comb table, built on first use (65 x 16 residues, ~0.3 MiB)."""
+    table = []
+    base = DH_GENERATOR  # g^(16^i) for the row being built
+    for _ in range(_COMB_ROWS):
+        row = [1]
+        for _ in range(_COMB_MASK):
+            row.append(row[-1] * base % DH_PRIME)
+        table.append(row)
+        base = row[-1] * base % DH_PRIME
+    return table
+
+
+def _generator_power(exponent):
+    """``pow(DH_GENERATOR, exponent, DH_PRIME)`` for 0 <= exponent <=
+    _MAX_PRIVATE, read off the comb."""
+    result = 1
+    for row in _generator_comb():
+        digit = exponent & _COMB_MASK
+        if digit:
+            result = result * row[digit] % DH_PRIME
+        exponent >>= _COMB_BITS
+    return result
 
 
 class DhKeyPair:
@@ -30,13 +69,11 @@ class DhKeyPair:
     True
     """
 
-    def __init__(self, private_value, prime=DH_PRIME, generator=DH_GENERATOR):
-        if not 1 < private_value < prime - 1:
+    def __init__(self, private_value):
+        if not 2 <= private_value <= _MAX_PRIVATE:
             raise ValueError("private value out of range")
         self._private = private_value
-        self.prime = prime
-        self.generator = generator
-        self.public_value = pow(generator, private_value, prime)
+        self.public_value = _generator_power(private_value)
 
     @classmethod
     def generate(cls, random_source=None):
@@ -46,9 +83,14 @@ class DhKeyPair:
         return cls(private)
 
     def shared_key(self, peer_public_value, info=b"securecloud-dh"):
-        """Derive the 32-byte shared key with a peer's public value."""
-        if not 1 < peer_public_value < self.prime - 1:
-            raise ValueError("peer public value out of range")
-        secret = pow(peer_public_value, self._private, self.prime)
-        width = (self.prime.bit_length() + 7) // 8
-        return hkdf(secret.to_bytes(width, "big"), info, length=32)
+        """Derive the 32-byte shared key with a peer's public value.
+
+        A peer value is host-supplied: anything but an ``int`` in
+        (1, p - 1) raises :class:`IntegrityError` before any
+        exponentiation.
+        """
+        if (type(peer_public_value) is not int
+                or not 1 < peer_public_value < DH_PRIME - 1):
+            raise IntegrityError("peer DH public value rejected")
+        secret = pow(peer_public_value, self._private, DH_PRIME)
+        return hkdf(secret.to_bytes(_PRIME_BYTES, "big"), info, length=32)

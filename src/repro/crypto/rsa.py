@@ -154,11 +154,19 @@ class RsaPublicKey:
 
 
 class RsaKeyPair:
-    """An RSA signing key pair."""
+    """An RSA signing key pair.
 
-    def __init__(self, modulus, public_exponent, private_exponent):
-        self.public_key = RsaPublicKey(modulus, public_exponent)
-        self._private_exponent = private_exponent
+    Signing runs on the factors (CRT): two half-width exponentiations
+    and Garner's recombination give exactly ``pow(h, d, n)``.
+    """
+
+    def __init__(self, p, q, public_exponent, private_exponent):
+        self.public_key = RsaPublicKey(p * q, public_exponent)
+        self._p = p
+        self._q = q
+        self._d_p = private_exponent % (p - 1)
+        self._d_q = private_exponent % (q - 1)
+        self._q_inv = pow(q, -1, p)
 
     @classmethod
     def generate(cls, bits=DEFAULT_KEY_BITS, random_source=None):
@@ -177,9 +185,11 @@ class RsaKeyPair:
                 d = pow(exponent, -1, phi)
             except ValueError:
                 continue
-            return cls(p * q, exponent, d)
+            return cls(p, q, exponent, d)
 
     def sign(self, message):
         """Produce a deterministic FDH signature over ``message``."""
         hashed = _full_domain_hash(message, self.public_key.modulus)
-        return pow(hashed, self._private_exponent, self.public_key.modulus)
+        s_p = pow(hashed, self._d_p, self._p)
+        s_q = pow(hashed, self._d_q, self._q)
+        return s_q + self._q * ((s_p - s_q) * self._q_inv % self._p)

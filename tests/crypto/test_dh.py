@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.dh import DH_PRIME, DhKeyPair
 from repro.crypto.primitives import DeterministicRandomSource
+from repro.errors import IntegrityError
 
 
 class TestDh:
@@ -35,13 +36,15 @@ class TestDh:
             DhKeyPair(1)
         with pytest.raises(ValueError):
             DhKeyPair(DH_PRIME - 1)
+        with pytest.raises(ValueError):
+            DhKeyPair((1 << 256) + 2)  # beyond what generate() draws
 
     def test_invalid_peer_value_rejected(self):
         a = DhKeyPair.generate(DeterministicRandomSource(1))
-        with pytest.raises(ValueError):
-            a.shared_key(0)
-        with pytest.raises(ValueError):
-            a.shared_key(DH_PRIME)
+        for peer in (0, 1, DH_PRIME - 1, DH_PRIME, -2, True, b"junk", 5.0,
+                     None):
+            with pytest.raises(IntegrityError):
+                a.shared_key(peer)
 
     def test_public_value_in_group(self):
         a = DhKeyPair.generate(DeterministicRandomSource(1))
