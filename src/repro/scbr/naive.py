@@ -16,6 +16,13 @@ record: a middle ``remove`` or a foreign allocation between two inserts
 leaves a gap and the table falls back to ``scan``; ``extract_subtrees``
 takes rows from the front and keeps the run.  Either path charges the
 same cycles.
+
+Charging is per row; evaluating is not.  A subscription matches only a
+publication that values its first constrained attribute, and a table
+may hold one subscription object in many rows, so rows are also filed
+by first attribute, each distinct object once with the count of rows
+holding it.  ``match`` evaluates only the objects filed under an
+attribute the publication carries; the match set is the same.
 """
 
 from operator import itemgetter
@@ -36,6 +43,8 @@ class LinearIndex:
         self.hot_bytes = hot_bytes
         self.eval_cycles = eval_cycles
         self._entries = []
+        # First constrained attribute -> {subscription: rows holding it}.
+        self._by_first = {}
         self.visits_last_match = 0
 
     def __len__(self):
@@ -55,6 +64,21 @@ class LinearIndex:
                 label="sub-%s" % subscription.subscription_id,
             )
         self._entries.append((subscription, region))
+        rows = self._by_first.setdefault(
+            next(iter(subscription.constraints)), {}
+        )
+        rows[subscription] = rows.get(subscription, 0) + 1
+
+    def _unfile(self, subscription):
+        """Forget one row holding ``subscription``; no zero count stays."""
+        first = next(iter(subscription.constraints))
+        rows = self._by_first[first]
+        if rows[subscription] > 1:
+            rows[subscription] -= 1
+            return
+        del rows[subscription]
+        if not rows:
+            del self._by_first[first]
 
     @property
     def one_run(self):
@@ -89,7 +113,9 @@ class LinearIndex:
         self.visits_last_match = len(entries)
         return {
             subscription.subscription_id
-            for subscription, _region in entries
+            for first, rows in self._by_first.items()
+            if first in publication.attributes
+            for subscription in rows
             if subscription.matches(publication)
         }
 
@@ -102,6 +128,7 @@ class LinearIndex:
         for position, (subscription, region) in enumerate(self._entries):
             if subscription.subscription_id == subscription_id:
                 del self._entries[position]
+                self._unfile(subscription)
                 if self.memory is not None and region is not None:
                     self.memory.free(region)
                 return subscription
@@ -133,6 +160,7 @@ class LinearIndex:
         for subscription, region in self._entries[:count]:
             if self.memory is not None and region is not None:
                 self.memory.free(region)
+            self._unfile(subscription)
             extracted.append(subscription)
         del self._entries[:count]
         return extracted

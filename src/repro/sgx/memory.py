@@ -75,6 +75,9 @@ class _LruSet:
         # that compares first may skip the touch: a record scan
         # re-touches the page it touched last 7 times in 8.
         self.newest = None
+        # The range touch_many was handed last, or None once anything
+        # else touched or removed a key since (see touch_many).
+        self._last_run = None
 
     def __len__(self):
         return len(self._entries)
@@ -94,6 +97,7 @@ class _LruSet:
         """
         entries = self._entries
         self.newest = key
+        self._last_run = None
         if key in entries:
             entries.move_to_end(key)
             return True
@@ -107,7 +111,17 @@ class _LruSet:
 
         One loop with everything local: a scan hands each cache its
         whole run of keys instead of making a call per line.
+
+        A ``range`` equal to the one handed last, with nothing touched
+        or removed since, is not walked: repeating it is a fixed point.
+        Its ``n`` keys are distinct, so the first pass left the last
+        ``min(n, capacity)`` of them newest, in order.  If ``n`` fits,
+        every key of the repeat hits and the order is unchanged; if not,
+        each key was evicted before the repeat reaches it, so all ``n``
+        miss and the same last ``capacity`` keys remain, in order.
         """
+        if keys == self._last_run:
+            return len(keys) if len(keys) > self.capacity else 0
         entries = self._entries
         move_to_end = entries.move_to_end
         evict = entries.popitem  # evict(False): the oldest entry
@@ -126,13 +140,14 @@ class _LruSet:
                 entries[key] = None
                 misses += 1
         self.newest = key
+        self._last_run = keys if type(keys) is range else None
         return misses
 
     def discard(self, key):
         """Remove ``key`` if present (for an EPC page an EREMOVE: back
         to the free pool without an eviction write-back)."""
         self._entries.pop(key, None)
-        self.newest = None
+        self.newest = self._last_run = None
 
     def keys(self):
         """Snapshot of resident ``(owner, id)`` pairs, oldest first."""
@@ -156,13 +171,13 @@ class _LruSet:
         ]
         for key in victims:
             del self._entries[key]
-        self.newest = None
+        self.newest = self._last_run = None
         return len(victims)
 
     def clear(self):
         """Drop all entries (platform reset); owners keep their bases."""
         self._entries.clear()
-        self.newest = None
+        self.newest = self._last_run = None
 
 
 class LlcModel(_LruSet):

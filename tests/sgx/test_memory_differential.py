@@ -3,8 +3,9 @@
 Two enclave memories and one native memory share one EPC, one LLC and
 one clock -- once built from ``repro.sgx.memory`` and once from
 ``tests.sgx.reference_memory`` -- and hypothesis drives both through the
-same interleaving of allocations, visits, scans, strided scans, copies,
-frees, teardowns and platform resets.  After *every* step the clock, every
+same interleaving of allocations, visits, scans, strided scans (and
+verbatim repeats of the last one), copies, frees, teardowns and platform
+resets.  After *every* step the clock, every
 counter and both LRUs' resident keys *in order* must be equal: that is
 the whole meaning of "cycle-identical", and it is also what guards the
 batch accounting (the kernel settles the clock once per scan, so a
@@ -110,6 +111,7 @@ class MemoryDifferential(RuleBasedStateMachine):
         self.regions = [[] for _ in range(SLOTS)]
         self.freed = [set() for _ in range(SLOTS)]
         self.generation = [0] * SLOTS
+        self.last_strided = None
 
     def _sides(self, slot):
         return self.real.memories[slot], self.reference.memories[slot]
@@ -185,6 +187,17 @@ class MemoryDifferential(RuleBasedStateMachine):
         base %= 4 * PAGE
         if aligned:
             base -= base % LINE
+        self.last_strided = (slot, base, stride, count, size, cycles)
+        self._strided(*self.last_strided)
+
+    @rule()
+    def repeat_strided(self):
+        """The previous strided call again, verbatim: right after it,
+        each cache is handed the range it was handed last."""
+        if self.last_strided is not None:
+            self._strided(*self.last_strided)
+
+    def _strided(self, slot, base, stride, count, size, cycles):
         regions = [MemoryRegion(base + i * stride, size) for i in range(count)]
         real, reference = self._sides(slot)
         both_or_neither(

@@ -2,13 +2,18 @@
 
 Builds E1's 96 MiB enclave table (a ``LinearIndex`` of 512 B records
 cycled from its seeded 8 192-subscription pool, on a ``SimulatedMemory``
-with its own EPC), matches one publication untimed to warm the caches,
-then prints the CPU seconds of one match (the median of three) next to
-the set-up's.  Then it runs ``python -m repro.cli run e1`` in a child
-process, output discarded, and prints the child's CPU seconds (user +
-system).  The first number prices one point of a denser Figure-3 sweep,
-the second the sweep that exists (DESIGN section 5, "A table is one
-run").  Run the same file in a parent checkout for a before/after
+with its own EPC) and prints the CPU seconds of the build, of the cold
+match (the first after the build, which fills the LLC and the EPC) and
+of a warm match (the median of the repeats, each against another
+publication).  It also prints two properties of the table that a match
+relies on: rows per distinct subscription object, and the share of rows
+whose first constrained attribute the publication carries (the mean
+over the matched publications).  Then it runs ``python -m repro.cli run
+e1`` in a child process, output discarded, and prints the child's CPU
+seconds (user + system).  The matches price one point of a denser
+Figure-3 sweep, the last line the sweep that exists (DESIGN section 5,
+"A repeated run is a fixed point").  Run the same file in a parent
+checkout for a before/after
 (``cd parent && PYTHONPATH=src python <repo>/tools/e1_cost.py``).
 
 Usage: ``PYTHONPATH=src python tools/e1_cost.py`` from the root of the
@@ -19,7 +24,7 @@ in the working directory.
 import resource
 import subprocess
 import sys
-from statistics import median
+from statistics import mean, median
 from time import process_time
 
 from repro.scbr.naive import LinearIndex
@@ -31,28 +36,34 @@ from repro.sim.clock import CycleClock
 DATABASE_MIB = 96
 RECORD_BYTES = 512
 POOL = 8192
-MATCHES = 3
+REPEATS = 5
 
 
-def one_match():
+def matches():
     start = process_time()
     workload = ScbrWorkload(seed=42, num_attributes=50,
                             containment_fraction=0.0)
     pool = workload.subscriptions(POOL)
-    publications = workload.publications(1 + MATCHES)
+    publications = workload.publications(1 + REPEATS)
     memory = SimulatedMemory(CycleClock(), DEFAULT_COSTS, enclave=True,
                              epc=EpcModel(DEFAULT_COSTS), name="scbr")
     index = LinearIndex(memory=memory, record_bytes=RECORD_BYTES)
     for position in range(DATABASE_MIB * MIB // RECORD_BYTES):
         index.insert(pool[position % POOL])
-    index.match(publications[0])
-    setup = process_time() - start
+    build = process_time() - start
     seconds = []
-    for publication in publications[1:]:
+    for publication in publications:
         start = process_time()
         index.match(publication)
         seconds.append(process_time() - start)
-    return median(seconds), setup
+    rows = index.subscriptions()
+    firsts = [next(iter(row.constraints)) for row in rows]
+    carried = mean(
+        sum(first in publication.attributes for first in firsts) / len(rows)
+        for publication in publications
+    )
+    return (build, seconds[0], median(seconds[1:]), len(rows),
+            len(rows) / len(set(rows)), carried, len(publications))
 
 
 def children_cpu():
@@ -61,10 +72,13 @@ def children_cpu():
 
 
 def main():
-    match, setup = one_match()
-    print("%d MiB enclave LinearIndex match: %.3f CPU-s (median of %d; "
-          "set-up and warm-up %.2f CPU-s)"
-          % (DATABASE_MIB, match, MATCHES, setup))
+    build, cold, warm, rows, per_object, carried, published = matches()
+    print("%d MiB enclave LinearIndex: build %.2f CPU-s, cold match %.3f "
+          "CPU-s (first after build), warm match %.4f CPU-s (median of %d)"
+          % (DATABASE_MIB, build, cold, warm, REPEATS))
+    print("table: %d rows, %.1f rows per distinct subscription, %.1f %% of "
+          "rows carry a first attribute the publication has (mean of %d)"
+          % (rows, per_object, 100 * carried, published))
     before = children_cpu()
     subprocess.run([sys.executable, "-m", "repro.cli", "run", "e1"],
                    stdout=subprocess.DEVNULL, check=True)
