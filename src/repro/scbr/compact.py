@@ -85,10 +85,7 @@ class HotColdIndex:
         hot_region = self._allocate_hot()
         cold_region = None
         if self.memory is not None and self.cold_bytes:
-            cold_region = self.memory.allocate(
-                self.cold_bytes,
-                label="cold-%s" % subscription.subscription_id,
-            )
+            cold_region = self.memory.allocate(self.cold_bytes)
         self._entries.append((subscription, hot_region, cold_region))
 
     def remove(self, subscription_id):

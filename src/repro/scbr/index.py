@@ -62,12 +62,10 @@ class ContainmentIndex:
         """Total resident footprint of the subscription database."""
         return self._count * self.record_bytes
 
-    def _allocate(self, subscription):
+    def _allocate(self):
         if self.memory is None:
             return None
-        return self.memory.allocate(
-            self.record_bytes, label="sub-%s" % subscription.subscription_id
-        )
+        return self.memory.allocate(self.record_bytes)
 
     def insert(self, subscription):
         """Add a subscription below its most specific covering node.
@@ -81,7 +79,7 @@ class ContainmentIndex:
             raise ConfigurationError(
                 "subscription %r already indexed" % subscription.subscription_id
             )
-        node = _Node(subscription, self._allocate(subscription))
+        node = _Node(subscription, self._allocate())
         siblings = self._roots
         parent = None
         descending = True

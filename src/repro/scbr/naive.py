@@ -23,12 +23,20 @@ may hold one subscription object in many rows, so rows are also filed
 by first attribute, each distinct object once with the count of rows
 holding it.  ``match`` evaluates only the objects filed under an
 attribute the publication carries; the match set is the same.
+
+A row is a subscription and an address, kept in two flat columns: the
+subscription objects, and (with a memory) each record's base address
+as a machine int.  No container is built per row, so the cyclic GC has
+nothing per row to walk; a :class:`~repro.sgx.memory.MemoryRegion` is
+built only where one is consumed -- to free a record, and for the
+``scan`` fallback.
 """
 
-from operator import itemgetter
+from array import array
 
 from repro.errors import ConfigurationError
 from repro.scbr.index import DEFAULT_RECORD_BYTES, EVAL_CYCLES, HOT_BYTES
+from repro.sgx.memory import MemoryRegion
 
 
 class LinearIndex:
@@ -42,28 +50,25 @@ class LinearIndex:
         self.record_bytes = record_bytes
         self.hot_bytes = hot_bytes
         self.eval_cycles = eval_cycles
-        self._entries = []
+        self._subscriptions = []
+        self._bases = array("q")  # one per row when there is a memory
         # First constrained attribute -> {subscription: rows holding it}.
         self._by_first = {}
         self.visits_last_match = 0
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._subscriptions)
 
     @property
     def database_bytes(self):
         """Total resident footprint of the subscription database."""
-        return len(self._entries) * self.record_bytes
+        return len(self._subscriptions) * self.record_bytes
 
     def insert(self, subscription):
         """Append a subscription to the table."""
-        region = None
         if self.memory is not None:
-            region = self.memory.allocate(
-                self.record_bytes,
-                label="sub-%s" % subscription.subscription_id,
-            )
-        self._entries.append((subscription, region))
+            self._bases.append(self.memory.reserve(self.record_bytes))
+        self._subscriptions.append(subscription)
         rows = self._by_first.setdefault(
             next(iter(subscription.constraints)), {}
         )
@@ -89,28 +94,30 @@ class LinearIndex:
         record to the next, so they rise by exactly that everywhere iff
         the last lies ``(n - 1) * record_bytes`` past the first.
         """
-        entries = self._entries
-        return bool(entries) and (
-            entries[-1][1].base - entries[0][1].base
-            == (len(entries) - 1) * self.record_bytes
+        bases = self._bases
+        return bool(bases) and (
+            bases[-1] - bases[0] == (len(bases) - 1) * self.record_bytes
         )
+
+    def _region(self, base):
+        return MemoryRegion(base, self.record_bytes)
 
     def match(self, publication):
         """IDs of all subscriptions matching ``publication``."""
-        entries = self._entries
+        bases = self._bases
         if self.memory is not None:
             if self.one_run:
                 self.memory.scan_strided(
-                    entries[0][1].base, self.record_bytes, len(entries),
+                    bases[0], self.record_bytes, len(bases),
                     self.hot_bytes, self.eval_cycles,
                 )
             else:
-                # The region column, lazily: no per-call list of regions.
+                # Regions built lazily: no per-call list of them.
                 self.memory.scan(
-                    map(itemgetter(1), entries),
+                    map(self._region, bases),
                     self.hot_bytes, self.eval_cycles,
                 )
-        self.visits_last_match = len(entries)
+        self.visits_last_match = len(self._subscriptions)
         return {
             subscription.subscription_id
             for first, rows in self._by_first.items()
@@ -121,16 +128,16 @@ class LinearIndex:
 
     def subscriptions(self):
         """All stored subscriptions in insertion order."""
-        return [subscription for subscription, _region in self._entries]
+        return list(self._subscriptions)
 
     def remove(self, subscription_id):
         """Unsubscribe by id (linear search, like everything here)."""
-        for position, (subscription, region) in enumerate(self._entries):
+        for position, subscription in enumerate(self._subscriptions):
             if subscription.subscription_id == subscription_id:
-                del self._entries[position]
+                del self._subscriptions[position]
                 self._unfile(subscription)
-                if self.memory is not None and region is not None:
-                    self.memory.free(region)
+                if self.memory is not None:
+                    self.memory.free(self._region(self._bases.pop(position)))
                 return subscription
         raise ConfigurationError(
             "no subscription %r in the table" % subscription_id
@@ -153,14 +160,15 @@ class LinearIndex:
         this memory's resident set.
         """
         count = min(
-            len(self._entries),
+            len(self._subscriptions),
             -(-target_bytes // self.record_bytes),  # ceil
         )
-        extracted = []
-        for subscription, region in self._entries[:count]:
-            if self.memory is not None and region is not None:
-                self.memory.free(region)
+        if self.memory is not None:
+            for base in self._bases[:count]:
+                self.memory.free(self._region(base))
+            del self._bases[:count]
+        extracted = self._subscriptions[:count]
+        del self._subscriptions[:count]
+        for subscription in extracted:
             self._unfile(subscription)
-            extracted.append(subscription)
-        del self._entries[:count]
         return extracted

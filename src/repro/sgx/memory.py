@@ -220,7 +220,7 @@ class EpcModel(_LruSet):
 
 class MemoryRegion(NamedTuple):
     """A contiguous allocation in a simulated address space (a tuple:
-    a Figure-3 database keeps one alive per record)."""
+    cheap to build where one is consumed)."""
 
     base: int
     size: int
@@ -282,20 +282,31 @@ class SimulatedMemory:
         """
         return self._next_address - self._freed_bytes
 
-    def allocate(self, size, label=""):
-        """Reserve ``size`` contiguous bytes and return the region."""
+    def reserve(self, size, align=1):
+        """Reserve ``size`` contiguous bytes at the next multiple of
+        ``align`` and return their base address: the one place addresses
+        are handed out.  A released memory hands out nothing, since its
+        bytes could never leave the resident set.
+        """
+        if self.released:
+            raise CapacityError("memory %r was released" % self.name)
         if size <= 0:
             raise CapacityError("allocation size must be positive")
-        if self._next_address + size > 1 << ADDRESS_BITS:
+        base = self._next_address + -self._next_address % align
+        if base + size > 1 << ADDRESS_BITS:
             raise CapacityError("address space exhausted")
-        region = MemoryRegion(self._next_address, size, label)
-        self._next_address += size
-        return region
+        self._next_address = base + size
+        return base
+
+    def allocate(self, size, label=""):
+        """Reserve ``size`` contiguous bytes and return the region."""
+        return MemoryRegion(self.reserve(size), size, label)
 
     def allocate_aligned(self, size, label=""):
         """Allocate starting at the next page boundary."""
-        self._next_address += -self._next_address % self.costs.page_size
-        return self.allocate(size, label)
+        return MemoryRegion(
+            self.reserve(size, self.costs.page_size), size, label
+        )
 
     def free(self, region):
         """Release ``region``: its pages leave the EPC, its lines the LLC.

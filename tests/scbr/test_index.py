@@ -1,7 +1,9 @@
 """Tests for the containment index vs. the linear baseline."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import CapacityError
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.index import ContainmentIndex
 from repro.scbr.naive import LinearIndex
@@ -123,6 +125,19 @@ class TestMemoryAccounting:
         for sub in chain_subscriptions():
             index.insert(sub)
         assert memory.allocated_bytes == 3 * 512
+
+    @pytest.mark.parametrize("index_cls", [LinearIndex, ContainmentIndex])
+    def test_no_row_lands_on_a_released_memory(self, index_cls):
+        memory = self._enclave_memory()
+        index = index_cls(memory=memory, record_bytes=512)
+        general, mid, _tight = chain_subscriptions()
+        index.insert(general)
+        memory.release_all()
+        with pytest.raises(CapacityError):
+            index.insert(mid)
+        assert len(index) == 1
+        assert memory.resident_bytes == 0
+        assert not memory.watermark_exceeded(0.01)
 
     def test_match_charges_cycles(self):
         memory = self._enclave_memory()

@@ -7,7 +7,8 @@ look-up, three counter bumps and one clock charge per cache line, one
 plainly right, which is what a reference is for;
 ``test_memory_differential.py`` holds the kernel to it step by step.
 Added: :meth:`ReferenceMemory.scan`, written as the loop ``scan``
-promises to be equal to, and ``ReferenceLlc.keys``.
+promises to be equal to, ``ReferenceLlc.keys``, and the rule that a
+released memory allocates nothing.
 """
 
 from collections import OrderedDict
@@ -137,6 +138,8 @@ class ReferenceMemory:
         return self._next_address - self._freed_bytes
 
     def allocate(self, size, label=""):
+        if self._released:
+            raise CapacityError("memory %r was released" % self.name)
         if size <= 0:
             raise CapacityError("allocation size must be positive")
         region = MemoryRegion(self._next_address, size, label)
@@ -144,6 +147,8 @@ class ReferenceMemory:
         return region
 
     def allocate_aligned(self, size, label=""):
+        if self._released:
+            raise CapacityError("memory %r was released" % self.name)
         page = self.costs.page_size
         remainder = self._next_address % page
         if remainder:

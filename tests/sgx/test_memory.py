@@ -421,6 +421,31 @@ class TestReleaseAll:
         assert mem.epc.resident_pages == 0
         assert mem.clock.now == spent
 
+    def test_released_memory_allocates_nothing(self):
+        # A dead memory used to hand out fresh bytes: resident_bytes rose
+        # again, the watermark tripped, and since free() is disarmed
+        # after teardown those bytes could never leave.
+        costs = tiny_costs()
+        mem = enclave_memory(costs)
+        mem.allocate(costs.page_size)
+        mem.release_all()
+        allocated = mem.allocated_bytes
+        for allocate in (mem.allocate, mem.allocate_aligned, mem.reserve):
+            with pytest.raises(CapacityError):
+                allocate(4096 * 1000)
+        assert mem.resident_bytes == 0
+        assert mem.allocated_bytes == allocated
+        assert not mem.watermark_exceeded(0.01)
+
+    def test_reserve_is_allocate_without_the_region(self):
+        costs = tiny_costs()
+        mem = native_memory(costs)
+        assert mem.reserve(10) == 0
+        assert mem.allocate(10).base == 10
+        assert mem.reserve(10, costs.page_size) == costs.page_size
+        assert mem.allocate_aligned(10).base == 2 * costs.page_size
+        assert mem.allocated_bytes == 2 * costs.page_size + 10
+
     def test_release_owner_spares_other_tenants(self):
         costs = tiny_costs()
         epc = EpcModel(costs)

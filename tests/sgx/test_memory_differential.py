@@ -239,6 +239,12 @@ class MemoryDifferential(RuleBasedStateMachine):
         for stride, count, size in ((LINE, 3, 1), (3, 3, LINE), (LINE, 0, 1)):
             with pytest.raises(CapacityError):
                 real.scan_strided(0, stride, count, size)
+        # Nor does it hand out fresh bytes that could never leave.
+        for memory in (real, reference):
+            for allocate in (memory.allocate, memory.allocate_aligned):
+                with pytest.raises(CapacityError):
+                    allocate(LINE, "r")
+        assert real.resident_bytes == reference.resident_bytes == 0
         self.regions[slot] = []
         self.freed[slot] = set()
         self.generation[slot] += rename

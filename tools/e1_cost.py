@@ -2,18 +2,22 @@
 
 Builds E1's 96 MiB enclave table (a ``LinearIndex`` of 512 B records
 cycled from its seeded 8 192-subscription pool, on a ``SimulatedMemory``
-with its own EPC) and prints the CPU seconds of the build, of the cold
-match (the first after the build, which fills the LLC and the EPC) and
-of a warm match (the median of the repeats, each against another
-publication).  It also prints two properties of the table that a match
-relies on: rows per distinct subscription object, and the share of rows
-whose first constrained attribute the publication carries (the mean
-over the matched publications).  Then it runs ``python -m repro.cli run
-e1`` in a child process, output discarded, and prints the child's CPU
-seconds (user + system).  The matches price one point of a denser
-Figure-3 sweep, the last line the sweep that exists (DESIGN section 5,
-"A repeated run is a fixed point").  Run the same file in a parent
-checkout for a before/after
+with its own EPC) three times and prints the CPU seconds of the build
+(the inserts; the pool is made beforehand) with the cyclic GC on, as
+``benchmarks/perf`` runs it, and with it off, as ``repro.cli run e1``
+runs it, and the traced host bytes the table holds per row.  On the
+first table it prints the CPU seconds of the cold match (the first
+after the build, which fills the LLC and the EPC) and of a warm match
+(the median of the repeats, each against another publication), and two
+properties of the table that a match relies on: rows per distinct
+subscription object, and the share of rows whose first constrained
+attribute the publication carries (the mean over the matched
+publications).  Then it runs ``python -m repro.cli run e1`` in a child
+process, output discarded, and prints the child's CPU seconds (user +
+system).  The matches price one point of a denser Figure-3 sweep, the
+last line the sweep that exists (DESIGN section 5, "A repeated run is a
+fixed point", "A table row is a subscription and an address").  Run
+the same file in a parent checkout for a before/after
 (``cd parent && PYTHONPATH=src python <repo>/tools/e1_cost.py``).
 
 Usage: ``PYTHONPATH=src python tools/e1_cost.py`` from the root of the
@@ -21,9 +25,11 @@ checkout to measure (``make e1-cost``); the E1 run needs ``benchmarks/``
 in the working directory.
 """
 
+import gc
 import resource
 import subprocess
 import sys
+import tracemalloc
 from statistics import mean, median
 from time import process_time
 
@@ -37,20 +43,38 @@ DATABASE_MIB = 96
 RECORD_BYTES = 512
 POOL = 8192
 REPEATS = 5
+ROWS = DATABASE_MIB * MIB // RECORD_BYTES
 
 
-def matches():
-    start = process_time()
-    workload = ScbrWorkload(seed=42, num_attributes=50,
-                            containment_fraction=0.0)
-    pool = workload.subscriptions(POOL)
-    publications = workload.publications(1 + REPEATS)
+def build(pool, collect):
+    """The table and the CPU seconds of its inserts, with the cyclic GC
+    on or off."""
     memory = SimulatedMemory(CycleClock(), DEFAULT_COSTS, enclave=True,
                              epc=EpcModel(DEFAULT_COSTS), name="scbr")
     index = LinearIndex(memory=memory, record_bytes=RECORD_BYTES)
-    for position in range(DATABASE_MIB * MIB // RECORD_BYTES):
-        index.insert(pool[position % POOL])
-    build = process_time() - start
+    if not collect:
+        gc.disable()
+    try:
+        start = process_time()
+        for position in range(ROWS):
+            index.insert(pool[position % POOL])
+        return index, process_time() - start
+    finally:
+        gc.enable()
+
+
+def bytes_per_row(pool):
+    """Traced host memory a built table holds, per row."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index, _seconds = build(pool, collect=True)
+        return (tracemalloc.get_traced_memory()[0] - before) / len(index)
+    finally:
+        tracemalloc.stop()
+
+
+def matches(index, publications):
     seconds = []
     for publication in publications:
         start = process_time()
@@ -62,8 +86,8 @@ def matches():
         sum(first in publication.attributes for first in firsts) / len(rows)
         for publication in publications
     )
-    return (build, seconds[0], median(seconds[1:]), len(rows),
-            len(rows) / len(set(rows)), carried, len(publications))
+    return (seconds[0], median(seconds[1:]), len(rows) / len(set(rows)),
+            carried)
 
 
 def children_cpu():
@@ -72,13 +96,23 @@ def children_cpu():
 
 
 def main():
-    build, cold, warm, rows, per_object, carried, published = matches()
-    print("%d MiB enclave LinearIndex: build %.2f CPU-s, cold match %.3f "
-          "CPU-s (first after build), warm match %.4f CPU-s (median of %d)"
-          % (DATABASE_MIB, build, cold, warm, REPEATS))
-    print("table: %d rows, %.1f rows per distinct subscription, %.1f %% of "
-          "rows carry a first attribute the publication has (mean of %d)"
-          % (rows, per_object, 100 * carried, published))
+    workload = ScbrWorkload(seed=42, num_attributes=50,
+                            containment_fraction=0.0)
+    pool = workload.subscriptions(POOL)
+    publications = workload.publications(1 + REPEATS)
+    index, build_gc = build(pool, collect=True)
+    cold, warm, per_object, carried = matches(index, publications)
+    del index
+    build_no_gc = build(pool, collect=False)[1]
+    per_row = bytes_per_row(pool)
+    print("%d MiB enclave LinearIndex, %d rows: build %.2f CPU-s with GC "
+          "on, %.2f with GC off, %.0f host bytes per row"
+          % (DATABASE_MIB, ROWS, build_gc, build_no_gc, per_row))
+    print("match: cold %.3f CPU-s (first after build), warm %.4f CPU-s "
+          "(median of %d)" % (cold, warm, REPEATS))
+    print("table: %.1f rows per distinct subscription, %.1f %% of rows "
+          "carry a first attribute the publication has (mean of %d)"
+          % (per_object, 100 * carried, len(publications)))
     before = children_cpu()
     subprocess.run([sys.executable, "-m", "repro.cli", "run", "e1"],
                    stdout=subprocess.DEVNULL, check=True)
