@@ -8,7 +8,7 @@ each judged against the single-index oracle (``tests.scbr.oracle``):
   mid-run; the phi-accrual monitor must detect both silences and the
   health loop must respawn each replacement from its plane-sealed
   snapshot + mutation log before the publication stream resumes;
-- **chaos stream**: a :class:`~repro.chaos.ChaosShardPlane` crashes
+- **chaos stream**: a :class:`~repro.chaos.ChaosPlane` crashes
   live shards between publishes at a seeded rate; the default
   ``on_partial="retry"`` mode must heal inline so every publication
   is delivered with full coverage;
@@ -28,7 +28,7 @@ import statistics
 
 import pytest
 
-from repro.chaos import ChaosInjector, ChaosShardPlane, FaultSchedule
+from repro.chaos import ChaosInjector, ChaosPlane, FaultSchedule
 from repro.microservices import Orchestrator, QosMonitor, ServiceRegistry
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
@@ -162,7 +162,7 @@ def _chaos_stream_trial(subscriptions, publications, crash_rate=0.35):
     """Seeded crashes between publishes; retry mode heals inline."""
     injector = ChaosInjector(seed=SEED, shard_crash_rate=crash_rate)
     router, attestation = _plane(SEED + 2)
-    hostile = ChaosShardPlane(router, injector)
+    hostile = ChaosPlane(router, injector)
     alice, live, workload = _load(router, attestation, subscriptions)
     publisher = ScbrClient("publisher", router, attestation)
     stream = workload.publications(publications)

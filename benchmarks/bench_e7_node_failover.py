@@ -1,4 +1,4 @@
-"""E7 -- node failover: machine faults under the node-bound plane.
+"""E7 -- node failover: machine faults under the node-placed plane.
 
 Three scenarios exercise the cluster layer built on top of E6's shard
 machinery -- correlated failure detection, mass recovery, and live
@@ -18,7 +18,7 @@ nodes, each judged against the single-index oracle
   ``extract_subtrees`` evacuating the whole forest as one sealed
   batch into a freshly attested replacement -- while publications keep
   flowing *mid-migration* with zero dropped matches;
-- **node chaos churn**: a :class:`~repro.chaos.ChaosNodePlane` crashes
+- **node chaos churn**: a :class:`~repro.chaos.ChaosPlane` crashes
   whole machines and injects network partitions at seeded rates while
   a repair sweep returns dead machines to the pool; the default
   ``on_partial="retry"`` mode plus the node-aware health loop must
@@ -35,13 +35,13 @@ import statistics
 
 import pytest
 
-from repro.chaos import ChaosInjector, ChaosNodePlane, FaultSchedule
-from repro.cluster import NodeBoundScbrRouter, NodeTopology
+from repro.chaos import ChaosInjector, ChaosPlane, FaultSchedule
+from repro.cluster import NodeTopology
 from repro.microservices import Orchestrator, QosMonitor, ServiceRegistry
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.router import ScbrClient
-from repro.scbr.sharding import PartialCoverage
+from repro.scbr.sharding import PartialCoverage, ShardedScbrRouter
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
@@ -69,8 +69,8 @@ def _plane(seed, nodes=NODES, shards=2 * NODES, epc_capacities=None,
     attestation.register_platform(
         platform.platform_id, platform.quoting_enclave.public_key
     )
-    router = NodeBoundScbrRouter(
-        platform, topology,
+    router = ShardedScbrRouter(
+        platform, topology=topology,
         attestation_service=attestation, shards=shards, **kwargs,
     )
     attestation.trust_measurement(router.measurement)
@@ -147,14 +147,15 @@ def _node_failover_trial(subscriptions, publications):
 
     oracle = oracle_match_sets(live, stream)
     assert deliveries == oracle, "failed-over plane diverged from oracle"
-    assert router.node_failures == 1
-    assert len(router.node_detector.detections) == 1, (
+    fleet = router.fleet
+    assert router.stats()["nodes"]["node_failures"] == 1
+    assert len(fleet.node_detector.detections) == 1, (
         "the correlated suspicions must yield exactly one node verdict"
     )
-    verdict = router.node_detector.detections[0]
+    verdict = fleet.node_detector.detections[0]
     assert verdict.node == "node-1"
     assert len(verdict.shard_ids) == 2, "both homed shards in the verdict"
-    assert len(router.node_recovery_episodes) == 1, "one mass recovery"
+    assert len(fleet.node_episodes) == 1, "one mass recovery"
     assert not router.topology.node("node-1").shard_ids, (
         "the dead node must hold nothing"
     )
@@ -168,11 +169,13 @@ def _node_failover_trial(subscriptions, publications):
     return {
         "scenario": "node failover 1/%d" % NODES,
         "nodes": NODES,
-        "node_faults": router.node_failures,
-        "detected": len(router.node_detector.detections),
-        "recovered": len(router.node_recovery_episodes),
-        "detect_ms": _median_ms(router.node_detection_latencies()),
-        "recover_ms": _median_ms(router.node_recovery_latencies()),
+        "node_faults": router.stats()["nodes"]["node_failures"],
+        "detected": len(fleet.node_detector.detections),
+        "recovered": len(fleet.node_episodes),
+        "detect_ms": _median_ms(fleet.node_detector.detection_latencies()),
+        "recover_ms": _median_ms(
+            [episode["recovery_seconds"] for episode in fleet.node_episodes]
+        ),
         "migrated_subs": 0,
         "silent_loss": sum(
             1 for got, want in zip(deliveries, oracle) if got != want
@@ -261,7 +264,7 @@ def _node_chaos_trial(subscriptions, publications, crash_rate=0.04,
         node_partition_rate=partition_rate, node_partition_max=0.004,
     )
     router, attestation = _plane(SEED + 3, env=env)
-    hostile = ChaosNodePlane(router, injector)
+    hostile = ChaosPlane(router, injector)
     alice, live, workload = _load(router, attestation, subscriptions)
     publisher = ScbrClient("publisher", router, attestation)
     stream = workload.publications(publications)

@@ -24,7 +24,7 @@ under progressively more of the plane's machinery:
   joins per virtual second).
 
 Two mass-recovery scenarios replay E7's machine-death drill on a
-node-bound plane -- ``fail_node`` then ``recover_node`` -- once with
+node-placed plane -- ``fail_node`` then ``recover_node`` -- once with
 the provisioning plane disabled (cold re-attestation per displaced
 shard) and once with it on (ticket re-joins), and route a publication
 stream through the healed plane against the single-index oracle.
@@ -39,12 +39,17 @@ import statistics
 
 import pytest
 
-from repro.cluster import NodeBoundScbrRouter, NodeTopology
+from repro.cluster import NodeTopology
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.provisioning import PlaneProvisioner
 from repro.scbr.router import ScbrClient
-from repro.scbr.sharding import COORD_CODE, SHARD_CODE, DEFAULT_RECORD_BYTES
+from repro.scbr.sharding import (
+    COORD_CODE,
+    SHARD_CODE,
+    DEFAULT_RECORD_BYTES,
+    ShardedScbrRouter,
+)
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
@@ -193,9 +198,9 @@ def _recovery_trial(scenario, subscriptions, publications,
     provisioner = PlaneProvisioner(
         reuse_join_keys=provisioned, batch=provisioned, tickets=provisioned,
     )
-    router = NodeBoundScbrRouter(
-        platform, topology, attestation_service=attestation, shards=8,
-        provisioner=provisioner, env=Environment(),
+    router = ShardedScbrRouter(
+        platform, topology=topology, attestation_service=attestation,
+        shards=8, provisioner=provisioner, env=Environment(),
     )
     attestation.trust_measurement(router.measurement)
 
@@ -216,10 +221,10 @@ def _recovery_trial(scenario, subscriptions, publications,
 
     hits_before = attestation.hits
     misses_before = attestation.misses
-    dark = router.fail_node("node-1")
-    recovered = router.recover_node("node-1")
+    dark = router.fleet.fail_node("node-1")
+    recovered = router.fleet.recover_node("node-1")
     assert sorted(recovered) == sorted(dark), "every dark shard respawned"
-    assert len(router.node_recovery_episodes) == 1, "one mass recovery"
+    (node_episode,) = router.fleet.node_episodes
 
     deliveries = []
     for publication in stream:
@@ -240,7 +245,7 @@ def _recovery_trial(scenario, subscriptions, publications,
         "verify_cached": attestation.hits - hits_before,
         "ms_per_join": 0.0,
         "joins_per_vsec": 0.0,
-        "recover_ms": _median_ms(router.node_recovery_latencies()),
+        "recover_ms": _median_ms([node_episode["recovery_seconds"]]),
         "silent_loss": sum(
             1 for got, want in zip(deliveries, oracle) if got != want
         ),

@@ -144,15 +144,17 @@ def _run_scenario(scenario, smoke, config=None, chaos=None,
         len(window_frames),
         audit["shed"],
         audit["late"],
-        plane.recoveries,
+        len(plane.recovery_episodes),
         plane.splits,
         plane.merges,
         plane.duplicates_suppressed,
         queue_peak,
         audit["released"] / virtual_seconds,
         _p99(latencies),
-        (statistics.median(plane.recovery_episodes)
-         if plane.recovery_episodes else 0.0),
+        (statistics.median(
+            episode["recovery_seconds"] * 1e3
+            for episode in plane.recovery_episodes
+        ) if plane.recovery_episodes else 0.0),
         audit["silent_loss"],
     )
     key_rows = [

@@ -8,8 +8,8 @@ broker failures, whole-node crashes and network partitions, syscall
 stalls, transfer-frame corruption, storage hiccups);
 :class:`FaultSchedule` fires scripted failures at planned
 virtual times through the discrete-event kernel; and the wrappers turn
-any bus / volume / network / syscall executor hostile without touching
-happy-path code.
+any bus / volume / network / syscall executor / sharded plane hostile
+without touching happy-path code.
 
 Recovery machinery lives with the subsystems it heals (checkpointed
 map/reduce, reliable transfer, replicated SCBR broker, NACK-based bus
@@ -20,10 +20,10 @@ from repro.chaos.injector import ChaosConfig, ChaosInjector, FaultSchedule
 from repro.chaos.wrappers import (
     ChaosBus,
     ChaosNetwork,
-    ChaosNodePlane,
-    ChaosShardPlane,
+    ChaosPlane,
     ChaosSyscallExecutor,
     ChaosVolume,
+    node_fault_step,
 )
 
 __all__ = [
@@ -31,9 +31,9 @@ __all__ = [
     "ChaosConfig",
     "ChaosInjector",
     "ChaosNetwork",
-    "ChaosNodePlane",
-    "ChaosShardPlane",
+    "ChaosPlane",
     "ChaosSyscallExecutor",
     "ChaosVolume",
     "FaultSchedule",
+    "node_fault_step",
 ]

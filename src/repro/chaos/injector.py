@@ -277,18 +277,6 @@ class FaultSchedule:
                 self.injector._record(kind, (target_name,), self.env.now)
         return strike
 
-    def crash_service_at(self, time, service):
-        """Crash a micro-service at virtual ``time``."""
-        return self.env.call_at(
-            time, self._fire("service-crash", service.name, service.crash)
-        )
-
-    def recover_service_at(self, time, service):
-        """Bring a crashed micro-service back at virtual ``time``."""
-        return self.env.call_at(
-            time, self._fire("service-recover", service.name, service.recover)
-        )
-
     def fail_at(self, time, target, kind=None, name=None):
         """Destroy ``target`` at virtual ``time``, whatever it is.
 
@@ -338,27 +326,28 @@ class FaultSchedule:
         )
 
     def crash_node_at(self, time, plane, node_name):
-        """Fail cluster node ``node_name`` of a node-bound plane at
-        virtual ``time`` -- a correlated loss of every shard it hosts
-        (records the node name in the fault log)."""
+        """Fail cluster node ``node_name`` under a topology-placed plane
+        at virtual ``time`` -- a correlated loss of every shard it
+        hosts, for every plane on the topology (``plane.fleet.fail_node``;
+        records the node name in the fault log)."""
         return self.env.call_at(
             time,
             self._fire(
                 "node-crash",
                 "%s/%s" % (getattr(plane, "name", "plane"), node_name),
-                lambda: plane.fail_node(node_name),
+                lambda: plane.fleet.fail_node(node_name),
             ),
         )
 
     def partition_node_at(self, time, plane, node_name, duration):
         """Cut node ``node_name`` off the network at virtual ``time``
-        for ``duration`` virtual seconds."""
+        for ``duration`` virtual seconds (``plane.fleet.partition_node``)."""
         return self.env.call_at(
             time,
             self._fire(
                 "node-partition",
                 "%s/%s" % (getattr(plane, "name", "plane"), node_name),
-                lambda: plane.partition_node(node_name, duration),
+                lambda: plane.fleet.partition_node(node_name, duration),
             ),
         )
 

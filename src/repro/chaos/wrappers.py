@@ -4,6 +4,11 @@ Each wrapper keeps the wrapped object's interface and consults a
 :class:`~repro.chaos.injector.ChaosInjector` before forwarding, so a
 test or benchmark turns any deployment hostile by interposing one
 object -- no subsystem needs chaos-aware code on its happy path.
+
+One sharded-plane wrapper, :class:`ChaosPlane`, breaks shards and (on
+a topology) machines.  Its machine half is :func:`node_fault_step`,
+the only place seeded node crashes and partitions are drawn; the
+stream plane's ``pump`` calls the same step over its hosting nodes.
 """
 
 from repro.errors import StorageUnavailableError
@@ -148,15 +153,48 @@ class ChaosNetwork:
         return sent
 
 
-class ChaosShardPlane:
-    """Wraps a sharded SCBR plane; crashes shard enclaves mid-stream.
+def node_fault_step(injector, fleet, nodes, operation):
+    """The one chaos node-fault step: one draw per node at ``operation``.
 
-    Before forwarding each publish, consults the injector once per
-    *live* shard with a monotonically increasing operation index, and
-    destroys the shards the seed selects (via the plane's
-    ``fail_shard``).  The plane's own detection/recovery machinery --
-    heartbeats, sealed-snapshot respawn, coverage-tracked publish --
-    then has to notice and heal; the wrapper only breaks things.
+    For each live node in ``nodes`` (in order) a node-crash draw fails
+    the whole machine through ``fleet.fail_node`` -- the topology's one
+    crash path, so every plane with a shard there loses it at once, the
+    correlated fault the node detector exists for -- and, for a
+    reachable survivor, a partition draw cuts it off the network for a
+    seeded duration (``fleet.partition_node``).  Each draw is a pure
+    function of (seed, kind, node, operation) and a zero rate draws
+    nothing.  Returns ``(crashes, partitions)`` injected.
+    """
+    crashes = partitions = 0
+    now = fleet.now()
+    for node in nodes:
+        if not node.alive:
+            continue
+        if injector.crashes_node(node.name, operation):
+            crashes += 1
+            fleet.fail_node(node.name)
+            continue
+        if not node.reachable(now):
+            continue
+        duration = injector.partition_for_node(node.name, operation)
+        if duration > 0.0:
+            partitions += 1
+            fleet.partition_node(node.name, duration)
+    return crashes, partitions
+
+
+class ChaosPlane:
+    """Wraps a sharded SCBR plane; crashes shards and machines mid-stream.
+
+    Before forwarding each publish, consults the injector with a
+    monotonically increasing operation index: once per *live* shard
+    (a hit destroys it via the plane's ``fail_shard``) and, on a
+    topology-placed plane, once per SGX node through
+    :func:`node_fault_step` (machine crashes and network partitions).
+    The plane's own machinery -- heartbeats, correlated node
+    detection, sealed-snapshot respawn, mass recovery, coverage-tracked
+    publish -- then has to notice and heal; the wrapper only breaks
+    things.
     """
 
     def __init__(self, plane, injector):
@@ -164,46 +202,6 @@ class ChaosShardPlane:
         self.injector = injector
         self._operation = 0
         self.crashes_injected = 0
-
-    def __getattr__(self, name):
-        return getattr(self.plane, name)
-
-    def _maybe_crash(self):
-        operation = self._operation
-        self._operation += 1
-        for shard in list(self.plane.shards):
-            if shard.enclave.destroyed:
-                continue
-            if self.injector.crashes_shard(shard.shard_id, operation):
-                self.crashes_injected += 1
-                self.plane.fail_shard(shard.shard_id)
-
-    def publish_routed(self, envelope):
-        self._maybe_crash()
-        return self.plane.publish_routed(envelope)
-
-    def publish(self, envelope):
-        self._maybe_crash()
-        return self.plane.publish(envelope)
-
-
-class ChaosNodePlane:
-    """Wraps a node-bound SCBR plane; kills and partitions machines.
-
-    Before forwarding each publish, consults the injector once per
-    *reachable* SGX node with a monotonically increasing operation
-    index: a node-crash draw fails the whole machine (every shard it
-    hosts dies at once -- the correlated fault the node detector
-    exists for), and a partition draw cuts the node off the network
-    for a seeded duration.  The plane's own machinery -- correlated
-    detection, mass recovery, coverage-tracked publish -- then has to
-    heal; the wrapper only breaks things.
-    """
-
-    def __init__(self, plane, injector):
-        self.plane = plane
-        self.injector = injector
-        self._operation = 0
         self.node_crashes_injected = 0
         self.partitions_injected = 0
 
@@ -213,22 +211,19 @@ class ChaosNodePlane:
     def _maybe_break(self):
         operation = self._operation
         self._operation += 1
-        now = self.plane.env.now if self.plane.env is not None else None
-        for node in self.plane.topology.sgx_nodes():
-            if not node.alive:
+        for shard in list(self.plane.shards):
+            if shard.enclave.destroyed:
                 continue
-            if self.injector.crashes_node(node.name, operation):
-                self.node_crashes_injected += 1
-                self.plane.fail_node(node.name)
-                continue
-            if not node.reachable(now):
-                continue
-            duration = self.injector.partition_for_node(
-                node.name, operation
+            if self.injector.crashes_shard(shard.shard_id, operation):
+                self.crashes_injected += 1
+                self.plane.fail_shard(shard.shard_id)
+        fleet = self.plane.fleet
+        if fleet.topology is not None:
+            crashes, partitions = node_fault_step(
+                self.injector, fleet, fleet.topology.sgx_nodes(), operation
             )
-            if duration > 0.0:
-                self.partitions_injected += 1
-                self.plane.partition_node(node.name, duration)
+            self.node_crashes_injected += crashes
+            self.partitions_injected += partitions
 
     def publish_routed(self, envelope):
         self._maybe_break()

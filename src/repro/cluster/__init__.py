@@ -1,10 +1,12 @@
-"""Node fault domains under the sharded SCBR plane.
+"""Node fault domains under the sharded planes.
 
 Binds shard enclaves to simulated machines: per-node EPC capacity and
-SGX heterogeneity (:mod:`repro.cluster.nodes`), correlated node
-failure detection on top of the phi-accrual shard monitor
-(:mod:`repro.cluster.health`), and the node-bound plane driver with
-mass recovery and live shard migration (:mod:`repro.cluster.plane`).
+SGX heterogeneity, and the one path by which a node crashes or is
+partitioned (:mod:`repro.cluster.nodes`), plus correlated node failure
+detection on top of the phi-accrual shard monitor
+(:mod:`repro.cluster.health`).  A plane lands on a topology through
+:class:`repro.plane.ShardFleet` (``ShardedScbrRouter(topology=...)``,
+``SecureStreamPlane``).
 """
 
 from repro.cluster.health import (
@@ -19,17 +21,9 @@ from repro.cluster.nodes import (
     SHARD_CPU_REQUEST,
     SHARD_MEM_REQUEST,
 )
-from repro.cluster.plane import (
-    DEFAULT_NODE_EPC_WATERMARK,
-    MigrationTicket,
-    NodeBoundScbrRouter,
-)
 
 __all__ = [
     "ClusterNode",
-    "DEFAULT_NODE_EPC_WATERMARK",
-    "MigrationTicket",
-    "NodeBoundScbrRouter",
     "NodeDetection",
     "NodeFailureDetector",
     "NodeHealthPolicy",

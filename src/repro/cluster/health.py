@@ -66,8 +66,9 @@ class NodeDetection:
 class NodeFailureDetector:
     """Correlates shard-down verdicts into node-down verdicts.
 
-    The caller (the node-bound plane driver) keeps the shard→node
-    assignment current via :meth:`assign`/:meth:`unassign`, feeds the
+    The caller (a topology-placed :class:`repro.plane.ShardFleet`,
+    which creates it) keeps the shard→node assignment current via
+    :meth:`assign`/:meth:`unassign`, feeds the
     shard monitor as usual, and calls :meth:`poll` after each heartbeat
     round.  The detector never probes anything itself: it reads the
     monitor's latched detections, so its verdicts inherit the phi

@@ -17,7 +17,12 @@ A :class:`NodeTopology` is the fleet: it wraps the nodes' servers in a
 :class:`~repro.genpack.cluster.Cluster` (so the GenPack invariants
 keep holding) and answers the placement-plane questions -- which nodes
 are SGX-capable, reachable, under their EPC watermark, and how many
-plane shards each already hosts (anti-affinity).
+plane shards each already hosts (anti-affinity).  It is also the one
+path by which a node crashes or is partitioned
+(:meth:`NodeTopology.crash_node`, :meth:`NodeTopology.partition_node`):
+every shard fleet placed on the topology attaches to it and hears of a
+crash before the machine goes down, so a machine failure is one event
+for every plane with a shard on it.
 """
 
 from repro.crypto.rsa import DEFAULT_KEY_BITS
@@ -26,6 +31,7 @@ from repro.genpack.cluster import Cluster, Server
 from repro.genpack.workload import ContainerSpec, RunningContainer
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.platform import SgxPlatform
+from repro.telemetry import default_registry
 
 # Scheduling-plane footprint of one shard enclave on its node; the
 # interesting capacity is the EPC, but the server ledger keeps the
@@ -83,6 +89,7 @@ class ClusterNode:
         self._containers = {}
         self.partitioned_until = None
         self.crashes = 0
+        self.partitions = 0
 
     # -- capability and liveness ---------------------------------------
 
@@ -213,6 +220,7 @@ class ClusterNode:
 
     def partition(self, until):
         """Cut this node off the network until virtual time ``until``."""
+        self.partitions += 1
         if self.partitioned_until is None or until > self.partitioned_until:
             self.partitioned_until = until
 
@@ -232,6 +240,10 @@ class NodeTopology:
         if len(self._by_name) != len(self.nodes):
             raise ConfigurationError("node names must be unique")
         self.cluster = Cluster([node.server for node in self.nodes])
+        self.fleets = []    # shard fleets placed here, told of crashes
+        self._tel_node_failures = default_registry().counter(
+            "cluster.node_failures"
+        )
 
     @classmethod
     def build(cls, count, seed=0, epc_capacities=None, sgx_flags=None,
@@ -272,6 +284,34 @@ class NodeTopology:
         if node is None:
             raise ConfigurationError("no node %r in the topology" % (name,))
         return node
+
+    # -- the one node-fault path ---------------------------------------
+
+    def attach(self, fleet):
+        """Place ``fleet`` here: it hears of every node crash from now
+        on (``fleet.node_crashed(node)``, before the machine dies)."""
+        self.fleets.append(fleet)
+
+    def crash_node(self, name):
+        """Machine failure of node ``name``, as one event.
+
+        Every attached fleet fails its shards on the node first --
+        counting, latching onsets, feeding detectors -- then the
+        machine goes down (:meth:`ClusterNode.crash`).  Returns every
+        ledger key that went dark, whichever plane it belonged to.
+        """
+        node = self.node(name)
+        for fleet in self.fleets:
+            fleet.node_crashed(node)
+        self._tel_node_failures.inc()
+        return node.crash()
+
+    def partition_node(self, name, until):
+        """Cut node ``name`` off the network until virtual time
+        ``until``; returns when it heals."""
+        node = self.node(name)
+        node.partition(until)
+        return node.partitioned_until
 
     def sgx_nodes(self):
         """Nodes that can host enclaves."""

@@ -56,10 +56,6 @@ class RunningContainer:
             return self.spec.cpu_request
         return sum(self.usage_samples) / len(self.usage_samples)
 
-    @property
-    def age_of(self):
-        return self.placed_at
-
 
 class ContainerWorkload:
     """Generates a deterministic container arrival trace."""

@@ -1,19 +1,31 @@
 """The host-side lifecycle of a plane-key shard, written once.
 
-The sharded SCBR plane, its node-bound variant and the streaming plane
-run the same shard life cycle on the untrusted host: choose a machine,
-load and set up the shard enclave, earn the plane key through one
-batched attested :class:`~repro.scbr.provisioning.PlaneProvisioner`
-round, keep a plane-sealed snapshot plus a bounded log of the (already
-sealed) operations applied since, notice a death, respawn, restore,
-replay.  Placement and recovery belong to the platform, not to each
-workload (*SGX-Aware Container Orchestration for Heterogeneous
-Clusters*); :class:`ShardFleet` is that platform half.  A client hands
-it what only the client knows (see :class:`ShardFleet`) and keeps what
-is its own: home maps and coverage-tracked publish; queues and the
-committer; migration policy.
+The sharded SCBR plane and the streaming plane run the same shard life
+cycle on the untrusted host: choose a machine, load and set up the
+shard enclave, earn the plane key through one batched attested
+:class:`~repro.scbr.provisioning.PlaneProvisioner` round, keep a
+plane-sealed snapshot plus a bounded log of the (already sealed)
+operations applied since, notice a death, respawn, restore, replay.
+Placement and recovery belong to the platform, not to each workload
+(*SGX-Aware Container Orchestration for Heterogeneous Clusters*);
+:class:`ShardFleet` is that platform half.  A client hands it what only
+the client knows (see :class:`ShardFleet`) and keeps what is its own:
+home maps and coverage-tracked publish; queues and the committer;
+migration policy.
+
+A machine failure is one event.  A fleet placed on a
+:class:`~repro.cluster.nodes.NodeTopology` attaches to it, and the
+topology's :meth:`~repro.cluster.nodes.NodeTopology.crash_node` -- the
+only path by which a node goes down -- tells every attached fleet
+before the machine dies, whichever plane, schedule or chaos step asked
+for the crash: each fleet counts one failure per live shard it had
+there, latches the onset on its own clock and feeds its monitor and
+node detector.  :meth:`ShardFleet.recover_node` is the one mass
+recovery.
 """
 
+from repro.cluster.health import NodeFailureDetector
+from repro.cluster.nodes import NodeTopology
 from repro.errors import (
     ConfigurationError,
     EnclaveLostError,
@@ -110,14 +122,37 @@ class ShardMember:
         self.failed_at = None   # virtual onset of the last crash
 
 
+class FleetClient:
+    """The recovery vocabulary every client of a :class:`ShardFleet`
+    speaks (the client sets ``self.fleet``)."""
+
+    @property
+    def shard_failures(self):
+        """Live -> dead shard transitions, however they were caused."""
+        return self.fleet.failures
+
+    @property
+    def recovery_episodes(self):
+        """The fleet's per-shard recovery episode dicts."""
+        return self.fleet.episodes
+
+    def recovery_latencies(self):
+        """Virtual seconds each recovery episode took to heal."""
+        return [
+            episode["recovery_seconds"] for episode in self.fleet.episodes
+        ]
+
+
 class ShardFleet:
     """Spawn, checkpoint, fail, detect, recover: one plane's shards.
 
     Placement is either a ``platform_factory(shard_id)`` (every shard
     on a fresh machine of its own) or a ``topology`` (shards bound to
-    cluster nodes, ledgered there under ``(name, shard_id)`` so several
-    planes can share one topology); every machine a shard lands on is
-    registered with ``attestation_service``, the plane's one
+    cluster nodes by :func:`choose_node` under ``watermark``, ledgered
+    there under ``(name, shard_id)`` so several planes can share one
+    topology; the fleet attaches to it to hear of node crashes and,
+    given a ``monitor``, runs a node detector); every machine a shard
+    lands on is registered with ``attestation_service``, the plane's one
     :class:`~repro.sgx.attestation.AttestationService`, which the
     coordinator and the shards verify each other's quotes with.
     ``setup_args(shard_id)`` supplies
@@ -141,6 +176,23 @@ class ShardFleet:
                  orchestrator=None, tracer=NULL_RECORDER):
         if interval < 1:
             raise ConfigurationError("snapshot interval must be >= 1")
+        if (platform_factory is None) == (topology is None):
+            raise ConfigurationError(
+                "place shards with a platform factory or a topology"
+            )
+        if topology is not None:
+            if not isinstance(topology, NodeTopology):
+                raise ConfigurationError(
+                    "node placement needs a NodeTopology"
+                )
+            if not topology.sgx_nodes():
+                raise SchedulingError(
+                    "the topology has no SGX nodes; nowhere to run shards"
+                )
+            if not 0.0 < watermark <= 1.0:
+                raise ConfigurationError(
+                    "the node EPC watermark must be in (0, 1]"
+                )
         self.name = name
         self.metrics = metrics
         self.code = code
@@ -160,7 +212,10 @@ class ShardFleet:
         self.now = now
         self.chaos = chaos
         self.monitor = monitor
-        self.node_detector = None
+        self.node_detector = (
+            NodeFailureDetector(monitor)
+            if monitor is not None and topology is not None else None
+        )
         self.orchestrator = orchestrator
         self.tracer = tracer
         self.members = {}       # shard_id -> member, in spawn order
@@ -168,8 +223,14 @@ class ShardFleet:
         self.failures = 0       # live -> dead transitions
         self.checkpoints = 0
         self.episodes = []
+        self.node_episodes = []
         self._beats = {}
         registry = default_registry()
+        if topology is not None:
+            self._tel_node_recoveries = registry.counter(
+                "cluster.node_recoveries"
+            )
+            topology.attach(self)
         self._tel_failures = registry.counter(metrics + ".shard_failures")
         self._tel_recoveries = registry.counter(metrics + ".recoveries")
         self._tel_recovery_cycles = registry.histogram(
@@ -353,6 +414,88 @@ class ShardFleet:
             self.monitor.record_onset(shard_id, member.failed_at)
         return True
 
+    def fail_node(self, name):
+        """Crash node ``name`` (the chaos/fault-schedule hook).
+
+        The crash goes through the topology, so every fleet with a
+        shard there -- this one included -- fails its shards in the
+        same instant.  Returns this fleet's shard ids that went dark.
+        """
+        node = self._node(name)
+        dark = self.on_node(node)
+        self.topology.crash_node(name)
+        return dark
+
+    def node_crashed(self, node):
+        """The topology's notice that ``node`` is going down.
+
+        Every live shard homed there fails now (one failure each,
+        onset latched on this fleet's clock), and the node detector
+        learns the onset so its verdict latency is measurable.
+        """
+        homed = self.on_node(node)
+        if not homed:
+            return
+        onset = self.now()
+        for shard_id in homed:
+            self.fail(shard_id)
+        if self.node_detector is not None and onset is not None:
+            self.node_detector.record_onset(node.name, onset)
+
+    def partition_node(self, name, duration):
+        """Cut node ``name`` off the network for ``duration`` virtual
+        seconds (the chaos/fault-schedule hook).  Its enclaves keep
+        running, unheard: the monitor sees a partition exactly as a
+        crash.  Returns when the partition heals."""
+        node = self._node(name)
+        now = self.now()
+        if now is None:
+            raise ConfigurationError(
+                "network partitions need an Environment (env=...)"
+            )
+        return self.topology.partition_node(node.name, now + duration)
+
+    def recover_node(self, name):
+        """Mass-recover every shard node ``name`` was serving.
+
+        The displaced set respawns through ONE batched provisioning
+        round (:meth:`recover`) onto surviving nodes -- the dead
+        machine fails ``placement_candidates`` -- and the node episode
+        (onset = the earliest shard onset, cost = the sum) is recorded.
+        Returns the recovered shard ids.
+        """
+        node = self._node(name)
+        shard_ids = self.on_node(node)
+        episodes = self.recover(shard_ids)
+        episode = {
+            "node": name,
+            "shard_ids": shard_ids,
+            "onset": min(
+                (e["onset"] for e in episodes if e["onset"] is not None),
+                default=None,
+            ),
+            "recovery_seconds": sum(
+                e["recovery_seconds"] for e in episodes
+            ),
+        }
+        self.node_episodes.append(episode)
+        self._tel_node_recoveries.inc()
+        if self.node_detector is not None:
+            self.node_detector.reset(name)
+        if self.orchestrator is not None and shard_ids:
+            self.orchestrator.report_recovery(
+                "%s/%s" % (self.name, name), "node-recovery",
+                episode["recovery_seconds"], onset=episode["onset"],
+            )
+        return shard_ids
+
+    def _node(self, name):
+        if self.topology is None:
+            raise ConfigurationError(
+                "node faults need a topology-placed plane (topology=...)"
+            )
+        return self.topology.node(name)
+
     def recover(self, shard_ids):
         """Respawn a *set* of shards from snapshot + log, in one round.
 
@@ -469,13 +612,14 @@ class ShardFleet:
                 )
         return down
 
-    def start_health(self, env, duration, heal):
+    def start_health(self, env, duration, auto_recover=True):
         """Schedule a probe round every monitor period until
-        ``duration``.  Each tick hands ``heal`` the newly down shards
-        and -- when a node detector is installed -- the nodes it newly
-        judges dead from *correlated* shard suspicions, so a machine
-        death can be healed as one mass recovery before any per-shard
-        fallback.  Returns the number of rounds scheduled."""
+        ``duration``.  With ``auto_recover`` each tick heals what it
+        found: every node the node detector newly judges dead from
+        *correlated* shard suspicions is mass-recovered first
+        (:meth:`recover_node`), then each remaining down shard --
+        process death on a healthy node -- on its own.  Returns the
+        number of rounds scheduled."""
         if self.monitor is None:
             raise ConfigurationError(
                 "the health loop needs an Environment (env=...)"
@@ -488,7 +632,14 @@ class ShardFleet:
                 self.node_detector.poll()
                 if self.node_detector is not None else []
             )
-            heal(down, nodes)
+            if not auto_recover:
+                return
+            healed = set()
+            for name in nodes:
+                healed.update(self.recover_node(name))
+            for shard_id in down:
+                if shard_id not in healed:
+                    self.recover([shard_id])
 
         beats = int(duration / period)
         for index in range(1, beats + 1):

@@ -148,10 +148,6 @@ class NotificationSealer:
         self.sender = sender
         self._contexts = {}
 
-    def context_count(self):
-        """Cached sealing contexts (diagnostics)."""
-        return len(self._contexts)
-
     def seal(self, subscriber, key, serialized_publication, subscription_ids):
         """One envelope for all of ``subscriber``'s matches of a publication.
 

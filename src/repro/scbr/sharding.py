@@ -26,7 +26,9 @@ the watermark:
   client-facing *coordinator* enclave (attested key exchange, covering
   placement, batched notification fan-out with cached per-subscriber
   sealing contexts) in front of N *shard* enclaves holding disjoint
-  partitions of the subscription database.
+  partitions of the subscription database, each on a fresh machine of
+  its own or (``topology=``) on cluster nodes, where it also migrates
+  live partitions off nodes past their EPC watermark.
 
 The plane key shared by the coordinator and the shards is provisioned
 over a mutually attested, batched Diffie-Hellman exchange
@@ -47,10 +49,17 @@ from repro.errors import (
     EnclaveLostError,
     IntegrityError,
     PartialCoverageError,
+    SchedulingError,
 )
 from repro.crypto.aead import AeadKey
 from repro.crypto.chunked import serial_seal_cycles
-from repro.plane import ShardFleet, ShardMember
+from repro.plane import (
+    DEFAULT_NODE_EPC_WATERMARK,
+    FleetClient,
+    ShardFleet,
+    ShardMember,
+    choose_node,
+)
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
 from repro.scbr.index import ContainmentIndex, HOT_BYTES
@@ -83,7 +92,7 @@ from repro.scbr.router import SERIALIZE_CYCLES_PER_BYTE
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import EnclaveCode
 from repro.sgx.memory import EpcModel, SimulatedMemory
-from repro.sim.clock import CycleClock
+from repro.sim.clock import CycleClock, cycles_to_seconds
 from repro.telemetry import (
     DEFAULT_CYCLE_BUCKETS,
     EnclaveTelemetry,
@@ -847,7 +856,27 @@ class _ScbrShard(ShardMember):
         self.database_bytes = 0
 
 
-class ShardedScbrRouter:
+# "Evacuate everything" sentinel: extract_subtrees keeps detaching
+# roots until the moved bytes reach the target, so any target above
+# the partition size moves the whole forest.
+_EVACUATE_ALL_BYTES = 1 << 62
+
+
+@dataclass
+class MigrationTicket:
+    """An in-flight live migration: source still serving, destination
+    attested, joined, and waiting for the sealed evacuation batch."""
+
+    shard_id: int
+    source: object          # the member, still serving matches
+    replacement: object     # staged stand-in on the destination node
+    source_node: object
+    dest_node: object
+    source_clock_start: int
+    dest_clock_start: int
+
+
+class ShardedScbrRouter(FleetClient):
     """The untrusted driver of the enclave-level sharded matching plane.
 
     Presents the :class:`~repro.scbr.router.ScbrRouter` surface
@@ -856,8 +885,18 @@ class ShardedScbrRouter:
     ``stats``), so :class:`~repro.scbr.router.ScbrClient` works against
     it unchanged -- clients attest the *coordinator* enclave.
 
+    Placement: ``shard_platform_factory(i)`` gives every shard a fresh
+    machine of its own; ``topology=`` (a
+    :class:`~repro.cluster.nodes.NodeTopology`) binds shards to cluster
+    nodes instead -- anti-affinity- and EPC-watermark-aware
+    (:func:`repro.plane.choose_node`), node crashes and partitions
+    through ``fleet.fail_node`` / ``fleet.partition_node``, healed as
+    one mass recovery (``fleet.recover_node``), and live migration
+    (:meth:`begin_migration` / :meth:`complete_migration`) to relieve a
+    node's EPC.  Exactly one of the two is given.
+
     Virtual-time accounting: the coordinator runs on its platform's
-    clock; every shard is a separate machine with its own clock.  A
+    clock; every shard machine has its own clock.  A
     publish is ``ingest`` (coordinator) + the *busiest* shard
     machine's match cycles (the host asks shards one after another;
     their concurrency is the separate clocks) + ``finalize``
@@ -878,13 +917,15 @@ class ShardedScbrRouter:
 
     name = "scbr-plane"
 
-    def __init__(self, platform, shard_platform_factory,
+    def __init__(self, platform, shard_platform_factory=None, *,
                  attestation_service, shards=2,
                  record_bytes=DEFAULT_RECORD_BYTES, policy=None,
                  env=None, chaos=None, orchestrator=None,
                  health_policy=None, snapshot_interval=16,
                  on_partial="retry", retry_policy=None,
-                 telemetry_key=None, tracer=None, provisioner=None):
+                 telemetry_key=None, tracer=None, provisioner=None,
+                 topology=None,
+                 epc_node_watermark=DEFAULT_NODE_EPC_WATERMARK):
         if shards < 1:
             raise ConfigurationError("need at least one shard")
         if on_partial not in ("retry", "report"):
@@ -893,7 +934,11 @@ class ShardedScbrRouter:
                 % (on_partial,)
             )
         self.platform = platform
-        self.shard_platform_factory = shard_platform_factory
+        self.topology = topology
+        self.epc_node_watermark = epc_node_watermark
+        if topology is not None:
+            # Enclave names, ledger keys and fault-log names carry it.
+            self.name = "scbr-node-plane"
         # The coordinator, every shard and the fleet share this one
         # service: a re-join with an unchanged quote hits its cache,
         # and a revocation on it reaches every enclave at once.
@@ -942,6 +987,8 @@ class ShardedScbrRouter:
         self._tel_visits = registry.counter("scbr.visits")
         self._tel_splits = registry.counter("scbr.splits")
         self._tel_partial = registry.counter("scbr.partial_publishes")
+        if topology is not None:
+            self._tel_migrations = registry.counter("cluster.migrations")
         self.coordinator = platform.load_enclave(COORD_CODE)
         self.coordinator.ecall(
             "setup", attestation_service, SHARD_CODE.measurement,
@@ -956,10 +1003,12 @@ class ShardedScbrRouter:
             ),
             snapshot=lambda shard: shard.enclave.ecall("snapshot")[1],
             restore=self._restore, replay=self._replay,
-            interval=snapshot_interval, member=_ScbrShard,
+            interval=snapshot_interval,
+            platform_factory=shard_platform_factory, topology=topology,
+            watermark=epc_node_watermark, member=_ScbrShard,
             now=lambda: env.now if env is not None else None,
             chaos=chaos, monitor=self.monitor, orchestrator=orchestrator,
-            tracer=self.tracer, **self._placement()
+            tracer=self.tracer,
         )
         self.shards = []
         self._home = {}
@@ -969,14 +1018,11 @@ class ShardedScbrRouter:
         self.last_visits = 0
         self.splits = 0
         self.migrated = 0
+        self.migration_episodes = []
         self.partial_publishes = 0
         self._spawn_shards(range(shards))
 
     # -- plane membership ----------------------------------------------
-
-    def _placement(self):
-        """Where shard enclaves run: each on a fresh machine of its own."""
-        return {"platform_factory": self.shard_platform_factory}
 
     def _spawn_shards(self, shard_ids):
         """Grow the plane (initial bring-up or a split): spawn, join,
@@ -991,14 +1037,6 @@ class ShardedScbrRouter:
         return self.fleet.member(shard_id)
 
     # -- failure, detection, recovery -----------------------------------
-
-    @property
-    def shard_failures(self):
-        return self.fleet.failures
-
-    @property
-    def recovery_episodes(self):
-        return self.fleet.episodes
 
     def fail_shard(self, shard_id):
         """Kill one shard enclave; False if it was already dead."""
@@ -1021,7 +1059,8 @@ class ShardedScbrRouter:
     def recover_shard(self, shard_id):
         """Respawn a dead shard from its sealed snapshot + mutation log.
 
-        The replacement runs on a *fresh* platform from the factory: it
+        The replacement runs on a fresh platform from the factory or on
+        a reachable node: it
         re-registers with the attestation service, re-joins the plane
         over attested DH (earning the plane key), restores the last
         snapshot, and replays the logged mutations -- so the rebuilt
@@ -1039,19 +1078,12 @@ class ShardedScbrRouter:
         """One heartbeat round; returns the newly-down shard ids."""
         return self.fleet.probe()
 
-    def _heal(self, down_shards, _down_nodes):
-        for shard_id in down_shards:
-            self.recover_shard(shard_id)
-
     def start_health(self, duration, auto_recover=True):
         """Schedule heartbeat probing every monitor period until
-        ``duration``; newly detected-down shards are recovered in place
-        when ``auto_recover`` (the paper's orchestration loop: detect,
-        then adapt the infrastructure)."""
-        return self.fleet.start_health(
-            self.env, duration,
-            self._heal if auto_recover else lambda *_down: None,
-        )
+        ``duration``; newly detected-down nodes and shards are recovered
+        in place when ``auto_recover`` (the paper's orchestration loop:
+        detect, then adapt the infrastructure)."""
+        return self.fleet.start_health(self.env, duration, auto_recover)
 
     @property
     def measurement(self):
@@ -1169,6 +1201,152 @@ class ShardedScbrRouter:
         self._tel_unsubscribes.inc()
         return True
 
+    # -- live migration (topology placement only) -----------------------
+
+    def begin_migration(self, shard_id, node_name=None):
+        """Stage a live migration of shard ``shard_id``.
+
+        Spawns a replacement enclave on the destination node (chosen by
+        the planner unless ``node_name`` pins it) and walks it through
+        the full attested DH join, so it holds the plane key before a
+        single record moves.  The source keeps serving matches -- the
+        plane's membership, residency ledgers, and heartbeat targets
+        are untouched until :meth:`complete_migration` cuts over.
+        """
+        if self.topology is None:
+            raise ConfigurationError(
+                "live migration needs a topology-placed plane"
+            )
+        source = self._shard_by_id(shard_id)
+        if source.enclave.destroyed:
+            raise EnclaveLostError(
+                "shard %d is dark; recover it, do not migrate it"
+                % shard_id
+            )
+        source_node = source.node
+        if node_name is not None:
+            dest = self.topology.node(node_name)
+            if not dest.sgx:
+                raise SchedulingError(
+                    "node %s has no SGX support" % node_name
+                )
+            if not dest.reachable(self.fleet.now()):
+                raise SchedulingError(
+                    "node %s is unreachable" % node_name
+                )
+        else:
+            dest = choose_node(
+                self.topology, self.fleet.now(), self.epc_node_watermark,
+                exclude=(source_node,),
+            )
+        if dest is source_node:
+            raise SchedulingError(
+                "migration needs a destination other than %s"
+                % source_node.name
+            )
+        source_clock_start = source.platform.clock.now
+        dest_clock_start = dest.platform.clock.now
+        return MigrationTicket(
+            shard_id=shard_id, source=source,
+            replacement=self.fleet.stage(shard_id, dest),
+            source_node=source_node, dest_node=dest,
+            source_clock_start=source_clock_start,
+            dest_clock_start=dest_clock_start,
+        )
+
+    def complete_migration(self, ticket):
+        """Cut a staged migration over; returns the migration episode.
+
+        The source evacuates its *entire* forest as one plane-sealed
+        batch (``extract_subtrees`` with an everything target), the
+        replacement loads it, and partition residency swaps atomically
+        (:meth:`repro.plane.ShardFleet.cutover`): enclave, node ledgers,
+        detector assignment.  The retired source is destroyed (EPC
+        pages EREMOVEd) and the partition immediately re-snapshotted,
+        so the next crash replays from the post-migration state.
+        Coverage-tracked publish makes the cutover loss-free: a
+        publication before the swap is answered by the still-full
+        source, one after by the fully loaded replacement.
+
+        If the source died mid-migration the staged replacement is
+        abandoned and the shard recovered from its snapshot instead --
+        the caller still ends with a serving partition.
+        """
+        shard_id = ticket.shard_id
+        source, replacement = ticket.source, ticket.replacement
+        if replacement.enclave.destroyed:
+            raise EnclaveLostError(
+                "migration destination for shard %d died; begin again"
+                % shard_id
+            )
+        if source.enclave.destroyed:
+            replacement.enclave.destroy()
+            self.recover_shard(shard_id)
+            return {
+                "shard_id": shard_id, "completed": False,
+                "fallback": "snapshot-recovery",
+            }
+        moved_ids, batch = source.enclave.ecall(
+            "evacuate", _EVACUATE_ALL_BYTES
+        )
+        replacement.enclave.ecall("load", batch)
+        # Swap the partition: same shard id, new machine.
+        self.fleet.cutover(source, replacement)
+        self.fleet.checkpoint(source)
+        migration_cycles = (
+            ticket.source_node.platform.clock.now
+            - ticket.source_clock_start
+        ) + (
+            ticket.dest_node.platform.clock.now - ticket.dest_clock_start
+        )
+        self.migrated += len(moved_ids)
+        self._tel_migrations.inc()
+        episode = {
+            "shard_id": shard_id,
+            "completed": True,
+            "moved": len(moved_ids),
+            "source_node": ticket.source_node.name,
+            "dest_node": ticket.dest_node.name,
+            "migration_cycles": migration_cycles,
+            "migration_seconds": cycles_to_seconds(migration_cycles),
+        }
+        self.migration_episodes.append(episode)
+        return episode
+
+    def relieve_epc_pressure(self, watermark=None):
+        """One rebalancing pass: migrate the largest shard off every
+        node over its EPC watermark, if an under-watermark destination
+        exists.  Returns the completed migration episodes."""
+        if self.topology is None:
+            raise ConfigurationError(
+                "live migration needs a topology-placed plane"
+            )
+        if watermark is None:
+            watermark = self.epc_node_watermark
+        episodes = []
+        for node in self.topology.sgx_nodes():
+            if not node.epc_watermark_exceeded(watermark):
+                continue
+            local = self.fleet.on_node(node)
+            if not local:
+                continue
+            candidates = [
+                other for other
+                in self.topology.placement_candidates(
+                    self.fleet.now(), exclude=(node,)
+                )
+                if not other.epc_watermark_exceeded(watermark)
+            ]
+            if not candidates:
+                continue
+            heaviest = max(
+                local,
+                key=lambda sid: self._shard_by_id(sid).database_bytes,
+            )
+            ticket = self.begin_migration(heaviest)
+            episodes.append(self.complete_migration(ticket))
+        return episodes
+
     # -- publication plane ---------------------------------------------
 
     def _publish_once(self, envelope):
@@ -1278,7 +1456,7 @@ class ShardedScbrRouter:
             return PartialCoverage(routed=routed, missing=missing)
 
         def heal_and_republish(attempt):
-            # Dark means destroyed or (node-bound) live but unreachable.
+            # Dark means destroyed or (on a topology) live but unreachable.
             self.recover_shards(self.fleet.dark())
             retried, still_missing = self._publish_once(envelope)
             if still_missing:
@@ -1350,7 +1528,7 @@ class ShardedScbrRouter:
                     "version": -1,
                     "down": True,
                 })
-        return {
+        stats = {
             "shards": len(per_shard),
             "subscriptions": sum(s["subscriptions"] for s in per_shard),
             "database_bytes": sum(s["database_bytes"] for s in per_shard),
@@ -1365,15 +1543,30 @@ class ShardedScbrRouter:
             "partial_publishes": self.partial_publishes,
             "per_shard": per_shard,
         }
-
-    def recovery_latencies(self):
-        """Virtual seconds each recovery episode took to heal."""
-        return [e["recovery_seconds"] for e in self.recovery_episodes]
+        if self.topology is not None:
+            nodes = self.topology.sgx_nodes()
+            stats["nodes"] = {
+                "count": len(self.topology),
+                "sgx": len(nodes),
+                "node_failures": sum(n.crashes for n in self.topology),
+                "node_recoveries": len(self.fleet.node_episodes),
+                "node_partitions": sum(
+                    n.partitions for n in self.topology
+                ),
+                "migrations": len(self.migration_episodes),
+                "shard_spread": self.topology.shard_spread(),
+                "epc_utilization": {
+                    node.name: node.epc_utilization() for node in nodes
+                },
+            }
+        return stats
 
     def check_invariants(self):
-        """The fleet's leak and ledger audit, plus: the home map points
-        only at current member shards."""
+        """The fleet's leak and ledger audit, the topology's own, and:
+        the home map points only at current member shards."""
         self.fleet.check_invariants()
+        if self.topology is not None:
+            self.topology.check_invariants()
         for subscription_id, shard in self._home.items():
             if self.fleet.members.get(shard.shard_id) is not shard:
                 raise ConfigurationError(

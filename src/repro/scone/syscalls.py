@@ -177,10 +177,6 @@ class SimulatedKernel:
     def _sys_nanosleep(self, _duration):
         return 0
 
-    def file_contents(self, path):
-        """Test helper: raw bytes the host sees for ``path``."""
-        return bytes(self._files.get(path, b""))
-
 
 class SyscallShield:
     """Validates untrusted results and charges the copy-in cost."""

@@ -142,11 +142,6 @@ class Process(Event):
         bootstrap._value = None
         env._schedule(bootstrap)
 
-    @property
-    def is_alive(self):
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def interrupt(self, cause=None):
         """Throw :class:`Interrupt` into the process at its yield point."""
         if self.triggered:
@@ -325,10 +320,6 @@ class Environment:
     def any_of(self, events):
         """Event that fires when the first of ``events`` triggers."""
         return AnyOf(self, events)
-
-    def peek(self):
-        """Time of the next scheduled event, or ``None`` if queue empty."""
-        return self._queue[0][0] if self._queue else None
 
     def step(self):
         """Process the single next event in the queue."""

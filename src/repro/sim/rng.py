@@ -72,10 +72,6 @@ class RandomStream:
         """Exponential draw with the given rate (1/mean)."""
         return self._random.expovariate(rate)
 
-    def lognormal(self, mu, sigma):
-        """Log-normal draw."""
-        return self._random.lognormvariate(mu, sigma)
-
     def zipf(self, n, alpha=1.0):
         """Zipf-distributed rank in [0, n): rank k has weight 1/(k+1)^alpha.
 

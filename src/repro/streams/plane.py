@@ -39,19 +39,27 @@ cutover.  When load drains (both siblings idle for ``merge_idle_rounds``
 rounds) ranges merge back and the spare shard retires, its sealed
 counters riding the handoff so accounting stays exact.
 
-The plane exposes ``fail_shard`` / ``fail_node`` / ``name``, so
-:class:`~repro.chaos.injector.FaultSchedule` can crash it on the
-virtual clock like any other plane.
+The plane exposes ``fail_shard``, ``fleet`` and ``name``, so
+:class:`~repro.chaos.injector.FaultSchedule` can crash a shard or a
+node on the virtual clock like any other plane.  A node crash is the
+topology's one event (:meth:`repro.cluster.nodes.NodeTopology.crash_node`):
+the fleet counts and latches the lost shards whichever plane, schedule
+or chaos step crashed the node, and the next service touch recovers
+each.  Seeded node faults draw in :meth:`SecureStreamPlane.pump`
+through the shared chaos step
+(:func:`repro.chaos.wrappers.node_fault_step`) over the nodes hosting
+routed shards.
 """
 
 from collections import deque
 
+from repro.chaos.wrappers import node_fault_step
 from repro.errors import (
     CapacityError,
     ConfigurationError,
     EnclaveLostError,
 )
-from repro.plane import ShardFleet, ShardMember
+from repro.plane import FleetClient, ShardFleet, ShardMember
 from repro.scbr.provisioning import PlaneProvisioner
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
@@ -114,7 +122,7 @@ class _ShardRuntime(ShardMember):
         )
 
 
-class SecureStreamPlane:
+class SecureStreamPlane(FleetClient):
     """A sealed, self-stabilising event-time streaming plane."""
 
     def __init__(self, topology, config=None, shards=2, seed=0,
@@ -139,7 +147,6 @@ class SecureStreamPlane:
         self.committed = {}
         self.commit_times = {}
         self.duplicates_suppressed = 0
-        self.node_failures = 0
         self.splits = 0
         self.merges = 0
         self.throttled_rounds = 0
@@ -281,34 +288,10 @@ class SecureStreamPlane:
 
     # -- fault hooks (FaultSchedule-compatible) -------------------------
 
-    @property
-    def shard_crashes(self):
-        return self.fleet.failures
-
-    @property
-    def recoveries(self):
-        return len(self.fleet.episodes)
-
-    @property
-    def recovery_episodes(self):
-        """Virtual ms each recovery took."""
-        return [
-            episode["recovery_seconds"] * 1e3
-            for episode in self.fleet.episodes
-        ]
-
     def fail_shard(self, shard_id):
         """Crash one shard enclave (chaos hook).  Detection happens on
         the next service touch; recovery restores + replays."""
         return self.fleet.fail(shard_id)
-
-    def fail_node(self, node_name):
-        """Machine failure: every stream shard on the node goes dark."""
-        node = self.topology.node(node_name)
-        dark = self.fleet.on_node(node)
-        node.crash()
-        self.node_failures += 1
-        return dark
 
     def recover_shard(self, shard_id):
         """Respawn + ticket re-join + sealed restore + replay."""
@@ -394,21 +377,22 @@ class SecureStreamPlane:
 
         Returns the records released this round.  Chaos-scheduled
         faults fire between rounds (drive the :class:`Environment`
-        forward before calling); probabilistic shard crashes draw at
-        every service step.
+        forward before calling); probabilistic node faults draw once
+        per round over the nodes hosting routed shards, shard crashes
+        at every service step.
         """
         if self.env is None:
             self._vnow += self.config.round_interval
         self._rounds += 1
         if self.chaos is not None:
-            hosting = sorted({
-                self.shards[shard_id].node.name
+            hosting = {
+                self.shards[shard_id].node
                 for shard_id in self.table.shard_ids()
-                if self.shards[shard_id].node.alive
-            })
-            for node_name in hosting:
-                if self.chaos.crashes_node(node_name, self._rounds):
-                    self.fail_node(node_name)
+            }
+            node_fault_step(
+                self.chaos, self.fleet,
+                sorted(hosting, key=lambda node: node.name), self._rounds,
+            )
         released = 0
         for source in sources:
             released += source.release(self)

@@ -40,9 +40,6 @@ class KeyRange:
     def contains(self, slot):
         return self.lo <= slot < self.hi
 
-    def contains_key(self, key):
-        return self.contains(key_slot(key))
-
     @property
     def width(self):
         return self.hi - self.lo

@@ -111,7 +111,3 @@ class MeterStreamSource:
             )
             sent += len(chunk)
         return sent
-
-    @property
-    def backlog_depth(self):
-        return len(self.backlog)

@@ -277,9 +277,7 @@ class TestNodeFaults:
         assert injector.injections == 0
 
     def test_schedule_crash_and_partition_node(self):
-        class _Plane:
-            name = "plane"
-
+        class _Fleet:
             def __init__(self):
                 self.failed = []
                 self.partitioned = []
@@ -290,6 +288,12 @@ class TestNodeFaults:
             def partition_node(self, name, duration):
                 self.partitioned.append((name, duration))
 
+        class _Plane:
+            name = "plane"
+
+            def __init__(self):
+                self.fleet = _Fleet()
+
         env = Environment()
         injector = ChaosInjector(seed=1)
         schedule = FaultSchedule(env, injector=injector)
@@ -297,8 +301,8 @@ class TestNodeFaults:
         schedule.crash_node_at(0.2, plane, "node-0")
         schedule.partition_node_at(0.3, plane, "node-1", 0.05)
         env.run()
-        assert plane.failed == ["node-0"]
-        assert plane.partitioned == [("node-1", 0.05)]
+        assert plane.fleet.failed == ["node-0"]
+        assert plane.fleet.partitioned == [("node-1", 0.05)]
         assert [entry[1] for entry in schedule.fired] == [
             "node-crash", "node-partition"
         ]

@@ -1,13 +1,14 @@
-"""Tests for the node-bound sharded SCBR plane.
+"""Tests for the sharded SCBR plane placed on a node topology.
 
 Placement, machine failure + mass recovery, live migration, and
 network partitions -- each judged against the single-index oracle
-where publications flow.
+where publications flow.  Node faults go through the fleet
+(``router.fleet.fail_node`` / ``partition_node`` / ``recover_node``).
 """
 
 import pytest
 
-from repro.cluster import NodeBoundScbrRouter, NodeTopology
+from repro.cluster import NodeTopology
 from repro.errors import (
     ConfigurationError,
     EnclaveLostError,
@@ -16,6 +17,7 @@ from repro.errors import (
 from repro.scbr.filters import Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.router import ScbrClient
+from repro.scbr.sharding import ShardedScbrRouter
 from repro.plane import least_loaded
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.attestation import AttestationService
@@ -36,8 +38,8 @@ def plane(seed=SEED, nodes=3, shards=3, epc_capacities=None, **kwargs):
     attestation.register_platform(
         platform.platform_id, platform.quoting_enclave.public_key
     )
-    router = NodeBoundScbrRouter(
-        platform, topology,
+    router = ShardedScbrRouter(
+        platform, topology=topology,
         attestation_service=attestation, shards=shards, env=env, **kwargs,
     )
     attestation.trust_measurement(router.measurement)
@@ -108,23 +110,33 @@ class TestChooseNode:
             least_loaded(counts, loads, over_watermark=flags)
 
 
+def _bare(platform_factory=None, **kwargs):
+    platform = SgxPlatform(seed=1, quoting_key_bits=512)
+    return ShardedScbrRouter(
+        platform, platform_factory,
+        attestation_service=AttestationService(), **kwargs,
+    )
+
+
 class TestConstruction:
     def test_requires_a_topology(self):
-        platform = SgxPlatform(seed=1, quoting_key_bits=512)
         with pytest.raises(ConfigurationError):
-            NodeBoundScbrRouter(platform, topology="not-a-topology")
+            _bare(topology="not-a-topology")
+        with pytest.raises(ConfigurationError):
+            _bare()     # neither a platform factory nor a topology
+        with pytest.raises(ConfigurationError):
+            _bare(lambda i: SgxPlatform(seed=10 + i, quoting_key_bits=512),
+                  topology=NodeTopology.build(1, seed=1))
 
     def test_requires_an_sgx_node(self):
-        platform = SgxPlatform(seed=1, quoting_key_bits=512)
         topology = NodeTopology.build(2, seed=1, sgx_flags=[False, False])
         with pytest.raises(SchedulingError):
-            NodeBoundScbrRouter(platform, topology)
+            _bare(topology=topology)
 
     def test_rejects_bad_watermark(self):
-        platform = SgxPlatform(seed=1, quoting_key_bits=512)
         topology = NodeTopology.build(1, seed=1)
         with pytest.raises(ConfigurationError):
-            NodeBoundScbrRouter(platform, topology, epc_node_watermark=0.0)
+            _bare(topology=topology, epc_node_watermark=0.0)
 
     def test_initial_placement_is_anti_affine(self):
         router, _ = plane(nodes=4, shards=8)
@@ -133,7 +145,8 @@ class TestConstruction:
             "8 shards over 4 nodes must land 2 per node"
         )
         assert sum(
-            len(router.node_detector.shards_on(name)) for name in spread
+            len(router.fleet.node_detector.shards_on(name))
+            for name in spread
         ) == 8
         router.check_invariants()
         stats = router.stats()["nodes"]
@@ -148,12 +161,13 @@ class TestNodeFailure:
         publisher = ScbrClient("publisher", router, attestation)
         stream = workload.publications(3)
 
-        dark = router.fail_node("node-1")
+        dark = router.fleet.fail_node("node-1")
         assert len(dark) == 2, "the node hosted two partitions"
-        assert router.node_failures == 1
+        assert router.stats()["nodes"]["node_failures"] == 1
+        assert router.shard_failures == 2
         assert not router.topology.node("node-1").alive
 
-        recovered = router.recover_node("node-1")
+        recovered = router.fleet.recover_node("node-1")
         assert recovered == dark
         assert not router.topology.node("node-1").shard_ids
         spread = router.topology.shard_spread()
@@ -165,7 +179,7 @@ class TestNodeFailure:
         assert max(survivors) - min(survivors) <= 1, (
             "mass recovery must respect anti-affinity"
         )
-        (episode,) = router.node_recovery_episodes
+        (episode,) = router.fleet.node_episodes
         assert episode["node"] == "node-1"
         assert episode["shard_ids"] == dark
         assert episode["recovery_seconds"] > 0.0
@@ -176,12 +190,12 @@ class TestNodeFailure:
 
     def test_repaired_node_attracts_placements_again(self):
         router, _ = plane(nodes=2, shards=2)
-        router.fail_node("node-0")
-        router.recover_node("node-0")
+        router.fleet.fail_node("node-0")
+        router.fleet.recover_node("node-0")
         assert router.topology.shard_spread() == {"node-0": 0, "node-1": 2}
         router.topology.node("node-0").repair()
         replacement = router.recover_shard(0)
-        assert router.node_of(replacement.shard_id).name == "node-0", (
+        assert replacement.node.name == "node-0", (
             "the empty repaired node is the anti-affinity winner"
         )
         router.check_invariants()
@@ -219,8 +233,8 @@ class TestLiveMigration:
 
         assert first + second == oracle_match_sets(live, stream)
         assert not tiny.shard_ids, "node-0 must be drained"
-        assert router.migrations_completed == 1
-        assert router.node_of(victim) is ticket.dest_node
+        assert len(router.migration_episodes) == 1
+        assert router.fleet.member(victim).node is ticket.dest_node
         router.check_invariants()
 
     def test_relieve_epc_pressure_drains_the_hot_node(self):
@@ -245,33 +259,51 @@ class TestLiveMigration:
 
         ticket = router.begin_migration(0)
         source_name = ticket.source_node.name
-        router.fail_node(source_name)
+        router.fleet.fail_node(source_name)
         episode = router.complete_migration(ticket)
         assert episode == {
             "shard_id": 0, "completed": False,
             "fallback": "snapshot-recovery",
         }
-        assert router.migrations_completed == 0
-        home = router.node_of(0)
+        assert router.migration_episodes == []
+        home = router.fleet.member(0).node
         assert home.alive and home.name != source_name
         deliveries = deliver(router, attestation, alice, publisher, stream)
         assert deliveries == oracle_match_sets(live, stream)
         router.check_invariants()
 
+    def test_migration_needs_a_topology(self):
+        platform = SgxPlatform(seed=2, quoting_key_bits=512)
+        attestation = AttestationService()
+        attestation.register_platform(
+            platform.platform_id, platform.quoting_enclave.public_key
+        )
+        router = ShardedScbrRouter(
+            platform,
+            lambda i: SgxPlatform(seed=20 + i, quoting_key_bits=512),
+            attestation_service=attestation, shards=1,
+        )
+        with pytest.raises(ConfigurationError):
+            router.begin_migration(0)
+        with pytest.raises(ConfigurationError):
+            router.relieve_epc_pressure()
+        with pytest.raises(ConfigurationError):
+            router.fleet.fail_node("node-0")
+
     def test_dark_shard_cannot_begin_migration(self):
         router, _ = plane(nodes=3, shards=3)
-        source = router.node_of(0).name
-        router.fail_node(source)
+        source = router.fleet.member(0).node.name
+        router.fleet.fail_node(source)
         with pytest.raises(EnclaveLostError):
             router.begin_migration(0)
 
     def test_pinned_destination_must_differ_and_be_reachable(self):
         router, _ = plane(nodes=3, shards=3)
-        source = router.node_of(0).name
+        source = router.fleet.member(0).node.name
         with pytest.raises(SchedulingError):
             router.begin_migration(0, node_name=source)
         others = [n.name for n in router.topology if n.name != source]
-        router.topology.node(others[0]).crash()
+        router.fleet.fail_node(others[0])
         with pytest.raises(SchedulingError):
             router.begin_migration(0, node_name=others[0])
 
@@ -283,8 +315,8 @@ class TestNetworkPartition:
         publisher = ScbrClient("publisher", router, attestation)
         stream = workload.publications(3)
 
-        router.partition_node("node-1", duration=0.5)
-        assert router.node_partitions == 1
+        router.fleet.partition_node("node-1", duration=0.5)
+        assert router.stats()["nodes"]["node_partitions"] == 1
         # on_partial="retry" (the default) heals inline: the coverage
         # gap from the unreachable shard triggers a conservative
         # respawn on a reachable node, then the publish retries.
@@ -302,12 +334,13 @@ class TestNetworkPartition:
         attestation.register_platform(
             platform.platform_id, platform.quoting_enclave.public_key
         )
-        router = NodeBoundScbrRouter(
-            platform, topology, attestation_service=attestation, shards=1,
+        router = ShardedScbrRouter(
+            platform, topology=topology, attestation_service=attestation,
+            shards=1,
         )
         attestation.trust_measurement(router.measurement)
         with pytest.raises(ConfigurationError):
-            router.partition_node("node-0", duration=0.1)
+            router.fleet.partition_node("node-0", duration=0.1)
 
 
 class TestHealthLoop:
@@ -319,7 +352,7 @@ class TestHealthLoop:
         stream = workload.publications(2)
 
         router.start_health(0.03)
-        env.call_at(0.003, lambda: router.fail_node("node-2"))
+        env.call_at(0.003, lambda: router.fleet.fail_node("node-2"))
         deliveries = []
 
         def publish():
@@ -330,12 +363,13 @@ class TestHealthLoop:
         env.call_at(0.02, publish)
         env.run(until=0.03)
 
-        assert router.node_failures == 1
-        assert len(router.node_detector.detections) == 1
-        assert router.node_detector.detections[0].node == "node-2"
-        assert len(router.node_recovery_episodes) == 1, (
+        fleet = router.fleet
+        assert router.stats()["nodes"]["node_failures"] == 1
+        assert len(fleet.node_detector.detections) == 1
+        assert fleet.node_detector.detections[0].node == "node-2"
+        assert len(fleet.node_episodes) == 1, (
             "the correlated verdict must heal as ONE mass recovery"
         )
-        assert router.node_detection_latencies()[0] > 0.0
+        assert fleet.node_detector.detection_latencies()[0] > 0.0
         assert deliveries == oracle_match_sets(live, stream)
         router.check_invariants()

@@ -120,8 +120,8 @@ class TestNodeTopology:
         topology = NodeTopology.build(
             4, seed=7, sgx_flags=[True, True, True, False]
         )
-        topology.node("node-1").crash()
-        topology.node("node-2").partition(until=5.0)
+        topology.crash_node("node-1")
+        topology.partition_node("node-2", until=5.0)
         names = [n.name for n in topology.placement_candidates(0.0)]
         assert names == ["node-0"]
         # The partition heals by t=5; exclusion still applies.

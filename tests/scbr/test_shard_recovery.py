@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.chaos import ChaosInjector, ChaosShardPlane, FaultSchedule
+from repro.chaos import ChaosInjector, ChaosPlane, FaultSchedule
 from repro.errors import ConfigurationError, RetryExhaustedError
 from repro.microservices import Orchestrator, QosMonitor, ServiceRegistry
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
@@ -340,7 +340,7 @@ class TestChaosShardPlane:
     def test_wrapper_crashes_and_plane_heals(self):
         injector = ChaosInjector(seed=11, shard_crash_rate=0.35)
         router, attestation = make_plane(seed=58, shards=3)
-        hostile = ChaosShardPlane(router, injector)
+        hostile = ChaosPlane(router, injector)
         alice = ScbrClient("alice", router, attestation)
         publisher = ScbrClient("publisher", router, attestation)
         for position in range(9):
@@ -363,7 +363,7 @@ class TestChaosShardPlane:
         router, attestation = make_plane(seed=59, shards=2)
         # Make every recovery immediately fatal again by crashing on
         # each publish attempt through the wrapper.
-        hostile = ChaosShardPlane(router, injector)
+        hostile = ChaosPlane(router, injector)
         alice = ScbrClient("alice", router, attestation)
         publisher = ScbrClient("publisher", router, attestation)
         alice.subscribe(sub("s0", 50))

@@ -28,7 +28,7 @@ def test_shard_crash_replays_to_oracle(grid, fleet):
         if rounds in (2, 5):
             plane.fail_shard(plane.table.shard_ids()[rounds % 2])
     plane.drain([source])
-    assert plane.recoveries >= 2
+    assert len(plane.recovery_episodes) >= 2
     assert frame_rows(plane.open_firings()) == baseline
     audit = plane.audit([source])
     assert audit["silent_loss"] == 0
@@ -67,7 +67,8 @@ def test_fault_schedule_crash_shard_and_node(grid, fleet):
     assert {kind for _t, kind, _name in schedule.fired} == {
         "shard-crash", "node-crash",
     }
-    assert plane.shard_crashes >= 1 and plane.node_failures >= 1
+    assert plane.shard_failures >= 1
+    assert sum(node.crashes for node in plane.topology) >= 1
     assert frame_rows(plane.open_firings()) == baseline
     assert plane.audit([source])["silent_loss"] == 0
 
@@ -92,9 +93,9 @@ def test_recovery_latency_is_recorded(grid, fleet):
     plane.pump([source])
     plane.fail_shard(0)
     plane.drain([source])
-    assert plane.recoveries >= 1
-    assert len(plane.recovery_episodes) == plane.recoveries
-    assert all(ms >= 0.0 for ms in plane.recovery_episodes)
+    assert len(plane.recovery_episodes) >= 1
+    assert len(plane.recovery_latencies()) == len(plane.recovery_episodes)
+    assert all(seconds >= 0.0 for seconds in plane.recovery_latencies())
 
 
 def test_same_seed_runs_are_identical(grid, fleet):
@@ -107,7 +108,7 @@ def test_same_seed_runs_are_identical(grid, fleet):
         plane.drain([source])
         return (
             frame_rows(plane.open_firings()),
-            plane.recoveries,
+            plane.recovery_episodes,
             plane.duplicates_suppressed,
         )
 

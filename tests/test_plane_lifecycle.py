@@ -1,17 +1,18 @@
 """One shard life cycle (``repro.plane``), three clients.
 
-The sharded SCBR plane, its node-bound variant and the streaming plane
-all hand spawn / checkpoint / fail / recover to one
-:class:`~repro.plane.ShardFleet`.  The conformance test drives each
-client through the same cycle and holds it to the same contract; the
-rest pins what only a shared substrate could get right -- several
-planes on one topology, and one meaning of "a shard failed".
+The sharded SCBR plane (on fresh platforms or on a node topology) and
+the streaming plane all hand spawn / checkpoint / fail / recover to one
+:class:`~repro.plane.ShardFleet`.  The conformance tests drive each
+client through the same cycles -- a shard's and, on a topology, a
+node's -- and hold it to the same contract; the rest pins what only a
+shared substrate could get right -- several planes on one topology,
+and one meaning of "a shard failed" and of "a node crashed".
 """
 
 import pytest
 
 from repro.chaos.injector import FaultSchedule
-from repro.cluster import NodeBoundScbrRouter, NodeTopology
+from repro.cluster import NodeTopology
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
 from repro.scbr.router import ScbrClient
@@ -27,7 +28,7 @@ from repro.streams import MeterStreamSource, SecureStreamPlane, StreamConfig
 class _ScbrClientUnderTest:
     """Drives either SCBR router: subscriptions are the client state."""
 
-    def __init__(self, node_bound, topology=None):
+    def __init__(self, node_bound, topology=None, env=None):
         platform = SgxPlatform(seed=61, quoting_key_bits=512)
         attestation = AttestationService()
         attestation.register_platform(
@@ -36,11 +37,11 @@ class _ScbrClientUnderTest:
         # A long interval keeps mutations in the log: recovery must
         # restore the snapshot *and* replay.
         common = dict(attestation_service=attestation, shards=2,
-                      env=Environment(), snapshot_interval=1000)
+                      env=env or Environment(), snapshot_interval=1000)
         if node_bound:
             self.topology = topology or NodeTopology.build(3, seed=5)
-            self.plane = NodeBoundScbrRouter(
-                platform, self.topology, **common
+            self.plane = ShardedScbrRouter(
+                platform, topology=self.topology, **common
             )
         else:
             self.topology = None
@@ -79,7 +80,7 @@ class _StreamClientUnderTest:
     """Drives the stream plane: open panes, queues and committed
     firings are the client state."""
 
-    def __init__(self, topology=None):
+    def __init__(self, topology=None, env=None):
         self.topology = topology or NodeTopology.build(3, seed=5)
         self.plane = SecureStreamPlane(
             self.topology,
@@ -87,7 +88,7 @@ class _StreamClientUnderTest:
                 window={"kind": "tumbling", "size": 60.0, "lateness": 30.0},
                 checkpoint_interval=3,
             ),
-            shards=2, seed=9,
+            shards=2, seed=9, env=env,
         )
         grid = GridTopology.build(2, 2, 3)
         self.source = MeterStreamSource(
@@ -117,6 +118,7 @@ CLIENTS = {
     "scbr-node-bound": lambda: _ScbrClientUnderTest(node_bound=True),
     "streams": _StreamClientUnderTest,
 }
+NODE_PLACED = ("scbr-node-bound", "streams")
 
 
 def _assert_released(enclave, platform):
@@ -178,40 +180,113 @@ def test_fault_schedule_on_a_dark_stream_shard_counts_one_crash():
     schedule.crash_shard_at(2.0, plane, 0)
     env.run(until=3.0)
     assert len(schedule.fired) == 2
-    assert plane.shard_crashes == 1
+    assert plane.shard_failures == 1
+
+
+@pytest.mark.parametrize("kind", NODE_PLACED)
+def test_node_lifecycle_conformance(kind):
+    """mutate -> fail node -> recover node leaves a node-placed client
+    where it was: one failure per shard the node hosted, the onset
+    latched, one mass recovery, the ledgers in agreement."""
+    client = CLIENTS[kind]()
+    plane, fleet = client.plane, client.plane.fleet
+    client.mutate()
+    before = client.state()
+    node = fleet.member(0).node
+    homed = fleet.on_node(node)
+    onset = fleet.now()
+
+    assert fleet.fail_node(node.name) == homed
+    assert not node.alive and not node.shard_ids
+    assert fleet.failures == len(homed)
+    assert all(fleet.member(s).failed_at == onset for s in homed)
+
+    assert fleet.recover_node(node.name) == homed
+    episode, = fleet.node_episodes
+    assert episode["node"] == node.name and episode["shard_ids"] == homed
+    assert episode["onset"] == onset and episode["recovery_seconds"] > 0
+    assert [e["shard_id"] for e in plane.recovery_episodes] == homed
+    assert plane.recovery_latencies() == [
+        e["recovery_seconds"] for e in plane.recovery_episodes
+    ]
+    assert all(fleet.member(s).node is not node for s in homed)
+    assert client.state() == before
+    assert plane.check_invariants()
+
+
+def _shared_topology(env=None):
+    """An SCBR plane and a stream plane on one topology, mutated, with
+    a node hosting shards of both."""
+    topology = NodeTopology.build(3, seed=5)
+    scbr = _ScbrClientUnderTest(node_bound=True, topology=topology, env=env)
+    streams = _StreamClientUnderTest(topology=topology, env=env)
+    topology.check_invariants()
+    scbr.mutate()
+    streams.mutate()
+    shared = next(
+        node for node in topology
+        if scbr.plane.fleet.on_node(node) and streams.plane.fleet.on_node(node)
+    )
+    return topology, scbr, streams, shared
 
 
 def test_two_planes_share_one_topology():
     """Shard ids are plane-local; the node ledger is keyed by
     ``(plane name, shard id)``, so shard 0 of one plane and shard 0 of
-    another never collide -- through a crash of a node hosting both."""
-    topology = NodeTopology.build(3, seed=5)
-    scbr = _ScbrClientUnderTest(node_bound=True, topology=topology)
-    streams = _StreamClientUnderTest(topology=topology)
-    topology.check_invariants()
-    scbr.mutate()
-    streams.mutate()
+    another never collide -- through a crash of a node hosting both,
+    which both fleets count and latch."""
+    topology, scbr, streams, shared = _shared_topology()
     before = scbr.state(), streams.state()
-
-    shared = next(
-        node for node in topology
-        if scbr.plane.fleet.on_node(node) and streams.plane.fleet.on_node(node)
-    )
-    scbr_dark = scbr.plane.fail_node(shared.name)
     stream_dark = streams.plane.fleet.on_node(shared)
+
+    scbr_dark = scbr.plane.fleet.fail_node(shared.name)
     assert scbr_dark and stream_dark
     assert all(
         streams.plane.shards[shard_id].enclave.destroyed
         for shard_id in stream_dark
     )
     assert not shared.shard_ids
+    for fleet, dark in ((scbr.plane.fleet, scbr_dark),
+                        (streams.plane.fleet, stream_dark)):
+        assert fleet.failures == len(dark)
+        assert all(
+            fleet.member(s).failed_at == fleet.now() for s in dark
+        )
 
-    assert scbr.plane.recover_node(shared.name) == scbr_dark
-    for shard_id in stream_dark:
-        streams.plane.recover_shard(shard_id)
+    assert scbr.plane.fleet.recover_node(shared.name) == scbr_dark
+    assert streams.plane.fleet.recover_node(shared.name) == stream_dark
     assert (scbr.state(), streams.state()) == before
     topology.check_invariants()
     assert scbr.plane.check_invariants()
     assert streams.plane.check_invariants()
     # One plane's rebinding never evicted the other's container.
     assert sum(len(node.shard_ids) for node in topology) == 4
+
+
+@pytest.mark.parametrize("trigger", ["scbr", "streams"])
+def test_a_node_crash_is_one_event_for_every_fleet_on_it(trigger):
+    """Whichever plane's schedule crashes a shared node, every fleet
+    with a shard there counts exactly one failure per such shard and
+    its recovery episodes carry the crash time as their onset."""
+    env = Environment()
+    _topology, scbr, streams, shared = _shared_topology(env)
+    planes = {"scbr": scbr.plane, "streams": streams.plane}
+    homed = {
+        name: plane.fleet.on_node(shared) for name, plane in planes.items()
+    }
+    assert all(plane.shard_failures == 0 for plane in planes.values())
+
+    schedule = FaultSchedule(env)
+    schedule.crash_node_at(1.0, planes[trigger], shared.name)
+    env.run(until=2.0)
+    assert schedule.fired == [
+        (1.0, "node-crash", "%s/%s" % (planes[trigger].name, shared.name))
+    ]
+    for name, plane in planes.items():
+        assert plane.shard_failures == len(homed[name]), name
+        for shard_id in homed[name]:
+            plane.recover_shard(shard_id)
+        assert [
+            (e["shard_id"], e["onset"]) for e in plane.recovery_episodes
+        ] == [(shard_id, 1.0) for shard_id in homed[name]], name
+        assert plane.check_invariants()

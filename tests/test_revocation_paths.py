@@ -11,7 +11,7 @@ every plane that wires the service in.
 import pytest
 
 from repro.bigdata.mapreduce import MapReduceJob, SecureMapReduce, WORKER_CODE
-from repro.cluster import NodeBoundScbrRouter, NodeTopology
+from repro.cluster import NodeTopology
 from repro.errors import AttestationError
 from repro.scbr.router import ScbrClient
 from repro.scbr.sharding import SHARD_CODE, ShardedScbrRouter
@@ -97,8 +97,8 @@ def _sharded():
 
 def _node_bound():
     platform, attestation = _registered(85)
-    router = NodeBoundScbrRouter(
-        platform, NodeTopology.build(3, seed=85),
+    router = ShardedScbrRouter(
+        platform, topology=NodeTopology.build(3, seed=85),
         attestation_service=attestation, shards=2, env=Environment(),
     )
     return router, attestation, SHARD_CODE.measurement
