@@ -8,7 +8,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost seal-sites e1-cost bringup-cost experiments
+        registration-cost seal-sites e1-cost bringup-cost knobs experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -134,6 +134,14 @@ e1-cost:
 # the residual (DESIGN section 14, "Fixed-parameter modexps").
 bringup-cost:
 	@$(PYTHON) tools/bringup_cost.py
+
+# Which construction values any run sets: per constructor on the
+# composed system's surface, its settable-value count, and per value the
+# caller groups (tests, benchmarks, benchmarks/perf, examples, tools)
+# that pass it a non-default value, over tier-1, `repro.cli smoke`,
+# `benchmarks.perf --seconds 1` and every example (~3 min).
+knobs:
+	@python3 tools/knob_census.py
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

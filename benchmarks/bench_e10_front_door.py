@@ -35,7 +35,7 @@ import pytest
 
 from repro.chaos.injector import ChaosConfig, ChaosInjector
 from repro.errors import IntegrityError
-from repro.service import FrontDoorConfig, SecureFrontDoor, TenantQuota
+from repro.service import SecureFrontDoor, TenantQuota
 from repro.service.audit import verify_chain
 from repro.sim.events import Environment
 
@@ -79,7 +79,7 @@ def _session(smoke, rate=200.0, burst=40.0, inter_arrival=0.02,
     env = Environment()
     door = SecureFrontDoor(
         env, seed=SEED, chaos=chaos,
-        config=FrontDoorConfig(default_quota=quota or TenantQuota()),
+        default_quota=quota,
     )
     for tenant in TENANTS:
         door.register_tenant(tenant, rate=rate, burst=burst)

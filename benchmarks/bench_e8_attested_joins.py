@@ -47,7 +47,6 @@ from repro.scbr.router import ScbrClient
 from repro.scbr.sharding import (
     COORD_CODE,
     SHARD_CODE,
-    DEFAULT_RECORD_BYTES,
     ShardedScbrRouter,
 )
 from repro.scbr.workload import ScbrWorkload
@@ -124,8 +123,8 @@ class _JoinFleet:
                 SHARD_CODE, name="e8-shard-%d" % shard_id
             )
             enclave.ecall(
-                "setup", shard_id, DEFAULT_RECORD_BYTES, self.service,
-                COORD_CODE.measurement, None,
+                "setup", shard_id, self.service, COORD_CODE.measurement,
+                None,
             )
             entries.append((shard_id, platform, enclave))
         self.provisioner.join(

@@ -33,10 +33,16 @@ import pytest
 
 from repro.chaos.injector import ChaosConfig, ChaosInjector, FaultSchedule
 from repro.cluster.nodes import NodeTopology
+from repro.sgx.attestation import AttestationService
 from repro.sim.events import Environment
 from repro.smartgrid.meters import SmartMeterFleet
 from repro.smartgrid.topology import GridTopology
-from repro.streams import MeterStreamSource, SecureStreamPlane, StreamConfig
+from repro.streams import (
+    ROUND_INTERVAL,
+    MeterStreamSource,
+    SecureStreamPlane,
+    StreamConfig,
+)
 
 from benchmarks._harness import report
 
@@ -52,7 +58,7 @@ E9_HEADER = ("scenario", "shards", "records", "windows", "shed", "late",
 def _config(**overrides):
     base = dict(
         window=dict(WINDOW), queue_bound=6, service_rate=2,
-        checkpoint_interval=3, round_interval=30.0,
+        checkpoint_interval=3,
     )
     base.update(overrides)
     return StreamConfig(**base)
@@ -86,8 +92,9 @@ def _run_scenario(scenario, smoke, config=None, chaos=None,
     env = Environment()
     topology = NodeTopology.build(4, seed=SEED + 1)
     plane = SecureStreamPlane(
-        topology, config or _config(), shards=2, seed=SEED + 2,
-        env=env, chaos=chaos, name="e9",
+        topology, config or _config(),
+        attestation_service=AttestationService(), shards=2,
+        seed=SEED + 2, env=env, chaos=chaos, name="e9",
     )
     if node_crash_at is not None or shard_crash_at is not None:
         schedule = FaultSchedule(env, chaos)
@@ -108,7 +115,7 @@ def _run_scenario(scenario, smoke, config=None, chaos=None,
         plane.shards[sid].queue for sid in plane.table.shard_ids()
     ):
         rounds += 1
-        env.run(until=env.now + plane.config.round_interval)
+        env.run(until=env.now + ROUND_INTERVAL)
         plane.pump([source])
         queue_peak = max(queue_peak, *plane.queue_depths().values())
         assert queue_peak <= plane.config.queue_bound, (
@@ -118,7 +125,7 @@ def _run_scenario(scenario, smoke, config=None, chaos=None,
         plane.shards[shard_id].queue.append(("flush", None))
         plane._service_shard(shard_id)
     for _ in range(idle_rounds):
-        env.run(until=env.now + plane.config.round_interval)
+        env.run(until=env.now + ROUND_INTERVAL)
         plane.pump([source])
 
     audit = plane.audit([source])
@@ -131,7 +138,7 @@ def _run_scenario(scenario, smoke, config=None, chaos=None,
         "shed accounting diverged: tombstones %d vs counters %d"
         % (tombstoned, audit["shed"])
     )
-    virtual_seconds = rounds * plane.config.round_interval
+    virtual_seconds = rounds * ROUND_INTERVAL
     latencies = [
         max(0.0, frame["commit_time"]
             - (frame["window_end"] + WINDOW["lateness"]))

@@ -25,7 +25,6 @@ crash before the machine goes down, so a machine failure is one event
 for every plane with a shard on it.
 """
 
-from repro.crypto.rsa import DEFAULT_KEY_BITS
 from repro.errors import CapacityError, ConfigurationError, SchedulingError
 from repro.genpack.cluster import Cluster, Server
 from repro.genpack.workload import ContainerSpec, RunningContainer
@@ -38,6 +37,9 @@ from repro.telemetry import default_registry
 # GenPack invariants (no double placement, no over-commit) checkable.
 SHARD_CPU_REQUEST = 1.0
 SHARD_MEM_REQUEST = 0.5
+# Every node's scheduling-plane capacity (cores, GiB).
+NODE_CPU_CAPACITY = 16.0
+NODE_MEM_CAPACITY = 64.0
 
 
 class NodeSpec:
@@ -49,13 +51,10 @@ class NodeSpec:
     enclave.
     """
 
-    def __init__(self, name, sgx=True, epc_capacity=None,
-                 cpu_capacity=16.0, mem_capacity=64.0, seed=None):
+    def __init__(self, name, sgx=True, epc_capacity=None, seed=None):
         self.name = name
         self.sgx = sgx
         self.epc_capacity = epc_capacity
-        self.cpu_capacity = cpu_capacity
-        self.mem_capacity = mem_capacity
         self.seed = seed
 
 
@@ -71,17 +70,17 @@ class ClusterNode:
     its containers orphaned.
     """
 
-    def __init__(self, spec, costs=DEFAULT_COSTS, quoting_key_bits=DEFAULT_KEY_BITS):
+    def __init__(self, spec):
         self.spec = spec
         self.name = spec.name
-        self.server = Server(spec.name, spec.cpu_capacity, spec.mem_capacity)
+        self.server = Server(spec.name, NODE_CPU_CAPACITY, NODE_MEM_CAPACITY)
         if spec.sgx:
-            node_costs = costs
+            costs = DEFAULT_COSTS
             if spec.epc_capacity is not None:
-                node_costs = costs.scaled(epc_capacity=spec.epc_capacity)
+                costs = costs.scaled(epc_capacity=spec.epc_capacity)
             self.platform = SgxPlatform(
-                costs=node_costs, platform_id="node/%s" % spec.name,
-                seed=spec.seed, quoting_key_bits=quoting_key_bits,
+                costs=costs, platform_id="node/%s" % spec.name,
+                seed=spec.seed,
             )
         else:
             self.platform = None
@@ -246,8 +245,7 @@ class NodeTopology:
         )
 
     @classmethod
-    def build(cls, count, seed=0, epc_capacities=None, sgx_flags=None,
-              costs=DEFAULT_COSTS, quoting_key_bits=DEFAULT_KEY_BITS):
+    def build(cls, count, seed=0, epc_capacities=None, sgx_flags=None):
         """``count`` nodes named node-0..; per-node EPC/SGX overrides.
 
         ``epc_capacities``/``sgx_flags`` are optional sequences indexed
@@ -263,13 +261,10 @@ class NodeTopology:
             sgx = True
             if sgx_flags is not None and index < len(sgx_flags):
                 sgx = bool(sgx_flags[index])
-            nodes.append(ClusterNode(
-                NodeSpec(
-                    "node-%d" % index, sgx=sgx, epc_capacity=epc,
-                    seed=1000 * (seed + 1) + index,
-                ),
-                costs=costs, quoting_key_bits=quoting_key_bits,
-            ))
+            nodes.append(ClusterNode(NodeSpec(
+                "node-%d" % index, sgx=sgx, epc_capacity=epc,
+                seed=1000 * (seed + 1) + index,
+            )))
         return cls(nodes)
 
     def __len__(self):

@@ -21,26 +21,25 @@ class RetryPolicy:
 
     ``max_attempts`` counts the first try: ``max_attempts=4`` means one
     try plus at most three retries.  The delay before retry *n*
-    (1-based) is ``base_delay * factor ** (n - 1)``, capped at
+    (1-based) is ``base_delay * 2 ** (n - 1)``, capped at
     ``max_delay``.
     """
 
     max_attempts: int = 4
     base_delay: float = 0.010        # 10 ms of virtual time
-    factor: float = 2.0
     max_delay: float = 1.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0 or self.factor < 1.0:
+        if self.base_delay < 0 or self.max_delay < 0:
             raise ConfigurationError("invalid backoff parameters")
 
     def delay(self, attempt):
         """Backoff before retrying after failed attempt ``attempt``."""
         if attempt < 1:
             raise ConfigurationError("attempts are counted from 1")
-        return min(self.base_delay * self.factor ** (attempt - 1),
+        return min(self.base_delay * 2.0 ** (attempt - 1),
                    self.max_delay)
 
 

@@ -62,7 +62,7 @@ from repro.plane import (
 )
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
-from repro.scbr.index import ContainmentIndex, HOT_BYTES
+from repro.scbr.index import ContainmentIndex, DEFAULT_RECORD_BYTES, HOT_BYTES
 from repro.scbr.keyexchange import (
     enclave_channel_accept,
     enclave_channel_offer,
@@ -109,7 +109,9 @@ _AAD_MATCHED = b"plane|matched"
 _AAD_MIGRATE = b"plane|migrate"
 _AAD_SNAPSHOT = b"plane|snapshot"
 
-DEFAULT_RECORD_BYTES = 512
+# A publish that cannot cover every partition heals the dark shards
+# and republishes under this budget (``on_partial="retry"``).
+PUBLISH_RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.0005)
 
 
 class EpcWatermarkPolicy:
@@ -119,10 +121,11 @@ class EpcWatermarkPolicy:
 
     - the *EPC* cliff: once ``database_bytes`` exceeds the usable EPC,
       every matching walk page-faults (~18x);
-    - the *LLC* cliff: the matcher touches ``hot_bytes`` per record, so
-      once ``count * lines_per_record`` outgrows the LLC, every visit
-      is an (MEE-decrypted) cache miss (~4-6x) even while the database
-      still fits the EPC.
+    - the *LLC* cliff: the matcher touches ``HOT_BYTES`` of every
+      ``DEFAULT_RECORD_BYTES`` record, so once ``count *
+      lines_per_record`` outgrows the LLC, every visit is an
+      (MEE-decrypted) cache miss (~4-6x) even while the database still
+      fits the EPC.
 
     ``max_shard_bytes`` is the smaller of the two limits scaled by the
     watermark fraction; a split triggers when the *next* insert would
@@ -130,28 +133,25 @@ class EpcWatermarkPolicy:
     polices only the paper's EPC boundary.
     """
 
-    def __init__(self, costs=DEFAULT_COSTS, record_bytes=DEFAULT_RECORD_BYTES,
-                 hot_bytes=HOT_BYTES, watermark=0.85, llc_aware=True):
+    def __init__(self, costs=DEFAULT_COSTS, watermark=0.85, llc_aware=True):
         if not 0.0 < watermark <= 1.0:
             raise ConfigurationError("watermark must be in (0, 1]")
         self.costs = costs
-        self.record_bytes = record_bytes
         self.watermark = watermark
         self.llc_aware = llc_aware
         limit = watermark * costs.epc_usable
         if llc_aware:
             lines_per_record = max(
-                1, -(-hot_bytes // costs.line_size)  # ceil
+                1, -(-HOT_BYTES // costs.line_size)  # ceil
             )
             llc_records = (costs.llc_capacity // costs.line_size) // lines_per_record
-            llc_fit_bytes = llc_records * record_bytes
+            llc_fit_bytes = llc_records * DEFAULT_RECORD_BYTES
             limit = min(limit, watermark * llc_fit_bytes)
         self.max_shard_bytes = int(limit)
 
-    def needs_split(self, database_bytes, incoming_bytes=None):
+    def needs_split(self, database_bytes,
+                    incoming_bytes=DEFAULT_RECORD_BYTES):
         """Whether admitting ``incoming_bytes`` more would cross the mark."""
-        if incoming_bytes is None:
-            incoming_bytes = self.record_bytes
         return database_bytes + incoming_bytes > self.max_shard_bytes
 
     def split_target_bytes(self, database_bytes):
@@ -259,7 +259,7 @@ class ShardedMatchingPlane:
         self.record_bytes = record_bytes
         self.costs = costs
         self.enclave = enclave
-        self.policy = policy or EpcWatermarkPolicy(costs, record_bytes)
+        self.policy = policy or EpcWatermarkPolicy(costs)
         self.shards = []
         for _ in range(initial_shards):
             self._spawn_shard()
@@ -425,9 +425,8 @@ def plane_telemetry_export(ctx):
     return telemetry.export_sealed()
 
 
-def shard_setup(ctx, shard_id, record_bytes=DEFAULT_RECORD_BYTES,
-                attestation=None, coordinator_measurement=None,
-                telemetry_key=None):
+def shard_setup(ctx, shard_id, attestation=None,
+                coordinator_measurement=None, telemetry_key=None):
     """ECALL: initialise an empty partition.
 
     ``attestation`` / ``coordinator_measurement`` let the shard verify
@@ -438,10 +437,7 @@ def shard_setup(ctx, shard_id, record_bytes=DEFAULT_RECORD_BYTES,
     (:func:`plane_telemetry_export`).
     """
     ctx.state["shard_id"] = shard_id
-    ctx.state["record_bytes"] = record_bytes
-    ctx.state["index"] = ContainmentIndex(
-        memory=ctx.memory, record_bytes=record_bytes
-    )
+    ctx.state["index"] = ContainmentIndex(memory=ctx.memory)
     ctx.state["owners"] = {}
     ctx.state["version"] = 0
     ctx.state["attestation"] = attestation
@@ -918,13 +914,11 @@ class ShardedScbrRouter(FleetClient):
     name = "scbr-plane"
 
     def __init__(self, platform, shard_platform_factory=None, *,
-                 attestation_service, shards=2,
-                 record_bytes=DEFAULT_RECORD_BYTES, policy=None,
+                 attestation_service, shards=2, policy=None,
                  env=None, chaos=None, orchestrator=None,
                  health_policy=None, snapshot_interval=16,
-                 on_partial="retry", retry_policy=None,
-                 telemetry_key=None, tracer=None, provisioner=None,
-                 topology=None,
+                 on_partial="retry", telemetry_key=None, tracer=None,
+                 provisioner=None, topology=None,
                  epc_node_watermark=DEFAULT_NODE_EPC_WATERMARK):
         if shards < 1:
             raise ConfigurationError("need at least one shard")
@@ -947,17 +941,11 @@ class ShardedScbrRouter(FleetClient):
             provisioner if provisioner is not None
             else PlaneProvisioner(chaos=chaos)
         )
-        self.record_bytes = record_bytes
-        self.policy = policy or EpcWatermarkPolicy(
-            platform.costs, record_bytes
-        )
+        self.policy = policy or EpcWatermarkPolicy(platform.costs)
         self.env = env
         self.chaos = chaos
         self.orchestrator = orchestrator
         self.on_partial = on_partial
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=4, base_delay=0.0005
-        )
         self.backoff = BackoffClock()
         self.monitor = (
             ShardHealthMonitor(env, health_policy, chaos)
@@ -998,8 +986,8 @@ class ShardedScbrRouter(FleetClient):
             self.name, "scbr", SHARD_CODE, self.coordinator, platform,
             self.provisioner, attestation_service,
             setup_args=lambda shard_id: (
-                shard_id, record_bytes, attestation_service,
-                COORD_CODE.measurement, telemetry_key,
+                shard_id, attestation_service, COORD_CODE.measurement,
+                telemetry_key,
             ),
             snapshot=lambda shard: shard.enclave.ecall("snapshot")[1],
             restore=self._restore, replay=self._replay,
@@ -1116,11 +1104,11 @@ class ShardedScbrRouter(FleetClient):
         """
         subscription_id, blob = self.coordinator.ecall("admit", envelope)
         shard = self._place(blob)
-        if self.policy.needs_split(shard.database_bytes, self.record_bytes):
+        if self.policy.needs_split(shard.database_bytes):
             self._split(shard)
             shard = self._place(blob)
         shard.enclave.ecall("insert", blob)
-        shard.database_bytes += self.record_bytes
+        shard.database_bytes += DEFAULT_RECORD_BYTES
         self._home[subscription_id] = shard
         self.fleet.log(shard, ("insert", blob))
         self._tel_subscribes.inc()
@@ -1167,7 +1155,7 @@ class ShardedScbrRouter(FleetClient):
         target = self.policy.split_target_bytes(shard.database_bytes)
         moved_ids, batch = shard.enclave.ecall("evacuate", target)
         fresh.enclave.ecall("load", batch)
-        moved_bytes = len(moved_ids) * self.record_bytes
+        moved_bytes = len(moved_ids) * DEFAULT_RECORD_BYTES
         shard.database_bytes -= moved_bytes
         fresh.database_bytes += moved_bytes
         for subscription_id in moved_ids:
@@ -1195,7 +1183,7 @@ class ShardedScbrRouter(FleetClient):
         if shard.enclave.destroyed:
             shard = self.recover_shard(shard.shard_id)
         shard.enclave.ecall("remove", subscription_id, client_id)
-        shard.database_bytes -= self.record_bytes
+        shard.database_bytes -= DEFAULT_RECORD_BYTES
         del self._home[subscription_id]
         self.fleet.log(shard, ("remove", subscription_id, client_id))
         self._tel_unsubscribes.inc()
@@ -1469,7 +1457,7 @@ class ShardedScbrRouter(FleetClient):
             return retried
 
         return retry_call(
-            heal_and_republish, self.retry_policy, self.backoff
+            heal_and_republish, PUBLISH_RETRY_POLICY, self.backoff
         )
 
     def publish(self, envelope):

@@ -18,11 +18,7 @@ from repro.service.audit import (
     seal_entry,
     verify_chain,
 )
-from repro.service.frontdoor import (
-    FrontDoorConfig,
-    Receipt,
-    SecureFrontDoor,
-)
+from repro.service.frontdoor import Receipt, SecureFrontDoor
 from repro.service.gateway import (
     GATEWAY_CODE,
     dataset_aad,
@@ -41,7 +37,6 @@ __all__ = [
     "AdmissionController",
     "AuditChain",
     "AuditEntry",
-    "FrontDoorConfig",
     "GATEWAY_CODE",
     "QUOTA_KINDS",
     "QuotaLedger",

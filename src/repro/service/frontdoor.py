@@ -49,22 +49,11 @@ from repro.telemetry import DEFAULT_CYCLE_BUCKETS, default_registry
 
 from repro.service.admission import AdmissionController
 from repro.service.gateway import GATEWAY_CODE
-from repro.service.quota import QuotaLedger, TenantBilling, TenantQuota
+from repro.service.quota import QuotaLedger, TenantBilling
 
-
-class FrontDoorConfig:
-    """Tunables of one front door (all deterministic)."""
-
-    def __init__(self, admit_rate=50.0, admit_burst=10.0,
-                 default_quota=None, scbr_shards=2, stream_shards=2,
-                 stream_window=None, retry_policy=None):
-        self.admit_rate = admit_rate
-        self.admit_burst = admit_burst
-        self.default_quota = default_quota or TenantQuota()
-        self.scbr_shards = scbr_shards
-        self.stream_shards = stream_shards
-        self.stream_window = stream_window
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=5)
+# Every request body, and every map/reduce job the door runs, retries
+# under this budget (a gateway crash costs one attempt).
+DOOR_RETRY_POLICY = RetryPolicy(max_attempts=5)
 
 
 @dataclass(frozen=True)
@@ -85,18 +74,22 @@ class Receipt:
 
 
 class SecureFrontDoor:
-    """Admission, quotas, sealed audit, and routing for N tenants."""
+    """Admission, quotas, sealed audit, and routing for N tenants.
 
-    def __init__(self, env, seed=0, config=None, chaos=None,
+    ``default_quota`` is the :class:`~repro.service.quota.TenantQuota`
+    of a tenant registered without one.  Admission, both planes' shard
+    counts and the stream window keep their components' defaults.
+    """
+
+    def __init__(self, env, seed=0, default_quota=None, chaos=None,
                  root_key=None):
         self.env = env
         self.seed = seed
-        self.config = config or FrontDoorConfig()
         self.chaos = chaos
         self.platform = SgxPlatform(seed=seed, quoting_key_bits=512)
         # One service judges every quote the door depends on: gateway
-        # bring-up, recovery re-attestation, and the SCBR plane it
-        # instantiates (the stream plane builds its own).
+        # bring-up, recovery re-attestation, and both planes it
+        # instantiates -- a revocation on it reaches every enclave.
         self.attestation = AttestationService()
         self.attestation.register_platform(
             self.platform.platform_id,
@@ -115,10 +108,8 @@ class SecureFrontDoor:
         self.gateway_recoveries = 0
         self._spawn_gateway(first=True)
 
-        self.admission = AdmissionController(
-            self.config.admit_rate, self.config.admit_burst
-        )
-        self.quota = QuotaLedger(self.config.default_quota)
+        self.admission = AdmissionController()
+        self.quota = QuotaLedger(default_quota)
         self.monitor = QosMonitor(env)
         self.billing = TenantBilling(self.monitor)
         self.backoff = BackoffClock()
@@ -315,7 +306,7 @@ class SecureFrontDoor:
 
         try:
             detail = retry_call(
-                attempt, self.config.retry_policy, self.backoff,
+                attempt, DOOR_RETRY_POLICY, self.backoff,
                 on_retry=on_retry,
             )
         except SecureCloudError as exc:
@@ -401,7 +392,7 @@ class SecureFrontDoor:
             engine = SecureMapReduce(
                 self.platform, job,
                 chaos=self.chaos,
-                retry_policy=self.config.retry_policy,
+                retry_policy=DOOR_RETRY_POLICY,
                 job_key=job_key,
             )
             result = engine.run(records)
@@ -434,7 +425,6 @@ class SecureFrontDoor:
                     seed=1000 * (self.seed + 1) + i, quoting_key_bits=512
                 ),
                 attestation_service=self.attestation,
-                shards=self.config.scbr_shards,
             )
             self.attestation.trust_measurement(self._router.measurement)
         return self._router
@@ -504,13 +494,12 @@ class SecureFrontDoor:
     def _ensure_stream_plane(self):
         if self._stream_plane is None:
             from repro.cluster.nodes import NodeTopology
-            from repro.streams import SecureStreamPlane, StreamConfig
+            from repro.streams import SecureStreamPlane
 
             topology = NodeTopology.build(3, seed=self.seed + 7)
             self._stream_plane = SecureStreamPlane(
                 topology,
-                StreamConfig(window=self.config.stream_window),
-                shards=self.config.stream_shards,
+                attestation_service=self.attestation,
                 seed=self.seed + 8,
                 env=self.env,
                 name="svc-streams",
@@ -540,6 +529,8 @@ class SecureFrontDoor:
 
     def stream_round(self, tenant_id, name, start, horizon):
         """Produce one horizon of readings and pump it through."""
+        from repro.streams import ROUND_INTERVAL
+
         plane = self._ensure_stream_plane()
 
         def body():
@@ -556,8 +547,7 @@ class SecureFrontDoor:
                 for sid in plane.table.shard_ids()
             )):
                 rounds += 1
-                self.env.run(until=self.env.now
-                             + plane.config.round_interval)
+                self.env.run(until=self.env.now + ROUND_INTERVAL)
                 plane.pump([source])
             committed = len(plane.committed) - before
             return {"committed": committed, "rounds": rounds,

@@ -54,10 +54,6 @@ TENANT_LABEL = b"svc|tenant|"
 AUDIT_KEY_LABEL = b"svc|key|audit"
 DATASET_KEY_LABEL = b"svc|key|dataset"
 JOB_KEY_LABEL = b"svc|key|job|"
-_TENANT_LABEL = TENANT_LABEL
-_AUDIT_LABEL = AUDIT_KEY_LABEL
-_DATASET_LABEL = DATASET_KEY_LABEL
-_JOB_LABEL = JOB_KEY_LABEL
 
 _ROOT_SEAL_PREFIX = b"svc|root|v1|"
 
@@ -70,9 +66,7 @@ def derive_tenant_root(root_key_bytes, tenant_id):
     *secrecy* of the derivation inputs, not of the schedule, is what
     the trust argument rests on.
     """
-    return hkdf(
-        root_key_bytes, _TENANT_LABEL + tenant_id.encode("utf-8")
-    )
+    return hkdf(root_key_bytes, TENANT_LABEL + tenant_id.encode("utf-8"))
 
 
 def derive_purpose_key(tenant_root, label):
@@ -82,7 +76,7 @@ def derive_purpose_key(tenant_root, label):
 
 def derive_job_key(tenant_root, job_name):
     """The per-job sealing key handed to the map/reduce driver."""
-    return hkdf(tenant_root, _JOB_LABEL + job_name.encode("utf-8"))
+    return hkdf(tenant_root, JOB_KEY_LABEL + job_name.encode("utf-8"))
 
 
 def dataset_aad(tenant_id, name):
@@ -99,8 +93,8 @@ class _TenantState:
     def __init__(self, root_key_bytes, tenant_id):
         self.tenant_id = tenant_id
         self.root = derive_tenant_root(root_key_bytes, tenant_id)
-        self.audit_key = derive_purpose_key(self.root, _AUDIT_LABEL)
-        self.dataset_key = derive_purpose_key(self.root, _DATASET_LABEL)
+        self.audit_key = derive_purpose_key(self.root, AUDIT_KEY_LABEL)
+        self.dataset_key = derive_purpose_key(self.root, DATASET_KEY_LABEL)
         self.chain = AuditChain(self.audit_key, tenant_id)
 
 

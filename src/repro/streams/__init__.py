@@ -7,7 +7,7 @@ checkpoints + replay + firing-id dedupe), and watermark-driven key-range
 auto-scaling.  See DESIGN.md section 12 for the trust boundary.
 """
 
-from repro.streams.plane import SecureStreamPlane, StreamConfig
+from repro.streams.plane import ROUND_INTERVAL, SecureStreamPlane, StreamConfig
 from repro.streams.routing import KEY_SPACE, KeyRange, RoutingTable, key_slot
 from repro.streams.shards import (
     STREAM_COORD_CODE,
@@ -23,6 +23,7 @@ __all__ = [
     "KeyRange",
     "MeterStreamSource",
     "OldestPaneShedPolicy",
+    "ROUND_INTERVAL",
     "RoutingTable",
     "STREAM_COORD_CODE",
     "STREAM_SHARD_CODE",

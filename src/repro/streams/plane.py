@@ -31,13 +31,13 @@ committer dedupes on the deterministic firing id, so a crash mid-window
 yields neither duplicate nor lost firings -- validated against a pure
 python oracle in tests and the E9 benchmark.
 
-**Watermark-driven auto-scaling.**  When a shard's queue depth or its
-node's EPC-resident gauge trips the split watermark, its key range
-splits at the midpoint onto a freshly attested shard: drain, sealed
-extract/load handoff, checkpoint on both sides, then an atomic routing
-cutover.  When load drains (both siblings idle for ``merge_idle_rounds``
-rounds) ranges merge back and the spare shard retires, its sealed
-counters riding the handoff so accounting stays exact.
+**Watermark-driven auto-scaling.**  When a shard's queue depth trips
+the split watermark, its key range splits at the midpoint onto a
+freshly attested shard: drain, sealed extract/load handoff, checkpoint
+on both sides, then an atomic routing cutover.  When load drains (both
+siblings idle for ``merge_idle_rounds`` rounds) ranges merge back and
+the spare shard retires, its sealed counters riding the handoff so
+accounting stays exact.
 
 The plane exposes ``fail_shard``, ``fleet`` and ``name``, so
 :class:`~repro.chaos.injector.FaultSchedule` can crash a shard or a
@@ -61,14 +61,16 @@ from repro.errors import (
 )
 from repro.plane import FleetClient, ShardFleet, ShardMember
 from repro.scbr.provisioning import PlaneProvisioner
-from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 from repro.crypto.aead import AeadKey
 from repro.streams.routing import RoutingTable
 from repro.streams.shards import STREAM_COORD_CODE, STREAM_SHARD_CODE
 from repro.telemetry import default_registry
 
-DEFAULT_NODE_EPC_WATERMARK = 0.8
+# No reason is recorded for this mark being below the SCBR plane's 0.85.
+STREAM_NODE_EPC_WATERMARK = 0.8
+# Virtual seconds per scheduling round when ``drain`` or the door pumps.
+ROUND_INTERVAL = 30.0
 
 
 class StreamConfig:
@@ -76,9 +78,8 @@ class StreamConfig:
 
     def __init__(self, window=None, queue_bound=8, pane_budget=None,
                  checkpoint_interval=4, service_rate=2,
-                 round_interval=30.0, split_queue_watermark=None,
-                 epc_split_watermark=None, merge_idle_rounds=3,
-                 max_shards=8, batch_records=32):
+                 split_queue_watermark=None, merge_idle_rounds=3,
+                 max_shards=8):
         if queue_bound < 1:
             raise ConfigurationError("queue bound must be at least 1")
         if checkpoint_interval < 1:
@@ -93,12 +94,9 @@ class StreamConfig:
         self.pane_budget = pane_budget
         self.checkpoint_interval = checkpoint_interval
         self.service_rate = service_rate
-        self.round_interval = round_interval
         self.split_queue_watermark = split_queue_watermark
-        self.epc_split_watermark = epc_split_watermark
         self.merge_idle_rounds = merge_idle_rounds
         self.max_shards = max_shards
-        self.batch_records = batch_records
 
 
 class _ShardRuntime(ShardMember):
@@ -125,9 +123,9 @@ class _ShardRuntime(ShardMember):
 class SecureStreamPlane(FleetClient):
     """A sealed, self-stabilising event-time streaming plane."""
 
-    def __init__(self, topology, config=None, shards=2, seed=0,
-                 name="stream-plane", env=None, chaos=None,
-                 telemetry_key=None):
+    def __init__(self, topology, config=None, *, attestation_service,
+                 shards=2, seed=0, name="stream-plane", env=None,
+                 chaos=None, telemetry_key=None):
         self.topology = topology
         self.config = config or StreamConfig()
         self.name = name
@@ -163,15 +161,15 @@ class SecureStreamPlane(FleetClient):
         self._registry = registry
         self._depth_gauges = {}
 
-        # Attestation domain: one service verifies every join and
-        # re-join the provisioner (batched enrollment + resumption
-        # tickets) drives.  The coordinator platform registers here,
-        # each shard's node when the fleet places a shard on it.
+        # Attestation domain: the deployment's one service verifies
+        # every join and re-join the provisioner (batched enrollment +
+        # resumption tickets) drives, so a revocation made on it
+        # reaches this plane too.  The coordinator platform registers
+        # here, each shard's node when the fleet places a shard on it.
         self.coordinator_platform = SgxPlatform(
             seed=seed, quoting_key_bits=512
         )
-        self.service = AttestationService()
-        self.service.register_platform(
+        attestation_service.register_platform(
             self.coordinator_platform.platform_id,
             self.coordinator_platform.quoting_enclave.public_key,
         )
@@ -181,7 +179,7 @@ class SecureStreamPlane(FleetClient):
         )
         self.ingest_key_bytes = AeadKey.generate().key_bytes
         self.coordinator.ecall(
-            "setup", self.ingest_key_bytes, self.service,
+            "setup", self.ingest_key_bytes, attestation_service,
             STREAM_SHARD_CODE.measurement,
             telemetry_key,
         )
@@ -190,12 +188,13 @@ class SecureStreamPlane(FleetClient):
         self._staged_ranges = {}   # shard -> range, until routing cutover
         self.fleet = ShardFleet(
             name, "streams", STREAM_SHARD_CODE, self.coordinator,
-            self.coordinator_platform, self.provisioner, self.service,
+            self.coordinator_platform, self.provisioner,
+            attestation_service,
             setup_args=lambda shard_id: (
                 shard_id, self.config.window,
                 (self._staged_ranges.get(shard_id)
                  or self.table.range_of(shard_id)).to_json(),
-                self.config.pane_budget, self.service,
+                self.config.pane_budget, attestation_service,
                 STREAM_COORD_CODE.measurement, telemetry_key,
             ),
             snapshot=lambda runtime: runtime.enclave.ecall(
@@ -203,7 +202,7 @@ class SecureStreamPlane(FleetClient):
             )["blob"],
             restore=self._restore, replay=self._replay,
             interval=self.config.checkpoint_interval,
-            topology=topology, watermark=DEFAULT_NODE_EPC_WATERMARK,
+            topology=topology, watermark=STREAM_NODE_EPC_WATERMARK,
             member=_ShardRuntime, now=self._now, chaos=chaos,
         )
         self.shards = self.fleet.members
@@ -382,7 +381,7 @@ class SecureStreamPlane(FleetClient):
         at every service step.
         """
         if self.env is None:
-            self._vnow += self.config.round_interval
+            self._vnow += ROUND_INTERVAL
         self._rounds += 1
         if self.chaos is not None:
             hosting = {
@@ -435,9 +434,7 @@ class SecureStreamPlane(FleetClient):
                     "plane failed to drain within %d rounds" % max_rounds
                 )
             if self.env is not None:
-                self.env.run(
-                    until=self.env.now + self.config.round_interval
-                )
+                self.env.run(until=self.env.now + ROUND_INTERVAL)
             self.pump(sources)
         for shard_id in self.table.shard_ids():
             runtime = self.shards[shard_id]
@@ -448,16 +445,10 @@ class SecureStreamPlane(FleetClient):
     # -- watermark-driven auto-scaling ----------------------------------
 
     def _split_trigger(self, shard_id):
-        config = self.config
-        runtime = self.shards[shard_id]
-        if config.split_queue_watermark is not None and (
-                runtime.queue_depth >= config.split_queue_watermark):
-            return True
-        if config.epc_split_watermark is not None and (
-                runtime.node.epc_watermark_exceeded(
-                    config.epc_split_watermark)):
-            return True
-        return False
+        watermark = self.config.split_queue_watermark
+        return watermark is not None and (
+            self.shards[shard_id].queue_depth >= watermark
+        )
 
     def maybe_autoscale(self):
         """Split hot shards; merge adjacent idle siblings back."""

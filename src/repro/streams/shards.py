@@ -47,7 +47,7 @@ from repro.scbr.provisioning import (
     shard_resume_complete,
     shard_resume_offer,
 )
-from repro.scbr.sharding import plane_telemetry_export
+from repro.scbr.sharding import _tel, plane_telemetry_export
 from repro.sgx.enclave import EnclaveCode
 from repro.streams.routing import KeyRange, key_slot
 from repro.streams.shedding import OldestPaneShedPolicy, meter_tenant
@@ -100,7 +100,7 @@ def _firing_id(plane_key, window_start, window_end, key):
     ).hex()
 
 
-def _build_operator(config, registry=None):
+def _build_operator(config, registry):
     kind = config.get("kind", "tumbling")
     size = config["size"]
     lateness = config.get("lateness", 0.0)
@@ -137,8 +137,9 @@ def stream_setup(ctx, shard_id, window_config, key_range,
         ctx.state["telemetry"] = EnclaveTelemetry(
             telemetry_key, "stream-shard-%d" % shard_id
         )
-    telemetry = ctx.state.get("telemetry")
-    registry = telemetry.registry if telemetry is not None else None
+    # Keyless shards record into the null registry: window counters are
+    # enclave state and never reach the host's registry in plaintext.
+    registry, _recorder = _tel(ctx)
     ctx.state["window_config"] = dict(window_config)
     ctx.state["operator"] = _build_operator(window_config, registry)
     ctx.state["range"] = KeyRange.from_json(key_range).to_json()

@@ -53,7 +53,7 @@ class TestHierarchy:
 
 class TestRetryPolicy:
     def test_exponential_delays_capped(self):
-        policy = RetryPolicy(max_attempts=6, base_delay=0.010, factor=2.0,
+        policy = RetryPolicy(max_attempts=6, base_delay=0.010,
                              max_delay=0.050)
         assert policy.delay(1) == pytest.approx(0.010)
         assert policy.delay(2) == pytest.approx(0.020)

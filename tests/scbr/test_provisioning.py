@@ -372,7 +372,7 @@ class TestResumptionTickets:
         from repro.scbr.sharding import SHARD_CODE
 
         enclave = foreign.load_enclave(SHARD_CODE)
-        enclave.ecall("setup", 0, 512, None, None, None)
+        enclave.ecall("setup", 0, None, None, None)
         with pytest.raises(IntegrityError):
             enclave.ecall("resume_offer", sealed)
 
@@ -491,7 +491,7 @@ class TestAttestationIsMandatory:
             machine.platform_id, machine.quoting_enclave.public_key
         )
         enclave = machine.load_enclave(SHARD_CODE)
-        enclave.ecall("setup", 5, 512, None, None, None)
+        enclave.ecall("setup", 5, None, None, None)
         offer = enclave.ecall("join_offer2", None)
         quote = machine.quoting_enclave.quote(offer["report"])
         grant = router.coordinator.ecall(

@@ -8,6 +8,7 @@ from repro.errors import AttestationError, ConfigurationError, IntegrityError
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
 from repro.scbr.naive import LinearIndex
 from repro.scbr.sharding import (
+    DEFAULT_RECORD_BYTES,
     EpcWatermarkPolicy,
     ShardPlanner,
     ShardedMatchingPlane,
@@ -42,7 +43,7 @@ class TestEpcWatermarkPolicy:
     def test_needs_split_triggers_before_the_mark(self):
         policy = EpcWatermarkPolicy()
         limit = policy.max_shard_bytes
-        assert not policy.needs_split(limit - policy.record_bytes)
+        assert not policy.needs_split(limit - DEFAULT_RECORD_BYTES)
         assert policy.needs_split(limit)  # next record would cross
         assert policy.needs_split(0, incoming_bytes=limit + 1)
 
@@ -91,7 +92,7 @@ class TestShardPlanner:
 
 def tiny_plane(max_records=8, **kwargs):
     """A plane whose shards overflow after ``max_records`` records."""
-    policy = EpcWatermarkPolicy(record_bytes=512)
+    policy = EpcWatermarkPolicy()
     policy.max_shard_bytes = max_records * 512
     kwargs.setdefault("enclave", False)
     return ShardedMatchingPlane(record_bytes=512, policy=policy, **kwargs)
@@ -278,7 +279,7 @@ class TestShardedScbrRouter:
         attestation.register_platform(
             platform.platform_id, platform.quoting_enclave.public_key
         )
-        policy = EpcWatermarkPolicy(record_bytes=512)
+        policy = EpcWatermarkPolicy()
         policy.max_shard_bytes = 10 * 512
         router = ShardedScbrRouter(
             platform,

@@ -14,7 +14,7 @@ import pytest
 
 from repro.chaos.injector import ChaosConfig, ChaosInjector
 from repro.errors import ConfigurationError, IntegrityError
-from repro.service import FrontDoorConfig, SecureFrontDoor
+from repro.service import SecureFrontDoor
 from repro.service.gateway import GATEWAY_CODE
 from repro.sim.events import Environment
 from repro import telemetry

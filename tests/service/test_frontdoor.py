@@ -3,21 +3,15 @@
 import pytest
 
 from repro.errors import ConfigurationError, IntegrityError
-from repro.service import (
-    FrontDoorConfig,
-    SecureFrontDoor,
-    TenantQuota,
-)
+from repro.service import SecureFrontDoor, TenantQuota
 from repro.sim.events import Environment
 
 from tests.service.oracle import FrontDoorOracle
 
 
-def _door(seed=11, **config):
+def _door(seed=11):
     env = Environment()
-    door = SecureFrontDoor(
-        env, seed=seed, config=FrontDoorConfig(**config)
-    )
+    door = SecureFrontDoor(env, seed=seed)
     return env, door
 
 
@@ -128,9 +122,7 @@ class TestResourceModel:
         from repro.smartgrid.meters import SmartMeterFleet
         from repro.smartgrid.topology import GridTopology
 
-        env, door = _door(stream_window={
-            "kind": "tumbling", "size": 60.0, "lateness": 30.0,
-        })
+        env, door = _door()
         door.register_tenant("acme", rate=100.0, burst=50.0)
         grid = GridTopology.build(2, 2, 3)
         fleet = SmartMeterFleet(grid, seed=7)

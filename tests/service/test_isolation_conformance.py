@@ -11,7 +11,7 @@ with the door's ledgers exactly -- with telemetry on or off.
 import pytest
 
 from repro.crypto.primitives import DeterministicRandomSource
-from repro.service import FrontDoorConfig, SecureFrontDoor, TenantQuota
+from repro.service import SecureFrontDoor, TenantQuota
 from repro.sim.events import Environment
 from repro import telemetry
 
@@ -25,9 +25,7 @@ def _mixed_workload(seed, requests=40, door_seed=21):
     env = Environment()
     door = SecureFrontDoor(
         env, seed=door_seed,
-        config=FrontDoorConfig(
-            default_quota=TenantQuota(sealed_bytes=512, jobs=4),
-        ),
+        default_quota=TenantQuota(sealed_bytes=512, jobs=4),
     )
     rng = DeterministicRandomSource(seed)
     for tenant in TENANTS:

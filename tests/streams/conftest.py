@@ -1,6 +1,7 @@
 import pytest
 
 from repro.cluster.nodes import NodeTopology
+from repro.sgx.attestation import AttestationService
 from repro.smartgrid.meters import SmartMeterFleet
 from repro.smartgrid.topology import GridTopology
 from repro.streams import MeterStreamSource, SecureStreamPlane, StreamConfig
@@ -25,7 +26,8 @@ def make_plane(config=None, shards=2, seed=3, nodes=4, **kwargs):
         checkpoint_interval=3,
     )
     return SecureStreamPlane(
-        topology, config, shards=shards, seed=seed, **kwargs
+        topology, config, attestation_service=AttestationService(),
+        shards=shards, seed=seed, **kwargs
     )
 
 

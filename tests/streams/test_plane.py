@@ -22,10 +22,12 @@ def test_config_validation():
 
 def test_plane_needs_sgx_nodes():
     from repro.cluster.nodes import NodeTopology
+    from repro.sgx.attestation import AttestationService
     from repro.streams import SecureStreamPlane
     topology = NodeTopology.build(2, seed=1, sgx_flags=[False, False])
     with pytest.raises(SchedulingError):
-        SecureStreamPlane(topology, StreamConfig())
+        SecureStreamPlane(topology, StreamConfig(),
+                          attestation_service=AttestationService())
 
 
 def test_shedding_is_accounted_exactly(grid, fleet):

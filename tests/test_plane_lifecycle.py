@@ -88,6 +88,7 @@ class _StreamClientUnderTest:
                 window={"kind": "tumbling", "size": 60.0, "lateness": 30.0},
                 checkpoint_interval=3,
             ),
+            attestation_service=AttestationService(),
             shards=2, seed=9, env=env,
         )
         grid = GridTopology.build(2, 2, 3)
@@ -173,7 +174,9 @@ def test_fault_schedule_on_a_dark_stream_shard_counts_one_crash():
     second live -> dead transition."""
     env = Environment()
     plane = SecureStreamPlane(
-        NodeTopology.build(3, seed=5), shards=2, seed=9, env=env
+        NodeTopology.build(3, seed=5),
+        attestation_service=AttestationService(), shards=2, seed=9,
+        env=env,
     )
     schedule = FaultSchedule(env)
     schedule.crash_shard_at(1.0, plane, 0)

@@ -105,9 +105,11 @@ def _node_bound():
 
 
 def _streams():
-    plane = SecureStreamPlane(NodeTopology.build(3, seed=86), shards=2,
+    attestation = AttestationService()
+    plane = SecureStreamPlane(NodeTopology.build(3, seed=86),
+                              attestation_service=attestation, shards=2,
                               seed=86)
-    return plane, plane.service, STREAM_SHARD_CODE.measurement
+    return plane, attestation, STREAM_SHARD_CODE.measurement
 
 
 def _front_door():
@@ -115,11 +117,20 @@ def _front_door():
     return door._ensure_router(), door.attestation, SHARD_CODE.measurement
 
 
+def _front_door_streams():
+    """The door's stream plane sits in the door's attestation domain:
+    a revocation on ``door.attestation`` reaches its shards too."""
+    door = SecureFrontDoor(Environment(), seed=88)
+    return (door._ensure_stream_plane(), door.attestation,
+            STREAM_SHARD_CODE.measurement)
+
+
 WIRINGS = {
     "scbr": _sharded,
     "scbr-node-bound": _node_bound,
     "streams": _streams,
     "front-door-scbr": _front_door,
+    "front-door-streams": _front_door_streams,
 }
 
 
