@@ -51,7 +51,8 @@ def least_loaded(shard_counts, epc_loads, over_watermark=None):
 
     1. anti-affinity first -- the node hosting the fewest shards wins,
        so one machine failure darkens as few partitions as possible
-       (and mass recovery has somewhere to spread them);
+       (and mass recovery has somewhere to spread them); a count may
+       be any comparable load, such as :func:`choose_node`'s pairs;
     2. ties break toward the lowest EPC utilisation (the new partition
        will grow; start it where pages are cheapest), then toward
        position.
@@ -85,16 +86,28 @@ def least_loaded(shard_counts, epc_loads, over_watermark=None):
     )
 
 
-def choose_node(topology, now, watermark=DEFAULT_NODE_EPC_WATERMARK,
+def choose_node(topology, now, plane, watermark=DEFAULT_NODE_EPC_WATERMARK,
                 exclude=()):
-    """Anti-affinity + EPC-watermark placement over reachable nodes."""
+    """Anti-affinity + EPC-watermark placement over reachable nodes.
+
+    Anti-affinity is per plane first: a node's load is *(shards of*
+    ``plane`` *there, all shards there)*, ``plane`` being the ledger
+    name in the node's ``(plane, shard_id)`` keys.  On a shared
+    topology each plane spreads before any doubles up, so one machine
+    failure cannot take a whole plane while a node holds none of it.
+    """
     candidates = topology.placement_candidates(now, exclude=exclude)
     if not candidates:
         raise SchedulingError(
             "no reachable SGX node can host a shard enclave"
         )
     return candidates[least_loaded(
-        [len(node.shard_ids) for node in candidates],
+        [
+            (sum(1 for key in node.shard_ids
+                 if isinstance(key, tuple) and key[0] == plane),
+             len(node.shard_ids))
+            for node in candidates
+        ],
         [node.epc_utilization() for node in candidates],
         [node.epc_watermark_exceeded(watermark) for node in candidates],
     )]
@@ -314,7 +327,7 @@ class ShardFleet:
             else:
                 self._rebind(member, None)
                 self._rebind(member, choose_node(
-                    self.topology, self.now(), self.watermark
+                    self.topology, self.now(), self.name, self.watermark
                 ))
                 platform = member.node.platform
             baselines.setdefault(id(platform), platform.clock.now)

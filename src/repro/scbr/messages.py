@@ -189,6 +189,20 @@ def open_from_client(ctx, envelope, kind):
     return envelope.open(key)
 
 
+def open_unsubscribe(ctx, envelope):
+    """Open a client's unsubscribe envelope; returns the subscription id.
+
+    The owner to check it against is ``envelope.sender``, which the
+    associated data authenticates: the host can neither name a
+    subscription nor claim who asked.
+    """
+    payload = open_from_client(ctx, envelope, "unsubscribe")
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IntegrityError("malformed unsubscribe: %s" % exc) from exc
+
+
 def admit_subscription(ctx, envelope):
     """Open a client's subscription envelope; ``(subscription, payload)``.
 

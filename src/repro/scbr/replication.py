@@ -146,9 +146,15 @@ class ReplicatedBroker:
         return subscription_id
 
     def unsubscribe_from(self, client, subscription_id):
-        result = self._call(
-            lambda: self.active.unsubscribe(client.client_id, subscription_id)
-        )
+        """Seal and route an unsubscribe; checkpoint the new database."""
+        def attempt():
+            envelope = EncryptedEnvelope.seal(
+                client.key, client.client_id, "unsubscribe",
+                subscription_id.encode("utf-8"),
+            )
+            return self.active.unsubscribe(envelope)
+
+        result = self._call(attempt)
         self._checkpoint = self.active.checkpoint()
         return result
 

@@ -20,12 +20,12 @@ from repro.scbr.messages import (
     EncryptedEnvelope,
     NotificationSealer,
     admit_subscription,
-    client_key,
     deserialize_publication,
     deserialize_subscription,
     fan_out,
     open_from_client,
     open_notification,
+    open_unsubscribe,
     serialize_publication,
     serialize_subscription,
 )
@@ -97,13 +97,14 @@ def enclave_publish_routed(ctx, envelope):
     return _publish(ctx, envelope)
 
 
-def enclave_unsubscribe(ctx, client_id, subscription_id):
-    """ECALL: remove a subscription; only its owner may do so."""
-    client_key(ctx, client_id)  # the client must hold a channel
+def enclave_unsubscribe(ctx, envelope):
+    """ECALL: open a client's unsubscribe envelope; only the owner of
+    the subscription may remove it."""
+    subscription_id = open_unsubscribe(ctx, envelope)
     owner = ctx.state["subscriber_of"].get(subscription_id)
-    if owner != client_id:
+    if owner != envelope.sender:
         raise IntegrityError(
-            "client %r does not own subscription %r" % (client_id,
+            "client %r does not own subscription %r" % (envelope.sender,
                                                         subscription_id)
         )
     ctx.state["index"].remove(subscription_id)
@@ -198,9 +199,9 @@ class ScbrRouter:
         """Route a subscription envelope into the enclave."""
         return self.enclave.ecall("subscribe", envelope)
 
-    def unsubscribe(self, client_id, subscription_id):
-        """Remove a subscription on behalf of its owner."""
-        return self.enclave.ecall("unsubscribe", client_id, subscription_id)
+    def unsubscribe(self, envelope):
+        """Relay an owner's sealed unsubscribe envelope."""
+        return self.enclave.ecall("unsubscribe", envelope)
 
     def publish(self, envelope):
         """Route a publication; returns sealed notifications."""
@@ -258,8 +259,12 @@ class ScbrClient:
         return self.router.publish(envelope)
 
     def unsubscribe(self, subscription_id):
-        """Withdraw one of this client's subscriptions."""
-        return self.router.unsubscribe(self.client_id, subscription_id)
+        """Encrypt and submit the withdrawal of a subscription."""
+        envelope = EncryptedEnvelope.seal(
+            self.key, self.client_id, "unsubscribe",
+            subscription_id.encode("utf-8"),
+        )
+        return self.router.unsubscribe(envelope)
 
     def open_notification(self, envelope):
         """Decrypt a notification addressed to this client."""

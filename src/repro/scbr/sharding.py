@@ -81,11 +81,11 @@ from repro.scbr.provisioning import (
 from repro.scbr.messages import (
     NotificationSealer,
     admit_subscription,
-    client_key,
     deserialize_publication,
     deserialize_subscription,
     fan_out,
     open_from_client,
+    open_unsubscribe,
     serialize_subscription,
 )
 from repro.scbr.router import SERIALIZE_CYCLES_PER_BYTE
@@ -108,6 +108,7 @@ _AAD_PUBLICATION = b"plane|publication"
 _AAD_MATCHED = b"plane|matched"
 _AAD_MIGRATE = b"plane|migrate"
 _AAD_SNAPSHOT = b"plane|snapshot"
+_AAD_REMOVE = b"plane|remove"
 
 # A publish that cannot cover every partition heals the dark shards
 # and republishes under this budget (``on_partial="retry"``).
@@ -468,8 +469,18 @@ def shard_covers_root(ctx, blob):
     return ctx.state["index"].covers_any_root(subscription)
 
 
-def shard_remove(ctx, subscription_id, client_id):
-    """ECALL: unsubscribe; only the owning client may remove."""
+def shard_remove(ctx, blob):
+    """ECALL: unsubscribe; only the owning client may remove.
+
+    ``blob`` is the coordinator's plane-sealed ``{id, client}``
+    (:func:`coord_unsubscribe`): the client is the sender the channel
+    key authenticated, so the host names neither the subscription nor
+    its owner.
+    """
+    intent = json.loads(_plane_key(ctx).open(
+        blob, _AAD_REMOVE, what="plane message"
+    ).decode("utf-8"))
+    subscription_id, client_id = intent["id"], intent["client"]
     owner = ctx.state["owners"].get(subscription_id)
     if owner is None:
         raise ConfigurationError(
@@ -713,10 +724,20 @@ def coord_admit(ctx, envelope):
     return subscription.subscription_id, blob
 
 
-def coord_authorize(ctx, client_id):
-    """ECALL: assert the caller holds an attested channel."""
-    client_key(ctx, client_id)
-    return True
+def coord_unsubscribe(ctx, envelope):
+    """ECALL: open a client unsubscribe and re-seal it for the plane.
+
+    Returns ``(subscription_id, blob)``: the id routes the removal to
+    its home shard, the blob carries ``{id, client}`` under the plane
+    key with the authenticated sender as the client.
+    """
+    subscription_id = open_unsubscribe(ctx, envelope)
+    blob = ctx.state["plane_key"].seal(
+        json.dumps({"id": subscription_id, "client": envelope.sender})
+        .encode("utf-8"),
+        _AAD_REMOVE,
+    )
+    return subscription_id, blob
 
 
 def coord_ingest(ctx, envelope, trace=None):
@@ -814,7 +835,7 @@ COORD_ENTRY_POINTS = {
     "resume": coord_resume,
     "rotate": coord_rotate,
     "admit": coord_admit,
-    "authorize": coord_authorize,
+    "unsubscribe": coord_unsubscribe,
     "ingest": coord_ingest,
     "finalize": coord_finalize,
     "abandon": coord_abandon,
@@ -1167,14 +1188,18 @@ class ShardedScbrRouter(FleetClient):
         self.fleet.checkpoint(fresh)
         return fresh
 
-    def unsubscribe(self, client_id, subscription_id):
-        """Authorise at the coordinator, remove at the home shard.
+    def unsubscribe(self, envelope):
+        """Open at the coordinator, remove at the home shard.
 
-        If the home shard is dark the partition is recovered first:
+        The coordinator turns the client's sealed envelope into the
+        plane-sealed removal the home shard checks ownership against
+        and the replay log keeps.  If the home shard is dark the partition is recovered first:
         removing from the replacement (and logging the removal) is the
         only way the unsubscribe survives the *next* crash too.
         """
-        self.coordinator.ecall("authorize", client_id)
+        subscription_id, blob = self.coordinator.ecall(
+            "unsubscribe", envelope
+        )
         shard = self._home.get(subscription_id)
         if shard is None:
             raise ConfigurationError(
@@ -1182,10 +1207,10 @@ class ShardedScbrRouter(FleetClient):
             )
         if shard.enclave.destroyed:
             shard = self.recover_shard(shard.shard_id)
-        shard.enclave.ecall("remove", subscription_id, client_id)
+        shard.enclave.ecall("remove", blob)
         shard.database_bytes -= DEFAULT_RECORD_BYTES
         del self._home[subscription_id]
-        self.fleet.log(shard, ("remove", subscription_id, client_id))
+        self.fleet.log(shard, ("remove", blob))
         self._tel_unsubscribes.inc()
         return True
 
@@ -1224,8 +1249,8 @@ class ShardedScbrRouter(FleetClient):
                 )
         else:
             dest = choose_node(
-                self.topology, self.fleet.now(), self.epc_node_watermark,
-                exclude=(source_node,),
+                self.topology, self.fleet.now(), self.name,
+                self.epc_node_watermark, exclude=(source_node,),
             )
         if dest is source_node:
             raise SchedulingError(

@@ -79,6 +79,13 @@ class SecureFrontDoor:
     ``default_quota`` is the :class:`~repro.service.quota.TenantQuota`
     of a tenant registered without one.  Admission, both planes' shard
     counts and the stream window keep their components' defaults.
+
+    Two fault domains: the door's own machine (``platform``) runs the
+    gateway, the SCBR coordinator and map/reduce; one cluster
+    (:attr:`topology`) hosts both planes' shards, spread per plane
+    (:func:`repro.plane.choose_node`).  The stream coordinator keeps a
+    machine of its own, so its cycles stay off door receipts and no
+    worker node's death takes it down.
     """
 
     def __init__(self, env, seed=0, default_quota=None, chaos=None,
@@ -133,6 +140,7 @@ class SecureFrontDoor:
         self._request_seq = {}
         self._ops = 0
 
+        self._topology = None
         self._router = None
         self._scbr_clients = {}
         self._stream_plane = None
@@ -415,15 +423,26 @@ class SecureFrontDoor:
 
     # -- SCBR subscriptions ---------------------------------------------
 
+    @property
+    def topology(self):
+        """The door's one cluster: both planes place their shards here.
+
+        Built on first use, so a door that never subscribes or streams
+        builds no worker node.  A node crash or partition on it is one
+        event for every plane with a shard there.
+        """
+        if self._topology is None:
+            from repro.cluster.nodes import NodeTopology
+
+            self._topology = NodeTopology.build(3, seed=self.seed + 7)
+        return self._topology
+
     def _ensure_router(self):
         if self._router is None:
             from repro.scbr.sharding import ShardedScbrRouter
 
             self._router = ShardedScbrRouter(
-                self.platform,
-                lambda i: SgxPlatform(
-                    seed=1000 * (self.seed + 1) + i, quoting_key_bits=512
-                ),
+                self.platform, topology=self.topology,
                 attestation_service=self.attestation,
             )
             self.attestation.trust_measurement(self._router.measurement)
@@ -493,12 +512,10 @@ class SecureFrontDoor:
 
     def _ensure_stream_plane(self):
         if self._stream_plane is None:
-            from repro.cluster.nodes import NodeTopology
             from repro.streams import SecureStreamPlane
 
-            topology = NodeTopology.build(3, seed=self.seed + 7)
             self._stream_plane = SecureStreamPlane(
-                topology,
+                self.topology,
                 attestation_service=self.attestation,
                 seed=self.seed + 8,
                 env=self.env,

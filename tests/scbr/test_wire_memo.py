@@ -22,7 +22,7 @@ from repro.scbr.messages import (
     deserialize_subscription,
     serialize_subscription,
 )
-from repro.scbr.sharding import _AAD_SUBSCRIPTION, SHARD_CODE
+from repro.scbr.sharding import _AAD_REMOVE, _AAD_SUBSCRIPTION, SHARD_CODE
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.enclave import EnclaveContext
 from repro.sgx.platform import SgxPlatform
@@ -177,6 +177,11 @@ def _snapshot_digests():
     plane_key = AeadKey(
         bytes(range(32)), random_source=DeterministicRandomSource(23)
     )
+    # The coordinator's side of an unsubscribe: same key bytes, its own
+    # nonce stream, so the pinned snapshots' nonces stay where they were.
+    coordinator_key = AeadKey(
+        bytes(range(32)), random_source=DeterministicRandomSource(24)
+    )
     platform = SgxPlatform(seed=2018, quoting_key_bits=512)
     first = _joined_shard(platform, 0, plane_key)
     second = _joined_shard(platform, 1, plane_key)
@@ -192,7 +197,9 @@ def _snapshot_digests():
             first.ecall("snapshot")  # the fleet's checkpoint cadence
         if position % 7 == 3:
             victim = pool[position - 2]
-            first.ecall("remove", victim.subscription_id, victim.subscriber)
+            first.ecall("remove", coordinator_key.seal(json.dumps({
+                "id": victim.subscription_id, "client": victim.subscriber,
+            }).encode("utf-8"), _AAD_REMOVE))
         if position % 64 == 63:
             _ids, batch = first.ecall("evacuate", 8 * 512)
             second.ecall("load", batch)
