@@ -135,8 +135,9 @@ e1-cost:
 bringup-cost:
 	@$(PYTHON) tools/bringup_cost.py
 
-# Which construction values any run sets: per constructor on the
-# composed system's surface, its settable-value count, and per value the
+# Which construction values any run sets: per constructor in src/repro
+# (every class with its own __init__ or @dataclass, plus
+# NodeTopology.build), its settable-value count, and per value the
 # caller groups (tests, benchmarks, benchmarks/perf, examples, tools)
 # that pass it a non-default value, over tier-1, `repro.cli smoke`,
 # `benchmarks.perf --seconds 1` and every example (~3 min).

@@ -82,10 +82,10 @@ SEED_ROUTER_CODE = EnclaveCode(
 class SeedFanOutRouter(ScbrRouter):
     """A monolithic router whose enclave also carries the seed fan-out."""
 
-    def __init__(self, platform, record_bytes=512):
+    def __init__(self, platform):
         self.platform = platform
         self.enclave = platform.load_enclave(SEED_ROUTER_CODE)
-        self.enclave.ecall("setup", record_bytes)
+        self.enclave.ecall("setup")
         self.publications_routed = 0
 
     def publish_unbatched(self, envelope):

@@ -38,7 +38,7 @@ def run_a4():
 
     grid, records, detector = build_workload()
     map_fn, reduce_fn = _aggregation_job(
-        detector._transformer_of, detector.bucket_seconds, detector.interval
+        detector._transformer_of, detector.interval
     )
 
     start = time.perf_counter()

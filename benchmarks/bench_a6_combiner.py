@@ -28,7 +28,7 @@ def _records():
     fleet = SmartMeterFleet(grid, seed=19, interval=60.0)
     readings = fleet.readings_window(0.0, 2 * HOUR)
     detector_map = {meter: grid.transformer_of(meter) for meter in grid.meters}
-    map_fn, reduce_fn = _aggregation_job(detector_map, 900.0, 60.0)
+    map_fn, reduce_fn = _aggregation_job(detector_map, 60.0)
     return [reading.to_record() for reading in readings], map_fn, reduce_fn
 
 

@@ -80,8 +80,7 @@ def _sharded_matching_time_ms(pool, publications, total_records):
     set of each stays cache-resident.  Virtual latency per publication
     is the slowest shard (shards match concurrently).
     """
-    plane = ShardedMatchingPlane(index_factory=LinearIndex,
-                                 record_bytes=RECORD_BYTES)
+    plane = ShardedMatchingPlane(index_factory=LinearIndex)
     for i in range(total_records):
         plane.insert(pool[i % len(pool)])
     for publication in publications[:WARMUP_PUBLICATIONS]:

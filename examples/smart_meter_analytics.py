@@ -43,9 +43,7 @@ def main():
 
     # --- theft detection with enclave-backed map/reduce ---
     platform = SgxPlatform()
-    detector = TheftDetector(
-        grid, interval=60.0, platform=platform, mappers=4, reducers=2
-    )
+    detector = TheftDetector(grid, interval=60.0, platform=platform, mappers=4)
     report = detector.detect(window, transformer_measurements, baseline)
 
     print("\n-- theft detection --")

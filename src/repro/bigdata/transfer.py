@@ -33,6 +33,8 @@ from repro.errors import (
 )
 from repro.retry import BackoffClock, RetryPolicy
 
+COMPRESSION_LEVEL = 1   # zlib's fastest: sealing, not ratio, is the point
+
 
 @dataclass
 class TransferStats:
@@ -90,15 +92,13 @@ class SimulatedNetwork:
 class BulkTransfer:
     """Chunk + compress + seal + batch sender, and the matching receiver."""
 
-    def __init__(self, key, chunk_size=64 * 1024, batch_size=8, compress=True,
-                 compression_level=1):
+    def __init__(self, key, chunk_size=64 * 1024, batch_size=8, compress=True):
         if chunk_size < 1 or batch_size < 1:
             raise ConfigurationError("chunk_size and batch_size must be >= 1")
         self.key = key
         self.chunk_size = chunk_size
         self.batch_size = batch_size
         self.compress = compress
-        self.compression_level = compression_level
 
     def _frame_aad(self, frame_index, frame_count, transfer_id):
         return b"bulk|%s|%d|%d|%d" % (
@@ -123,7 +123,7 @@ class BulkTransfer:
         ] or [b""]
         if self.compress:
             bodies = [
-                zlib.compress(chunk, self.compression_level) for chunk in chunks
+                zlib.compress(chunk, COMPRESSION_LEVEL) for chunk in chunks
             ]
         else:
             bodies = chunks

@@ -13,7 +13,7 @@ import itertools
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.scone.fs_shield import UntrustedStore
-from repro.scone.runtime import SconeProcess, SconeRuntimeConfig
+from repro.scone.runtime import SconeProcess
 from repro.sgx.platform import SgxPlatform
 
 _container_ids = itertools.count(1)
@@ -31,13 +31,13 @@ class Host:
     """One machine in the data center."""
 
     def __init__(self, name, cpu_cores=8, memory_mb=32_768, sgx=True,
-                 platform=None, seed=None):
+                 seed=None):
         self.name = name
         self.cpu_cores = cpu_cores
         self.memory_mb = memory_mb
         self.sgx = sgx
         if sgx:
-            self.platform = platform or SgxPlatform(seed=seed, quoting_key_bits=512)
+            self.platform = SgxPlatform(seed=seed, quoting_key_bits=512)
         else:
             self.platform = None
         self.containers = []
@@ -114,9 +114,8 @@ class Container:
 class ContainerEngine:
     """Creates containers from images on hosts -- one API for both kinds."""
 
-    def __init__(self, cas=None, runtime_config=None):
+    def __init__(self, cas=None):
         self.cas = cas
-        self.runtime_config = runtime_config or SconeRuntimeConfig()
         self.launched = 0
 
     def create(self, image, host, cpu_cores=1, memory_mb=512):
@@ -146,7 +145,6 @@ class ContainerEngine:
                 self.cas,
                 store=store,
                 fspf_blob=image.fspf_blob(),
-                config=self.runtime_config,
             )
             process.start()  # raises AttestationError for unknown code
             container.process = process

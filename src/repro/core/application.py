@@ -24,7 +24,6 @@ class ServiceSpec:
     handlers: dict
     output_topics: tuple = ()
     protected_files: dict = field(default_factory=dict)
-    processing_time: float = 0.001
 
     def topics(self):
         """Every topic this service touches."""

@@ -38,11 +38,11 @@ _TOPIC_KEY_PREFIX = "SCONE_TOPIC_KEY_"
 class SecureCloudPlatform:
     """A SecureCloud installation: hosts, CAS, registry, bus."""
 
-    def __init__(self, hosts=2, seed=0, bus_latency=0.0005):
+    def __init__(self, hosts=2, seed=0):
         if hosts < 1:
             raise ConfigurationError("need at least one host")
         self.env = Environment()
-        self.bus = EventBus(self.env, latency=bus_latency)
+        self.bus = EventBus(self.env)
         self.attestation = AttestationService()
         self.cas = ConfigurationService(self.attestation, key_bits=512)
         self.registry = Registry()
@@ -101,7 +101,6 @@ class SecureCloudPlatform:
                 self.bus,
                 spec.handlers,
                 enclave_keys,
-                processing_time=spec.processing_time,
                 enclave=container.process.enclave,
             )
             self.qos.attach(service)

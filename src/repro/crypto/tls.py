@@ -56,8 +56,8 @@ class SecureChannel:
     send_key: AeadKey
     receive_key: AeadKey
     peer_fingerprint: str
-    _send_sequence: int = field(default=0, repr=False)
-    _receive_sequence: int = field(default=0, repr=False)
+    _send_sequence: int = field(default=0, init=False, repr=False)
+    _receive_sequence: int = field(default=0, init=False, repr=False)
 
     def seal(self, plaintext, record_type=b"data"):
         """Encrypt ``plaintext`` as the next outgoing record."""

@@ -9,11 +9,10 @@ the young/old generations pack by.
 
 
 class ResourceMonitor:
-    """Samples running containers on a fixed period."""
+    """Samples running containers once per simulation tick."""
 
-    def __init__(self, workload, period=300.0, window=12, seed_stream=None):
+    def __init__(self, workload, window=12, seed_stream=None):
         self.workload = workload
-        self.period = period
         self.window = window
         self.samples_taken = 0
         self._rng = seed_stream

@@ -52,7 +52,7 @@ class ClusterSimulation:
         self.scheduler = scheduler
         self.workload = workload
         self.trace = trace if trace is not None else workload.generate()
-        self.monitor = monitor or ResourceMonitor(workload, period=tick_period)
+        self.monitor = monitor or ResourceMonitor(workload)
         self.meter = EnergyMeter(cluster, power_model)
         self.tick_period = tick_period
         self.failures = sorted(failures)
@@ -140,7 +140,7 @@ def compare_schedulers(make_cluster, make_schedulers, workload, trace=None,
     results = {}
     for factory in make_schedulers:
         cluster = make_cluster()
-        monitor = ResourceMonitor(workload, period=tick_period)
+        monitor = ResourceMonitor(workload)
         scheduler = factory(cluster, monitor)
         simulation = ClusterSimulation(
             cluster, scheduler, workload, trace=trace, monitor=monitor,

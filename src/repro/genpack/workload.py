@@ -38,11 +38,11 @@ class RunningContainer:
     """Scheduler-side state of a placed container."""
 
     spec: ContainerSpec
-    server: Optional[object] = None
-    generation: str = "nursery"
+    server: Optional[object] = field(default=None, init=False)
+    generation: str = field(default="nursery", init=False)
     placed_at: float = 0.0
-    migrations: int = 0
-    usage_samples: list = field(default_factory=list)
+    migrations: int = field(default=0, init=False)
+    usage_samples: list = field(default_factory=list, init=False)
 
     @property
     def observed_cpu(self):

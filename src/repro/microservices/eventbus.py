@@ -286,15 +286,12 @@ class ReliableSubscriber:
     into the same reaction plane as service anomalies.
     """
 
-    def __init__(self, bus, topic, handler, max_nacks=8, nack_timeout=None,
-                 orchestrator=None):
+    def __init__(self, bus, topic, handler, max_nacks=8, orchestrator=None):
         self.bus = bus
         self.topic = topic
         self.handler = handler
         self.max_nacks = max_nacks
-        self.nack_timeout = (
-            nack_timeout if nack_timeout is not None else bus.latency * 4
-        )
+        self.nack_timeout = bus.latency * 4
         self.orchestrator = orchestrator
         self._expected = 0
         self._pending = {}

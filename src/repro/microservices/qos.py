@@ -18,10 +18,10 @@ class ServiceMetrics:
     """Rolling QoS state for one service."""
 
     name: str
-    events_handled: int = 0
-    busy_seconds: float = 0.0
-    last_heartbeat: float = 0.0
-    recent_latencies: list = field(default_factory=list)
+    events_handled: int = field(default=0, init=False)
+    busy_seconds: float = field(default=0.0, init=False)
+    last_heartbeat: float = field(default=0.0, init=False)
+    recent_latencies: list = field(default_factory=list, init=False)
     window: int = 50
 
     def observe(self, latency, now):

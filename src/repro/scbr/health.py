@@ -88,10 +88,9 @@ class ShardHealthMonitor:
     serves, which resets the episode.
     """
 
-    def __init__(self, env, policy=None, injector=None):
+    def __init__(self, env, policy=None):
         self.env = env
         self.policy = policy or ShardHealthPolicy()
-        self.injector = injector
         self.detections = []
         self._last = {}
         self._intervals = {}

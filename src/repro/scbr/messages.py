@@ -144,8 +144,7 @@ class NotificationSealer:
     entry automatically because the cache checks key identity.
     """
 
-    def __init__(self, sender=NOTIFY_SENDER):
-        self.sender = sender
+    def __init__(self):
         self._contexts = {}
 
     def seal(self, subscriber, key, serialized_publication, subscription_ids):
@@ -159,13 +158,13 @@ class NotificationSealer:
         if cached is None or cached[0] is not key:
             cached = (
                 key,
-                EncryptedEnvelope._aad(self.sender, NOTIFY_KIND, subscriber),
+                EncryptedEnvelope._aad(NOTIFY_SENDER, NOTIFY_KIND, subscriber),
             )
             self._contexts[subscriber] = cached
         key, aad = cached
         ids_blob = json.dumps(sorted(subscription_ids)).encode("utf-8")
         blob = key.seal_records([serialized_publication, ids_blob], aad)
-        return EncryptedEnvelope(self.sender, NOTIFY_KIND, blob, subscriber)
+        return EncryptedEnvelope(NOTIFY_SENDER, NOTIFY_KIND, blob, subscriber)
 
 
 # What the monolithic router enclave and the sharded plane's coordinator

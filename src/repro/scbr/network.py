@@ -63,17 +63,13 @@ class BrokerLink:
 
 
 class Broker:
-    """One broker: a local matching enclave plus per-link routing state.
+    """One broker: a local matching enclave plus per-link routing state."""
 
-    ``memory`` (optional) charges matching work to an enclave memory so
-    network-wide experiments compose with the SGX cost model.
-    """
-
-    def __init__(self, name, memory=None):
+    def __init__(self, name):
         self.name = name
         # Local subscriptions: subscription_id -> client.
         self.local_subscribers = {}
-        self.index = ContainmentIndex(memory=memory)
+        self.index = ContainmentIndex()
         # subscription_id -> origin ("local" or a neighbour name).
         self._origin = {}
         # Per neighbour: subscriptions we forwarded to them.
@@ -173,11 +169,11 @@ class ScbrNetwork:
     def __init__(self):
         self.brokers = {}
 
-    def add_broker(self, name, memory=None):
+    def add_broker(self, name):
         """Create a broker."""
         if name in self.brokers:
             raise ConfigurationError("duplicate broker %r" % name)
-        broker = Broker(name, memory=memory)
+        broker = Broker(name)
         self.brokers[name] = broker
         return broker
 

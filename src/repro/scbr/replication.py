@@ -50,16 +50,14 @@ class ReplicatedBroker:
     """
 
     name = "scbr-broker"
+    RETENTION = 1024    # sealed notifications kept per subscriber
 
-    def __init__(self, platform, record_bytes=512, env=None, chaos=None,
-                 orchestrator=None, retention=1024):
+    def __init__(self, platform, env=None, chaos=None, orchestrator=None):
         self.platform = platform
-        self.record_bytes = record_bytes
         self.env = env
         self.chaos = chaos
         self.orchestrator = orchestrator
-        self.retention = retention
-        self.active = ScbrRouter(platform, record_bytes)
+        self.active = ScbrRouter(platform)
         self._checkpoint = self.active.checkpoint()
         self.clients = {}
         self.failovers = 0
@@ -116,9 +114,9 @@ class ReplicatedBroker:
         """Promote a standby: restore the checkpoint, re-attest clients."""
         detected_at = self.env.now if self.env is not None else None
         self.failovers += 1
-        self.active = ScbrRouter(self.platform, self.record_bytes)
+        self.active = ScbrRouter(self.platform)
         if self._checkpoint is not None:
-            self.active.restore(self._checkpoint, self.record_bytes)
+            self.active.restore(self._checkpoint)
         for client in self.clients.values():
             client.reattach(self)
         recovered_at = self.env.now if self.env is not None else None
@@ -174,7 +172,7 @@ class ReplicatedBroker:
             self._next_seq[subscriber_id] = sequence + 1
             log = self._logs.setdefault(subscriber_id, [])
             log.append((sequence, envelope))
-            if len(log) > self.retention:
+            if len(log) > self.RETENTION:
                 del log[0]
             if self.chaos is not None and self.chaos.drops_notification(
                 subscriber_id, sequence

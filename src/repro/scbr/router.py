@@ -37,11 +37,9 @@ from repro.sgx.enclave import EnclaveCode
 SERIALIZE_CYCLES_PER_BYTE = 2
 
 
-def enclave_setup(ctx, record_bytes=512):
+def enclave_setup(ctx):
     """ECALL: initialise the matching index in enclave memory."""
-    ctx.state["index"] = ContainmentIndex(
-        memory=ctx.memory, record_bytes=record_bytes
-    )
+    ctx.state["index"] = ContainmentIndex(memory=ctx.memory)
     ctx.state["subscriber_of"] = {}
     ctx.state["notification_sealer"] = NotificationSealer()
     return True
@@ -144,10 +142,10 @@ def enclave_checkpoint(ctx):
     return ctx.seal(payload)
 
 
-def enclave_restore(ctx, blob, record_bytes=512):
+def enclave_restore(ctx, blob):
     """ECALL: rebuild the subscription database from a sealed blob."""
     payload = json.loads(ctx.unseal(blob).decode("utf-8"))
-    enclave_setup(ctx, record_bytes)
+    enclave_setup(ctx)
     index = ctx.state["index"]
     for raw in payload["subscriptions"]:
         index.insert(deserialize_subscription(raw.encode("utf-8")))
@@ -174,10 +172,10 @@ ROUTER_CODE = EnclaveCode("scbr-router", ROUTER_ENTRY_POINTS)
 class ScbrRouter:
     """The untrusted host side of the router."""
 
-    def __init__(self, platform, record_bytes=512):
+    def __init__(self, platform):
         self.platform = platform
         self.enclave = platform.load_enclave(ROUTER_CODE)
-        self.enclave.ecall("setup", record_bytes)
+        self.enclave.ecall("setup")
         self.publications_routed = 0
 
     @property
@@ -223,9 +221,9 @@ class ScbrRouter:
         """Sealed blob of the subscription database (untrusted-safe)."""
         return self.enclave.ecall("checkpoint")
 
-    def restore(self, blob, record_bytes=512):
+    def restore(self, blob):
         """Rebuild state from a sealed checkpoint; returns the count."""
-        return self.enclave.ecall("restore", blob, record_bytes)
+        return self.enclave.ecall("restore", blob)
 
 
 class ScbrClient:

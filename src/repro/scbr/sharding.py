@@ -215,8 +215,7 @@ class ShardPlanner:
 class MatchingShard:
     """One index-level shard: its own machine (clock, LLC, EPC) + index."""
 
-    def __init__(self, shard_id, index_factory, record_bytes, costs,
-                 enclave=True):
+    def __init__(self, shard_id, index_factory, costs, enclave=True):
         self.shard_id = shard_id
         self.clock = CycleClock()
         if enclave:
@@ -228,8 +227,7 @@ class MatchingShard:
             self.memory = SimulatedMemory(
                 self.clock, costs, name="shard-%d" % shard_id
             )
-        self.index = index_factory(memory=self.memory,
-                                   record_bytes=record_bytes)
+        self.index = index_factory(memory=self.memory)
 
     def match(self, publication):
         """Match locally; returns (ids, elapsed cycles, visits)."""
@@ -251,13 +249,11 @@ class ShardedMatchingPlane:
     parallelism the cycle model needs.
     """
 
-    def __init__(self, index_factory=ContainmentIndex,
-                 record_bytes=DEFAULT_RECORD_BYTES, costs=DEFAULT_COSTS,
+    def __init__(self, index_factory=ContainmentIndex, costs=DEFAULT_COSTS,
                  policy=None, enclave=True, initial_shards=1):
         if initial_shards < 1:
             raise ConfigurationError("need at least one shard")
         self.index_factory = index_factory
-        self.record_bytes = record_bytes
         self.costs = costs
         self.enclave = enclave
         self.policy = policy or EpcWatermarkPolicy(costs)
@@ -280,8 +276,8 @@ class ShardedMatchingPlane:
 
     def _spawn_shard(self):
         shard = MatchingShard(
-            len(self.shards), self.index_factory, self.record_bytes,
-            self.costs, enclave=self.enclave,
+            len(self.shards), self.index_factory, self.costs,
+            enclave=self.enclave,
         )
         self.shards.append(shard)
         return shard
@@ -310,8 +306,7 @@ class ShardedMatchingPlane:
                 subscription, [shard.index for shard in self.shards]
             )
         ]
-        if self.policy.needs_split(shard.index.database_bytes,
-                                   self.record_bytes):
+        if self.policy.needs_split(shard.index.database_bytes):
             self._split(shard)
             # Re-place: the covering chain this subscription belongs to
             # may just have migrated to the new shard.
@@ -426,8 +421,8 @@ def plane_telemetry_export(ctx):
     return telemetry.export_sealed()
 
 
-def shard_setup(ctx, shard_id, attestation=None,
-                coordinator_measurement=None, telemetry_key=None):
+def shard_setup(ctx, shard_id, attestation, coordinator_measurement,
+                telemetry_key=None):
     """ECALL: initialise an empty partition.
 
     ``attestation`` / ``coordinator_measurement`` let the shard verify
@@ -610,7 +605,7 @@ def shard_snapshot(ctx):
     return ctx.state["version"], blob
 
 
-def shard_restore(ctx, blob, expected_shard_id=None):
+def shard_restore(ctx, blob):
     """ECALL: rebuild an *empty* partition from a sealed snapshot.
 
     Verifies the header: the snapshot must name this shard's partition
@@ -629,8 +624,6 @@ def shard_restore(ctx, blob, expected_shard_id=None):
             "snapshot belongs to shard %r, this is shard %r"
             % (header["shard_id"], ctx.state["shard_id"])
         )
-    if expected_shard_id is not None and header["shard_id"] != expected_shard_id:
-        raise IntegrityError("snapshot does not match the expected shard")
     if len(payloads) - 1 != header["count"]:
         raise IntegrityError(
             "snapshot header promises %d records, batch carries %d"
@@ -689,8 +682,7 @@ SHARD_CODE = EnclaveCode("scbr-shard", SHARD_ENTRY_POINTS)
 # DH, translates client envelopes into plane messages, and seals the
 # deduplicated per-subscriber notification fan-out.
 
-def coord_setup(ctx, attestation=None, shard_measurement=None,
-                telemetry_key=None):
+def coord_setup(ctx, attestation, shard_measurement, telemetry_key=None):
     """ECALL: initialise the coordinator; mints the plane key in-enclave.
 
     ``attestation`` + ``shard_measurement`` pin which shard code may
@@ -969,13 +961,12 @@ class ShardedScbrRouter(FleetClient):
         self.on_partial = on_partial
         self.backoff = BackoffClock()
         self.monitor = (
-            ShardHealthMonitor(env, health_policy, chaos)
+            ShardHealthMonitor(env, health_policy)
             if env is not None else None
         )
-        # Telemetry: the operator's key for sealed in-enclave snapshots
-        # (None disables in-enclave recording entirely) and a host-side
-        # span recorder for the driver's own clock domain.
-        self.telemetry_key = telemetry_key
+        # Telemetry: a host-side span recorder for the driver's own clock
+        # domain.  The operator's key for sealed in-enclave snapshots goes
+        # only to the enclaves' setup (None disables in-enclave recording).
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         registry = default_registry()
         self._tel_publications = registry.counter("scbr.publications")
@@ -1052,9 +1043,7 @@ class ShardedScbrRouter(FleetClient):
         return self.fleet.fail(shard_id)
 
     def _restore(self, shard):
-        return shard.enclave.ecall(
-            "restore", shard.snapshot, shard.shard_id
-        )
+        return shard.enclave.ecall("restore", shard.snapshot)
 
     def _replay(self, shard):
         for entry in shard.log:

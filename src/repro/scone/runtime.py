@@ -62,13 +62,13 @@ class SconeProcess:
     """One secure container process on one SGX platform."""
 
     def __init__(self, platform, enclave_code, cas, store=None, fspf_blob=None,
-                 kernel=None, config=None, stdin_transport=None):
+                 config=None, stdin_transport=None):
         self.platform = platform
         self.enclave_code = enclave_code
         self.cas = cas
         self.store = store if store is not None else UntrustedStore()
         self.fspf_blob = fspf_blob
-        self.kernel = kernel or SimulatedKernel()
+        self.kernel = SimulatedKernel()
         self.config = config or SconeRuntimeConfig()
         self.enclave = None
         self.scf = None

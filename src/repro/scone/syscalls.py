@@ -277,7 +277,7 @@ class PendingSyscall:
     request: SyscallRequest
     completion_time: int
     result: Optional[object] = None
-    validated: bool = field(default=False, repr=False)
+    validated: bool = field(default=False, init=False, repr=False)
 
     def done_at(self, now):
         """Whether the worker has finished by virtual time ``now``."""

@@ -267,8 +267,8 @@ class AnyOf(Event):
 class Environment:
     """The discrete-event loop: a clock plus a priority queue of events."""
 
-    def __init__(self, initial_time=0.0):
-        self._now = initial_time
+    def __init__(self):
+        self._now = 0.0
         self._queue = []
         self._sequence = 0
 

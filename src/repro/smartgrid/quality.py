@@ -3,7 +3,7 @@
 Classifies voltage samples against EN 50160-style bands and aggregates
 per-transformer events: a **sag** (below 0.9 pu), a **swell** (above
 1.1 pu), or an **interruption** (below 0.05 pu).  A transformer-level
-event is raised when at least ``quorum`` of its meters agree in the
+event is raised when at least ``QUORUM`` of its meters agree in the
 same sample slot (a single odd meter is a metering problem, not a grid
 problem); consecutive slots merge into one event.
 """
@@ -16,6 +16,7 @@ from repro.smartgrid.meters import NOMINAL_VOLTS
 SAG_PU = 0.9
 SWELL_PU = 1.1
 INTERRUPTION_PU = 0.05
+QUORUM = 0.5
 
 
 def classify_sample(volts):
@@ -48,10 +49,9 @@ class QualityEvent:
 class PowerQualityMonitor:
     """Turns raw readings into transformer-level quality events."""
 
-    def __init__(self, topology, interval=30.0, quorum=0.5):
+    def __init__(self, topology, interval=30.0):
         self.topology = topology
         self.interval = interval
-        self.quorum = quorum
         self._transformer_of = {
             meter: topology.transformer_of(meter) for meter in topology.meters
         }
@@ -83,7 +83,7 @@ class PowerQualityMonitor:
         flagged = {}
         for (transformer, slot), kinds in slots.items():
             for kind, meters in kinds.items():
-                threshold = self._meter_counts[transformer] * self.quorum
+                threshold = self._meter_counts[transformer] * QUORUM
                 if len(meters) >= threshold:
                     flagged[(transformer, slot, kind)] = meters
 

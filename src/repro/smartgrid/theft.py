@@ -8,7 +8,7 @@ The detector therefore:
    a map/reduce job over the raw readings, optionally executed on the
    secure map/reduce engine so the cloud never sees consumption data;
 2. compares it with the *measured* transformer energy: a persistent
-   loss fraction above ``loss_threshold`` flags the transformer
+   loss fraction above ``LOSS_THRESHOLD`` flags the transformer
    (non-technical loss);
 3. within a flagged transformer, ranks meters by the drop of their
    reported load between a baseline window and the detection window --
@@ -21,6 +21,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.bigdata.mapreduce import MapReduceJob, SecureMapReduce, plain_mapreduce
+
+BUCKET_SECONDS = 900.0      # energy is compared per 15-minute bucket
+LOSS_THRESHOLD = 0.05       # mean loss fraction that flags a transformer
+REDUCERS = 2                # reduce tasks of the secure aggregation job
 
 
 @dataclass
@@ -49,11 +53,11 @@ class TheftReport:
         return precision, recall
 
 
-def _aggregation_job(transformer_of, bucket_seconds, interval):
+def _aggregation_job(transformer_of, interval):
     """Build the map/reduce functions for reported-energy aggregation."""
 
     def map_reported(record):
-        bucket = int(record["t"] // bucket_seconds)
+        bucket = int(record["t"] // BUCKET_SECONDS)
         transformer = transformer_of[record["meter"]]
         # Energy in watt-seconds contributed by this sample.
         yield (transformer, bucket), record["w"] * interval
@@ -67,15 +71,11 @@ def _aggregation_job(transformer_of, bucket_seconds, interval):
 class TheftDetector:
     """Compares reported and measured energy over the topology."""
 
-    def __init__(self, topology, interval=30.0, bucket_seconds=900.0,
-                 loss_threshold=0.05, platform=None, mappers=4, reducers=2):
+    def __init__(self, topology, interval=30.0, platform=None, mappers=4):
         self.topology = topology
         self.interval = interval
-        self.bucket_seconds = bucket_seconds
-        self.loss_threshold = loss_threshold
         self.platform = platform
         self.mappers = mappers
-        self.reducers = reducers
         self._transformer_of = {
             meter: topology.transformer_of(meter) for meter in topology.meters
         }
@@ -84,11 +84,11 @@ class TheftDetector:
         """(transformer, bucket) -> reported watt-seconds."""
         records = [reading.to_record() for reading in readings]
         map_fn, reduce_fn = _aggregation_job(
-            self._transformer_of, self.bucket_seconds, self.interval
+            self._transformer_of, self.interval
         )
         if self.platform is not None:
             job = MapReduceJob(map_fn, reduce_fn,
-                               mappers=self.mappers, reducers=self.reducers)
+                               mappers=self.mappers, reducers=REDUCERS)
             keyed = SecureMapReduce(self.platform, job).run(records)
             return {
                 ast.literal_eval(key): value for key, value in keyed.items()
@@ -98,7 +98,7 @@ class TheftDetector:
     def _aggregate_measured(self, transformer_measurements):
         totals = defaultdict(float)
         for transformer, timestamp, watts in transformer_measurements:
-            bucket = int(timestamp // self.bucket_seconds)
+            bucket = int(timestamp // BUCKET_SECONDS)
             totals[(transformer, bucket)] += watts * self.interval
         return totals
 
@@ -131,7 +131,7 @@ class TheftDetector:
         flagged = sorted(
             transformer
             for transformer, loss in loss_fraction.items()
-            if loss > self.loss_threshold
+            if loss > LOSS_THRESHOLD
         )
 
         suspects = {}

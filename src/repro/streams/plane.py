@@ -131,7 +131,6 @@ class SecureStreamPlane(FleetClient):
         self.name = name
         self.env = env
         self.chaos = chaos
-        self.telemetry_key = telemetry_key
         self._vnow = 0.0
         self._rounds = 0
         self._ops = 0            # monotonic op index for chaos draws

@@ -120,15 +120,14 @@ def _build_operator(config, registry):
 
 # --- shard-side ECALLs -------------------------------------------------
 
-def stream_setup(ctx, shard_id, window_config, key_range,
-                 pane_budget=None, attestation=None,
-                 coordinator_measurement=None, telemetry_key=None):
+def stream_setup(ctx, shard_id, window_config, key_range, pane_budget,
+                 attestation, coordinator_measurement, telemetry_key=None):
     """ECALL: initialise an empty stream shard owning ``key_range``.
 
     ``window_config`` is ``{"kind", "size", "slide"?, "lateness"?}``;
-    ``pane_budget`` (optional) arms load shedding.  ``attestation`` /
-    ``coordinator_measurement`` pin the coordinator for the join
-    handshake, exactly as in the SCBR plane.
+    a ``pane_budget`` other than ``None`` arms load shedding.
+    ``attestation`` / ``coordinator_measurement`` pin the coordinator
+    for the join handshake, exactly as in the SCBR plane.
     """
     ctx.state["shard_id"] = shard_id
     ctx.state["attestation"] = attestation
@@ -463,8 +462,8 @@ STREAM_SHARD_CODE = EnclaveCode("stream-shard", STREAM_SHARD_ENTRY_POINTS)
 
 # --- coordinator-side ECALLs ------------------------------------------
 
-def stream_coord_setup(ctx, ingest_key_bytes, attestation=None,
-                       shard_measurement=None, telemetry_key=None):
+def stream_coord_setup(ctx, ingest_key_bytes, attestation,
+                       shard_measurement, telemetry_key=None):
     """ECALL: initialise the stream coordinator.
 
     Mints the plane key in-enclave and installs the head-end's ingest

@@ -119,7 +119,7 @@ class TestGenPack:
     def make(self, servers=10):
         cluster = Cluster.homogeneous(servers)
         workload = small_workload()
-        monitor = ResourceMonitor(workload, period=300.0)
+        monitor = ResourceMonitor(workload)
         scheduler = GenPackScheduler(cluster, monitor)
         return cluster, monitor, scheduler
 

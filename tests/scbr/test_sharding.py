@@ -95,7 +95,7 @@ def tiny_plane(max_records=8, **kwargs):
     policy = EpcWatermarkPolicy()
     policy.max_shard_bytes = max_records * 512
     kwargs.setdefault("enclave", False)
-    return ShardedMatchingPlane(record_bytes=512, policy=policy, **kwargs)
+    return ShardedMatchingPlane(policy=policy, **kwargs)
 
 
 class TestShardedMatchingPlane:

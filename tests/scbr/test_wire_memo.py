@@ -163,7 +163,7 @@ class TestImmutability:
 def _joined_shard(platform, shard_id, plane_key):
     """A shard enclave holding ``plane_key`` without the join handshake."""
     enclave = platform.load_enclave(SHARD_CODE)
-    enclave.ecall("setup", shard_id)
+    enclave.ecall("setup", shard_id, None, None)
     EnclaveContext(enclave).state["plane_key"] = plane_key
     return enclave
 

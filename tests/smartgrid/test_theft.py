@@ -18,7 +18,7 @@ def make_world(seed=5, theft_meter=None, fraction=0.45):
     fleet = SmartMeterFleet(grid, seed=seed, interval=60.0)
     if theft_meter is not None:
         fleet.inject_theft(theft_meter, start=1 * HOUR, fraction=fraction)
-    detector = TheftDetector(grid, interval=60.0, bucket_seconds=900.0)
+    detector = TheftDetector(grid, interval=60.0)
     # Baseline: hour 0-1 (pre-theft); detection window: hour 1-2.
     baseline = fleet.readings_window(0.0, 1 * HOUR)
     window = fleet.readings_window(1 * HOUR, 2 * HOUR)
@@ -92,7 +92,7 @@ class TestSecureExecution:
         plain_detector = TheftDetector(grid, interval=60.0)
         platform = SgxPlatform(seed=19, quoting_key_bits=512)
         secure_detector = TheftDetector(
-            grid, interval=60.0, platform=platform, mappers=3, reducers=2
+            grid, interval=60.0, platform=platform, mappers=3
         )
         plain_report = plain_detector.detect(window, measured, baseline)
         secure_report = secure_detector.detect(window, measured, baseline)

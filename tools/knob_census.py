@@ -1,8 +1,10 @@
-"""Which construction values of the composed system any run sets.
+"""Which construction values of the package any run sets.
 
-A *settable value* is one parameter of a constructor on the composed
-system's surface (``SURFACES``).  This tool counts them, then runs
-tier-1, ``repro.cli smoke``, ``benchmarks.perf --seconds 1`` (all five
+A *settable value* is one parameter of a constructor.  The surfaces are
+found, not listed: every class defined under ``src/repro`` that defines
+its own ``__init__`` or is a ``@dataclass``, plus ``NodeTopology.build``
+(``discover``).  This tool counts their values, then runs tier-1,
+``repro.cli smoke``, ``benchmarks.perf --seconds 1`` (all five
 workloads) and every ``examples/*.py`` with each surface's constructor
 wrapped, and prints, per value, which caller groups (``tests``,
 ``benchmarks``, ``benchmarks/perf``, ``examples``, ``tools``) ever pass
@@ -12,7 +14,7 @@ reader must rule out and that nothing covers.
 The wrapping is done by a ``sitecustomize`` module on ``PYTHONPATH``
 (written to a temporary directory), so it reaches every interpreter a
 run starts -- the benchmark's worker processes included -- and it
-patches each surface module right after it is first imported.  No
+patches each ``repro`` module right after it is first imported.  No
 source file is edited.  A call is attributed to its nearest frame
 outside ``src/repro`` inside the checkout, the immediate caller
 included.  A call made by a module body under ``src/repro`` (a
@@ -35,28 +37,14 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
 
-# (label, module, class, attribute) of every constructor counted.
-SURFACES = (
-    ("SecureFrontDoor", "repro.service.frontdoor", "SecureFrontDoor",
-     "__init__"),
-    ("FrontDoorConfig", "repro.service.frontdoor", "FrontDoorConfig",
-     "__init__"),
-    ("ShardedScbrRouter", "repro.scbr.sharding", "ShardedScbrRouter",
-     "__init__"),
-    ("EpcWatermarkPolicy", "repro.scbr.sharding", "EpcWatermarkPolicy",
-     "__init__"),
-    ("SecureStreamPlane", "repro.streams.plane", "SecureStreamPlane",
-     "__init__"),
-    ("StreamConfig", "repro.streams.plane", "StreamConfig", "__init__"),
-    ("NodeSpec", "repro.cluster.nodes", "NodeSpec", "__init__"),
-    ("ClusterNode", "repro.cluster.nodes", "ClusterNode", "__init__"),
-    ("NodeTopology.build", "repro.cluster.nodes", "NodeTopology", "build"),
-    ("RetryPolicy", "repro.retry", "RetryPolicy", "__init__"),
-)
+PACKAGE = "repro"
+# Constructors that are not a class's ``__init__``: (class, attribute).
+EXTRA = {"repro.cluster.nodes": (("NodeTopology", "build"),)}
 GROUPS = ("tests", "benchmarks", "benchmarks/perf", "examples", "tools",
           "src")
 MAX_SITES = 3       # call sites kept per (value, group) for --sites
@@ -82,18 +70,53 @@ def parameters(function):
     ]
 
 
-def _raw(module, owner, attribute):
-    cls = getattr(module, owner, None)
-    if cls is None or attribute not in vars(cls):
-        return None, None
-    raw = vars(cls)[attribute]
-    return cls, raw.__func__ if isinstance(raw, classmethod) else raw
+def surfaces(module):
+    """(label, class, attribute, function) of every constructor that
+    ``module`` itself defines, in definition order."""
+    found = []
+    for cls in list(vars(module).values()):
+        if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+            continue
+        own = vars(cls)
+        if "__init__" in own or "__dataclass_fields__" in own:
+            found.append((cls.__qualname__, cls, "__init__",
+                          cls.__init__))
+    for owner, attribute in EXTRA.get(module.__name__, ()):
+        cls = getattr(module, owner)
+        raw = vars(cls)[attribute]
+        found.append(("%s.%s" % (owner, attribute), cls, attribute,
+                      raw.__func__ if isinstance(raw, classmethod) else raw))
+    return found
+
+
+def modules(root):
+    """Every module name of the package under ``root/src``."""
+    package = os.path.join(root, "src", PACKAGE)
+    names = [PACKAGE] + [
+        info.name for info in pkgutil.walk_packages([package],
+                                                    PACKAGE + ".")
+    ]
+    return sorted(name for name in names if not name.endswith("__main__"))
+
+
+def discover(root):
+    """(module, label, function) of every surface under ``root/src``."""
+    source = os.path.join(root, "src")
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    return [
+        (name, label, function)
+        for name in modules(root)
+        for label, _cls, _attr, function in surfaces(
+            importlib.import_module(name))
+    ]
 
 
 # -- the in-process recorder (loaded by the generated sitecustomize) ----
 
-_calls = {}         # label -> {group: calls}
-_set = {}           # label -> {param: {group: [count, [sites]]}}
+_calls = {}         # "module:label" -> calls
+_set = {}           # "module:label" -> {param: {group: [count, [sites]]}}
+_EMPTY = inspect.Parameter.empty
 
 
 def _is_default(value, default):
@@ -107,7 +130,7 @@ def _is_default(value, default):
 
 def _attribute(frame, root):
     """(group, "file:line") of the nearest frame outside ``src/repro``."""
-    library = os.path.join(root, "src", "repro") + os.sep
+    library = os.path.join(root, "src", PACKAGE) + os.sep
     this = os.path.abspath(__file__)
     while frame is not None:
         path = frame.f_code.co_filename
@@ -128,19 +151,31 @@ def _attribute(frame, root):
     return "src", "-"
 
 
-def _record(label, signature, args, kwargs, frame, root):
-    bound = signature.bind(*args, **kwargs)
+def _defaults(function):
+    """(positional, by_name): each parameter's (name, default) in
+    positional order, and each default by name."""
+    params = parameters(function)
+    positional = [(param.name, param.default) for param in params
+                  if param.kind is not param.KEYWORD_ONLY]
+    return positional, {param.name: param.default for param in params}
+
+
+def _record(key, spec, args, kwargs, frame, root):
+    _calls[key] = _calls.get(key, 0) + 1
+    positional, by_name = spec
+    changed = []
+    for (name, default), value in zip(positional, args[1:]):
+        if default is not _EMPTY and not _is_default(value, default):
+            changed.append(name)
+    for name, value in kwargs.items():
+        default = by_name.get(name, _EMPTY)
+        if default is not _EMPTY and not _is_default(value, default):
+            changed.append(name)
+    if not changed:
+        return
     group, site = _attribute(frame, root)
-    calls = _calls.setdefault(label, {})
-    calls[group] = calls.get(group, 0) + 1
-    for name, value in list(bound.arguments.items())[1:]:
-        param = signature.parameters[name]
-        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
-            continue
-        if param.default is not param.empty and _is_default(
-                value, param.default):
-            continue
-        entry = _set.setdefault(label, {}).setdefault(name, {}).setdefault(
+    for name in changed:
+        entry = _set.setdefault(key, {}).setdefault(name, {}).setdefault(
             group, [0, []]
         )
         entry[0] += 1
@@ -149,38 +184,33 @@ def _record(label, signature, args, kwargs, frame, root):
 
 
 def _wrap(module, root):
-    for label, name, owner, attribute in SURFACES:
-        if name != module.__name__:
-            continue
-        cls, function = _raw(module, owner, attribute)
-        if function is None:
-            continue
-        signature = inspect.signature(function)
+    for label, cls, attribute, function in surfaces(module):
+        key = "%s:%s" % (module.__name__, label)
+        spec = _defaults(function)
 
-        def wrapper(*args, _label=label, _signature=signature,
-                    _function=function, **kwargs):
+        def wrapper(*args, _key=key, _spec=spec, _function=function,
+                    **kwargs):
             try:
-                _record(_label, _signature, args, kwargs,
-                        sys._getframe(1), root)
+                _record(_key, _spec, args, kwargs, sys._getframe(1), root)
             except Exception:
-                pass    # an unbindable call fails in the original
+                pass    # recording must never change what the call does
             return _function(*args, **kwargs)
 
         functools.update_wrapper(wrapper, function)
-        is_classmethod = isinstance(vars(cls)[attribute], classmethod)
+        is_classmethod = isinstance(vars(cls).get(attribute), classmethod)
         setattr(cls, attribute,
                 classmethod(wrapper) if is_classmethod else wrapper)
 
 
 class _Finder:
-    """Patches each surface module right after its first import."""
+    """Patches each package module right after its first import."""
 
     def __init__(self, root):
         self.root = root
-        self.pending = {name for _l, name, _c, _a in SURFACES}
+        self.seen = set()
 
     def find_spec(self, name, path=None, target=None):
-        if name not in self.pending:
+        if name in self.seen or name.split(".", 1)[0] != PACKAGE:
             return None
         for finder in sys.meta_path:
             if finder is self or not hasattr(finder, "find_spec"):
@@ -190,7 +220,7 @@ class _Finder:
                 break
         else:
             return None
-        self.pending.discard(name)
+        self.seen.add(name)
         execute = spec.loader.exec_module
         root = self.root
 
@@ -223,8 +253,9 @@ def install():
 def commands(runs):
     python = sys.executable
     if "tier1" in runs:
+        # One hypothesis seed, so two checkouts draw the same examples.
         yield "tier1", [python, "-m", "pytest", "-q", "-p",
-                        "no:cacheprovider"]
+                        "no:cacheprovider", "--hypothesis-seed=0"]
     if "smoke" in runs:
         yield "smoke", [python, "-m", "repro.cli", "smoke"]
     if "perf" in runs:
@@ -262,10 +293,8 @@ def run_all(root, runs):
         for path in sorted(glob.glob(os.path.join(out, "*.json"))):
             with open(path) as handle:
                 record = json.load(handle)
-            for label, groups in record["calls"].items():
-                into = merged_calls.setdefault(label, {})
-                for group, count in groups.items():
-                    into[group] = into.get(group, 0) + count
+            for key, count in record["calls"].items():
+                merged_calls[key] = merged_calls.get(key, 0) + count
             for label, values in record["set"].items():
                 for name, groups in values.items():
                     into = merged_set.setdefault(label, {}).setdefault(
@@ -286,29 +315,34 @@ def _order(group):
 
 
 def report(root, calls, setters, statuses):
-    sys.path.insert(0, os.path.join(root, "src"))
-    total = unused = 0
-    for label, name, owner, attribute in SURFACES:
-        _cls, function = _raw(importlib.import_module(name), owner,
-                              attribute)
-        if function is None:
-            print("%-22s %3s  (not defined)" % (label, "-"))
-            continue
+    total = surfaces_seen = 0
+    never = []
+    module = None
+    for name, label, function in discover(root):
+        if name != module:
+            module = name
+            print(name)
+        key = "%s:%s" % (name, label)
         params = parameters(function)
         total += len(params)
-        made = sum(calls.get(label, {}).values())
-        print("%-22s %3d  (%d calls)" % (label, len(params), made))
+        surfaces_seen += 1
+        print("  %-30s %3d  (%d calls)" % (label, len(params),
+                                          calls.get(key, 0)))
         for param in params:
-            groups = setters.get(label, {}).get(param.name, {})
+            groups = setters.get(key, {}).get(param.name, {})
             if param.default is param.empty:
                 verdict = "required"
             elif groups:
                 verdict = ", ".join(sorted(groups, key=_order))
             else:
                 verdict = "default everywhere"
-                unused += 1
-            print("    %-24s %s" % (param.name, verdict))
-    print("settable values: %d; never set off default: %d" % (total, unused))
+                never.append("%s.%s" % (key, param.name))
+            print("      %-26s %s" % (param.name, verdict))
+    print("never set off default:")
+    for value in never:
+        print("  " + value)
+    print("surfaces: %d; settable values: %d; never set off default: %d"
+          % (surfaces_seen, total, len(never)))
     for name, status in statuses:
         print("run %-34s exit %d" % (name, status))
 
@@ -325,12 +359,12 @@ def main(argv=None):
     calls, setters, statuses = run_all(root, runs)
     report(root, calls, setters, statuses)
     if args.sites:
-        for label in sorted(setters):
-            for name in sorted(setters[label]):
+        for key in sorted(setters):
+            for name in sorted(setters[key]):
                 for group, (count, sites) in sorted(
-                        setters[label][name].items()):
+                        setters[key][name].items()):
                     print("site %s.%s [%s] x%d: %s" % (
-                        label, name, group, count, " ".join(sites)))
+                        key, name, group, count, " ".join(sites)))
     return 0
 
 
