@@ -53,6 +53,7 @@ bytes they always produced -- auto-selection never changes
 small-record framing.
 """
 
+import struct
 from dataclasses import dataclass
 
 from repro.errors import IntegrityError
@@ -65,9 +66,10 @@ from repro.crypto.chunked import (
 from repro.crypto.primitives import (
     SystemRandomSource,
     constant_time_equal,
-    hmac_context,
+    hmac_digest,
+    hmac_pads,
     hmac_sha256,
-    keystream_xor,
+    pad_keystream_xor,
     xof_keystream_xor,
 )
 
@@ -78,6 +80,7 @@ TAG_SIZE = 32
 BATCH_MAGIC = b"SB1"
 CHUNKED_MAGIC = b"SB2"
 _LEN_SIZE = 4
+_LEN_PREFIX = struct.Struct(">I")
 
 _ENC_LABEL = b"securecloud-aead-enc"
 _MAC_LABEL = b"securecloud-aead-mac"
@@ -227,10 +230,11 @@ class SealedBatch:
 
 
 def _frame_records(payloads):
-    pieces = []
-    for payload in payloads:
-        pieces.append(len(payload).to_bytes(_LEN_SIZE, "big"))
-        pieces.append(payload)
+    # ``len || record`` per record, interleaved by slice assignment: a
+    # checkpoint frames thousands of records and pays no append for any.
+    pieces = [b""] * (2 * len(payloads))
+    pieces[::2] = map(_LEN_PREFIX.pack, map(len, payloads))
+    pieces[1::2] = payloads
     return b"".join(pieces)
 
 
@@ -266,9 +270,10 @@ class AeadKey:
             raise ValueError("AEAD key must be %d bytes" % KEY_SIZE)
         self._key = bytes(key_bytes)
         self._enc_key = hmac_sha256(self._key, _ENC_LABEL)
-        self._mac_key = hmac_sha256(self._key, _MAC_LABEL)
-        # The MAC key schedule is paid once; every tag copies this.
-        self._mac_context = hmac_context(self._mac_key)
+        # Both HMAC key schedules are paid once, here: every keystream
+        # block and every tag copies these SHA-256 states.
+        self._enc_pads = hmac_pads(self._enc_key)
+        self._mac_pads = hmac_pads(hmac_sha256(self._key, _MAC_LABEL))
         self._fingerprint_digest = hmac_sha256(_FINGERPRINT_LABEL, self._key)
         self._random = random_source or SystemRandomSource()
 
@@ -288,24 +293,22 @@ class AeadKey:
         return self._fingerprint_digest[:8].hex()
 
     def _tag(self, nonce, aad, body):
-        ctx = self._mac_context.copy()
-        ctx.update(nonce + len(aad).to_bytes(8, "big") + aad)
-        ctx.update(body)
-        return ctx.digest()
+        return hmac_digest(
+            self._mac_pads, nonce + len(aad).to_bytes(8, "big") + aad, body
+        )
 
     def _batch_tag(self, nonce, aad, count, body):
         # Domain-separated from single-record tags by the framing magic
         # and the authenticated record count.
-        ctx = self._mac_context.copy()
-        ctx.update(
+        return hmac_digest(
+            self._mac_pads,
             BATCH_MAGIC
             + count.to_bytes(4, "big")
             + nonce
             + len(aad).to_bytes(8, "big")
-            + aad
+            + aad,
+            body,
         )
-        ctx.update(body)
-        return ctx.digest()
 
     def _chunked_tag(self, nonce, aad, count, chunk_size, manifest):
         # The chunked tag authenticates the *manifest*, not the body:
@@ -313,17 +316,16 @@ class AeadKey:
         # and digest, so body integrity follows transitively.  The SB2 magic
         # and the chunk size in the header domain-separate this from
         # both SB1 batch tags and single-record tags.
-        ctx = self._mac_context.copy()
-        ctx.update(
+        return hmac_digest(
+            self._mac_pads,
             CHUNKED_MAGIC
             + count.to_bytes(4, "big")
             + chunk_size.to_bytes(4, "big")
             + nonce
             + len(aad).to_bytes(8, "big")
-            + aad
+            + aad,
+            manifest,
         )
-        ctx.update(manifest)
-        return ctx.digest()
 
     def encrypt(self, plaintext, aad=b"", nonce=None):
         """Encrypt and authenticate ``plaintext`` binding ``aad``."""
@@ -331,7 +333,7 @@ class AeadKey:
             nonce = self._random.bytes(NONCE_SIZE)
         if len(nonce) != NONCE_SIZE:
             raise ValueError("nonce must be %d bytes" % NONCE_SIZE)
-        body = keystream_xor(self._enc_key, nonce, plaintext)
+        body = pad_keystream_xor(self._enc_pads, nonce, plaintext)
         return Ciphertext(nonce=nonce, body=body, tag=self._tag(nonce, aad, body))
 
     def decrypt(self, ciphertext, aad=b""):
@@ -339,7 +341,9 @@ class AeadKey:
         expected = self._tag(ciphertext.nonce, aad, ciphertext.body)
         if not constant_time_equal(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag verification failed")
-        return keystream_xor(self._enc_key, ciphertext.nonce, ciphertext.body)
+        return pad_keystream_xor(
+            self._enc_pads, ciphertext.nonce, ciphertext.body
+        )
 
     def encrypt_batch(self, payloads, aad=b"", nonce=None, chunk_size=None):
         """Seal a sequence of records as one :class:`SealedBatch`.

@@ -29,30 +29,78 @@ def constant_time_equal(a, b):
 def hmac_context(key):
     """A reusable HMAC-SHA256 context with ``key`` already absorbed.
 
-    HMAC key setup costs two SHA-256 compressions (ipad/opad); hot paths
-    that MAC many messages under one key pay it once here and then
-    ``.copy()`` the returned context per message.
+    HMAC key setup costs two SHA-256 compressions (ipad/opad); a caller
+    that MACs many messages under one key pays it once here and then
+    ``.copy()``-s the returned context per message.  The package's own
+    hot paths (the AEAD keystream and tags) keep :func:`hmac_pads`
+    instead, which skips the Python-level ``hmac`` object per message.
     """
     return _hmac.new(key, b"", hashlib.sha256)
 
 
+# HMAC-SHA256 (RFC 2104) from two SHA-256 states: one that absorbed
+# K xor ipad, one that absorbed K xor opad.  A key's states are built
+# once (``hmac_pads``); each MAC then copies them, so no call pays the
+# key schedule or a Python-level ``hmac`` object.
+_SHA256_BLOCK_SIZE = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 _HMAC_BLOCK_SIZE = 32
 
-# (key, nonce) -> primed HMAC context with key and nonce absorbed.  The
-# cache is tiny and bounded; it exists so back-to-back keystream calls
-# under one AEAD key skip the HMAC key schedule entirely.
-_KEYSTREAM_CACHE = {}
-_KEYSTREAM_CACHE_LIMIT = 64
+
+def hmac_pads(key):
+    """``(inner, outer)`` SHA-256 states of HMAC-SHA256 under ``key``.
+
+    Treat both as read-only: :func:`hmac_digest` and
+    :func:`pad_keystream` ``.copy()`` them per message.
+    """
+    key = bytes(key)
+    if len(key) > _SHA256_BLOCK_SIZE:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK_SIZE, b"\0")
+    return (
+        hashlib.sha256(key.translate(_IPAD)),
+        hashlib.sha256(key.translate(_OPAD)),
+    )
 
 
-def _keystream_context(key, nonce):
-    cached = _KEYSTREAM_CACHE.get((key, nonce))
-    if cached is None:
-        if len(_KEYSTREAM_CACHE) >= _KEYSTREAM_CACHE_LIMIT:
-            _KEYSTREAM_CACHE.clear()
-        cached = _hmac.new(key, nonce, hashlib.sha256)
-        _KEYSTREAM_CACHE[(key, nonce)] = cached
-    return cached
+def hmac_digest(pads, data, more=b""):
+    """HMAC-SHA256 of ``data || more`` under the key of ``pads``.
+
+    Byte-identical to ``hmac_sha256(key, data + more)``; ``more`` saves
+    a caller the concatenation of a header and a (memoryview) body.
+    """
+    inner = pads[0].copy()
+    inner.update(data)
+    inner.update(more)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
+def pad_keystream(pads, nonce, length):
+    """:func:`keystream` under the key of ``pads``.
+
+    The nonce is absorbed once into a copy of the inner state; each
+    32-byte block then costs one inner copy+update+digest and one outer
+    copy+update+digest, all in C.
+    """
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if length == 0:
+        return b""
+    inner, outer = pads
+    base = inner.copy()
+    base.update(nonce)
+    block_count = -(-length // _HMAC_BLOCK_SIZE)
+    blocks = [None] * block_count
+    for counter in range(block_count):
+        block = base.copy()
+        block.update(counter.to_bytes(8, "big"))
+        finish = outer.copy()
+        finish.update(block.digest())
+        blocks[counter] = finish.digest()
+    return b"".join(blocks)[:length]
 
 
 def keystream(key, nonce, length):
@@ -61,25 +109,11 @@ def keystream(key, nonce, length):
     Block i is ``HMAC(key, nonce || i)``; the construction is a PRF in
     counter mode, i.e. a stream cipher keyed by (key, nonce).  Reusing a
     (key, nonce) pair leaks plaintext XOR, exactly as with AES-CTR, so
-    callers must use fresh nonces (the AEAD layer does).
-
-    The key schedule and the nonce are absorbed into one HMAC context
-    which is then ``.copy()``-ed per 32-byte counter block -- the copy
-    skips both SHA-256 init compressions, roughly doubling throughput
-    over a fresh ``hmac.new`` per block.
+    callers must use fresh nonces (the AEAD layer does).  A caller with
+    many messages under one key keeps ``hmac_pads(key)`` and calls
+    :func:`pad_keystream`.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length == 0:
-        return b""
-    base = _keystream_context(key, nonce)
-    block_count = -(-length // _HMAC_BLOCK_SIZE)
-    blocks = [None] * block_count
-    for counter in range(block_count):
-        ctx = base.copy()
-        ctx.update(counter.to_bytes(8, "big"))
-        blocks[counter] = ctx.digest()
-    return b"".join(blocks)[:length]
+    return pad_keystream(hmac_pads(key), nonce, length)
 
 
 def xor_bytes(data, stream):
@@ -104,9 +138,14 @@ def keystream_xor(key, nonce, data):
     stay oblivious to the keystream length bookkeeping; the operation is
     its own inverse.
     """
+    return pad_keystream_xor(hmac_pads(key), nonce, data)
+
+
+def pad_keystream_xor(pads, nonce, data):
+    """:func:`keystream_xor` under the key of ``pads`` (own inverse)."""
     if not data:
         return b""
-    return xor_bytes(data, keystream(key, nonce, len(data)))
+    return xor_bytes(data, pad_keystream(pads, nonce, len(data)))
 
 
 _XOF_LABEL = b"securecloud-xof-keystream"

@@ -39,6 +39,46 @@ _TESTS = {
 }
 
 
+def _upper_le(theirs, mine):
+    return theirs[1] <= mine
+
+
+def _upper_lt(theirs, mine):
+    return theirs[1] < mine
+
+
+def _lower_ge(theirs, mine):
+    return theirs[0] >= mine
+
+
+def _lower_gt(theirs, mine):
+    return theirs[0] > mine
+
+
+def _point_eq(theirs, mine):
+    return theirs[0] == theirs[1] == mine
+
+
+def _inside(theirs, mine):
+    return mine[0] <= theirs[0] and theirs[1] <= mine[1]
+
+
+# Covering decided per operator pair, as ``rows[mine][theirs.test]
+# (theirs.value, mine.value)``: each entry is the comparison
+# :meth:`Constraint.covers` makes for that pair, operands in the same
+# order; a missing pair never covers.  Keyed by the other constraint's
+# ``test`` (one distinct C callable per operator, hashed by identity)
+# because an ``Operator`` member hashes in Python.
+_COVERING = {
+    Operator.EQ: {eq: eq, _between: _point_eq},
+    Operator.LE: {eq: le, le: le, lt: le, _between: _upper_le},
+    Operator.LT: {eq: lt, lt: le, le: lt, _between: _upper_lt},
+    Operator.GE: {eq: ge, ge: ge, gt: ge, _between: _lower_ge},
+    Operator.GT: {eq: gt, gt: ge, ge: gt, _between: _lower_gt},
+    Operator.RANGE: {eq: _between, _between: _inside},
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Constraint:
     """One predicate over one attribute.
@@ -49,17 +89,24 @@ class Constraint:
     ``test`` is the operator's comparison, chosen once here so that
     :meth:`Subscription.matches` calls ``test(candidate, value)`` in C
     instead of re-deciding the operator on every visit; :meth:`matches`
-    is the readable definition it must agree with.  It is shared per
-    operator (one slot a constraint), derived, and not part of equality.
+    is the readable definition it must agree with.  ``covering`` is the
+    same for containment: this operator's row of covering comparisons,
+    keyed by the other constraint's ``test``, so :meth:`Subscription.covers`
+    makes one lookup and one comparison where :meth:`covers` (the
+    readable definition) walks its operator branches.  Both are shared
+    per operator (one slot each a constraint), derived, and not part of
+    equality.
     """
 
     attribute: str
     operator: Operator
     value: object
     test: object = field(init=False, repr=False, compare=False)
+    covering: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "test", _TESTS[self.operator])
+        object.__setattr__(self, "covering", _COVERING[self.operator])
         if self.operator is Operator.RANGE:
             low, high = self.value  # raises for malformed values
             if low > high:
@@ -67,6 +114,11 @@ class Constraint:
                     "range low %r exceeds high %r" % (low, high)
                 )
             object.__setattr__(self, "value", (low, high))
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so a copy or an unpickled
+        # constraint derives the shared row instead of carrying its own.
+        return type(self), (self.attribute, self.operator, self.value)
 
     @classmethod
     def range_between(cls, attribute, low, high):
@@ -212,12 +264,18 @@ class Subscription:
         A's constraints must be a (pointwise weaker) subset of B's:
         any attribute A constrains, B must constrain at least as
         tightly; attributes A does not mention are unconstrained in A.
+        Per attribute this is :meth:`Constraint.covers`, read off the
+        constraint's derived ``covering`` row.
         """
+        theirs = other.constraints
         for attribute, constraint in self.constraints.items():
-            other_constraint = other.constraints.get(attribute)
+            other_constraint = theirs.get(attribute)
             if other_constraint is None:
                 return False
-            if not constraint.covers(other_constraint):
+            covered = constraint.covering.get(other_constraint.test)
+            if covered is None or not covered(
+                other_constraint.value, constraint.value
+            ):
                 return False
         return True
 

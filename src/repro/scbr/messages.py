@@ -8,6 +8,7 @@ or attributed to a different client.
 """
 
 import json
+from math import isfinite
 
 from repro.errors import AttestationError, IntegrityError
 from repro.crypto.chunked import serial_seal_cycles
@@ -39,16 +40,45 @@ def serialize_subscription(subscription):
     return wire
 
 
+def _number(value):
+    """``value`` if it is a finite ``int`` or ``float``, else refused.
+
+    What crosses into an enclave is compared with ``<`` and ``==``
+    against other tenants' values (matching, covering), so anything
+    else -- a string, a list, ``true``, ``NaN`` or ``Infinity`` -- is
+    refused at the boundary instead of raising ``TypeError`` in a
+    matcher, or comparing false with everything, later.
+    """
+    kind = type(value)
+    if kind is int or (kind is float and isfinite(value)):
+        return value
+    raise ValueError("%r is not a finite number" % (value,))
+
+
+def _constraint(attribute, op, value):
+    operator = Operator(op)
+    if operator is Operator.RANGE:
+        low, high = value
+        value = (_number(low), _number(high))
+    else:
+        value = _number(value)
+    return Constraint(attribute, operator, value)
+
+
 def deserialize_subscription(raw):
-    """Parse bytes produced by :func:`serialize_subscription`."""
+    """Parse bytes produced by :func:`serialize_subscription`.
+
+    Every constraint value and range bound must be a finite number
+    (:func:`_number`); anything else raises :class:`IntegrityError`.
+    """
     try:
         payload = json.loads(raw.decode("utf-8"))
         constraints = [
-            Constraint(attribute, Operator(op), value)
+            _constraint(attribute, op, value)
             for attribute, op, value in payload["constraints"]
         ]
         return Subscription(payload["id"], constraints, payload["subscriber"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError("malformed subscription: %s" % exc) from exc
 
 
@@ -64,14 +94,21 @@ def serialize_publication(publication):
 
 
 def deserialize_publication(raw):
-    """Parse bytes produced by :func:`serialize_publication`."""
+    """Parse bytes produced by :func:`serialize_publication`.
+
+    Every attribute value must be a finite number (:func:`_number`);
+    anything else raises :class:`IntegrityError`.
+    """
     try:
         payload = json.loads(raw.decode("utf-8"))
+        attributes = payload["attributes"]
+        for value in attributes.values():
+            _number(value)
         return Publication(
-            attributes=payload["attributes"],
+            attributes=attributes,
             payload=bytes.fromhex(payload["payload"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError("malformed publication: %s" % exc) from exc
 
 

@@ -29,6 +29,7 @@ Delivery is *exactly-once* across failover:
 """
 
 from repro.errors import BrokerUnavailableError, EnclaveLostError
+from repro.crypto.primitives import sha256
 from repro.scbr.filters import Publication
 from repro.scbr.keyexchange import RouterKeyExchange
 from repro.scbr.messages import (
@@ -216,7 +217,9 @@ class FailoverClient:
     Keeps every channel key it ever established (newest last) so
     notifications sealed before a failover still open; stamps outgoing
     publications with ``(_publisher, _pub_seq)`` so receivers can dedup
-    a publication that was routed twice by a retried publish; and
+    a publication that was routed twice by a retried publish (the
+    publisher as a number drawn from its id: a router enclave admits
+    numeric attribute values only); and
     maintains an exactly-once ``inbox`` with both broker-sequence and
     publication dedup.
     """
@@ -236,6 +239,9 @@ class FailoverClient:
         self._seen_publications = set()
         self.duplicates_discarded = 0
         self._pub_seq = 0
+        self._publisher_tag = int.from_bytes(
+            sha256(client_id.encode("utf-8"))[:6], "big"
+        )
         self._attach(broker)
         broker.register(self)
 
@@ -263,7 +269,7 @@ class FailoverClient:
         stamped = Publication(
             attributes=dict(
                 publication.attributes,
-                _publisher=self.client_id,
+                _publisher=self._publisher_tag,
                 _pub_seq=self._pub_seq,
             ),
             payload=publication.payload,

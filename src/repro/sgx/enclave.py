@@ -15,6 +15,7 @@ paper's "plaintext only inside the processor" property.
 """
 
 import itertools
+from types import CodeType
 
 from repro.errors import EnclaveError, EnclaveLostError
 from repro.crypto.primitives import sha256
@@ -22,6 +23,36 @@ from repro.sgx.memory import SimulatedMemory
 from repro.telemetry import default_registry
 
 _enclave_ids = itertools.count(1)
+
+
+def _code_digest(code):
+    """SHA-256 of what a code object does, the same in every process.
+
+    Bytecode alone is not enough: two functions differing only in
+    constants or referenced names share ``co_code``.  So the digest
+    also covers the constants and ``co_names`` -- with each nested code
+    object (a comprehension, a closure) replaced by its own digest and
+    a ``frozenset`` constant's members in sorted order, because the
+    ``repr`` of either carries a memory address, a file path, a line
+    number or a hash-seeded order.
+    """
+    return sha256(b"|".join((
+        code.co_code,
+        _constant_bytes(code.co_consts),
+        repr(code.co_names).encode("utf-8"),
+    )))
+
+
+def _constant_bytes(value):
+    if isinstance(value, CodeType):
+        return b"<code " + _code_digest(value).hex().encode("ascii") + b">"
+    if isinstance(value, tuple):
+        return b"(" + b",".join(map(_constant_bytes, value)) + b")"
+    if isinstance(value, frozenset):
+        return b"frozenset{" + b",".join(
+            sorted(map(_constant_bytes, value))
+        ) + b"}"
+    return repr(value).encode("utf-8")
 
 
 class EnclaveCode:
@@ -47,13 +78,7 @@ class EnclaveCode:
             function = self.entry_points[entry_name]
             code = getattr(function, "__code__", None)
             if code is not None:
-                # Bytecode alone is not enough: two functions differing
-                # only in constants or referenced names share co_code.
-                body = (
-                    code.co_code
-                    + repr(code.co_consts).encode("utf-8")
-                    + repr(code.co_names).encode("utf-8")
-                )
+                body = _code_digest(code)
             else:
                 body = repr(function).encode("utf-8")
             pieces.append(entry_name.encode("utf-8"))

@@ -7,10 +7,11 @@ mapping is a plain dict (``matches()`` iterates it on the hottest path
 in the repository, so it is not wrapped); this test is what keeps code
 from storing through it, or from binding ``subscriber`` /
 ``subscription_id`` / ``wire_memo`` on anything outside the two places
-that own them.  A constraint's carried comparison (``test``, what
-``matches()`` calls) is held the same way: a frozen dataclass refuses
-plain assignment, and this scan refuses the ``object.__setattr__`` that
-would get around it anywhere but in ``Constraint.__post_init__``.
+that own them.  A constraint's carried comparisons (``test``, what
+``matches()`` calls, and ``covering``, what ``covers()`` reads) are
+held the same way: a frozen dataclass refuses plain assignment, and
+this scan refuses the ``object.__setattr__`` that would get around it
+anywhere but in ``Constraint.__post_init__``.
 """
 
 import ast
@@ -21,7 +22,8 @@ import repro
 SRC = os.path.dirname(repro.__file__)
 SUBSCRIPTION_FIELDS = {"subscription_id", "subscriber", "constraints",
                        "wire_memo"}
-FIELDS = SUBSCRIPTION_FIELDS | {"test"}
+DERIVED = {"test", "covering"}
+FIELDS = SUBSCRIPTION_FIELDS | DERIVED
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "__setitem__",
             "__delitem__"}
 SETTERS = {"setattr", "__setattr__", "_set"}
@@ -29,7 +31,7 @@ SETTERS = {"setattr", "__setattr__", "_set"}
 # the encoder that fills the memo it is the only source of.
 OWNERS = {
     (os.path.join("scbr", "filters.py"), "__init__"): SUBSCRIPTION_FIELDS,
-    (os.path.join("scbr", "filters.py"), "__post_init__"): {"test"},
+    (os.path.join("scbr", "filters.py"), "__post_init__"): DERIVED,
     (os.path.join("scbr", "messages.py"), "serialize_subscription"):
         {"wire_memo"},
 }
@@ -102,10 +104,11 @@ def test_the_scan_sees_each_kind_of_write():
         "    setattr(s, 'subscription_id', 1)\n"
         "    s.subscription_id += 1\n"
         "    object.__setattr__(s.constraints['a'], 'test', max)\n"
+        "    object.__setattr__(s.constraints['a'], 'covering', {})\n"
     )
     found = [what for _line, _fn, what in _stores(ast.parse(source))]
     assert found == [
         "subscriber", "constraints[...]", "constraints[...]",
         "constraints.update()", "wire_memo", "subscription_id",
-        "subscription_id", "test",
+        "subscription_id", "test", "covering",
     ]

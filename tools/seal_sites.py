@@ -9,10 +9,12 @@ frame outside ``crypto/aead.py``, ``scbr/messages.py`` and
 ``sgx/sealing.py`` (the layers that seal on a caller's behalf) and the
 table prints, per site and largest first: calls per op, mean payload
 bytes, microseconds per call and the site's share of the ops' CPU.  The
-last line is the HMAC-CTR ``keystream`` share (the single-payload
+last line is the HMAC-CTR keystream share (the single-payload
 framing's cipher; ``seal_records`` squeezes SHAKE-256 instead) -- the
 number ROADMAP item 7c is sized from (DESIGN section 10, "Which framing
-when").
+when").  The hook sits on the module-global kernel the AEAD path calls
+(``pad_keystream`` on per-key SHA-256 pad states, or ``keystream`` in an
+older tree), and the run fails if seals ran but the hook counted none.
 
 Calls are timed on the wall clock of this single-threaded process and
 divided by the ops' CPU seconds; the wrappers cost about a microsecond
@@ -34,6 +36,8 @@ from benchmarks.perf.workloads import BY_NAME  # noqa: E402
 from repro.crypto import AeadKey, primitives  # noqa: E402
 
 SEED = 2018
+KEYSTREAM = next(name for name in ("pad_keystream", "keystream")
+                 if hasattr(primitives, name))
 OPS = 1500
 METHODS = ("seal", "open", "seal_records", "open_records")
 ON_BEHALF = tuple(
@@ -60,11 +64,12 @@ def call_site():
 
 def install(sites, keystream_s):
     """Wrap the boundary; ``sites[(site, method)]`` accumulates
-    ``[calls, payload bytes, seconds]``.  Returns the undo."""
+    ``[calls, payload bytes, seconds]`` and ``keystream_s`` is ``[seconds,
+    calls]`` of the HMAC-CTR kernel.  Returns the undo."""
     originals = [(AeadKey, method, getattr(AeadKey, method))
                  for method in METHODS]
-    raw_keystream = primitives.keystream
-    originals.append((primitives, "keystream", raw_keystream))
+    raw_keystream = getattr(primitives, KEYSTREAM)
+    originals.append((primitives, KEYSTREAM, raw_keystream))
 
     def wrap(method, raw):
         sealing = method.startswith("seal")
@@ -85,12 +90,13 @@ def install(sites, keystream_s):
         start = perf_counter()
         stream = raw_keystream(key, nonce, length)
         keystream_s[0] += perf_counter() - start
+        keystream_s[1] += 1
         return stream
 
     for owner, method, raw in originals[:-1]:
         setattr(owner, method, wrap(method, raw))
-    # keystream_xor looks the name up in its module at call time.
-    primitives.keystream = keystream
+    # The fused XOR looks the kernel up in its module at call time.
+    setattr(primitives, KEYSTREAM, keystream)
 
     def uninstall():
         for owner, name, raw in originals:
@@ -109,7 +115,7 @@ def main(argv):
     workload.setup()
     for index in range(workload.warmup_ops):
         workload.step(index)
-    sites, keystream_s = {}, [0.0]
+    sites, keystream_s = {}, [0.0, 0]
     uninstall = install(sites, keystream_s)
     cpu_s = 0.0
     for index in range(ops):
@@ -132,6 +138,11 @@ def main(argv):
             site, method, calls / ops, size / calls,
             1e6 * seconds / calls, 100 * seconds / cpu_s,
         ))
+    single = sum(row[0] for (_site, method), row in sites.items()
+                 if method in ("seal", "open"))
+    if single and not keystream_s[1]:
+        raise SystemExit("%d single-payload seals ran but the %s hook "
+                         "counted no call" % (single, KEYSTREAM))
     sealing_s = sum(row[2] for row in sites.values())
     print("all seal sites %.1f %% of the ops' CPU; HMAC-CTR keystream "
           "%.1f %%" % (100 * sealing_s / cpu_s,
