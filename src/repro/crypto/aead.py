@@ -53,7 +53,6 @@ bytes they always produced -- auto-selection never changes
 small-record framing.
 """
 
-import struct
 from dataclasses import dataclass
 
 from repro.errors import IntegrityError
@@ -80,7 +79,6 @@ TAG_SIZE = 32
 BATCH_MAGIC = b"SB1"
 CHUNKED_MAGIC = b"SB2"
 _LEN_SIZE = 4
-_LEN_PREFIX = struct.Struct(">I")
 
 _ENC_LABEL = b"securecloud-aead-enc"
 _MAC_LABEL = b"securecloud-aead-mac"
@@ -230,11 +228,10 @@ class SealedBatch:
 
 
 def _frame_records(payloads):
-    # ``len || record`` per record, interleaved by slice assignment: a
-    # checkpoint frames thousands of records and pays no append for any.
-    pieces = [b""] * (2 * len(payloads))
-    pieces[::2] = map(_LEN_PREFIX.pack, map(len, payloads))
-    pieces[1::2] = payloads
+    pieces = []
+    for payload in payloads:
+        pieces.append(len(payload).to_bytes(_LEN_SIZE, "big"))
+        pieces.append(payload)
     return b"".join(pieces)
 
 

@@ -26,18 +26,6 @@ def constant_time_equal(a, b):
     return _hmac.compare_digest(a, b)
 
 
-def hmac_context(key):
-    """A reusable HMAC-SHA256 context with ``key`` already absorbed.
-
-    HMAC key setup costs two SHA-256 compressions (ipad/opad); a caller
-    that MACs many messages under one key pays it once here and then
-    ``.copy()``-s the returned context per message.  The package's own
-    hot paths (the AEAD keystream and tags) keep :func:`hmac_pads`
-    instead, which skips the Python-level ``hmac`` object per message.
-    """
-    return _hmac.new(key, b"", hashlib.sha256)
-
-
 # HMAC-SHA256 (RFC 2104) from two SHA-256 states: one that absorbed
 # K xor ipad, one that absorbed K xor opad.  A key's states are built
 # once (``hmac_pads``); each MAC then copies them, so no call pays the

@@ -115,11 +115,6 @@ class Constraint:
                 )
             object.__setattr__(self, "value", (low, high))
 
-    def __reduce__(self):
-        # Rebuilt through the constructor, so a copy or an unpickled
-        # constraint derives the shared row instead of carrying its own.
-        return type(self), (self.attribute, self.operator, self.value)
-
     @classmethod
     def range_between(cls, attribute, low, high):
         """An inclusive interval constraint ``low <= v <= high``."""

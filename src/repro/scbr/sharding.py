@@ -446,22 +446,10 @@ def shard_setup(ctx, shard_id, attestation, coordinator_measurement,
 
 
 def shard_insert(ctx, blob):
-    """ECALL: admit one plane-sealed subscription into the partition.
-
-    A subscribe probes every live shard with the blob it then inserts
-    (:func:`shard_covers_root`), so the insert takes the subscription
-    that probe opened -- but only for the very key object and equal
-    bytes it was opened under; any other blob, or the same one after a
-    rekey, is opened here in full.
-    """
-    probed = ctx.state.pop("last_probe", None)
-    key = _plane_key(ctx)
-    if probed is not None and probed[0] is key and probed[1] == blob:
-        subscription = probed[2]
-    else:
-        subscription = deserialize_subscription(
-            key.open(blob, _AAD_SUBSCRIPTION, what="plane message")
-        )
+    """ECALL: admit one plane-sealed subscription into the partition."""
+    subscription = deserialize_subscription(
+        _plane_key(ctx).open(blob, _AAD_SUBSCRIPTION, what="plane message")
+    )
     ctx.state["index"].insert(subscription)
     ctx.state["owners"][subscription.subscription_id] = subscription.subscriber
     ctx.state["version"] += 1
@@ -469,15 +457,10 @@ def shard_insert(ctx, blob):
 
 
 def shard_covers_root(ctx, blob):
-    """ECALL: placement probe -- does a local root cover this filter?
-
-    Keeps what it opened as ``last_probe`` for :func:`shard_insert`.
-    """
-    key = _plane_key(ctx)
+    """ECALL: placement probe -- does a local root cover this filter?"""
     subscription = deserialize_subscription(
-        key.open(blob, _AAD_SUBSCRIPTION, what="plane message")
+        _plane_key(ctx).open(blob, _AAD_SUBSCRIPTION, what="plane message")
     )
-    ctx.state["last_probe"] = (key, bytes(blob), subscription)
     return ctx.state["index"].covers_any_root(subscription)
 
 
