@@ -33,7 +33,7 @@ def _app_main(ctx, env):
 def build_world(seed=301):
     registry = Registry()
     attestation = AttestationService()
-    cas = ConfigurationService(attestation, key_bits=512)
+    cas = ConfigurationService(attestation)
     client = SconeClient(
         registry, cas,
         key_hierarchy=KeyHierarchy.generate(DeterministicRandomSource(seed)),

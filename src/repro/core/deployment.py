@@ -44,7 +44,7 @@ class SecureCloudPlatform:
         self.env = Environment()
         self.bus = EventBus(self.env)
         self.attestation = AttestationService()
-        self.cas = ConfigurationService(self.attestation, key_bits=512)
+        self.cas = ConfigurationService(self.attestation)
         self.registry = Registry()
         self.hosts = [
             Host("host-%02d" % index, seed=seed + index) for index in range(hosts)

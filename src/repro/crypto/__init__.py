@@ -6,10 +6,12 @@ one from primitives that *are* available (SHA-256 / HMAC): an
 encrypt-then-MAC stream construction with real confidentiality and
 integrity round-trip semantics.  Signatures are textbook RSA with
 full-domain hashing, and key agreement is finite-field Diffie-Hellman
-over the RFC 3526 2048-bit MODP group.
+over the RFC 3526 2048-bit MODP group.  The one handshake built on
+them, with the record stream that replaces TLS, is
+:mod:`repro.sgx.channel`: it binds each DH value to an SGX quote.
 
 These constructions are faithful in *behaviour* (tampering is detected,
-keys must match, handshakes authenticate both ends) and are exactly what
+keys must match, handshakes authenticate the enclave) and are exactly what
 the reproduction needs; they are **not** hardened production
 cryptography (no side-channel defences, textbook RSA padding).
 """
@@ -27,7 +29,6 @@ from repro.crypto.primitives import (
     sha256,
 )
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.crypto.tls import SecureChannel, establish_channel
 
 __all__ = [
     "AeadKey",
@@ -39,10 +40,8 @@ __all__ = [
     "KeyHierarchy",
     "RsaKeyPair",
     "RsaPublicKey",
-    "SecureChannel",
     "SystemRandomSource",
     "constant_time_equal",
-    "establish_channel",
     "hkdf",
     "hkdf_expand",
     "hkdf_extract",

@@ -61,6 +61,17 @@ def _generator_power(exponent):
     return result
 
 
+def peer_value(value):
+    """``value`` if it can be a peer's public value.
+
+    A peer value is host-supplied: anything but an ``int`` in
+    (1, p - 1) -- a ``bool`` included -- raises :class:`IntegrityError`.
+    """
+    if type(value) is not int or not 1 < value < DH_PRIME - 1:
+        raise IntegrityError("peer DH public value rejected")
+    return value
+
+
 class DhKeyPair:
     """An ephemeral Diffie-Hellman key pair.
 
@@ -83,14 +94,7 @@ class DhKeyPair:
         return cls(private)
 
     def shared_key(self, peer_public_value, info=b"securecloud-dh"):
-        """Derive the 32-byte shared key with a peer's public value.
-
-        A peer value is host-supplied: anything but an ``int`` in
-        (1, p - 1) raises :class:`IntegrityError` before any
-        exponentiation.
-        """
-        if (type(peer_public_value) is not int
-                or not 1 < peer_public_value < DH_PRIME - 1):
-            raise IntegrityError("peer DH public value rejected")
-        secret = pow(peer_public_value, self._private, DH_PRIME)
+        """Derive the 32-byte shared key with a peer's public value,
+        checked by :func:`peer_value` before any exponentiation."""
+        secret = pow(peer_value(peer_public_value), self._private, DH_PRIME)
         return hkdf(secret.to_bytes(_PRIME_BYTES, "big"), info, length=32)

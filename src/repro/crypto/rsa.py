@@ -145,13 +145,6 @@ class RsaPublicKey:
             return False
         return True
 
-    def fingerprint(self):
-        """Stable public identifier of this key."""
-        material = self.modulus.to_bytes(
-            (self.modulus.bit_length() + 7) // 8, "big"
-        ) + self.exponent.to_bytes(8, "big")
-        return sha256(material)[:8].hex()
-
 
 class RsaKeyPair:
     """An RSA signing key pair.

@@ -12,9 +12,8 @@ between filters so fewer comparisons are needed per publication.
 - :mod:`~repro.scbr.naive` -- the linear-scan baseline matcher.
 - :mod:`~repro.scbr.workload` -- subscription/publication generators.
 - :mod:`~repro.scbr.messages` -- encrypted, signed envelopes.
-- :mod:`~repro.scbr.keyexchange` -- attested key establishment between
-  clients and the router enclave.
-- :mod:`~repro.scbr.router` -- the enclave-hosted router.
+- :mod:`~repro.scbr.router` -- the enclave-hosted router; clients key
+  against it over the attested channel of :mod:`repro.sgx.channel`.
 - :mod:`~repro.scbr.replication` -- primary/standby broker failover
   with sealed-checkpoint restore and exactly-once replay.
 - :mod:`~repro.scbr.sharding` -- the EPC-aware sharded matching plane.
@@ -34,7 +33,6 @@ from repro.scbr.naive import LinearIndex
 from repro.scbr.network import Broker, ScbrNetwork
 from repro.scbr.workload import ScbrWorkload
 from repro.scbr.messages import EncryptedEnvelope
-from repro.scbr.keyexchange import RouterKeyExchange
 from repro.scbr.replication import FailoverClient, ReplicatedBroker
 from repro.scbr.router import ScbrClient, ScbrRouter
 from repro.scbr.sharding import (
@@ -58,7 +56,6 @@ __all__ = [
     "PartialCoverage",
     "Publication",
     "ReplicatedBroker",
-    "RouterKeyExchange",
     "ScbrClient",
     "ScbrNetwork",
     "ScbrRouter",

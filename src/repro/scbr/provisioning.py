@@ -12,10 +12,12 @@ makes enclave joins a cached, batched, amortized hot path:
   policy re-check; the enclaves hand it their ``compute`` so hits and
   misses are priced in virtual cycles.
 
-- :func:`coord_enroll_batch` enrolls N join offers in one coordinator
-  ECALL: one coordinator quote whose report data commits to a hash
-  over *all* offered DH values (:func:`batch_join_commitment`), one
-  DH transport key per shard, per-shard wrapped plane keys returned in
+- Every join is the attested channel of :mod:`repro.sgx.channel`:
+  each shard offers a DH value committed in its quote, and
+  :func:`coord_enroll_batch` accepts N such offers in one coordinator
+  ECALL, then offers back ONE coordinator DH value whose commitment
+  carries the whole roster as its transcript (:func:`roster_transcript`),
+  one channel key per shard, per-shard wrapped plane keys returned in
   a single round.  A host dropping, reordering, or substituting an
   offer changes the commitment and every shard aborts.
 
@@ -50,7 +52,7 @@ from repro.crypto.aead import AeadKey
 from repro.crypto.dh import DhKeyPair
 from repro.crypto.kdf import hkdf
 from repro.crypto.primitives import sha256
-from repro.scbr.keyexchange import dh_commitment
+from repro.sgx import channel
 from repro.telemetry import default_registry
 
 # --- the virtual cost model -------------------------------------------
@@ -79,27 +81,19 @@ def _encode_int(value):
     return value.to_bytes(width, "big")
 
 
-def _frame(pieces):
-    """Unambiguous length-prefixed concatenation."""
-    return b"".join(
-        len(piece).to_bytes(4, "big") + piece for piece in pieces
-    )
+def roster_transcript(offers):
+    """The channel transcript of one whole enrollment batch.
 
-
-def batch_join_commitment(coordinator_public, offers):
-    """The report-data commitment over one whole enrollment batch.
-
-    Binds the coordinator's DH value and every offered ``(shard_id,
-    shard_public)`` pair, order-significant and length-prefixed: a host
-    that drops, reorders, substitutes, or injects an offer changes the
-    commitment, so the coordinator's quote no longer matches and every
-    shard in the batch aborts its join.
+    Every offered ``(shard_id, shard_public)`` pair, order-significant
+    and length-prefixed: a host that drops, reorders, substitutes, or
+    injects an offer changes the coordinator's commitment, so its quote
+    no longer matches and every shard in the batch aborts its join.
     """
-    pieces = [_encode_int(coordinator_public)]
+    pieces = []
     for shard_id, shard_public in offers:
         pieces.append(str(shard_id).encode("ascii"))
-        pieces.append(_encode_int(shard_public))
-    return sha256(b"scbr-batch-join|" + _frame(pieces))
+        pieces.append(channel.public_bytes(shard_public))
+    return channel.frame(pieces)
 
 
 def platform_fingerprint(platform):
@@ -114,7 +108,7 @@ def platform_fingerprint(platform):
     """
     key = platform.quoting_enclave.public_key
     return sha256(
-        b"quoting-key|" + _frame(
+        b"quoting-key|" + channel.frame(
             [_encode_int(key.modulus), _encode_int(key.exponent)]
         )
     ).hex()
@@ -163,9 +157,10 @@ def shard_join_offer2(ctx, sealed_join_key=None):
         dh = DhKeyPair.generate()
         sealed_join_key = ctx.seal(_encode_int(dh._private))
     ctx.state["join_dh"] = dh
+    _dh, report = channel.offer(ctx.report, channel.PLANE_JOIN, dh)
     return {
         "dh_public": dh.public_value,
-        "report": ctx.report(dh_commitment(dh.public_value)),
+        "report": report,
         "sealed_join_key": sealed_join_key,
     }
 
@@ -189,17 +184,16 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     roster = [(shard_id, public) for shard_id, public in offers]
     if (ctx.state["shard_id"], dh.public_value) not in roster:
         raise AttestationError("this shard's offer is not in the batch")
-    _require_verifier(ctx.state.get("attestation")).verify(
-        quote,
+    transcript = roster_transcript(roster)
+    channel.accept(
+        _require_verifier(ctx.state.get("attestation")), quote,
+        channel.PLANE_JOIN, coordinator_public, transcript,
         expected_measurement=ctx.state.get("coordinator_measurement"),
-        expected_report_data=batch_join_commitment(
-            coordinator_public, roster
-        ),
         compute=ctx.compute,
     )
     ctx.compute(DH_SHARED_CYCLES)
-    transport = AeadKey(
-        dh.shared_key(coordinator_public, info=b"scbr-plane-join")
+    transport = channel.derive(
+        dh, coordinator_public, channel.PLANE_JOIN, transcript
     )
     aad = AAD_BATCH_JOIN + str(ctx.state["shard_id"]).encode("ascii")
     payload = transport.open(grant, aad, what="join grant")
@@ -214,7 +208,7 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
 def _resume_transport(secret, shard_nonce, coordinator_nonce, shard_id):
     return AeadKey(hkdf(
         secret,
-        b"scbr-resume|" + _frame([
+        b"scbr-resume|" + channel.frame([
             str(shard_id).encode("ascii"), shard_nonce, coordinator_nonce,
         ]),
     ))
@@ -311,10 +305,9 @@ def coord_enroll_batch(ctx, offers):
     roster = []
     platforms = {}
     for shard_id, shard_public, quote in offers:
-        attestation.verify(
-            quote,
+        channel.accept(
+            attestation, quote, channel.PLANE_JOIN, shard_public,
             expected_measurement=ctx.state.get("shard_measurement"),
-            expected_report_data=dh_commitment(shard_public),
             compute=ctx.compute,
         )
         roster.append((shard_id, shard_public))
@@ -326,7 +319,10 @@ def coord_enroll_batch(ctx, offers):
         dh = DhKeyPair.generate()
         ctx.state["epoch_join_dh"] = dh
         ctx.state["epoch_join_dh_epoch"] = epoch
-    report = ctx.report(batch_join_commitment(dh.public_value, roster))
+    transcript = roster_transcript(roster)
+    _dh, report = channel.offer(
+        ctx.report, channel.PLANE_JOIN, dh, transcript
+    )
     plane_key_hex = ctx.state["plane_key"].key_bytes.hex()
     grants = {}
     tickets = {}
@@ -334,8 +330,8 @@ def coord_enroll_batch(ctx, offers):
         platform_id = platforms[shard_id]
         secret, ticket = _mint_ticket(ctx, platform_id)
         ctx.compute(DH_SHARED_CYCLES)
-        transport = AeadKey(
-            dh.shared_key(shard_public, info=b"scbr-plane-join")
+        transport = channel.derive(
+            dh, shard_public, channel.PLANE_JOIN, transcript
         )
         payload = json.dumps({
             "plane_key": plane_key_hex,

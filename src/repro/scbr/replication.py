@@ -31,23 +31,21 @@ Delivery is *exactly-once* across failover:
 from repro.errors import BrokerUnavailableError, EnclaveLostError
 from repro.crypto.primitives import sha256
 from repro.scbr.filters import Publication
-from repro.scbr.keyexchange import RouterKeyExchange
 from repro.scbr.messages import (
     EncryptedEnvelope,
     open_notification,
     serialize_publication,
     serialize_subscription,
 )
-from repro.scbr.router import ScbrRouter
+from repro.scbr.router import ScbrRouter, client_channel_key
 
 
 class ReplicatedBroker:
     """Primary/standby pair of router enclaves behind one endpoint.
 
     Presents the :class:`~repro.scbr.router.ScbrRouter` surface clients
-    attest against (``measurement``, ``channel_offer``,
-    ``channel_accept``) plus sealed-operation entry points that survive
-    the active replica dying mid-call.
+    attest against (``measurement``, ``enclave``) plus sealed-operation
+    entry points that survive the active replica dying mid-call.
     """
 
     name = "scbr-broker"
@@ -78,11 +76,10 @@ class ReplicatedBroker:
         same code, so clients may keep pinning one value)."""
         return self.active.measurement
 
-    def channel_offer(self, client_id):
-        return self.active.channel_offer(client_id)
-
-    def channel_accept(self, client_id, client_public):
-        return self.active.channel_accept(client_id, client_public)
+    @property
+    def enclave(self):
+        """The active replica's enclave (what clients key against)."""
+        return self.active.enclave
 
     def stats(self):
         return self.active.stats()
@@ -251,11 +248,10 @@ class FailoverClient:
         return self._keys[-1]
 
     def _attach(self, router):
-        self._keys.append(
-            RouterKeyExchange(router, self.attestation_service).establish(
-                self.client_id, expected_measurement=self.expected_measurement
-            )
-        )
+        self._keys.append(client_channel_key(
+            router.enclave, self.client_id, self.attestation_service,
+            self.expected_measurement,
+        ))
 
     def reattach(self, router):
         """Re-attest after failover; the old key stays in the history."""

@@ -10,12 +10,9 @@ which subscriber matched what beyond envelope counts.
 
 import json
 
-from repro.errors import IntegrityError
+from repro.errors import AttestationError, IntegrityError
+from repro.crypto.dh import DhKeyPair
 from repro.scbr.index import ContainmentIndex
-from repro.scbr.keyexchange import (
-    enclave_channel_accept,
-    enclave_channel_offer,
-)
 from repro.scbr.messages import (
     EncryptedEnvelope,
     NotificationSealer,
@@ -29,6 +26,7 @@ from repro.scbr.messages import (
     serialize_publication,
     serialize_subscription,
 )
+from repro.sgx import channel
 from repro.sgx.enclave import EnclaveCode
 
 # In-enclave cycle charge for serialising a publication for the fan-out
@@ -153,6 +151,24 @@ def enclave_restore(ctx, blob):
     return len(index)
 
 
+def enclave_channel_offer(ctx, client_id):
+    """ECALL: offer ``client_id`` an attested channel."""
+    dh, report = channel.offer(ctx.report, channel.SCBR_CLIENT)
+    ctx.state.setdefault("pending_dh", {})[client_id] = dh
+    return {"dh_public": dh.public_value, "report": report}
+
+
+def enclave_channel_accept(ctx, client_id, client_public):
+    """ECALL: finish the exchange and install the client key."""
+    pending = ctx.state.get("pending_dh", {}).pop(client_id, None)
+    if pending is None:
+        raise AttestationError("no pending key exchange for %r" % client_id)
+    ctx.state.setdefault("client_keys", {})[client_id] = channel.derive(
+        pending, client_public, channel.SCBR_CLIENT
+    )
+    return True
+
+
 ROUTER_ENTRY_POINTS = {
     "setup": enclave_setup,
     "channel_offer": enclave_channel_offer,
@@ -182,16 +198,6 @@ class ScbrRouter:
     def measurement(self):
         """The router enclave's measurement (for client pinning)."""
         return self.enclave.measurement
-
-    def channel_offer(self, client_id):
-        """Relay a key-exchange offer; quotes it via the platform QE."""
-        offer = self.enclave.ecall("channel_offer", client_id)
-        quote = self.platform.quoting_enclave.quote(offer["report"])
-        return {"dh_public": offer["dh_public"], "quote": quote}
-
-    def channel_accept(self, client_id, client_public):
-        """Relay the client's DH value into the enclave."""
-        return self.enclave.ecall("channel_accept", client_id, client_public)
 
     def subscribe(self, envelope):
         """Route a subscription envelope into the enclave."""
@@ -226,18 +232,36 @@ class ScbrRouter:
         return self.enclave.ecall("restore", blob)
 
 
+def client_channel_key(enclave, client_id, attestation_service,
+                       expected_measurement):
+    """A client's key to a router-side ``enclave``: the one host relay.
+
+    The host carries the enclave's offer to the client, quoted by the
+    enclave's platform, and the client's DH value back; the client
+    keys only against a value the quote commits to.
+    """
+    offer = enclave.ecall("channel_offer", client_id)
+    quote = enclave.platform.quoting_enclave.quote(offer["report"])
+    channel.accept(
+        attestation_service, quote, channel.SCBR_CLIENT, offer["dh_public"],
+        expected_measurement=expected_measurement,
+    )
+    client_dh = DhKeyPair.generate()
+    key = channel.derive(client_dh, offer["dh_public"], channel.SCBR_CLIENT)
+    enclave.ecall("channel_accept", client_id, client_dh.public_value)
+    return key
+
+
 class ScbrClient:
     """A publisher/subscriber endpoint."""
 
     def __init__(self, client_id, router, attestation_service,
                  expected_measurement=None):
-        from repro.scbr.keyexchange import RouterKeyExchange
-
         self.client_id = client_id
         self.router = router
-        self.key = RouterKeyExchange(router, attestation_service).establish(
-            client_id,
-            expected_measurement=expected_measurement or router.measurement,
+        self.key = client_channel_key(
+            router.enclave, client_id, attestation_service,
+            expected_measurement or router.measurement,
         )
 
     def subscribe(self, subscription):

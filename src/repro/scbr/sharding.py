@@ -63,10 +63,6 @@ from repro.plane import (
 from repro.retry import BackoffClock, RetryPolicy, retry_call
 from repro.scbr.health import ShardHealthMonitor
 from repro.scbr.index import ContainmentIndex, DEFAULT_RECORD_BYTES, HOT_BYTES
-from repro.scbr.keyexchange import (
-    enclave_channel_accept,
-    enclave_channel_offer,
-)
 from repro.scbr.provisioning import (
     PlaneProvisioner,
     coord_enroll_batch,
@@ -88,7 +84,11 @@ from repro.scbr.messages import (
     open_unsubscribe,
     serialize_subscription,
 )
-from repro.scbr.router import SERIALIZE_CYCLES_PER_BYTE
+from repro.scbr.router import (
+    SERIALIZE_CYCLES_PER_BYTE,
+    enclave_channel_accept,
+    enclave_channel_offer,
+)
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import EnclaveCode
 from repro.sgx.memory import EpcModel, SimulatedMemory
@@ -889,7 +889,7 @@ class ShardedScbrRouter(FleetClient):
     """The untrusted driver of the enclave-level sharded matching plane.
 
     Presents the :class:`~repro.scbr.router.ScbrRouter` surface
-    (``measurement``, ``channel_offer``/``channel_accept``,
+    (``measurement``, ``enclave``,
     ``subscribe``/``unsubscribe``/``publish``/``publish_routed``/
     ``stats``), so :class:`~repro.scbr.router.ScbrClient` works against
     it unchanged -- clients attest the *coordinator* enclave.
@@ -1092,15 +1092,10 @@ class ShardedScbrRouter(FleetClient):
     def shard_count(self):
         return len(self.shards)
 
-    def channel_offer(self, client_id):
-        offer = self.coordinator.ecall("channel_offer", client_id)
-        quote = self.platform.quoting_enclave.quote(offer["report"])
-        return {"dh_public": offer["dh_public"], "quote": quote}
-
-    def channel_accept(self, client_id, client_public):
-        return self.coordinator.ecall(
-            "channel_accept", client_id, client_public
-        )
+    @property
+    def enclave(self):
+        """The coordinator: the enclave clients key against."""
+        return self.coordinator
 
     # -- subscription plane --------------------------------------------
 

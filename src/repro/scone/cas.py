@@ -1,31 +1,28 @@
 """The configuration and attestation service (CAS).
 
 Image creators register an SCF under the *measurement* of the enclave
-allowed to receive it.  At container startup, the enclave generates an
-ephemeral identity key inside the enclave, obtains a quote binding that
-key's fingerprint, and opens a TLS-like channel to the CAS with the
-quote embedded in the handshake.  The CAS releases the SCF over that
-channel only if:
+allowed to receive it.  At container startup the enclave offers the
+CAS an attested channel (:mod:`repro.sgx.channel`): its quote commits
+to an ephemeral DH value drawn for this boot.  The CAS releases the SCF
+over that channel, as one record, only if:
 
 1. the quote's signature chains to a registered SGX platform;
 2. the quoted measurement has an SCF registered;
-3. the quote's report data equals the handshake key's fingerprint
-   (so the channel terminates *inside* the attested enclave).
+3. the quote's report data commits to the offered DH value (so the
+   channel terminates *inside* the attested enclave).
 """
 
 from repro.errors import AttestationError
-from repro.crypto.rsa import DEFAULT_KEY_BITS, RsaKeyPair
-from repro.crypto.tls import establish_channel
+from repro.crypto.dh import DhKeyPair
 from repro.scone.scf import StartupConfiguration
-from repro.sgx.attestation import Quote
+from repro.sgx import channel
 
 
 class ConfigurationService:
     """Stores SCFs and releases them to attested enclaves only."""
 
-    def __init__(self, attestation_service, identity=None, key_bits=DEFAULT_KEY_BITS):
+    def __init__(self, attestation_service):
         self.attestation_service = attestation_service
-        self.identity = identity or RsaKeyPair.generate(bits=key_bits)
         self._configurations = {}
         self.delivered = 0
         self.denied = 0
@@ -39,51 +36,38 @@ class ConfigurationService:
         """Whether a configuration is registered for ``measurement``."""
         return measurement in self._configurations
 
-    def provision(self, platform, enclave, enclave_identity=None):
-        """Run the startup protocol; returns the SCF to the enclave.
-
-        ``enclave_identity`` is the ephemeral RSA key generated inside
-        the enclave for this boot (a fresh one is created when omitted;
-        callers pass their own to model key reuse attacks in tests).
-        """
-        if enclave_identity is None:
-            enclave_identity = RsaKeyPair.generate()
-
-        # Quote binds the ephemeral channel key to the enclave identity.
-        binding = enclave_identity.public_key.fingerprint().encode("ascii")
-        quote = platform.quote(enclave, report_data=binding)
-
-        delivered = {}
-
-        def cas_verifies(payload):
-            parsed = Quote.from_bytes(payload)
-            try:
-                self.attestation_service.verify(
-                    parsed, expected_report_data=binding
-                )
-            except AttestationError:
-                self.denied += 1
-                raise
-            if parsed.measurement not in self._configurations:
-                self.denied += 1
-                raise AttestationError(
-                    "no SCF registered for measurement %s..."
-                    % parsed.measurement[:16]
-                )
-            delivered["measurement"] = parsed.measurement
-
-        # The enclave is the TLS *server* (it presented the quote); the
-        # CAS is the client verifying it before sending secrets.
-        cas_channel, enclave_channel = establish_channel(
-            client_identity=self.identity,
-            server_identity=enclave_identity,
-            server_attestation_payload=quote.to_bytes(),
-            verify_server_payload=cas_verifies,
+    def provision(self, platform, enclave):
+        """Run the startup protocol; returns the SCF to the enclave."""
+        enclave_dh, quote = channel.offer(
+            lambda data: platform.quote(enclave, report_data=data),
+            channel.CAS_SCF,
         )
-
-        scf = self._configurations[delivered["measurement"]]
-        record = cas_channel.seal(scf.to_bytes(), record_type=b"scf")
+        try:
+            channel.accept(
+                self.attestation_service, quote, channel.CAS_SCF,
+                enclave_dh.public_value,
+            )
+        except AttestationError:
+            self.denied += 1
+            raise
+        scf = self._configurations.get(quote.measurement)
+        if scf is None:
+            self.denied += 1
+            raise AttestationError(
+                "no SCF registered for measurement %s..."
+                % quote.measurement[:16]
+            )
+        cas_dh = DhKeyPair.generate()
+        cas_end = channel.SecureChannel(
+            channel.derive(cas_dh, enclave_dh.public_value, channel.CAS_SCF),
+            offerer=False,
+        )
+        record = cas_end.seal(scf.to_bytes(), record_type=b"scf")
         self.delivered += 1
 
-        raw = enclave_channel.open(record, record_type=b"scf")
+        enclave_end = channel.SecureChannel(
+            channel.derive(enclave_dh, cas_dh.public_value, channel.CAS_SCF),
+            offerer=True,
+        )
+        raw = enclave_end.open(record, record_type=b"scf")
         return StartupConfiguration.from_bytes(raw)

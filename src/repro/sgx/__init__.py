@@ -15,6 +15,8 @@ paper reports:
   OCALL transitions, and in-enclave state.
 - :mod:`~repro.sgx.attestation` -- quoting enclave, quotes, and a remote
   verification service (IAS-like).
+- :mod:`~repro.sgx.channel` -- the one attested channel: a DH value
+  committed in a quote, one KDF, and a sequenced record stream.
 - :mod:`~repro.sgx.sealing` -- sealing keys bound to measurement or
   signer identity.
 - :mod:`~repro.sgx.platform` -- an SGX-capable machine tying the pieces

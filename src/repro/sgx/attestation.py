@@ -9,10 +9,10 @@ Mirrors the SGX EPID/DCAP flow at the granularity the paper relies on:
    a DCAP verifier) checks the signature against the registered
    platform keys and applies a measurement allowlist.
 
-The SCF delivery path (:mod:`repro.scone.cas`) embeds quotes in channel
-handshakes so configuration secrets only ever flow to enclaves whose
-identity has been verified -- the property Section V-A of the paper
-requires.  Every quote in the stack -- clients attesting a router, the
+Every Diffie-Hellman handshake commits its value in a quote through
+:mod:`repro.sgx.channel`, so configuration secrets (the CAS), client
+keys and plane keys only ever flow to enclaves whose identity has been
+verified -- the property Section V-A of the paper requires.  Every quote in the stack -- clients attesting a router, the
 CAS, map/reduce workers, plane joins, the front door's gateway -- is
 judged by :meth:`AttestationService.verify`, so its cache and its one
 revocation rule hold on every path.

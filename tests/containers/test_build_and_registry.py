@@ -32,7 +32,7 @@ def make_builder(seed=0):
 
 def make_client(seed=0):
     registry = Registry()
-    cas = ConfigurationService(AttestationService(), key_bits=512)
+    cas = ConfigurationService(AttestationService())
     signing_key = RsaKeyPair.generate(
         bits=512, random_source=DeterministicRandomSource(seed + 100)
     )

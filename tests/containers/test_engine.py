@@ -26,7 +26,7 @@ def stack():
     """Registry + CAS + client + attestation-registered SGX host."""
     registry = Registry()
     attestation = AttestationService()
-    cas = ConfigurationService(attestation, key_bits=512)
+    cas = ConfigurationService(attestation)
     client = SconeClient(
         registry, cas,
         key_hierarchy=KeyHierarchy.generate(DeterministicRandomSource(3)),

@@ -46,10 +46,6 @@ class TestSignatures:
         assert keypair.public_key.is_valid(b"m", signature)
         assert not keypair.public_key.is_valid(b"n", signature)
 
-    def test_fingerprint_stable(self, keypair):
-        assert keypair.public_key.fingerprint() == keypair.public_key.fingerprint()
-        assert keypair.public_key.fingerprint() != small_keypair(1).public_key.fingerprint()
-
 
 class TestKeyGeneration:
     def test_modulus_width(self, keypair):

@@ -34,7 +34,7 @@ MODEL = b"\x07\x13" * 4000  # 8 KB of "weights"
 def world():
     registry = Registry()
     attestation = AttestationService()
-    cas = ConfigurationService(attestation, key_bits=512)
+    cas = ConfigurationService(attestation)
     client = SconeClient(
         registry, cas,
         key_hierarchy=KeyHierarchy.generate(DeterministicRandomSource(83)),

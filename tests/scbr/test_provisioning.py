@@ -5,14 +5,11 @@ import pytest
 from repro.errors import AttestationError, ConfigurationError, IntegrityError
 from repro.crypto.dh import DhKeyPair
 from repro.scbr.filters import Constraint, Operator, Publication, Subscription
-from repro.scbr.keyexchange import dh_commitment
 from repro.scbr.messages import EncryptedEnvelope, serialize_publication
-from repro.scbr.provisioning import (
-    batch_join_commitment,
-    platform_fingerprint,
-)
+from repro.scbr.provisioning import platform_fingerprint, roster_transcript
 from repro.scbr.router import ScbrClient
 from repro.scbr.sharding import ShardedScbrRouter
+from repro.sgx import channel
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SgxPlatform
 
@@ -25,14 +22,14 @@ def _quoted(platform, value=7):
     unsigned = Quote(
         platform_id=platform.platform_id,
         measurement="m" * 64,
-        report_data=dh_commitment(value),
+        report_data=channel.commitment(channel.PLANE_JOIN, value),
         signature=0,
     )
     signature = enclave._keypair.sign(unsigned.signed_payload())
     return Quote(
         platform_id=platform.platform_id,
         measurement="m" * 64,
-        report_data=dh_commitment(value),
+        report_data=channel.commitment(channel.PLANE_JOIN, value),
         signature=signature,
     )
 
@@ -156,7 +153,7 @@ class TestVerificationCache:
         from repro.sgx.attestation import Quote
 
         platform, service = verified_setup
-        for value in range(64):
+        for value in range(2, 66):  # 0 and 1 are no DH values
             quote = _quoted(platform, value)
             signature = quote.signature.to_bytes(
                 (quote.signature.bit_length() + 7) // 8, "big"
@@ -180,24 +177,29 @@ class TestVerificationCache:
 
 
 class TestDhCommitmentEdge:
-    def test_zero_public_value_has_nonempty_encoding(self):
-        assert dh_commitment(0) != dh_commitment(1)
-        # The guard: zero must encode as one byte, not the empty
-        # string; the commitment is over b"scbr-dh|\x00".
-        from repro.crypto.primitives import sha256
+    def test_degenerate_public_values_are_refused(self):
+        # Neither end can commit to (or be held to) 0, 1 or p - 1.
+        from repro.crypto.dh import DH_PRIME
 
-        assert dh_commitment(0) == sha256(b"scbr-dh|\x00")
+        for value in (0, 1, DH_PRIME - 1):
+            with pytest.raises(IntegrityError):
+                channel.commitment(channel.PLANE_JOIN, value)
 
 
 class TestBatchJoinCommitment:
     def test_sensitive_to_every_field(self):
+        def batch(coordinator, offers):
+            return channel.commitment(
+                channel.PLANE_JOIN, coordinator, roster_transcript(offers)
+            )
+
         offers = [(0, 11), (1, 22)]
-        base = batch_join_commitment(5, offers)
-        assert batch_join_commitment(6, offers) != base
-        assert batch_join_commitment(5, [(0, 11)]) != base
-        assert batch_join_commitment(5, [(1, 22), (0, 11)]) != base
-        assert batch_join_commitment(5, [(0, 11), (1, 23)]) != base
-        assert batch_join_commitment(5, offers) == base
+        base = batch(5, offers)
+        assert batch(6, offers) != base
+        assert batch(5, [(0, 11)]) != base
+        assert batch(5, [(1, 22), (0, 11)]) != base
+        assert batch(5, [(0, 11), (1, 23)]) != base
+        assert batch(5, offers) == base
 
 
 def _plane(shards=3, seed=50, tickets=True, **kwargs):

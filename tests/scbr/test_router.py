@@ -162,19 +162,24 @@ class TestSecurity:
         with pytest.raises(IntegrityError):
             router.publish(envelope)
 
-    def test_mitm_on_key_exchange_detected(self, setup):
+    def test_mitm_on_key_exchange_detected(self, setup, monkeypatch):
+        """The host relay hands the client its own DH value in place of
+        the router's: the router's quote does not commit to it."""
         from repro.crypto.dh import DhKeyPair
-        from repro.scbr.keyexchange import RouterKeyExchange
 
         _platform, attestation, router = setup
         mallory_dh = DhKeyPair.generate()
-        exchange = RouterKeyExchange(router, attestation)
+        relay = router.enclave.ecall
+
+        def substituting_relay(entry_point, *args):
+            result = relay(entry_point, *args)
+            if entry_point == "channel_offer":
+                result = dict(result, dh_public=mallory_dh.public_value)
+            return result
+
+        monkeypatch.setattr(router.enclave, "ecall", substituting_relay)
         with pytest.raises(AttestationError):
-            exchange.establish(
-                "victim",
-                expected_measurement=router.measurement,
-                tamper_dh_value=mallory_dh.public_value,
-            )
+            ScbrClient("victim", router, attestation)
 
     def test_untrusted_router_code_rejected_by_client(self):
         platform = SgxPlatform(seed=55, quoting_key_bits=512)

@@ -36,7 +36,7 @@ def build_fixture(seed=9):
     attestation.register_platform(
         platform.platform_id, platform.quoting_enclave.public_key
     )
-    cas = ConfigurationService(attestation, key_bits=512)
+    cas = ConfigurationService(attestation)
 
     hierarchy = KeyHierarchy.generate(DeterministicRandomSource(seed))
     store = UntrustedStore()

@@ -45,7 +45,7 @@ def cas(platform):
     attestation.register_platform(
         platform.platform_id, platform.quoting_enclave.public_key
     )
-    return ConfigurationService(attestation, key_bits=512)
+    return ConfigurationService(attestation)
 
 
 class TestScfSerialisation:

@@ -7,6 +7,11 @@ rule and the verification cache.  A second class with its own
 itself, or a caller branching on which kind of verifier it was handed
 would each fork that decision -- and two verifiers had already come to
 disagree about a revoked measurement pinned by ``expected_measurement``.
+
+Likewise only ``repro.sgx.channel`` binds a DH value to a quote and
+derives a key from it: three handshakes had each done so their own way,
+and three of their four entry points let a malformed value escape the
+error hierarchy.
 """
 
 import ast
@@ -16,6 +21,7 @@ import repro
 
 SRC = os.path.dirname(repro.__file__)
 ATTESTATION = os.path.join("sgx", "attestation.py")
+CHANNEL = os.path.join("sgx", "channel.py")
 
 
 def _modules():
@@ -93,4 +99,55 @@ def test_no_caller_probes_which_verifier_it_holds():
     assert not offences, (
         "every attestation object is an AttestationService; call it "
         "instead of asking what it is:\n  " + "\n  ".join(offences)
+    )
+
+
+def _callee(node):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else _dotted(func)
+
+
+def _mentions_dh_value(node):
+    return any(
+        (isinstance(sub, ast.Attribute) and sub.attr == "public_value")
+        or (isinstance(sub, ast.Name) and (
+            sub.id == "public_value" or sub.id.endswith("_public")))
+        for sub in ast.walk(node)
+    )
+
+
+def test_only_the_channel_derives_a_dh_key():
+    offences = [
+        "%s:%d" % (path, node.lineno)
+        for path, tree in _modules() if path != CHANNEL
+        for node in ast.walk(tree)
+        if _is_call_to(node, "shared_key")
+    ]
+    assert not offences, (
+        "DH keys are derived by repro.sgx.channel.derive only:\n  "
+        + "\n  ".join(offences)
+    )
+
+
+def test_only_the_channel_builds_a_dh_commitment():
+    offences = []
+    for path, tree in _modules():
+        if path == CHANNEL:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and "commitment" in node.name):
+                offences.append("%s:%d def %s" % (
+                    path, node.lineno, node.name
+                ))
+            elif (isinstance(node, ast.Call)
+                    and _callee(node) in ("sha256", "hkdf", "report", "quote")
+                    and any(_mentions_dh_value(arg) for arg in
+                            node.args + [kw.value for kw in node.keywords])):
+                offences.append("%s:%d %s" % (
+                    path, node.lineno, ast.unparse(node)
+                ))
+    assert not offences, (
+        "a DH value reaches a quote through repro.sgx.channel.commitment "
+        "only:\n  " + "\n  ".join(offences)
     )
