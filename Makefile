@@ -8,7 +8,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost seal-sites e1-cost bringup-cost knobs experiments
+        registration-cost seal-sites match-cost e1-cost bringup-cost knobs \
+        experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -122,6 +123,14 @@ registration-cost:
 seal-sites:
 	@test -n "$(W)" || { echo "W=<workload> is required"; exit 2; }
 	@$(PYTHON) tools/seal_sites.py $(W)
+
+# What the containment walk costs a publish on the host: per shard
+# match of `publish_fanout` (seed 2018, 1 400 publishes), calls, mean
+# visits, microseconds per match and per visit, the matches' share of
+# the publishes' CPU and the charge's share of the matches (DESIGN
+# section 5, "A forest visit is two keys").
+match-cost:
+	@$(PYTHON) tools/match_cost.py
 
 # What Figure 3 costs on the host: CPU seconds of one 96 MiB enclave
 # LinearIndex match and of `repro.cli run e1` (DESIGN section 5, "A

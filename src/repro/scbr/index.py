@@ -13,9 +13,22 @@ contiguous record allocated at insertion time, and every visit during
 matching charges a hot-field read plus predicate-evaluation cycles.
 Running the identical index against an enclave memory and a native
 memory is exactly the experiment behind the paper's Figure 3.
+
+A visit is cheap on the host.  At insert a node records its predicate
+as one flat tuple of ``(attribute, test, value)`` triples, read off the
+constraints' derived ``test`` slot; its record's base address (a region
+is built only to free it); and the LLC line and EPC page keys of the
+record's hot bytes (:meth:`~repro.sgx.memory.SimulatedMemory.span_keys`).
+``match`` evaluates the triples inline, appends each visited node's
+keys in visit order and charges them through
+:meth:`~repro.sgx.memory.SimulatedMemory.scan_keys`.
+``Subscription.matches`` and ``SimulatedMemory.scan`` over the records
+stay the definitions the walk must agree with
+(``tests/scbr/test_containment_twin.py``).
 """
 
 from repro.errors import ConfigurationError
+from repro.sgx.memory import _RUN, MemoryRegion
 
 # Bytes of a subscription record the matcher actually reads per visit
 # (constraint summary); the rest of the record (strings, bookkeeping)
@@ -28,12 +41,26 @@ DEFAULT_RECORD_BYTES = 512
 
 
 class _Node:
-    __slots__ = ("subscription", "children", "region")
+    """A subscription, its place in the forest (a leaf's ``children``
+    is the shared ``()``, a list from its first child on), its
+    predicate flattened to ``attribute, test, value, ...``, and (with a
+    memory) its record: the base address and the hot bytes' line and
+    page keys, each a key or a tuple of keys (``()`` without a
+    memory)."""
 
-    def __init__(self, subscription, region):
+    __slots__ = ("subscription", "parent", "children", "predicate", "base",
+                 "lines", "pages")
+
+    def __init__(self, subscription, base):
         self.subscription = subscription
-        self.children = []
-        self.region = region
+        self.parent = None
+        self.children = ()
+        self.predicate = tuple(
+            part for attribute, constraint in subscription.constraints.items()
+            for part in (attribute, constraint.test, constraint.value)
+        )
+        self.base = base
+        self.lines = self.pages = ()
 
 
 class ContainmentIndex:
@@ -41,31 +68,47 @@ class ContainmentIndex:
 
     def __init__(self, memory=None, record_bytes=DEFAULT_RECORD_BYTES,
                  hot_bytes=HOT_BYTES, eval_cycles=EVAL_CYCLES):
+        if record_bytes < hot_bytes:
+            raise ConfigurationError("record_bytes must cover hot_bytes")
         self.memory = memory
         self.record_bytes = record_bytes
         self.hot_bytes = hot_bytes
         self.eval_cycles = eval_cycles
         self._roots = []
-        self._count = 0
         self._nodes = {}
-        self._parents = {}
+        # The page key of the record made last: consecutive records share
+        # a page (8 to a page by default) and so share its key object.
+        self._last_pages = None
         self.visits_last_match = 0
 
     def __contains__(self, subscription_id):
         return subscription_id in self._nodes
 
     def __len__(self):
-        return self._count
+        return len(self._nodes)
 
     @property
     def database_bytes(self):
         """Total resident footprint of the subscription database."""
-        return self._count * self.record_bytes
+        return len(self._nodes) * self.record_bytes
 
-    def _allocate(self):
-        if self.memory is None:
-            return None
-        return self.memory.allocate(self.record_bytes)
+    def _node(self, subscription):
+        """A node for ``subscription``, with its record if there is a
+        memory."""
+        memory = self.memory
+        if memory is None:
+            return _Node(subscription, None)
+        node = _Node(subscription, memory.reserve(self.record_bytes))
+        node.lines, pages = memory.span_keys(node.base, self.hot_bytes)
+        if pages == self._last_pages:
+            pages = self._last_pages
+        node.pages = self._last_pages = pages
+        return node
+
+    def _free(self, node):
+        """Release ``node``'s record: it stops inflating paging pressure."""
+        if self.memory is not None:
+            self.memory.free(MemoryRegion(node.base, self.record_bytes))
 
     def insert(self, subscription):
         """Add a subscription below its most specific covering node.
@@ -79,27 +122,28 @@ class ContainmentIndex:
             raise ConfigurationError(
                 "subscription %r already indexed" % subscription.subscription_id
             )
-        node = _Node(subscription, self._allocate())
+        node = self._node(subscription)
         siblings = self._roots
-        parent = None
         descending = True
         while descending:
             descending = False
             for candidate in siblings:
                 if candidate.subscription.covers(subscription):
                     siblings = candidate.children
-                    parent = candidate
+                    node.parent = candidate
                     descending = True
                     break
         covered = [c for c in siblings if subscription.covers(c.subscription)]
-        for child in covered:
-            siblings.remove(child)
-            node.children.append(child)
-            self._parents[child.subscription.subscription_id] = node
-        siblings.append(node)
+        if covered:
+            for child in covered:
+                siblings.remove(child)
+                child.parent = node
+            node.children = covered
+        if siblings.__class__ is list:
+            siblings.append(node)
+        else:
+            node.parent.children = [node]
         self._nodes[subscription.subscription_id] = node
-        self._parents[subscription.subscription_id] = parent
-        self._count += 1
         return node
 
     def remove(self, subscription_id):
@@ -114,18 +158,15 @@ class ContainmentIndex:
             raise ConfigurationError(
                 "no subscription %r in the index" % subscription_id
             )
-        parent = self._parents.pop(subscription_id)
+        parent = node.parent
         siblings = self._roots if parent is None else parent.children
         siblings.remove(node)
         for child in node.children:
             siblings.append(child)
-            self._parents[child.subscription.subscription_id] = parent
-        node.children = []
-        if self.memory is not None and node.region is not None:
-            # Without this, an unsubscribed record stays resident in
-            # the EPC forever and keeps inflating paging pressure.
-            self.memory.free(node.region)
-        self._count -= 1
+            child.parent = parent
+        node.children = ()
+        node.parent = None
+        self._free(node)
         return node.subscription
 
     def match(self, publication):
@@ -133,28 +174,62 @@ class ContainmentIndex:
 
         Visits a node only if all its ancestors matched; counts visits
         in :attr:`visits_last_match` for the comparison-reduction
-        ablation.  Each visit is a hot read plus a predicate evaluation,
-        charged in one scan after the walk: evaluating a predicate
-        touches neither memory nor clock, so only the visit order counts.
+        ablation.  Each visit is a hot read plus a predicate evaluation:
+        the walk collects the visited nodes' keys in order and charges
+        them with ``scan_keys`` when it ends (or every ``_RUN`` line
+        keys): evaluating a predicate touches neither memory nor clock,
+        so only the visit order counts.  The inner loop is
+        :meth:`Subscription.matches` over the node's flat predicate.
         """
-        matched = []
-        visited = []
-        visit = visited.append
-        hit = matched.append
+        get = publication.attributes.get
+        matched = set()
+        hit = matched.add
+        lines = []
+        pages = []
+        add_line = lines.append
+        add_page = pages.append
         stack = list(self._roots)
         pop = stack.pop
         push = stack.extend
+        visits = charged = 0
         while stack:
             node = pop()
-            visit(node.region)
-            subscription = node.subscription
-            if subscription.matches(publication):
-                hit(subscription.subscription_id)
+            visits += 1
+            keys = node.lines
+            if keys.__class__ is int:
+                add_line(keys)
+            else:
+                lines += keys
+            keys = node.pages
+            if keys.__class__ is int:
+                add_page(keys)
+            else:
+                pages += keys
+            predicate = node.predicate
+            at = 0
+            end = len(predicate)
+            while at < end:
+                value = get(predicate[at])
+                if value is None or not predicate[at + 1](
+                    value, predicate[at + 2]
+                ):
+                    break
+                at += 3
+            else:
+                hit(node.subscription.subscription_id)
                 push(node.children)
+            if len(lines) >= _RUN:
+                self.memory.scan_keys(
+                    lines, pages, visits - charged, self.eval_cycles
+                )
+                charged = visits
+                del lines[:], pages[:]
         if self.memory is not None:
-            self.memory.scan(visited, self.hot_bytes, self.eval_cycles)
-        self.visits_last_match = len(visited)
-        return set(matched)
+            self.memory.scan_keys(
+                lines, pages, visits - charged, self.eval_cycles
+            )
+        self.visits_last_match = visits
+        return matched
 
     def subscriptions(self):
         """All stored subscriptions (pre-order)."""
@@ -231,11 +306,9 @@ class ContainmentIndex:
             for node in pre_order:
                 subscription_id = node.subscription.subscription_id
                 del self._nodes[subscription_id]
-                del self._parents[subscription_id]
-                if self.memory is not None and node.region is not None:
-                    self.memory.free(node.region)
-                node.children = []
-                self._count -= 1
+                self._free(node)
+                node.children = ()
+                node.parent = None
                 moved_bytes += self.record_bytes
                 extracted.append(node.subscription)
         return extracted

@@ -96,6 +96,21 @@ def roster_transcript(offers):
     return channel.frame(pieces)
 
 
+def _roster(offers, width):
+    """A host-relayed roster as a list of ``width``-tuples, each led by
+    an ``int`` shard id; any other shape raises :class:`IntegrityError`
+    (not the ``TypeError`` / ``ValueError`` of unpacking it)."""
+    if type(offers) not in (list, tuple):
+        raise IntegrityError("malformed enrollment roster")
+    roster = []
+    for entry in offers:
+        if (type(entry) not in (list, tuple) or len(entry) != width
+                or type(entry[0]) is not int):
+            raise IntegrityError("malformed enrollment roster")
+        roster.append(tuple(entry))
+    return roster
+
+
 def platform_fingerprint(platform):
     """Host-visible stable identity of a machine.
 
@@ -181,7 +196,7 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     dh = ctx.state.pop("join_dh", None)
     if dh is None:
         raise AttestationError("no pending plane join")
-    roster = [(shard_id, public) for shard_id, public in offers]
+    roster = _roster(offers, 2)
     if (ctx.state["shard_id"], dh.public_value) not in roster:
         raise AttestationError("this shard's offer is not in the batch")
     transcript = roster_transcript(roster)
@@ -299,6 +314,7 @@ def coord_enroll_batch(ctx, offers):
     own DH transport key.  Returns the roster, the grants, and a fresh
     resumption ticket per shard.
     """
+    offers = _roster(offers, 3)
     if not offers:
         raise ConfigurationError("an enrollment batch cannot be empty")
     attestation = _require_verifier(ctx.state.get("attestation"))

@@ -94,6 +94,21 @@ class Quote:
         )
 
 
+def _quote_bytes(quote):
+    """``quote.to_bytes()``, or :class:`AttestationError` for anything
+    but a :class:`Quote` whose fields have their types and serialise:
+    quotes are host-relayed, so a malformed one must fail closed."""
+    if (type(quote) is not Quote or type(quote.platform_id) is not str
+            or type(quote.measurement) is not str
+            or type(quote.report_data) is not bytes
+            or type(quote.signature) is not int):
+        raise AttestationError("malformed quote")
+    try:
+        return quote.to_bytes()
+    except (UnicodeError, OverflowError) as exc:
+        raise AttestationError("malformed quote") from exc
+
+
 class QuotingEnclave:
     """The platform's quote signer.
 
@@ -214,7 +229,8 @@ class AttestationService:
                expected_report_data=None, compute=None):
         """Validate ``quote``; raises :class:`AttestationError` on failure.
 
-        Checks, in order: the measurement is not revoked, the platform
+        Checks, in order: the quote is well-typed (before anything is
+        charged), the measurement is not revoked, the platform
         is registered, the signature is valid under that platform's key
         (skipped on a cache hit), the measurement is trusted (or equals
         ``expected_measurement``), and the report data matches
@@ -223,11 +239,12 @@ class AttestationService:
         :data:`QUOTE_VERIFY_CYCLES` on a miss, :data:`QUOTE_CACHED_CYCLES`
         on a hit.
         """
+        raw = _quote_bytes(quote)
         if self.measurement_revoked(quote.measurement):
             raise AttestationError(
                 "measurement %s... has been revoked" % quote.measurement[:16]
             )
-        key = (quote.platform_id, quote.measurement, sha256(quote.to_bytes()))
+        key = (quote.platform_id, quote.measurement, sha256(raw))
         hit = self._cache.get(key) == self.epoch
         if compute is not None:
             compute(QUOTE_CACHED_CYCLES if hit else QUOTE_VERIFY_CYCLES)

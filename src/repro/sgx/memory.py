@@ -394,9 +394,9 @@ class SimulatedMemory:
         """Touch ``size`` bytes at ``offset`` of each region, in the
         given order, with ``compute_cycles`` of work per region.
 
-        One of the two places memory is touched (the other is
-        :meth:`scan_strided`): per region, pages (enclave only) then
-        lines.  Charges what one :meth:`access` and one
+        One of the three places memory is touched (the others are
+        :meth:`scan_strided` and :meth:`scan_keys`): per region, pages
+        (enclave only) then lines.  Charges what one :meth:`access` and one
         :meth:`compute` per region would, but totals hits, misses and
         faults as ints and settles stats, EPC counters and clock once
         -- also when a region is out of bounds, so what the LRUs saw is
@@ -485,7 +485,7 @@ class SimulatedMemory:
         below ``count``, with ``compute_cycles`` of work per record:
         exactly what :meth:`scan` charges for those regions, in order.
 
-        The other place memory is touched, for a table of equal records
+        Another place memory is touched, for a table of equal records
         laid out back to back.  When each span lies inside one cache
         line and the stride is a whole number of lines that divides the
         page, record ``i`` touches line ``first + i * stride /
@@ -520,6 +520,55 @@ class SimulatedMemory:
             last = self._page_base + (base + (count - 1) * stride) // page_size
             faults = self.epc.touch_many(range(first, last + 1))
         return self._settle(count, misses, count, faults, count * per_record)
+
+    def span_keys(self, start, size):
+        """The LLC line keys and EPC page keys that touching ``size``
+        bytes at ``start`` reads, as ``(lines, pages)``: each the key
+        itself when the span lies in one line (page), else a tuple of
+        the keys in order -- empty for no bytes, and for pages on a
+        native memory.  What :meth:`scan` would touch for that span,
+        derived once by a caller that visits it again and again."""
+        if size <= 0:
+            return (), ()
+        last = start + size - 1
+        costs = self.costs
+        lines = self._keys(self._line_base, start, last, costs.line_size)
+        if not self.enclave:
+            return lines, ()
+        return lines, self._keys(self._page_base, start, last,
+                                 costs.page_size)
+
+    @staticmethod
+    def _keys(key_base, start, last, size):
+        first = key_base + start // size
+        stop = key_base + last // size
+        return first if first == stop else tuple(range(first, stop + 1))
+
+    def scan_keys(self, lines, pages, visits, compute_cycles=0):
+        """Charge ``visits`` visits whose keys the caller derived with
+        :meth:`span_keys`: ``lines`` and ``pages`` list every key they
+        touch, in visit order, and each visit costs ``compute_cycles``.
+
+        The third place memory is touched, for a walk that visits the
+        same records again and again (a containment forest).  It charges
+        what :meth:`scan` charges for the visited spans, in the same
+        order: the LLC and the EPC are independent LRUs, so each may be
+        handed its own run, and a key equal to its predecessor -- which
+        ``scan`` drops -- is the newest key, whose re-touch is a no-op
+        hit that the counts keep.  One :meth:`_LruSet.touch_many` per
+        cache and one settle.  ``pages`` is ignored on a native memory.
+        A caller holds at most ``_RUN`` keys per call, as ``scan`` does.
+        """
+        if self.released:
+            raise CapacityError("memory %r was released" % self.name)
+        per_visit = int(compute_cycles)
+        if per_visit < 0:
+            raise ValueError("cannot charge a negative number of cycles")
+        misses = self.llc.touch_many(lines)
+        if not self.enclave:
+            return self._settle(len(lines), misses, 0, 0, visits * per_visit)
+        return self._settle(len(lines), misses, len(pages),
+                            self.epc.touch_many(pages), visits * per_visit)
 
     def _settle(self, lines, misses, pages, faults, compute):
         """Charge one scan's totals to the stats, the EPC counters and

@@ -4,12 +4,12 @@ Two enclave memories and one native memory share one EPC, one LLC and
 one clock -- once built from ``repro.sgx.memory`` and once from
 ``tests.sgx.reference_memory`` -- and hypothesis drives both through the
 same interleaving of allocations, visits, scans, strided scans (and
-verbatim repeats of the last one), copies, frees, teardowns and platform
-resets.  After *every* step the clock, every
-counter and both LRUs' resident keys *in order* must be equal: that is
-the whole meaning of "cycle-identical", and it is also what guards the
-batch accounting (the kernel settles the clock once per scan, so a
-disagreement anywhere in a scan shows at its end).
+verbatim repeats of the last one), walks charged by precomputed keys,
+copies, frees, teardowns and platform resets.  After *every* step the
+clock, every counter and both LRUs' resident keys *in order* must be
+equal: that is the whole meaning of "cycle-identical", and it is also
+what guards the batch accounting (the kernel settles the clock once per
+scan, so a disagreement anywhere in a scan shows at its end).
 """
 
 from dataclasses import astuple
@@ -205,6 +205,33 @@ class MemoryDifferential(RuleBasedStateMachine):
             lambda: reference.scan(regions, size, cycles),
         )
 
+    @rule(slot=slots, chosen=st.lists(picks, max_size=12),
+          size=st.sampled_from([0, 1, LINE // 2, LINE, PAGE])
+          | st.integers(0, 2 * PAGE),
+          cycles=st.sampled_from([0, 7, 150, 2.9]))
+    def visit_keys(self, slot, chosen, size, cycles):
+        """A forest walk: each visited record's keys derived once with
+        ``span_keys`` and appended in visit order, as
+        ``ContainmentIndex`` does, then charged by ``scan_keys``,
+        against the reference's scan of the same regions.  Regions are
+        unaligned, so spans cross lines and pages."""
+        if not self.regions[slot]:
+            return
+        visited = [self._pick(slot, pick) for pick in chosen]
+        # A walk reads a span every record holds, from its base.
+        size %= min((region.size for region in visited), default=0) + 1
+        real, reference = self._sides(slot)
+        lines, pages = [], []
+        for region in visited:
+            for keys, into in zip(real.span_keys(region.base, size),
+                                  (lines, pages)):
+                if keys.__class__ is int:
+                    into.append(keys)
+                else:
+                    into.extend(keys)
+        assert (real.scan_keys(lines, pages, len(visited), cycles)
+                == reference.scan(visited, size, cycles))
+
     @rule(slot=slots, source=picks, destination=picks)
     def copy(self, slot, source, destination):
         if not self.regions[slot]:
@@ -239,6 +266,10 @@ class MemoryDifferential(RuleBasedStateMachine):
         for stride, count, size in ((LINE, 3, 1), (3, 3, LINE), (LINE, 0, 1)):
             with pytest.raises(CapacityError):
                 real.scan_strided(0, stride, count, size)
+        # A walk, with keys or without.
+        for lines, pages, visits in (([0], [0], 1), ([], [], 0)):
+            with pytest.raises(CapacityError):
+                real.scan_keys(lines, pages, visits)
         # Nor does it hand out fresh bytes that could never leave.
         for memory in (real, reference):
             for allocate in (memory.allocate, memory.allocate_aligned):
