@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
         registration-cost seal-sites match-cost e1-cost bringup-cost knobs \
-        experiments
+        reach experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,8 +45,9 @@ test-cov:
 # node-fault scenarios, the E8 attested-join scenarios (batched
 # enrollment included), the E9 streaming-churn scenarios
 # (backpressure, shedding, crash replay, autoscaling), and the E10
-# front-door scenarios (gateway crash replay, sealed audit chains)
-# must produce identical results (fault log, delivery set, sealed
+# front-door scenarios (admission, quotas, sealed audit chains; gateway
+# crash replay is exercised in tests/service/test_chaos_robustness.py,
+# not here) must produce identical results (fault log, delivery set, sealed
 # audit digests, and telemetry snapshot) across two same-seed runs.
 chaos-smoke:
 	$(PYTHON) -m repro.cli smoke --chaos
@@ -152,6 +153,14 @@ bringup-cost:
 # `benchmarks.perf --seconds 1` and every example (~3 min).
 knobs:
 	@python3 tools/knob_census.py
+
+# Which runs reach each definition in src/repro: per def its size, the
+# runs that call it (tier-1, smoke, smoke --chaos, gate, run all,
+# benchmarks.perf --seconds 1, the examples, trace, metrics a10) and its
+# tags, then the defs only tier-1 or nothing reaches (~11 min; a kept
+# one is tagged raise, cli or boundary, or DESIGN section 16 names it).
+reach:
+	@python3 tools/knob_census.py --reach
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

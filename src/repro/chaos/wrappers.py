@@ -86,9 +86,6 @@ class ChaosVolume:
         self._attempts = {}
         self.failures_injected = 0
 
-    def __getattr__(self, name):
-        return getattr(self.volume, name)
-
     def _guard(self, operation, path):
         key = (operation, path)
         attempt = self._attempts.get(key, 0)
@@ -205,9 +202,6 @@ class ChaosPlane:
         self.node_crashes_injected = 0
         self.partitions_injected = 0
 
-    def __getattr__(self, name):
-        return getattr(self.plane, name)
-
     def _maybe_break(self):
         operation = self._operation
         self._operation += 1
@@ -229,10 +223,6 @@ class ChaosPlane:
         self._maybe_break()
         return self.plane.publish_routed(envelope)
 
-    def publish(self, envelope):
-        self._maybe_break()
-        return self.plane.publish(envelope)
-
 
 class ChaosSyscallExecutor:
     """Wraps a syscall executor; stalls chosen calls in the host kernel.
@@ -249,9 +239,6 @@ class ChaosSyscallExecutor:
         self._call_index = 0
         self.stalled = 0
         self.stall_cycles = 0
-
-    def __getattr__(self, name):
-        return getattr(self.executor, name)
 
     def call(self, name, *args):
         index = self._call_index

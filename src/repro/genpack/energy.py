@@ -48,10 +48,6 @@ class EnergyMeter:
         self._last_time = 0.0
 
     @property
-    def now(self):
-        return self._last_time
-
-    @property
     def energy_kwh(self):
         """Accumulated energy in kilowatt-hours."""
         return self.energy_joules / 3.6e6

@@ -193,10 +193,6 @@ class EventBus:
         timeout.callbacks.append(deliver)
         return timeout
 
-    def topics(self):
-        """Topics with at least one subscriber."""
-        return sorted(self._subscribers)
-
 
 class ReliableEventBus(EventBus):
     """An event bus retaining sealed events for NACK-based redelivery.

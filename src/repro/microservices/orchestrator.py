@@ -68,13 +68,6 @@ class RecoveryEpisode:
     recovery_seconds: float
     onset: Optional[float] = None
 
-    @property
-    def detection_latency(self):
-        """Seconds from (externally recorded) onset to detection."""
-        if self.onset is None:
-            return None
-        return self.detected_at - self.onset
-
 
 class Orchestrator:
     """Samples QoS state and adapts the application."""
@@ -112,7 +105,6 @@ class Orchestrator:
         self._onsets = {}
         self._flagged = set()
         self._cooldown_until = {}
-        self._running = False
 
     def record_onset(self, service_name, time=None):
         """Tests/benchmarks call this when they inject an anomaly."""
@@ -156,16 +148,11 @@ class Orchestrator:
 
     def start(self, duration):
         """Run the sampling loop for ``duration`` of virtual time."""
-        self._running = True
         return self.env.process(self._loop(duration))
-
-    def stop(self):
-        """Stop sampling at the next period boundary."""
-        self._running = False
 
     def _loop(self, duration):
         deadline = self.env.now + duration
-        while self._running and self.env.now < deadline:
+        while self.env.now < deadline:
             yield self.env.timeout(self.policy.sample_period)
             self._sample()
 

@@ -126,7 +126,3 @@ class HotColdIndex:
         self.visits_last_match = len(self._entries)
         self.cold_reads_last_match = len(visited) - len(self._entries)
         return set(matched)
-
-    def subscriptions(self):
-        """All stored subscriptions in insertion order."""
-        return [entry[0] for entry in self._entries]

@@ -237,13 +237,6 @@ class Subscription:
             )
         _set(self, name, value)
 
-    def __repr__(self):
-        parts = ", ".join(
-            "%s %s %s" % (c.attribute, c.operator.value, c.value)
-            for c in self.constraints.values()
-        )
-        return "Subscription(%r, %s)" % (self.subscription_id, parts)
-
     def matches(self, publication):
         """Whether ``publication`` satisfies every constraint."""
         attributes = publication.attributes

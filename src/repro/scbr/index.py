@@ -241,10 +241,6 @@ class ContainmentIndex:
             stack.extend(node.children)
         return result
 
-    def roots(self):
-        """The root subscriptions (most general filter of each chain)."""
-        return [node.subscription for node in self._roots]
-
     def covers_any_root(self, subscription):
         """Whether some root of this forest covers ``subscription``.
 

@@ -143,10 +143,6 @@ class LinearIndex:
             "no subscription %r in the table" % subscription_id
         )
 
-    def roots(self):
-        """A flat table has no covering structure: every row is a root."""
-        return self.subscriptions()
-
     def covers_any_root(self, subscription):
         """No containment structure to exploit; placement falls back to
         load balancing."""

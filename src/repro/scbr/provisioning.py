@@ -30,11 +30,6 @@ makes enclave joins a cached, batched, amortized hot path:
   no modular exponentiation -- falling back to the full handshake on
   epoch mismatch, revocation, or a foreign platform.
 
-- Key rotation: :func:`coord_rotate` mints a new plane key and ticket
-  key, bumps the plane epoch (invalidating every outstanding ticket),
-  and returns per-shard rekey blobs wrapped under the *old* plane key,
-  so live shards roll forward without a re-join.
-
 All signing, DH, and resume costs are charged in *virtual cycles* (the
 ``*_CYCLES`` constants below; verification prices itself, see
 :mod:`repro.sgx.attestation`), so the E8 benchmark measures the same
@@ -72,7 +67,6 @@ TICKET_RESUME_CYCLES = 30_000
 AAD_BATCH_JOIN = b"plane|join2|"
 AAD_TICKET = b"plane|ticket"
 AAD_RESUME = b"plane|resume|"
-AAD_REKEY = b"plane|rekey|"
 
 
 def _encode_int(value):
@@ -264,24 +258,6 @@ def shard_resume_complete(ctx, coordinator_nonce, wrapped):
     return True
 
 
-def shard_rekey(ctx, blob):
-    """ECALL: roll to the next epoch's plane key.
-
-    The new key arrives wrapped under the *current* plane key -- only a
-    shard already inside the plane can unwrap it, so rotation needs no
-    re-attestation for live members.
-    """
-    plane_key = ctx.state.get("plane_key")
-    if plane_key is None:
-        raise AttestationError("shard has not joined the plane")
-    aad = AAD_REKEY + str(ctx.state["shard_id"]).encode("ascii")
-    payload = plane_key.open(blob, aad, what="rekey blob")
-    record = json.loads(payload.decode("utf-8"))
-    ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
-    ctx.state["plane_epoch"] = record["epoch"]
-    return record["epoch"]
-
-
 # --- coordinator-side ECALLs ------------------------------------------
 
 def _mint_ticket(ctx, platform_id):
@@ -373,9 +349,9 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     """ECALL: admit a ticket re-join, skipping quote-verify and DH.
 
     Fails closed -- :class:`~repro.errors.AttestationError` -- when the
-    ticket does not authenticate, names a stale epoch (rotation), names
-    a deregistered platform, or the shard measurement has been revoked
-    since the ticket was minted.  The host then falls back to the full
+    ticket does not authenticate, names an epoch other than the
+    plane's, names a deregistered platform, or the shard measurement has
+    been revoked since the ticket was minted.  The host then falls back to the full
     attested handshake.
     """
     attestation = _require_verifier(ctx.state.get("attestation"))
@@ -420,46 +396,6 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     return {"nonce": coordinator_nonce, "wrapped": wrapped, "epoch": epoch}
 
 
-def coord_rotate(ctx):
-    """ECALL: roll the plane to a new key epoch.
-
-    Mints a fresh plane key and ticket key, bumps the epoch, clears
-    the per-platform resumption secrets (every outstanding ticket is
-    now doubly dead: wrong epoch *and* sealed under the retired ticket
-    key), and returns one rekey blob per enrolled shard -- the new key
-    wrapped under the old plane key.  Refuses while a publication is
-    parked: its match blobs were sealed under the old key.
-    """
-    if ctx.state.get("pending_publications"):
-        raise ConfigurationError(
-            "cannot rotate with publications in flight"
-        )
-    old_key = ctx.state["plane_key"]
-    new_key = AeadKey.generate()
-    epoch = ctx.state["plane_epoch"] + 1
-    ctx.state["plane_key"] = new_key
-    ctx.state["plane_epoch"] = epoch
-    ctx.state["ticket_key"] = AeadKey.generate()
-    ctx.state["resumption"] = {}
-    ctx.state.pop("epoch_join_dh", None)
-    ctx.state.pop("epoch_join_dh_epoch", None)
-    rekey = {}
-    tickets = {}
-    shard_platform = ctx.state.get("shard_platform", {})
-    for shard_id in sorted(ctx.state.get("enrolled", ())):
-        payload = json.dumps({
-            "plane_key": new_key.key_bytes.hex(),
-            "epoch": epoch,
-        }, sort_keys=True).encode("utf-8")
-        aad = AAD_REKEY + str(shard_id).encode("ascii")
-        rekey[shard_id] = old_key.seal(payload, aad)
-        platform_id = shard_platform.get(shard_id)
-        if platform_id is not None:
-            _secret, ticket = _mint_ticket(ctx, platform_id)
-            tickets[shard_id] = ticket
-    return {"epoch": epoch, "rekey": rekey, "tickets": tickets}
-
-
 # --- the host-side provisioner ----------------------------------------
 
 class PlaneProvisioner:
@@ -497,7 +433,6 @@ class PlaneProvisioner:
         self.resumed_joins = 0
         self.batches = 0
         self.ticket_fallbacks = 0
-        self.rotations = 0
         registry = default_registry()
         self._tel_cold = registry.counter("provisioning.joins.cold")
         self._tel_batched = registry.counter("provisioning.joins.batched")
@@ -506,7 +441,6 @@ class PlaneProvisioner:
         self._tel_fallbacks = registry.counter(
             "provisioning.ticket_fallbacks"
         )
-        self._tel_rotations = registry.counter("provisioning.rotations")
 
     # -- quoting --------------------------------------------------------
 
@@ -644,32 +578,3 @@ class PlaneProvisioner:
         self.resumed_joins += 1
         self._tel_resumed.inc()
         return True
-
-    # -- rotation -------------------------------------------------------
-
-    def rotate(self, coordinator, shards):
-        """Drive one key rotation across ``shards`` (plane members).
-
-        Every live shard rolls to the new plane key via its rekey blob;
-        fresh tickets replace the invalidated ones.  Returns the new
-        epoch.  The caller re-snapshots afterwards -- snapshots sealed
-        under the old key cannot restore into the new epoch.
-        """
-        result = coordinator.ecall("rotate")
-        for shard in shards:
-            blob = result["rekey"].get(shard.shard_id)
-            if blob is None:
-                raise ConfigurationError(
-                    "rotation produced no rekey blob for shard %r"
-                    % shard.shard_id
-                )
-            shard.enclave.ecall("rekey", blob)
-            ticket = result["tickets"].get(shard.shard_id)
-            if ticket is not None and self.tickets:
-                fingerprint = platform_fingerprint(shard.platform)
-                stored = self._resume.get(fingerprint)
-                if stored is not None:
-                    self._resume[fingerprint] = (ticket, stored[1])
-        self.rotations += 1
-        self._tel_rotations.inc()
-        return result["epoch"]

@@ -81,9 +81,6 @@ class ReplicatedBroker:
         """The active replica's enclave (what clients key against)."""
         return self.active.enclave
 
-    def stats(self):
-        return self.active.stats()
-
     # -- failover machinery --------------------------------------------
 
     def register(self, client):
@@ -140,19 +137,6 @@ class ReplicatedBroker:
         subscription_id = self._call(attempt)
         self._checkpoint = self.active.checkpoint()
         return subscription_id
-
-    def unsubscribe_from(self, client, subscription_id):
-        """Seal and route an unsubscribe; checkpoint the new database."""
-        def attempt():
-            envelope = EncryptedEnvelope.seal(
-                client.key, client.client_id, "unsubscribe",
-                subscription_id.encode("utf-8"),
-            )
-            return self.active.unsubscribe(envelope)
-
-        result = self._call(attempt)
-        self._checkpoint = self.active.checkpoint()
-        return result
 
     def publish_from(self, client, publication):
         """Seal, route, log, and push one publication's notifications."""
@@ -275,9 +259,6 @@ class FailoverClient:
 
     def subscribe(self, subscription):
         return self.broker.subscribe_from(self, subscription)
-
-    def unsubscribe(self, subscription_id):
-        return self.broker.unsubscribe_from(self, subscription_id)
 
     # -- receiving -----------------------------------------------------
 

@@ -40,8 +40,8 @@ map/reduce driver, the broker host is part of the threat model.
 
 import contextlib
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import (
     AttestationError,
@@ -67,10 +67,8 @@ from repro.scbr.provisioning import (
     PlaneProvisioner,
     coord_enroll_batch,
     coord_resume,
-    coord_rotate,
     shard_join_complete_batch,
     shard_join_offer2,
-    shard_rekey,
     shard_resume_complete,
     shard_resume_offer,
 )
@@ -288,11 +286,6 @@ class ShardedMatchingPlane:
     @property
     def shard_count(self):
         return len(self.shards)
-
-    @property
-    def database_bytes(self):
-        """Total database footprint across all shards."""
-        return sum(shard.index.database_bytes for shard in self.shards)
 
     def shard_sizes(self):
         """Per-shard database bytes (diagnostics, balance assertions)."""
@@ -660,7 +653,6 @@ SHARD_ENTRY_POINTS = {
     "join_complete_batch": shard_join_complete_batch,
     "resume_offer": shard_resume_offer,
     "resume_complete": shard_resume_complete,
-    "rekey": shard_rekey,
     "insert": shard_insert,
     "covers_root": shard_covers_root,
     "remove": shard_remove,
@@ -812,7 +804,7 @@ def coord_abandon(ctx, token):
 
     The driver calls this when a publish fails between ingest and
     finalize; a publication left parked would hold enclave memory for
-    good and make every later key rotation refuse.  Unknown tokens
+    good.  Unknown tokens
     (finalize pops first, then may fail) are fine.
     """
     ctx.state["pending_publications"].pop(token, None)
@@ -825,7 +817,6 @@ COORD_ENTRY_POINTS = {
     "channel_accept": enclave_channel_accept,
     "enroll_batch": coord_enroll_batch,
     "resume": coord_resume,
-    "rotate": coord_rotate,
     "admit": coord_admit,
     "unsubscribe": coord_unsubscribe,
     "ingest": coord_ingest,
@@ -1072,10 +1063,6 @@ class ShardedScbrRouter(FleetClient):
         self.fleet.recover(shard_ids)
         return [self.fleet.member(shard_id) for shard_id in shard_ids]
 
-    def probe_heartbeats(self):
-        """One heartbeat round; returns the newly-down shard ids."""
-        return self.fleet.probe()
-
     def start_health(self, duration, auto_recover=True):
         """Schedule heartbeat probing every monitor period until
         ``duration``; newly detected-down nodes and shards are recovered
@@ -1118,26 +1105,6 @@ class ShardedScbrRouter(FleetClient):
         self.fleet.log(shard, ("insert", blob))
         self._tel_subscribes.inc()
         return subscription_id
-
-    def rotate_plane_key(self):
-        """Roll the plane to a new key epoch.
-
-        The coordinator mints a fresh plane key (and ticket key), every
-        live shard rolls forward via a rekey blob wrapped under the
-        *old* plane key -- no re-attestation -- and every outstanding
-        resumption ticket is invalidated: the next re-join from a
-        pre-rotation ticket falls back to the full attested handshake.
-        Dark shards are healed first (their replacements join directly
-        into the new epoch on the next heal would otherwise hold the
-        old key), and every shard is re-snapshotted afterwards because
-        snapshots sealed under the retired key cannot restore into the
-        new epoch.  Returns the new epoch number.
-        """
-        self.recover_shards(self.fleet.dark())
-        epoch = self.provisioner.rotate(self.coordinator, self.shards)
-        for shard in self.shards:
-            self.fleet.checkpoint(shard)
-        return epoch
 
     def _place(self, blob):
         live = self.fleet.live()

@@ -57,10 +57,6 @@ class UntrustedStore:
         for key in doomed:
             del self._chunks[key]
 
-    def paths(self):
-        """Distinct paths present in the store."""
-        return sorted({path for path, _index in self._chunks})
-
     def chunk_count(self, path):
         """Number of stored chunks for ``path``."""
         return sum(1 for stored_path, _i in self._chunks if stored_path == path)
@@ -97,12 +93,6 @@ class FileEntry:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     chunk_tags: list = field(default_factory=list)
     version: int = 0
-
-    def chunk_count(self):
-        """Number of chunks covering :attr:`size` bytes."""
-        if self.size == 0:
-            return 0
-        return (self.size + self.chunk_size - 1) // self.chunk_size
 
 
 class FsProtectionFile:

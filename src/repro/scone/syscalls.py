@@ -90,10 +90,6 @@ class SimulatedKernel:
         self._descriptors[fd] = [path, 0]
         return fd
 
-    def _sys_close(self, fd):
-        self._descriptors.pop(fd, None)
-        return 0
-
     def _resolve(self, fd):
         try:
             return self._descriptors[fd]

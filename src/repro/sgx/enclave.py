@@ -90,10 +90,6 @@ class EnclaveCode:
         """Hex MRENCLAVE-like identity of this code bundle."""
         return self._identity.hex()
 
-    def with_config(self, config):
-        """The same code under different initial configuration."""
-        return EnclaveCode(self.name, self.entry_points, config, self.version)
-
 
 class Report:
     """A local attestation report: measurement bound to report data."""
@@ -102,16 +98,6 @@ class Report:
         self.measurement = measurement
         self.report_data = bytes(report_data)
         self.enclave_id = enclave_id
-
-    def digest(self):
-        """Canonical bytes of the report (signed by the quoting enclave)."""
-        return (
-            self.measurement.encode("ascii")
-            + b"|"
-            + str(self.enclave_id).encode("ascii")
-            + b"|"
-            + self.report_data
-        )
 
 
 class EnclaveContext:
@@ -129,11 +115,6 @@ class EnclaveContext:
         self.memory = enclave.memory
         self.state = enclave._state
         self.clock = enclave.platform.clock
-
-    @property
-    def measurement(self):
-        """This enclave's own measurement."""
-        return self._enclave.measurement
 
     def compute(self, cycles):
         """Charge pure computation cycles."""

@@ -8,7 +8,7 @@ from repro.crypto.rsa import DEFAULT_KEY_BITS
 from repro.sgx.attestation import QuotingEnclave
 from repro.sgx.costs import DEFAULT_COSTS
 from repro.sgx.enclave import Enclave
-from repro.sgx.memory import EpcModel, LlcModel, SimulatedMemory
+from repro.sgx.memory import EpcModel, LlcModel
 from repro.sgx.sealing import (
     SealingPolicy,
     derive_sealing_key,
@@ -26,9 +26,8 @@ class SgxPlatform:
 
     Owns the virtual cycle clock, a shared LLC, the shared EPC, the
     platform fuse secret (root of sealing keys), and the quoting
-    enclave.  Create application enclaves with :meth:`load_enclave` and
-    untrusted-side memories with :meth:`native_memory` so both worlds
-    are charged on the same clock.
+    enclave.  Create application enclaves with :meth:`load_enclave`;
+    their memories are charged on the platform's clock.
     """
 
     def __init__(self, costs=DEFAULT_COSTS, platform_id=None, seed=None,
@@ -77,13 +76,6 @@ class SgxPlatform:
         self._enclaves.append(enclave)
         return enclave
 
-    def native_memory(self, name="native"):
-        """Untrusted memory on this machine (same clock and LLC)."""
-        return SimulatedMemory(
-            clock=self.clock, costs=self.costs, enclave=False,
-            llc=self.llc, name=name,
-        )
-
     def quote(self, enclave, report_data=b""):
         """Produce a remotely verifiable quote for ``enclave``.
 
@@ -127,8 +119,3 @@ class SgxPlatform:
     def unseal(self, enclave, blob):
         """Unseal a blob for ``enclave``; fails for foreign identities."""
         return unseal_with(self._sealing_key(enclave, blob.policy), blob)
-
-    def reset_memory_system(self):
-        """Flush LLC and EPC (benchmark isolation between runs)."""
-        self.llc.flush()
-        self.epc.evict_all()

@@ -70,18 +70,3 @@ def unseal_with(key, blob):
     """Open ``blob`` under an already derived sealing key; raises
     :class:`IntegrityError` if it is not the sealer's."""
     return key.open(blob.ciphertext, blob.policy.value.encode("ascii"))
-
-
-def seal(platform_secret, measurement, signer, data, policy=SealingPolicy.MRENCLAVE):
-    """Seal ``data`` under the requested policy."""
-    identity = measurement if policy is SealingPolicy.MRENCLAVE else signer
-    key = derive_sealing_key(platform_secret, identity, policy)
-    return seal_with(key, data, policy)
-
-
-def unseal(platform_secret, measurement, signer, blob):
-    """Recover sealed data; raises :class:`IntegrityError` if the caller's
-    identity or platform does not match the sealer's."""
-    identity = measurement if blob.policy is SealingPolicy.MRENCLAVE else signer
-    key = derive_sealing_key(platform_secret, identity, blob.policy)
-    return unseal_with(key, blob)

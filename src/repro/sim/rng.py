@@ -56,18 +56,6 @@ class RandomStream:
         """Uniformly pick one element of ``sequence``."""
         return self._random.choice(sequence)
 
-    def sample(self, population, k):
-        """Sample ``k`` distinct elements of ``population``."""
-        return self._random.sample(population, k)
-
-    def shuffle(self, items):
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
-
-    def gauss(self, mu, sigma):
-        """Normal draw."""
-        return self._random.gauss(mu, sigma)
-
     def expovariate(self, rate):
         """Exponential draw with the given rate (1/mean)."""
         return self._random.expovariate(rate)

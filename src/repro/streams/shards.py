@@ -40,10 +40,8 @@ from repro.errors import AttestationError, ConfigurationError, IntegrityError
 from repro.scbr.provisioning import (
     coord_enroll_batch,
     coord_resume,
-    coord_rotate,
     shard_join_complete_batch,
     shard_join_offer2,
-    shard_rekey,
     shard_resume_complete,
     shard_resume_offer,
 )
@@ -444,7 +442,6 @@ STREAM_SHARD_ENTRY_POINTS = {
     "join_complete_batch": shard_join_complete_batch,
     "resume_offer": shard_resume_offer,
     "resume_complete": shard_resume_complete,
-    "rekey": shard_rekey,
     "install_ingest_key": stream_install_ingest_key,
     "ingest": stream_ingest,
     "punctuate": stream_punctuate,
@@ -512,7 +509,6 @@ STREAM_COORD_ENTRY_POINTS = {
     "setup": stream_coord_setup,
     "enroll_batch": coord_enroll_batch,
     "resume": coord_resume,
-    "rotate": coord_rotate,
     "wrap_ingest_key": stream_coord_wrap_ingest_key,
     "open_firing": stream_coord_open_firing,
     "telemetry_export": plane_telemetry_export,

@@ -391,53 +391,6 @@ class TestResumptionTickets:
         assert all(not s.enclave.destroyed for s in router.shards)
 
 
-class TestKeyRotation:
-    def test_rotation_invalidates_tickets_and_composes_with_recovery(
-        self,
-    ):
-        _platform, attestation, router = _plane(shards=2)
-        alice = ScbrClient("alice", router, attestation)
-        publisher = ScbrClient("publisher", router, attestation)
-        alice.subscribe(_sub("a1", 50))
-        epoch = router.rotate_plane_key()
-        assert epoch == 2
-        assert router.provisioner.rotations == 1
-        # Live shards rolled forward without re-attestation; matching
-        # still works under the new key.
-        routed = router.publish_routed(_publication(publisher, {"x": 40}))
-        _pub, matched = alice.open_notification_detail(routed[0][1])
-        assert matched == ["a1"]
-        # Pre-rotation tickets are dead: recovery after rotation falls
-        # back to the full handshake (and earns epoch-2 tickets).
-        resumed_before = router.provisioner.resumed_joins
-        _fail_all(router)
-        router.recover_shards([0, 1])
-        assert router.provisioner.resumed_joins == resumed_before
-        assert router.provisioner.ticket_fallbacks >= 2
-        routed = router.publish_routed(_publication(publisher, {"x": 40}))
-        _pub, matched = alice.open_notification_detail(routed[0][1])
-        assert matched == ["a1"]
-        # The re-earned epoch-2 tickets resume normally.
-        _fail_all(router)
-        router.recover_shards([0, 1])
-        assert router.provisioner.resumed_joins == resumed_before + 2
-
-    def test_second_rotation_bumps_epoch_again(self):
-        _platform, _attestation, router = _plane(shards=1)
-        assert router.rotate_plane_key() == 2
-        assert router.rotate_plane_key() == 3
-
-    def test_rekey_blob_is_epoch_bound_to_the_plane_key(self):
-        """A shard outside the plane (no plane key) cannot process a
-        rekey blob, and a tampered blob fails authentication."""
-        _platform, _attestation, router = _plane(shards=1)
-        shard = router.shards[0]
-        result = router.coordinator.ecall("rotate")
-        blob = result["rekey"][0]
-        with pytest.raises(IntegrityError):
-            shard.enclave.ecall("rekey", blob[:-1] + bytes([blob[-1] ^ 1]))
-
-
 class TestPlatformFingerprint:
     def test_same_seed_same_fingerprint_new_platform_id(self):
         a = SgxPlatform(seed=7, quoting_key_bits=512)

@@ -254,7 +254,7 @@ class TestHeartbeatDetection:
     def test_probing_without_env_rejected(self):
         router, _attestation = make_plane(seed=56)
         with pytest.raises(ConfigurationError):
-            router.probe_heartbeats()
+            router.fleet.probe()
         with pytest.raises(ConfigurationError):
             router.start_health(0.01)
 

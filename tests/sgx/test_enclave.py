@@ -61,7 +61,7 @@ class TestMeasurement:
 
     def test_config_changes_measurement(self):
         base = EnclaveCode("svc", ENTRY_POINTS)
-        configured = base.with_config(b"mode=strict")
+        configured = EnclaveCode("svc", ENTRY_POINTS, b"mode=strict")
         assert base.measurement != configured.measurement
 
     def test_name_changes_measurement(self):

@@ -9,9 +9,16 @@ from repro.sgx.sealing import (
     SealedBlob,
     SealingPolicy,
     derive_sealing_key,
-    seal,
-    unseal,
+    seal_with,
+    unseal_with,
 )
+
+
+def _key(secret, policy, measurement="m" * 64, signer="signer"):
+    """The sealing key an enclave derives: its measurement's under
+    MRENCLAVE, its signer's under MRSIGNER."""
+    identity = measurement if policy is SealingPolicy.MRENCLAVE else signer
+    return derive_sealing_key(secret, identity, policy)
 
 
 class TestSealingProperties:
@@ -20,8 +27,9 @@ class TestSealingProperties:
         st.sampled_from(list(SealingPolicy)),
     )
     def test_seal_unseal_round_trip(self, data, policy):
-        blob = seal(b"\x01" * 32, "m" * 64, "signer", data, policy=policy)
-        assert unseal(b"\x01" * 32, "m" * 64, "signer", blob) == data
+        key = _key(b"\x01" * 32, policy)
+        blob = seal_with(key, data, policy)
+        assert unseal_with(_key(b"\x01" * 32, blob.policy), blob) == data
 
     @given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
     def test_different_platforms_never_share_keys(self, secret_a, secret_b):
@@ -36,18 +44,23 @@ class TestSealingProperties:
         """A blob sealed under MRENCLAVE cannot be opened as MRSIGNER
         even when measurement and signer strings collide."""
         identity = "same-string"
-        blob = seal(b"\x02" * 32, identity, identity, data,
-                    policy=SealingPolicy.MRENCLAVE)
+        blob = seal_with(
+            _key(b"\x02" * 32, SealingPolicy.MRENCLAVE, identity, identity),
+            data, SealingPolicy.MRENCLAVE,
+        )
         relabeled = SealedBlob(policy=SealingPolicy.MRSIGNER,
                                ciphertext=blob.ciphertext)
         with pytest.raises(IntegrityError):
-            unseal(b"\x02" * 32, identity, identity, relabeled)
+            unseal_with(
+                _key(b"\x02" * 32, relabeled.policy, identity, identity),
+                relabeled,
+            )
 
     @given(st.binary(max_size=256), st.sampled_from(list(SealingPolicy)))
     def test_blob_serialisation_round_trip(self, data, policy):
-        blob = seal(b"\x03" * 32, "m" * 64, "s", data, policy=policy)
+        blob = seal_with(_key(b"\x03" * 32, policy), data, policy)
         parsed = SealedBlob.from_bytes(blob.to_bytes())
-        assert unseal(b"\x03" * 32, "m" * 64, "s", parsed) == data
+        assert unseal_with(_key(b"\x03" * 32, parsed.policy), parsed) == data
 
 
 class TestQuoteProperties:

@@ -1,4 +1,5 @@
-"""Which construction values of the package any run sets.
+"""Which construction values of the package any run sets, and which
+definitions any run reaches.
 
 A *settable value* is one parameter of a constructor.  The surfaces are
 found, not listed: every class defined under ``src/repro`` that defines
@@ -25,12 +26,34 @@ It measures the checkout it runs in: for a before/after, run the same
 file in a parent clone (``cd parent && python3
 <repo>/tools/knob_census.py``).  Standard library only.
 
+With ``--reach`` it asks the same of code (``make reach``): every
+``def`` under ``src/repro``, found by AST (``definitions``), is keyed by
+its file and first line, decorators included -- the ``co_firstlineno``
+of the code object a call runs.  The same ``sitecustomize`` then
+profiles each run with ``cProfile`` (call events on code objects) and
+keeps the keys of the package's code objects it saw called.  The runs
+are tier-1, ``repro.cli smoke``, ``smoke --chaos``, ``gate``, ``run
+all``, ``benchmarks.perf --seconds 1``, every example and the person-run
+subcommands ``trace`` and ``metrics a10``; ``run all`` and ``metrics``
+write their artifacts to a temporary directory, not ``benchmarks/out``.
+The report gives, per definition, its size in lines, the runs that
+reach it and its tags, then lists the definitions only tier-1 reaches
+and those nothing reaches.  A tag names why a definition may stay
+anyway: ``raise`` (it raises: a fail-closed or error path), ``cli`` (a
+``repro.cli`` subcommand), ``boundary`` (an entry point of
+``benchmarks/perf/tracing.BOUNDARIES``) and ``s16`` (DESIGN section 16
+names it with its reason).
+
 Usage: ``python3 tools/knob_census.py [--runs tier1,smoke,perf,examples]``
-(``make knobs``).
+(``make knobs``); ``python3 tools/knob_census.py --reach [--runs ...]``
+(``make reach``).
 """
 
 import argparse
+import ast
 import atexit
+import collections
+import cProfile
 import functools
 import glob
 import importlib
@@ -38,6 +61,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,8 +73,13 @@ GROUPS = ("tests", "benchmarks", "benchmarks/perf", "examples", "tools",
           "src")
 MAX_SITES = 3       # call sites kept per (value, group) for --sites
 RUNS = ("tier1", "smoke", "perf", "examples")
+REACH_RUNS = ("tier1", "smoke", "chaos", "gate", "run", "perf", "examples",
+              "trace", "metrics")
 OUT_VAR = "KNOB_CENSUS_OUT"
 ROOT_VAR = "KNOB_CENSUS_ROOT"
+GROUP_VAR = "KNOB_CENSUS_REACH"     # set (to the run's name) in reach mode
+HARNESS = "benchmarks._harness"     # writes the experiment artifacts
+ARTIFACT_RUNS = ("run", "metrics")  # the runs that write them
 SITECUSTOMIZE = """\
 import importlib.util
 _spec = importlib.util.spec_from_file_location("_knob_census", %r)
@@ -110,6 +139,131 @@ def discover(root):
         for label, _cls, _attr, function in surfaces(
             importlib.import_module(name))
     ]
+
+
+# -- reach: every def, keyed as its code object is ---------------------
+
+Definition = collections.namedtuple(
+    "Definition", "path line name qualname size raises"
+)
+
+
+def _defs(node, prefix=""):
+    """(node, qualname) of every def under ``node``, qualnames spelt as
+    Python spells them (``outer.<locals>.inner``)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            yield child, name
+            yield from _defs(child, name + ".<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _defs(child, prefix + child.name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
+def _raises(node):
+    """Whether the def's own body (nested defs excluded) raises."""
+    stack = list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Raise):
+            return True
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(child))
+    return False
+
+
+def definitions(root):
+    """Every ``def`` under ``root/src/repro``: ``"path:line"`` ->
+    Definition, ``line`` being its first line, decorators included."""
+    found = {}
+    for folder, _dirs, files in os.walk(os.path.join(root, "src", PACKAGE)):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            module = rel[len("src/"):-len(".py")].replace("/", ".")
+            module = module[:-len(".__init__")] if module.endswith(
+                ".__init__") else module
+            with open(path) as handle:
+                tree = ast.parse(handle.read(), path)
+            for node, qualname in _defs(tree):
+                line = min([node.lineno]
+                           + [deco.lineno for deco in node.decorator_list])
+                found["%s:%d" % (rel, line)] = Definition(
+                    rel, line, "%s.%s" % (module, qualname), qualname,
+                    node.end_lineno - line + 1, _raises(node),
+                )
+    return found
+
+
+def _importable(root):
+    for path in (os.path.join(root, "src"), root):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
+def resolved_key(dotted, root):
+    """The ``definitions`` key of the def a dotted name resolves to,
+    through re-exports, properties and wrappers; None if it resolves to
+    no def of the package."""
+    _importable(root)
+    from benchmarks.perf.tracing import resolve
+
+    try:
+        owner, attribute = resolve(dotted)
+    except (ImportError, AttributeError):
+        return None
+    target = inspect.getattr_static(owner, attribute)
+    if isinstance(target, property):
+        target = target.fget
+    target = inspect.unwrap(getattr(target, "__func__", target))
+    code = getattr(target, "__code__", None)
+    return code_key(code, root) if code is not None else None
+
+
+def section16_names(root):
+    """The definitions DESIGN section 16 keeps, one bullet each, named
+    as ``Definition.name`` spells them (module + qualname)."""
+    names, inside = [], False
+    with open(os.path.join(root, "DESIGN.md")) as handle:
+        for line in handle:
+            if line.startswith("## "):
+                inside = line.startswith("## 16.")
+            elif inside:
+                match = re.match(r"- `(repro\.[\w.<>]+)`", line)
+                if match:
+                    names.append(match.group(1))
+    return names
+
+
+def tags(root, found):
+    """Each definition's tags (``raise``, ``cli``, ``boundary``,
+    ``s16``), and the section-16 names that name no def."""
+    _importable(root)
+    from benchmarks.perf.tracing import BOUNDARIES
+
+    tagged = {key: set() for key in found}
+    for key, definition in found.items():
+        if definition.raises:
+            tagged[key].add("raise")
+        if definition.path == "src/%s/cli.py" % PACKAGE:
+            tagged[key].add("cli")
+    for _layer, name, *_rest in BOUNDARIES:
+        key = resolved_key(name, root)
+        if key in tagged:
+            tagged[key].add("boundary")
+    by_name = {definition.name: key for key, definition in found.items()}
+    stale = []
+    for name in section16_names(root):
+        if name in by_name:
+            tagged[by_name[name]].add("s16")
+        else:
+            stale.append(name)
+    return tagged, stale
 
 
 # -- the in-process recorder (loaded by the generated sitecustomize) ----
@@ -203,14 +357,16 @@ def _wrap(module, root):
 
 
 class _Finder:
-    """Patches each package module right after its first import."""
+    """Calls ``after(module)`` right after the first import of each
+    module whose name ``match`` accepts."""
 
-    def __init__(self, root):
-        self.root = root
+    def __init__(self, match, after):
+        self.match = match
+        self.after = after
         self.seen = set()
 
     def find_spec(self, name, path=None, target=None):
-        if name in self.seen or name.split(".", 1)[0] != PACKAGE:
+        if name in self.seen or not self.match(name):
             return None
         for finder in sys.meta_path:
             if finder is self or not hasattr(finder, "find_spec"):
@@ -222,11 +378,11 @@ class _Finder:
             return None
         self.seen.add(name)
         execute = spec.loader.exec_module
-        root = self.root
+        after = self.after
 
         def exec_module(module):
             execute(module)
-            _wrap(module, root)
+            after(module)
 
         spec.loader.exec_module = exec_module
         return spec
@@ -238,37 +394,93 @@ def _dump(directory):
         json.dump({"calls": _calls, "set": _set}, handle)
 
 
+def code_key(code, root):
+    """The ``definitions`` key of a code object; None outside the
+    package."""
+    path = code.co_filename
+    if not os.path.isabs(path):
+        path = os.path.join(root, path)
+    if not path.startswith(os.path.join(root, "src", PACKAGE) + os.sep):
+        return None
+    return "%s:%d" % (os.path.relpath(path, root).replace(os.sep, "/"),
+                      code.co_firstlineno)
+
+
+def _record_reach(directory, root, group):
+    """Profile this interpreter; at exit, dump the package's code
+    objects it saw called."""
+    profiler = cProfile.Profile()
+
+    def dump():
+        profiler.disable()
+        reached = {
+            code_key(entry.code, root) for entry in profiler.getstats()
+            if not isinstance(entry.code, str)
+        }
+        reached.discard(None)
+        path = os.path.join(directory, "reach-%d.json" % os.getpid())
+        with open(path, "w") as handle:
+            json.dump({"group": group, "reached": sorted(reached)}, handle)
+
+    atexit.register(dump)
+    profiler.enable()
+
+
 def install():
     """Start recording in this interpreter (no-op without the env)."""
     directory = os.environ.get(OUT_VAR)
     root = os.environ.get(ROOT_VAR)
     if not directory or not root:
         return
-    sys.meta_path.insert(0, _Finder(root))
-    atexit.register(_dump, directory)
+    group = os.environ.get(GROUP_VAR)
+    if group is None:
+        sys.meta_path.insert(0, _Finder(
+            lambda name: name.split(".", 1)[0] == PACKAGE,
+            lambda module: _wrap(module, root),
+        ))
+        atexit.register(_dump, directory)
+        return
+    if group in ARTIFACT_RUNS:
+        # Full runs rewrite benchmarks/out; keep the checkout as it is.
+        artifacts = os.path.join(directory, "artifacts")
+        sys.meta_path.insert(0, _Finder(
+            lambda name: name == HARNESS,
+            lambda module: setattr(module, "_OUT_DIR", artifacts),
+        ))
+    _record_reach(directory, root, group)
 
 
 # -- the driver ---------------------------------------------------------
 
 def commands(runs):
+    """(name, argv) of each selected run; a run's group is its name up
+    to the first slash (every example is in ``examples``)."""
     python = sys.executable
-    if "tier1" in runs:
+    cli = [python, "-m", "repro.cli"]
+    table = (
         # One hypothesis seed, so two checkouts draw the same examples.
-        yield "tier1", [python, "-m", "pytest", "-q", "-p",
-                        "no:cacheprovider", "--hypothesis-seed=0"]
-    if "smoke" in runs:
-        yield "smoke", [python, "-m", "repro.cli", "smoke"]
-    if "perf" in runs:
-        yield "perf", [python, "-m", "benchmarks.perf", "--seconds", "1"]
+        ("tier1", [python, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                   "--hypothesis-seed=0"]),
+        ("smoke", cli + ["smoke"]),
+        ("chaos", cli + ["smoke", "--chaos"]),
+        ("gate", cli + ["gate"]),
+        ("run", cli + ["run", "all"]),
+        ("perf", [python, "-m", "benchmarks.perf", "--seconds", "1"]),
+        ("trace", cli + ["trace"]),
+        ("metrics", cli + ["metrics", "a10"]),
+    )
+    for name, argv in table:
+        if name in runs:
+            yield name, argv
     if "examples" in runs:
         for script in sorted(glob.glob(os.path.join("examples", "*.py"))):
             yield script, [python, script]
 
 
-def run_all(root, runs):
-    """Run every command under the recorder; returns the merged
-    records and each command's exit status."""
-    merged_calls, merged_set, statuses = {}, {}, []
+def run_all(root, runs, reach=False):
+    """Run every command under the recorder; returns the records its
+    interpreters dumped and each command's exit status."""
+    records, statuses = [], []
     with tempfile.TemporaryDirectory(prefix="knob-census-") as workdir:
         site = os.path.join(workdir, "site")
         out = os.path.join(workdir, "out")
@@ -284,6 +496,8 @@ def run_all(root, runs):
         env[OUT_VAR] = out
         env[ROOT_VAR] = root
         for name, argv in commands(runs):
+            if reach:
+                env[GROUP_VAR] = name.split("/", 1)[0]
             print("census: running %s" % name, file=sys.stderr, flush=True)
             done = subprocess.run(
                 argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
@@ -292,22 +506,27 @@ def run_all(root, runs):
             statuses.append((name, done.returncode))
         for path in sorted(glob.glob(os.path.join(out, "*.json"))):
             with open(path) as handle:
-                record = json.load(handle)
-            for key, count in record["calls"].items():
-                merged_calls[key] = merged_calls.get(key, 0) + count
-            for label, values in record["set"].items():
-                for name, groups in values.items():
-                    into = merged_set.setdefault(label, {}).setdefault(
-                        name, {}
-                    )
-                    for group, (count, sites) in groups.items():
-                        have = into.setdefault(group, [0, []])
-                        have[0] += count
-                        for site_name in sites:
-                            if (site_name not in have[1]
-                                    and len(have[1]) < MAX_SITES):
-                                have[1].append(site_name)
-    return merged_calls, merged_set, statuses
+                records.append(json.load(handle))
+    return records, statuses
+
+
+def merge_knobs(records):
+    """(calls, setters) summed over every interpreter's record."""
+    merged_calls, merged_set = {}, {}
+    for record in records:
+        for key, count in record["calls"].items():
+            merged_calls[key] = merged_calls.get(key, 0) + count
+        for label, values in record["set"].items():
+            for name, groups in values.items():
+                into = merged_set.setdefault(label, {}).setdefault(name, {})
+                for group, (count, sites) in groups.items():
+                    have = into.setdefault(group, [0, []])
+                    have[0] += count
+                    for site_name in sites:
+                        if (site_name not in have[1]
+                                and len(have[1]) < MAX_SITES):
+                            have[1].append(site_name)
+    return merged_calls, merged_set
 
 
 def _order(group):
@@ -347,16 +566,80 @@ def report(root, calls, setters, statuses):
         print("run %-34s exit %d" % (name, status))
 
 
+def merge_reach(records):
+    """``"path:line"`` -> the groups whose runs called it."""
+    reached = {}
+    for record in records:
+        for key in record["reached"]:
+            reached.setdefault(key, set()).add(record["group"])
+    return reached
+
+
+def reach_report(root, reached, statuses, runs):
+    found = definitions(root)
+    tagged, stale = tags(root, found)
+    groups = [name for name in REACH_RUNS if name in runs]
+    only_tests, nothing = [], []
+    path = None
+    for key, definition in sorted(found.items(),
+                                  key=lambda item: item[1][:2]):
+        if definition.path != path:
+            path = definition.path
+            print(path)
+        by = reached.get(key, set())
+        shown = [name for name in groups if name in by]
+        if by == {"tier1"}:
+            only_tests.append(key)
+        elif not by:
+            nothing.append(key)
+        print("  %5d  %-44s %s%s" % (
+            definition.size, definition.qualname,
+            " ".join(shown) if len(shown) < len(groups) else "all",
+            "  [%s]" % " ".join(sorted(tagged[key])) if tagged[key] else "",
+        ))
+    totals = []
+    for title, keys in (("reached only by tier1", only_tests),
+                        ("reached by nothing", nothing)):
+        print("%s:" % title)
+        for key in keys:
+            definition = found[key]
+            print("  %-52s %4d  %s" % (
+                definition.name, definition.size,
+                " ".join(sorted(tagged[key])) or "UNTAGGED",
+            ))
+        untagged = [key for key in keys if not tagged[key]]
+        totals.append("%s %d (%d lines; untagged %d, %d lines)" % (
+            title, len(keys), sum(found[key].size for key in keys),
+            len(untagged), sum(found[key].size for key in untagged),
+        ))
+    for name in stale:
+        print("section 16 names %s, which is no def" % name)
+    print("definitions %d (%d lines); %s" % (
+        len(found), sum(item.size for item in found.values()),
+        "; ".join(totals),
+    ))
+    for name, status in statuses:
+        print("run %-34s exit %d" % (name, status))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--runs", default=",".join(RUNS),
-                        help="comma-separated subset of %s" % (RUNS,))
+    parser.add_argument("--reach", action="store_true",
+                        help="report which runs reach each definition")
+    parser.add_argument("--runs", default=None,
+                        help="comma-separated subset of %s (knobs) or %s "
+                             "(--reach)" % (RUNS, REACH_RUNS))
     parser.add_argument("--sites", action="store_true",
                         help="also print where each non-default is set")
     args = parser.parse_args(argv)
-    runs = set(args.runs.split(","))
+    every = REACH_RUNS if args.reach else RUNS
+    runs = set(args.runs.split(",") if args.runs else every)
     root = os.path.abspath(os.getcwd())
-    calls, setters, statuses = run_all(root, runs)
+    records, statuses = run_all(root, runs, reach=args.reach)
+    if args.reach:
+        reach_report(root, merge_reach(records), statuses, runs)
+        return 0
+    calls, setters = merge_knobs(records)
     report(root, calls, setters, statuses)
     if args.sites:
         for key in sorted(setters):
