@@ -9,7 +9,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
         registration-cost seal-sites match-cost e1-cost bringup-cost knobs \
-        reach experiments
+        reach surface experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -161,6 +161,17 @@ knobs:
 # one is tagged raise, cli or boundary, or DESIGN section 16 names it).
 reach:
 	@python3 tools/knob_census.py --reach
+
+# What crosses the enclave boundary: per enclave code, entry point and
+# parameter, the types the host passed and one kind (sealed, plaintext,
+# bookkeeping, live object, callable); per sealed format (AAD label or
+# platform seal), each field sealed, the enclave codes that read it and
+# whether they compare it with enclave state, over tier-1, `repro.cli
+# smoke`, `gate` and `benchmarks.perf --seconds 1` (~1 min; DESIGN
+# section 17 carries the two tables, tests/test_surface_census.py their
+# rows).
+surface:
+	@python3 tools/knob_census.py --surface
 
 # Regenerate every paper table/figure through the CLI runner.
 experiments:

@@ -18,11 +18,7 @@ efficient transmission of large amounts of data."
 from repro.bigdata.kvstore import SecureTable
 from repro.bigdata.mapreduce import MapReduceJob, SecureMapReduce, plain_mapreduce
 from repro.bigdata.query import SecureRecordStore
-from repro.bigdata.streaming import (
-    SlidingWindow,
-    TumblingWindow,
-    window_service_handler,
-)
+from repro.bigdata.streaming import SlidingWindow, TumblingWindow
 from repro.bigdata.transfer import BulkTransfer, SimulatedNetwork, TransferStats
 
 __all__ = [
@@ -36,5 +32,4 @@ __all__ = [
     "TransferStats",
     "TumblingWindow",
     "plain_mapreduce",
-    "window_service_handler",
 ]

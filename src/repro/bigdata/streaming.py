@@ -2,9 +2,8 @@
 
 Smart-meter analytics are stream jobs: continuous sub-minute readings,
 aggregated over time windows.  This module provides the two classic
-window operators, runnable as in-enclave handlers of a micro-service
-and as the per-shard operators of the sealed streaming plane
-(``repro.streams``):
+window operators, which run as the per-shard operators of the sealed
+streaming plane (``repro.streams``):
 
 - :class:`TumblingWindow` -- fixed, non-overlapping windows;
 - :class:`SlidingWindow` -- overlapping windows with a slide step.
@@ -28,21 +27,14 @@ but are mirrored onto the telemetry registry (per-operator counters
 plus an open-pane gauge), so ``repro.cli metrics`` and sealed telemetry
 snapshots see window-operator health without reaching into instances.
 
-:func:`window_service_handler` adapts an operator into a
-:class:`~repro.microservices.service.MicroService` handler so windowed
-aggregates can be deployed like any other secure micro-service.
-Malformed records are rejected with the repo's error taxonomy --
-:class:`~repro.errors.FatalError` for poison input that redelivery can
-never fix, :class:`~repro.errors.TransientError` (``CapacityError``)
-for backpressure -- instead of leaking raw ``KeyError``/``ValueError``
-through the micro-service layer.
+A full operator refuses a new pane with
+:class:`~repro.errors.CapacityError`, a
+:class:`~repro.errors.TransientError`: backpressure, not poison.
 """
 
 import heapq
-import json
-import math
 
-from repro.errors import CapacityError, ConfigurationError, FatalError
+from repro.errors import CapacityError, ConfigurationError
 from repro.telemetry import default_registry
 
 
@@ -390,77 +382,3 @@ class SlidingWindow(_WindowOperatorBase):
             starts.append(start)
             start -= self.slide
         return starts
-
-
-def parse_stream_record(plaintext, timestamp_field="t"):
-    """Parse one sealed-event payload into ``(timestamp, record)``.
-
-    Poison input -- undecodable bytes, invalid JSON, a non-object
-    record, a missing or non-finite timestamp -- raises
-    :class:`~repro.errors.FatalError`: redelivering the same bytes can
-    never succeed, so the micro-service layer should dead-letter it
-    rather than retry.
-    """
-    try:
-        text = plaintext.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FatalError("malformed stream record: not UTF-8") from exc
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FatalError("malformed stream record: invalid JSON") from exc
-    if not isinstance(record, dict):
-        raise FatalError(
-            "malformed stream record: expected a JSON object, got %s"
-            % type(record).__name__
-        )
-    timestamp = record.get(timestamp_field)
-    if isinstance(timestamp, bool) or not isinstance(
-            timestamp, (int, float)):
-        raise FatalError(
-            "malformed stream record: missing numeric timestamp field %r"
-            % timestamp_field
-        )
-    if not math.isfinite(timestamp):
-        raise FatalError(
-            "malformed stream record: non-finite timestamp %r" % timestamp
-        )
-    return float(timestamp), record
-
-
-def window_service_handler(operator, output_topic,
-                           timestamp_field="t"):
-    """Wrap a window operator as a micro-service handler.
-
-    The handler parses JSON records from sealed events, feeds the
-    operator (held in enclave state, so partial aggregates never leave
-    the enclave), and emits one sealed output event per closed window.
-
-    Failures follow the repo's error taxonomy: poison records raise
-    :class:`~repro.errors.FatalError` (dead-letter, never retry), while
-    a full operator's :class:`~repro.errors.CapacityError` propagates
-    as the transient backpressure signal it is (the bus may redeliver
-    once panes drain).
-    """
-
-    def handler(ctx, _topic, plaintext):
-        held = ctx.state.setdefault("window_operator", operator)
-        timestamp, record = parse_stream_record(
-            plaintext, timestamp_field=timestamp_field
-        )
-        closed = held.ingest(timestamp, record)
-        outputs = []
-        for window_start, window_end, key, result in closed:
-            payload = json.dumps(
-                {
-                    "window_start": window_start,
-                    "window_end": window_end,
-                    "key": key,
-                    "result": result,
-                },
-                sort_keys=True,
-            ).encode("utf-8")
-            outputs.append((output_topic, payload))
-        return outputs
-
-    return handler

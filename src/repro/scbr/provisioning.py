@@ -23,12 +23,13 @@ makes enclave joins a cached, batched, amortized hot path:
 
 - Resumption tickets: at enrollment each shard platform earns a
   per-platform resumption secret, platform-sealed on the shard side
-  (it dies with the machine's fuse secret) and bound into an
-  epoch-stamped ticket sealed under the coordinator's ticket key.  A
-  re-join presents the ticket and runs :func:`coord_resume` /
-  :func:`shard_resume_offer` / :func:`shard_resume_complete` -- no RSA,
-  no modular exponentiation -- falling back to the full handshake on
-  epoch mismatch, revocation, or a foreign platform.
+  (it dies with the machine's fuse secret) and bound into a ticket
+  sealed under the coordinator's ticket key, which never leaves the
+  coordinator.  A re-join presents the ticket and runs
+  :func:`coord_resume` / :func:`shard_resume_offer` /
+  :func:`shard_resume_complete` -- no RSA, no modular exponentiation --
+  falling back to the full handshake on a ticket another coordinator
+  minted, revocation, or a foreign platform.
 
 All signing, DH, and resume costs are charged in *virtual cycles* (the
 ``*_CYCLES`` constants below; verification prices itself, see
@@ -183,8 +184,8 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     recomputed commitment -- so a host editing the roster (or replaying
     a quote from a different batch) fails every shard closed.
 
-    The grant carries the plane key, the plane epoch, and this
-    machine's resumption secret; the secret is platform-sealed and
+    The grant carries the plane key and this machine's resumption
+    secret; the secret is platform-sealed and
     returned to the host, which can store but never open it.
     """
     dh = ctx.state.pop("join_dh", None)
@@ -208,7 +209,6 @@ def shard_join_complete_batch(ctx, coordinator_public, quote, offers, grant):
     payload = transport.open(grant, aad, what="join grant")
     record = json.loads(payload.decode("utf-8"))
     ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
-    ctx.state["plane_epoch"] = record["epoch"]
     secret = bytes.fromhex(record["resume_secret"])
     ctx.state["resume_secret"] = secret
     return ctx.seal(secret)
@@ -237,7 +237,7 @@ def shard_resume_offer(ctx, sealed_secret):
     nonce = AeadKey.generate().key_bytes
     ctx.state["resume_secret"] = secret
     ctx.state["resume_nonce"] = nonce
-    return {"shard_id": ctx.state["shard_id"], "nonce": nonce}
+    return {"nonce": nonce}
 
 
 def shard_resume_complete(ctx, coordinator_nonce, wrapped):
@@ -254,17 +254,16 @@ def shard_resume_complete(ctx, coordinator_nonce, wrapped):
     payload = transport.open(wrapped, aad, what="resume grant")
     record = json.loads(payload.decode("utf-8"))
     ctx.state["plane_key"] = AeadKey(bytes.fromhex(record["plane_key"]))
-    ctx.state["plane_epoch"] = record["epoch"]
     return True
 
 
 # --- coordinator-side ECALLs ------------------------------------------
 
 def _mint_ticket(ctx, platform_id):
-    """Seal an epoch-stamped resumption ticket for ``platform_id``.
+    """Seal a resumption ticket for ``platform_id``.
 
     The per-platform secret is minted once and reused across that
-    machine's enrollments within an epoch; the ticket itself is sealed
+    machine's enrollments; the ticket itself is sealed
     under the coordinator's ticket key, so the host can store and
     present it but neither read nor forge it.
     """
@@ -273,7 +272,6 @@ def _mint_ticket(ctx, platform_id):
     )
     payload = json.dumps({
         "platform": platform_id,
-        "epoch": ctx.state["plane_epoch"],
         "secret": secret.hex(),
     }, sort_keys=True).encode("utf-8")
     return secret, ctx.state["ticket_key"].seal(payload, AAD_TICKET)
@@ -284,9 +282,9 @@ def coord_enroll_batch(ctx, offers):
 
     ``offers`` is a list of ``(shard_id, shard_public, quote)``.  Every
     shard quote is verified (cache-priced), then ONE coordinator DH
-    value -- minted once per plane epoch and reused across batches --
-    is quoted over the batch commitment, and each shard's grant (plane
-    key + epoch + its machine's resumption secret) is wrapped under its
+    value -- minted on the first batch and reused across batches -- is
+    quoted over the batch commitment, and each shard's grant (plane
+    key + its machine's resumption secret) is wrapped under its
     own DH transport key.  Returns the roster, the grants, and a fresh
     resumption ticket per shard.
     """
@@ -304,13 +302,11 @@ def coord_enroll_batch(ctx, offers):
         )
         roster.append((shard_id, shard_public))
         platforms[shard_id] = quote.platform_id
-    epoch = ctx.state["plane_epoch"]
-    dh = ctx.state.get("epoch_join_dh")
-    if dh is None or ctx.state.get("epoch_join_dh_epoch") != epoch:
+    dh = ctx.state.get("batch_join_dh")
+    if dh is None:
         ctx.compute(DH_KEYGEN_CYCLES)
         dh = DhKeyPair.generate()
-        ctx.state["epoch_join_dh"] = dh
-        ctx.state["epoch_join_dh_epoch"] = epoch
+        ctx.state["batch_join_dh"] = dh
     transcript = roster_transcript(roster)
     _dh, report = channel.offer(
         ctx.report, channel.PLANE_JOIN, dh, transcript
@@ -327,21 +323,18 @@ def coord_enroll_batch(ctx, offers):
         )
         payload = json.dumps({
             "plane_key": plane_key_hex,
-            "epoch": epoch,
             "resume_secret": secret.hex(),
         }, sort_keys=True).encode("utf-8")
         aad = AAD_BATCH_JOIN + str(shard_id).encode("ascii")
         grants[shard_id] = transport.seal(payload, aad)
         tickets[shard_id] = ticket
         ctx.state.setdefault("enrolled", set()).add(shard_id)
-        ctx.state.setdefault("shard_platform", {})[shard_id] = platform_id
     return {
         "dh_public": dh.public_value,
         "report": report,
         "offers": roster,
         "grants": grants,
         "tickets": tickets,
-        "epoch": epoch,
     }
 
 
@@ -349,9 +342,10 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     """ECALL: admit a ticket re-join, skipping quote-verify and DH.
 
     Fails closed -- :class:`~repro.errors.AttestationError` -- when the
-    ticket does not authenticate, names an epoch other than the
-    plane's, names a deregistered platform, or the shard measurement has
-    been revoked since the ticket was minted.  The host then falls back to the full
+    ticket does not authenticate under this coordinator's ticket key
+    (another plane's ticket, or a truncated or edited one), names a
+    deregistered platform, or the shard measurement has been revoked
+    since the ticket was minted.  The host then falls back to the full
     attested handshake.
     """
     attestation = _require_verifier(ctx.state.get("attestation"))
@@ -361,12 +355,6 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     except IntegrityError as exc:
         raise AttestationError("resumption ticket invalid") from exc
     record = json.loads(payload.decode("utf-8"))
-    epoch = ctx.state["plane_epoch"]
-    if record["epoch"] != epoch:
-        raise AttestationError(
-            "resumption ticket is for epoch %d, plane is at %d"
-            % (record["epoch"], epoch)
-        )
     measurement = ctx.state.get("shard_measurement")
     if measurement is not None and attestation.measurement_revoked(
         measurement
@@ -388,12 +376,11 @@ def coord_resume(ctx, shard_id, ticket, shard_nonce):
     )
     payload = json.dumps({
         "plane_key": ctx.state["plane_key"].key_bytes.hex(),
-        "epoch": epoch,
     }, sort_keys=True).encode("utf-8")
     aad = AAD_RESUME + str(shard_id).encode("ascii")
     wrapped = transport.seal(payload, aad)
     ctx.state.setdefault("enrolled", set()).add(shard_id)
-    return {"nonce": coordinator_nonce, "wrapped": wrapped, "epoch": epoch}
+    return {"nonce": coordinator_nonce, "wrapped": wrapped}
 
 
 # --- the host-side provisioner ----------------------------------------
@@ -414,8 +401,9 @@ class PlaneProvisioner:
       :func:`coord_enroll_batch` round instead of per-shard ECALLs;
     - ``tickets``: machines holding a live resumption ticket re-join
       via the ticket path, skipping quote-verify and DH entirely, with
-      automatic fallback to the full handshake when the ticket is
-      stale, revoked, or lost (``chaos.loses_ticket``).
+      automatic fallback to the full handshake when the ticket does
+      not open under the coordinator's ticket key, its platform or
+      measurement was revoked, or it was lost (``chaos.loses_ticket``).
     """
 
     def __init__(self, reuse_join_keys=True, batch=True, tickets=True,
@@ -475,9 +463,9 @@ class PlaneProvisioner:
 
         Machines with a live ticket resume; the rest enroll through the
         batched (or, with ``batch=False``, per-shard) attested
-        handshake.  A failed resumption -- stale epoch, revocation,
-        foreign machine, chaos-lost ticket -- falls back to the full
-        handshake for that entry, never fails the join.
+        handshake.  A failed resumption -- a ticket another coordinator
+        minted, revocation, foreign machine, chaos-lost ticket -- falls
+        back to the full handshake for that entry, never fails the join.
         """
         pending = []
         for entry in entries:
@@ -568,9 +556,9 @@ class PlaneProvisioner:
                 "resume_complete", answer["nonce"], answer["wrapped"]
             )
         except (AttestationError, IntegrityError):
-            # Stale epoch, revoked measurement, deregistered platform,
-            # or a blob from a foreign machine: drop the dead ticket
-            # and fall back to the full handshake.
+            # A ticket another coordinator minted, revoked measurement,
+            # deregistered platform, or a blob from a foreign machine:
+            # drop the dead ticket and fall back to the full handshake.
             del self._resume[fingerprint]
             self.ticket_fallbacks += 1
             self._tel_fallbacks.inc()

@@ -564,10 +564,10 @@ def shard_ping(ctx):
     The plane driver pings each shard every heartbeat period and feeds
     the arrivals to the failure detector; a destroyed enclave raises
     :class:`~repro.errors.EnclaveLostError` instead of answering, so
-    suspicion accrues.  The version lets the host notice a stale
-    snapshot without opening anything.
+    suspicion accrues.  The answer carries nothing: that the call
+    returned is the beat.
     """
-    return {"shard_id": ctx.state["shard_id"], "version": ctx.state["version"]}
+    return True
 
 
 def shard_snapshot(ctx):
@@ -689,13 +689,11 @@ def coord_setup(ctx, attestation, shard_measurement, telemetry_key=None):
     ctx.state["pending_publications"] = {}
     ctx.state["next_token"] = 0
     ctx.state["enrolled"] = set()
-    # Provisioning-plane state (repro.scbr.provisioning): the plane key
-    # epoch, the key sealing resumption tickets, the per-platform
-    # resumption secrets, and which platform each shard enrolled from.
-    ctx.state["plane_epoch"] = 1
+    # Provisioning-plane state (repro.scbr.provisioning): the key
+    # sealing resumption tickets and the per-platform resumption
+    # secrets.
     ctx.state["ticket_key"] = AeadKey.generate()
     ctx.state["resumption"] = {}
-    ctx.state["shard_platform"] = {}
     if telemetry_key is not None:
         ctx.state["telemetry"] = EnclaveTelemetry(telemetry_key, "coord")
     return True

@@ -473,10 +473,8 @@ def stream_coord_setup(ctx, ingest_key_bytes, attestation,
     ctx.state["attestation"] = attestation
     ctx.state["shard_measurement"] = shard_measurement
     ctx.state["enrolled"] = set()
-    ctx.state["plane_epoch"] = 1
     ctx.state["ticket_key"] = AeadKey.generate()
     ctx.state["resumption"] = {}
-    ctx.state["shard_platform"] = {}
     if telemetry_key is not None:
         ctx.state["telemetry"] = EnclaveTelemetry(
             telemetry_key, "stream-coord"

@@ -1,16 +1,10 @@
 """Tests for windowed stream processing."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.bigdata.streaming import (
-    SlidingWindow,
-    TumblingWindow,
-    window_service_handler,
-)
+from repro.bigdata.streaming import SlidingWindow, TumblingWindow
 
 
 def mean(records):
@@ -128,46 +122,3 @@ class TestSlidingWindow:
         for *_rest, result in window.flush():
             total += result
         assert total == 2 * len(times)  # size/slide = 2 windows each
-
-
-class TestDeployedWindowService:
-    def test_windowed_aggregation_as_secure_service(self):
-        from repro.crypto.aead import AeadKey
-        from repro.microservices.eventbus import EventBus, SealedEvent
-        from repro.microservices.service import MicroService
-        from repro.sgx.platform import SgxPlatform
-        from repro.sim.events import Environment
-
-        env = Environment()
-        bus = EventBus(env, latency=0.0001)
-        platform = SgxPlatform(seed=53, quoting_key_bits=512)
-        keys = {"readings": AeadKey(b"\x01" * 32),
-                "averages": AeadKey(b"\x02" * 32)}
-        operator = TumblingWindow(60.0, mean, key_fn=lambda r: r["meter"])
-        handler = window_service_handler(operator, "averages")
-        MicroService("windower", platform, bus, {"readings": handler}, keys)
-
-        outputs = []
-        bus.subscribe("averages", outputs.append)
-        samples = [
-            (0.0, "m1", 100.0), (30.0, "m1", 200.0),
-            (10.0, "m2", 50.0), (70.0, "m1", 300.0),
-            (130.0, "m1", 0.0),
-        ]
-        for timestamp, meter, watts in samples:
-            payload = json.dumps({"t": timestamp, "meter": meter,
-                                  "w": watts}).encode()
-            sequence = bus.next_sequence("readings")
-            bus.publish(SealedEvent.seal(keys["readings"], "readings",
-                                         "gw", sequence, payload))
-        env.run()
-
-        results = [json.loads(event.open(keys["averages"]).decode())
-                   for event in outputs]
-        first_window = next(
-            r for r in results
-            if r["key"] == "m1" and r["window_start"] == 0.0
-        )
-        assert first_window["result"] == pytest.approx(150.0)
-        # Aggregates left the enclave only as sealed events.
-        assert all(b"150" not in event.blob for event in outputs)

@@ -1,22 +1,15 @@
 """Robustness tests for the reworked window operators.
 
 Covers the unbounded-pane-growth regression (one-shot keys must be
-evicted once the watermark passes), the telemetry surface for late and
-shed records, the error taxonomy of the deployed handler, and
+evicted once the watermark passes), the pane budget's transient
+refusal, the telemetry surface for late and shed records, and
 hypothesis property tests over arrival orders.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bigdata.streaming import (
-    SlidingWindow,
-    TumblingWindow,
-    parse_stream_record,
-    window_service_handler,
-)
+from repro.bigdata.streaming import SlidingWindow, TumblingWindow
 from repro.errors import CapacityError, FatalError, TransientError
 from repro.telemetry.registry import MetricsRegistry
 
@@ -59,6 +52,21 @@ class TestPaneEviction:
             window.ingest(float(index), {"k": "k%d" % index})
         assert window.open_windows <= 2 * 12
 
+    def test_a_full_operator_refuses_new_panes(self):
+        """Overload is retryable: a record that would open a pane past
+        ``pane_budget`` raises CapacityError, a TransientError and not
+        a FatalError, and a record for an open pane still lands."""
+        window = TumblingWindow(
+            10.0, count, key_fn=lambda r: r["k"], pane_budget=1
+        )
+        window.ingest(0.0, {"k": "a"})
+        with pytest.raises(CapacityError) as excinfo:
+            window.ingest(1.0, {"k": "b"})
+        assert isinstance(excinfo.value, TransientError)
+        assert not isinstance(excinfo.value, FatalError)
+        window.ingest(2.0, {"k": "a"})
+        assert window.flush() == [(0.0, 10.0, "a", 2)]
+
 
 class TestTelemetrySurface:
     def test_late_and_shed_counters_register(self):
@@ -92,71 +100,6 @@ class TestTelemetrySurface:
         assert b'"streaming.late_records{operator=0}":3' in (
             registry.to_json()
         )
-
-
-class _Ctx:
-    """A stand-in for the micro-service enclave context."""
-
-    def __init__(self):
-        self.state = {}
-
-
-class TestHandlerTaxonomy:
-    def handler(self, operator=None):
-        window = operator or TumblingWindow(10.0, count)
-        return window_service_handler(window, "out"), _Ctx()
-
-    def test_malformed_utf8_is_fatal(self):
-        handler, ctx = self.handler()
-        with pytest.raises(FatalError):
-            handler(ctx, "in", b"\xff\xfe")
-
-    def test_invalid_json_is_fatal(self):
-        handler, ctx = self.handler()
-        with pytest.raises(FatalError):
-            handler(ctx, "in", b"{not json")
-
-    def test_non_object_record_is_fatal(self):
-        handler, ctx = self.handler()
-        with pytest.raises(FatalError):
-            handler(ctx, "in", b"[1, 2, 3]")
-
-    def test_missing_timestamp_is_fatal(self):
-        handler, ctx = self.handler()
-        with pytest.raises(FatalError):
-            handler(ctx, "in", json.dumps({"w": 1.0}).encode())
-
-    def test_non_numeric_timestamp_is_fatal(self):
-        handler, ctx = self.handler()
-        for bad in ("soon", None, True, float("nan"), float("inf")):
-            with pytest.raises(FatalError):
-                handler(ctx, "in", json.dumps({"t": bad}).encode())
-
-    def test_capacity_errors_stay_transient(self):
-        """Overload is retryable, so it must surface as TransientError
-        -- the service layer's retry/backoff path -- not FatalError."""
-        window = TumblingWindow(
-            10.0, count, key_fn=lambda r: r["k"], pane_budget=1
-        )
-        handler, ctx = self.handler(window)
-        handler(ctx, "in", json.dumps({"t": 0.0, "k": "a"}).encode())
-        with pytest.raises(CapacityError) as excinfo:
-            handler(ctx, "in", json.dumps({"t": 1.0, "k": "b"}).encode())
-        assert isinstance(excinfo.value, TransientError)
-        assert not isinstance(excinfo.value, FatalError)
-
-    def test_good_records_still_flow(self):
-        handler, ctx = self.handler()
-        assert handler(ctx, "in", json.dumps({"t": 0.0}).encode()) == []
-        outputs = handler(ctx, "in", json.dumps({"t": 15.0}).encode())
-        assert len(outputs) == 1
-        topic, payload = outputs[0]
-        assert topic == "out"
-        assert json.loads(payload.decode())["result"] == 1
-
-    def test_parse_rejects_payload_without_decode(self):
-        with pytest.raises(FatalError):
-            parse_stream_record(b"null")
 
 
 timestamps = st.lists(

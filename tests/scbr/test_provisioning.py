@@ -378,6 +378,44 @@ class TestResumptionTickets:
         with pytest.raises(IntegrityError):
             enclave.ecall("resume_offer", sealed)
 
+    @pytest.mark.parametrize("forgery", ["foreign", "truncated"])
+    def test_a_foreign_or_truncated_ticket_falls_back(self, forgery):
+        """With no epoch in the ticket, only the coordinator-private
+        ticket key keeps a ticket out that another plane's coordinator
+        minted (or a cut one): the coordinator refuses it, and the join
+        falls back to the full handshake and still matches exactly."""
+        _pa, _aa, plane_a = _plane(shards=1)
+        _pb, attestation, plane_b = _plane(shards=1)
+        shard = plane_b.shards[0]
+        fingerprint = platform_fingerprint(shard.platform)
+        ticket_a, _sealed = plane_a.provisioner._resume[fingerprint]
+        ticket_b, sealed_b = plane_b.provisioner._resume[fingerprint]
+        ticket = ticket_a if forgery == "foreign" else ticket_b[:-1]
+        offer = shard.enclave.ecall("resume_offer", sealed_b)
+        with pytest.raises(AttestationError,
+                           match="resumption ticket invalid"):
+            plane_b.coordinator.ecall("resume", 0, ticket, offer["nonce"])
+
+        alice = ScbrClient("alice", plane_b, attestation)
+        publisher = ScbrClient("publisher", plane_b, attestation)
+        subscriptions = [_sub("a%d" % i, 10 * (i + 1)) for i in range(6)]
+        for subscription in subscriptions:
+            alice.subscribe(subscription)
+        plane_b.provisioner._resume[fingerprint] = (ticket, sealed_b)
+        plane_b.fail_shard(0)
+        plane_b.recover_shard(0)
+        assert plane_b.provisioner.ticket_fallbacks == 1
+        assert plane_b.provisioner.resumed_joins == 0
+        publication = Publication({"x": 35})
+        routed = plane_b.publish_routed(
+            _publication(publisher, publication.attributes)
+        )
+        _pub, matched = alice.open_notification_detail(routed[0][1])
+        assert sorted(matched) == sorted(
+            s.subscription_id for s in subscriptions
+            if s.matches(publication)
+        )
+
     def test_chaos_lost_ticket_falls_back(self):
         from repro.chaos import ChaosConfig, ChaosInjector
 
