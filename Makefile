@@ -8,8 +8,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-cov bench bench-smoke bench-gate chaos-smoke \
         service-smoke perf-smoke perf-compare perf-pairs lines import-cost \
-        registration-cost seal-sites match-cost e1-cost bringup-cost knobs \
-        reach surface experiments
+        registration-cost seal-sites match-cost e1-cost forest-cost \
+        bringup-cost knobs reach surface experiments
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -138,6 +138,13 @@ match-cost:
 # table is one run").
 e1-cost:
 	@$(PYTHON) tools/e1_cost.py
+
+# What building a wide containment forest costs: CPU seconds of a
+# 20 000-subscription, 20-attribute ContainmentIndex build, its roots,
+# depth and covers calls (DESIGN section 5, "A forest build reads only
+# buckets that can cover").
+forest-cost:
+	@$(PYTHON) tools/forest_cost.py
 
 # Where one cold front-door bring-up spends its CPU: calls and CPU ms of
 # RSA keygen, DH generate, DH shared_key, RSA sign and RSA verify, and

@@ -25,6 +25,19 @@ keys in visit order and charges them through
 ``Subscription.matches`` and ``SimulatedMemory.scan`` over the records
 stay the definitions the walk must agree with
 (``tests/scbr/test_containment_twin.py``).
+
+A build is cheap on the host too.  A subscription can cover only one
+that constrains every attribute it does, so each node carries the bit
+mask of its constrained attributes, and the roots -- where a wide
+forest keeps most of its nodes -- are also bucketed by mask, each root
+stamped with its arrival among them.  ``insert`` looks for the root to
+descend into only in buckets whose mask lies inside the newcomer's,
+taking the coverer with the smallest stamp, and for the roots a new
+root covers only in buckets whose mask holds the newcomer's, in stamp
+order; below the roots it skips, by mask, every child that can neither
+cover nor be covered.  Every test it skips is one ``covers`` would
+fail, so the forest comes out node for node as a scan of every sibling
+in order builds it (``tests/scbr/test_forest_twin.py``).
 """
 
 from repro.errors import ConfigurationError
@@ -40,19 +53,28 @@ EVAL_CYCLES = 150
 DEFAULT_RECORD_BYTES = 512
 
 
+def _submasks(mask):
+    """Every non-zero mask whose bits all lie in ``mask``."""
+    sub = mask & -mask
+    while sub:
+        yield sub
+        sub = (sub - mask) & mask
+
+
 class _Node:
-    """A subscription, its place in the forest (a leaf's ``children``
-    is the shared ``()``, a list from its first child on), its
-    predicate flattened to ``attribute, test, value, ...``, and (with a
-    memory) its record: the base address and the hot bytes' line and
-    page keys, each a key or a tuple of keys (``()`` without a
-    memory)."""
+    """A subscription, the mask of its constrained attributes, its place
+    in the forest (a leaf's ``children`` is the shared ``()``, a list
+    from its first child on), its predicate flattened to ``attribute,
+    test, value, ...``, and (with a memory) its record: the base address
+    and the hot bytes' line and page keys, each a key or a tuple of keys
+    (``()`` without a memory)."""
 
-    __slots__ = ("subscription", "parent", "children", "predicate", "base",
-                 "lines", "pages")
+    __slots__ = ("subscription", "mask", "parent", "children", "predicate",
+                 "base", "lines", "pages")
 
-    def __init__(self, subscription, base):
+    def __init__(self, subscription, mask, base):
         self.subscription = subscription
+        self.mask = mask
         self.parent = None
         self.children = ()
         self.predicate = tuple(
@@ -75,6 +97,15 @@ class ContainmentIndex:
         self.hot_bytes = hot_bytes
         self.eval_cycles = eval_cycles
         self._roots = []
+        # The roots again, by attribute set: ``_bits`` gives each
+        # attribute its bit, ``_buckets`` maps an attribute mask to
+        # ``{root: stamp}`` (a root's stamp counts its arrival among the
+        # roots, so each bucket is in ``_roots`` order), and ``_holding``
+        # maps an attribute to the masks of the buckets constraining it.
+        self._bits = {}
+        self._buckets = {}
+        self._holding = {}
+        self._stamp = 0
         self._nodes = {}
         # The page key of the record made last: consecutive records share
         # a page (8 to a page by default) and so share its key object.
@@ -96,9 +127,10 @@ class ContainmentIndex:
         """A node for ``subscription``, with its record if there is a
         memory."""
         memory = self.memory
+        mask = self._mask(subscription)
         if memory is None:
-            return _Node(subscription, None)
-        node = _Node(subscription, memory.reserve(self.record_bytes))
+            return _Node(subscription, mask, None)
+        node = _Node(subscription, mask, memory.reserve(self.record_bytes))
         node.lines, pages = memory.span_keys(node.base, self.hot_bytes)
         if pages == self._last_pages:
             pages = self._last_pages
@@ -110,39 +142,145 @@ class ContainmentIndex:
         if self.memory is not None:
             self.memory.free(MemoryRegion(node.base, self.record_bytes))
 
+    def _mask(self, subscription):
+        """The bit mask of ``subscription``'s constrained attributes (an
+        attribute gets its bit the first time one is asked for)."""
+        bits = self._bits
+        mask = 0
+        for attribute in subscription.constraints:
+            bit = bits.get(attribute)
+            if bit is None:
+                bit = bits[attribute] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def _plant(self, node):
+        """Append ``node`` to the roots and, stamped, to its bucket."""
+        self._roots.append(node)
+        mask = node.mask
+        bucket = self._buckets.get(mask)
+        if bucket is None:
+            bucket = self._buckets[mask] = {}
+            for attribute in node.subscription.constraints:
+                self._holding.setdefault(attribute, set()).add(mask)
+        bucket[node] = self._stamp
+        self._stamp += 1
+
+    def _uproot(self, node):
+        """Take root ``node`` out of the roots and out of its bucket."""
+        self._roots.remove(node)
+        mask = node.mask
+        bucket = self._buckets[mask]
+        del bucket[node]
+        if not bucket:
+            del self._buckets[mask]
+            for attribute in node.subscription.constraints:
+                holding = self._holding[attribute]
+                holding.discard(mask)
+                if not holding:
+                    del self._holding[attribute]
+
+    def _first_root_covering(self, subscription, mask):
+        """The earliest root (in ``_roots`` order) that covers
+        ``subscription``, or ``None``.
+
+        Only a root whose attribute set is a subset of the candidate's
+        can cover it, so only those buckets are read: the ``2**k``
+        sub-masks of a ``k``-attribute candidate, or every bucket where
+        that is fewer.  A bucket is read in stamp order, up to its first
+        coverer or the earliest stamp found so far.
+        """
+        buckets = self._buckets
+        if 1 << len(subscription.constraints) <= len(buckets):
+            keys = _submasks(mask)
+        else:
+            keys = buckets
+        found = None
+        first = self._stamp
+        for key in keys:
+            bucket = buckets.get(key)
+            if bucket is None or key | mask != mask:
+                continue
+            for root, stamp in bucket.items():
+                if stamp >= first:
+                    break
+                if root.subscription.covers(subscription):
+                    found, first = root, stamp
+                    break
+        return found
+
+    def _roots_covered_by(self, subscription, mask):
+        """The roots ``subscription`` covers, in ``_roots`` order.
+
+        Only a root constraining every attribute the newcomer does can
+        be covered by it, so only buckets whose mask holds the
+        newcomer's are read, found through the attribute the fewest
+        buckets hold.
+        """
+        holding = self._holding
+        keys = min(
+            (holding.get(attribute, ()) for attribute in
+             subscription.constraints),
+            key=len,
+        )
+        covered = [
+            (stamp, root)
+            for key in keys if key & mask == mask
+            for root, stamp in self._buckets[key].items()
+            if subscription.covers(root.subscription)
+        ]
+        covered.sort()
+        return [root for _stamp, root in covered]
+
     def insert(self, subscription):
         """Add a subscription below its most specific covering node.
 
         Descends greedily: while some child of the current position
-        covers the new subscription, move down.  Any siblings the new
-        subscription covers are re-parented beneath it, preserving the
-        forest invariant (every node covers its descendants).
+        covers the new subscription, move down (among the roots, the
+        first that covers it in ``_roots`` order; below them, the first
+        child in child order).  Any siblings the new subscription covers
+        are re-parented beneath it, preserving the forest invariant
+        (every node covers its descendants).
         """
         if subscription.subscription_id in self._nodes:
             raise ConfigurationError(
                 "subscription %r already indexed" % subscription.subscription_id
             )
         node = self._node(subscription)
-        siblings = self._roots
-        descending = True
-        while descending:
-            descending = False
-            for candidate in siblings:
-                if candidate.subscription.covers(subscription):
-                    siblings = candidate.children
-                    node.parent = candidate
-                    descending = True
-                    break
-        covered = [c for c in siblings if subscription.covers(c.subscription)]
-        if covered:
+        mask = node.mask
+        parent = self._first_root_covering(subscription, mask)
+        if parent is None:
+            covered = self._roots_covered_by(subscription, mask)
+            for child in covered:
+                self._uproot(child)
+                child.parent = node
+            self._plant(node)
+        else:
+            siblings = parent.children
+            descending = True
+            while descending:
+                descending = False
+                for candidate in siblings:
+                    if candidate.mask | mask == mask and \
+                            candidate.subscription.covers(subscription):
+                        siblings = candidate.children
+                        parent = candidate
+                        descending = True
+                        break
+            node.parent = parent
+            covered = [
+                child for child in siblings if child.mask & mask == mask
+                and subscription.covers(child.subscription)
+            ]
             for child in covered:
                 siblings.remove(child)
                 child.parent = node
+            if siblings.__class__ is list:
+                siblings.append(node)
+            else:
+                parent.children = [node]
+        if covered:
             node.children = covered
-        if siblings.__class__ is list:
-            siblings.append(node)
-        else:
-            node.parent.children = [node]
         self._nodes[subscription.subscription_id] = node
         return node
 
@@ -159,11 +297,17 @@ class ContainmentIndex:
                 "no subscription %r in the index" % subscription_id
             )
         parent = node.parent
-        siblings = self._roots if parent is None else parent.children
-        siblings.remove(node)
-        for child in node.children:
-            siblings.append(child)
-            child.parent = parent
+        if parent is None:
+            self._uproot(node)
+            for child in node.children:
+                child.parent = None
+                self._plant(child)
+        else:
+            siblings = parent.children
+            siblings.remove(node)
+            for child in node.children:
+                siblings.append(child)
+                child.parent = parent
         node.children = ()
         node.parent = None
         self._free(node)
@@ -248,9 +392,9 @@ class ContainmentIndex:
         inside an existing covering chain here -- the signal a
         covering-aware shard planner uses to keep chains together.
         """
-        return any(
-            node.subscription.covers(subscription) for node in self._roots
-        )
+        return self._first_root_covering(
+            subscription, self._mask(subscription)
+        ) is not None
 
     def subtree_size(self, subscription_id):
         """Number of subscriptions in the subtree rooted at ``id``."""
@@ -292,7 +436,7 @@ class ContainmentIndex:
         for root in order:
             if moved_bytes >= target_bytes:
                 break
-            self._roots.remove(root)
+            self._uproot(root)
             stack = [root]
             pre_order = []
             while stack:
@@ -320,10 +464,32 @@ class ContainmentIndex:
         return best
 
     def check_invariants(self):
-        """Verify every node covers all of its descendants."""
+        """Verify every node covers all of its descendants, carries its
+        subscription's attribute mask, and that the buckets hold exactly
+        the roots, each bucket in ``_roots`` order with rising stamps."""
+        expected = {}
+        for root in self._roots:
+            expected.setdefault(root.mask, []).append(root)
+        holding = {}
+        for mask, roots in expected.items():
+            for attribute in roots[0].subscription.constraints:
+                holding.setdefault(attribute, set()).add(mask)
+        stamps = [self._buckets.get(root.mask, {}).get(root)
+                  for root in self._roots]
+        if ({mask: list(bucket) for mask, bucket in self._buckets.items()}
+                != expected or self._holding != holding
+                or None in stamps or stamps != sorted(stamps)):
+            raise ConfigurationError(
+                "index invariant violated: the buckets do not mirror the roots"
+            )
         stack = [(node, []) for node in self._roots]
         while stack:
             node, ancestors = stack.pop()
+            if node.mask != self._mask(node.subscription):
+                raise ConfigurationError(
+                    "index invariant violated: %r carries a stale mask"
+                    % (node.subscription,)
+                )
             for ancestor in ancestors:
                 if not ancestor.subscription.covers(node.subscription):
                     raise ConfigurationError(

@@ -18,11 +18,14 @@ takes rows from the front and keeps the run.  Either path charges the
 same cycles.
 
 Charging is per row; evaluating is not.  A subscription matches only a
-publication that values its first constrained attribute, and a table
-may hold one subscription object in many rows, so rows are also filed
-by first attribute, each distinct object once with the count of rows
-holding it.  ``match`` evaluates only the objects filed under an
-attribute the publication carries; the match set is the same.
+publication that carries every attribute it constrains, and a table
+may hold one subscription object in many rows, so the table also
+counts the rows holding each distinct object and files the object
+once, under the one of its constrained attributes whose filing was
+smallest when the object first arrived.  ``match`` looks only at the
+objects filed under an attribute the publication carries, and
+evaluates only those whose constrained attributes the publication all
+carries; the match set is the same.
 
 A row is a subscription and an address, kept in two flat columns: the
 subscription objects, and (with a memory) each record's base address
@@ -52,8 +55,10 @@ class LinearIndex:
         self.eval_cycles = eval_cycles
         self._subscriptions = []
         self._bases = array("q")  # one per row when there is a memory
-        # First constrained attribute -> {subscription: rows holding it}.
-        self._by_first = {}
+        # Subscription object -> rows holding it, and constrained
+        # attribute -> the objects filed under it (each under one only).
+        self._rows = {}
+        self._filing = {}
         self.visits_last_match = 0
 
     def __len__(self):
@@ -69,21 +74,33 @@ class LinearIndex:
         if self.memory is not None:
             self._bases.append(self.memory.reserve(self.record_bytes))
         self._subscriptions.append(subscription)
-        rows = self._by_first.setdefault(
-            next(iter(subscription.constraints)), {}
-        )
-        rows[subscription] = rows.get(subscription, 0) + 1
+        rows = self._rows
+        count = rows.get(subscription)
+        if count:
+            rows[subscription] = count + 1
+            return
+        rows[subscription] = 1
+        filing = self._filing
+        home = min(subscription.constraints,
+                   key=lambda attribute: len(filing.get(attribute, ())))
+        filing.setdefault(home, set()).add(subscription)
 
     def _unfile(self, subscription):
-        """Forget one row holding ``subscription``; no zero count stays."""
-        first = next(iter(subscription.constraints))
-        rows = self._by_first[first]
-        if rows[subscription] > 1:
-            rows[subscription] -= 1
+        """Forget one row holding ``subscription``; no zero count stays,
+        and no attribute with nothing filed under it."""
+        rows = self._rows
+        count = rows.pop(subscription)
+        if count > 1:
+            rows[subscription] = count - 1
             return
-        del rows[subscription]
-        if not rows:
-            del self._by_first[first]
+        filing = self._filing
+        for attribute in subscription.constraints:
+            filed = filing.get(attribute)
+            if filed is not None and subscription in filed:
+                filed.remove(subscription)
+                if not filed:
+                    del filing[attribute]
+                return
 
     @property
     def one_run(self):
@@ -118,12 +135,17 @@ class LinearIndex:
                     self.hot_bytes, self.eval_cycles,
                 )
         self.visits_last_match = len(self._subscriptions)
+        if not self._filing:
+            return set()
+        attributes = publication.attributes
+        carried = attributes.keys()
         return {
             subscription.subscription_id
-            for first, rows in self._by_first.items()
-            if first in publication.attributes
-            for subscription in rows
-            if subscription.matches(publication)
+            for attribute, filed in self._filing.items()
+            if attribute in attributes
+            for subscription in filed
+            if subscription.constraints.keys() <= carried
+            and subscription.matches(publication)
         }
 
     def subscriptions(self):

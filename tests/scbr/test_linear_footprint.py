@@ -7,7 +7,7 @@ alive: two objects the cyclic GC re-walks on every collection, and
 ~232 B.  Here a 20 000-row table is built the same way, from a pool
 made before anything is counted, once on an enclave memory and once
 without one; the build may add fewer than 100 GC-tracked objects in
-all (the filing by first attribute adds a few) and at most 64 B of
+all (the filing of distinct objects by attribute adds a few) and at most 64 B of
 traced host memory per row.
 """
 

@@ -1,15 +1,20 @@
-"""A flat table evaluates each distinct subscription once, and only
-where its first attribute is published; the match set is every row's.
+"""A flat table evaluates each distinct subscription once, and only one
+whose constrained attributes the publication all carries; the match set
+is every row's.
 
-``LinearIndex`` files each row's subscription object under its first
-constrained attribute, with the count of rows holding it, and after
-charging the scan evaluates only the objects filed under an attribute
-the publication carries: a subscription whose first attribute is
-missing (or ``None``) cannot match.  Hypothesis drives inserts of shared
-objects and of distinct objects that share an id, removes (of a shared
-object too), front extractions and matches against brute force over
-the rows.  After every step the filing counts exactly the rows holding
-each object, and no zero count or empty attribute is left in it.
+``LinearIndex`` files each distinct subscription object once, under one
+of its own constrained attributes (the one whose filing was smallest
+when the object first arrived), with the count of rows holding it.
+After charging the scan it looks only at the objects filed under an
+attribute the publication carries and evaluates only those whose
+constrained attributes are all keys of the publication: a subscription
+missing one (or seeing ``None`` there) cannot match.  Hypothesis drives
+inserts of shared objects and of distinct objects that share an id,
+removes (of a shared object too), front extractions and matches against
+brute force over the rows.  After every step each object is filed
+exactly once, under one of its own attributes, with the exact count of
+rows holding it, and no zero count or empty attribute is left in the
+filing.
 """
 
 from collections import Counter
@@ -36,7 +41,7 @@ def constraints(draw, attribute):
 
 @st.composite
 def subscriptions(draw):
-    # The order matters: a row is filed under its first attribute.
+    # Attributes in any order: an object may be filed under any of them.
     attributes = draw(st.lists(st.sampled_from(ATTRIBUTES), min_size=1,
                                max_size=3, unique=True))
     return Subscription(
@@ -60,15 +65,19 @@ steps = st.one_of(
 
 
 def filed(index):
-    """The index's filing, as a count of rows per subscription object."""
-    counts = Counter()
-    for first, rows in index._by_first.items():
-        assert rows, "an attribute with no rows left stays filed"
-        for subscription, count in rows.items():
-            assert count > 0
-            assert next(iter(subscription.constraints)) == first
-            counts[subscription] += count
-    return counts
+    """The index's row counts per subscription object; asserts that each
+    counted object is filed exactly once, under one of its own
+    attributes, and that no empty filing or zero count is left."""
+    homes = Counter()
+    for attribute, objects in index._filing.items():
+        assert objects, "an attribute with nothing left stays filed"
+        for subscription in objects:
+            assert attribute in subscription.constraints
+            homes[subscription] += 1
+    assert set(homes.values()) <= {1}, "an object filed twice"
+    assert homes.keys() == index._rows.keys()
+    assert all(count > 0 for count in index._rows.values())
+    return Counter(index._rows)
 
 
 @settings(deadline=None)
@@ -80,8 +89,14 @@ def test_match_equals_brute_force_over_the_rows(pool, script):
     for kind, argument in script:
         if kind == "insert":
             subscription = pool[argument % len(pool)]
+            sizes = [len(index._filing.get(attribute, ()))
+                     for attribute in subscription.constraints]
+            arriving = subscription not in rows
             index.insert(subscription)
             rows.append(subscription)
+            if arriving:  # filed where the filing was smallest
+                home = list(subscription.constraints)[sizes.index(min(sizes))]
+                assert subscription in index._filing[home]
         elif kind == "remove" and rows:
             # The table drops the first row holding the id.
             wanted = rows[argument % len(rows)].subscription_id

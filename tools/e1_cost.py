@@ -8,16 +8,19 @@ with its own EPC) three times and prints the CPU seconds of the build
 runs it, and the traced host bytes the table holds per row.  On the
 first table it prints the CPU seconds of the cold match (the first
 after the build, which fills the LLC and the EPC) and of a warm match
-(the median of the repeats, each against another publication), and two
-properties of the table that a match relies on: rows per distinct
-subscription object, and the share of rows whose first constrained
-attribute the publication carries (the mean over the matched
-publications).  Then it runs ``python -m repro.cli run e1`` in a child
-process, output discarded, and prints the child's CPU seconds (user +
-system).  The matches price one point of a denser Figure-3 sweep, the
-last line the sweep that exists (DESIGN section 5, "A repeated run is a
-fixed point", "A table row is a subscription and an address").  Run
-the same file in a parent checkout for a before/after
+(the median of the repeats, each against another publication), and
+three properties of the table that a match relies on: rows per distinct
+subscription object, and per match (the mean over the matched
+publications) the distinct objects filed under an attribute the
+publication carries and the distinct objects it evaluates, those whose
+constrained attributes the publication all carries (counted by wrapping
+``Subscription.matches`` in a second, untimed pass).  Then it runs
+``python -m repro.cli run e1`` in a child process, output discarded,
+and prints the child's CPU seconds (user + system).  The matches price
+one point of a denser Figure-3 sweep, the last line the sweep that
+exists (DESIGN section 5, "A repeated run is a fixed point", "A table
+row is a subscription and an address").  Run the same file in a parent
+checkout for a before/after
 (``cd parent && PYTHONPATH=src python <repo>/tools/e1_cost.py``).
 
 Usage: ``PYTHONPATH=src python tools/e1_cost.py`` from the root of the
@@ -33,6 +36,7 @@ import tracemalloc
 from statistics import mean, median
 from time import process_time
 
+from repro.scbr.filters import Subscription
 from repro.scbr.naive import LinearIndex
 from repro.scbr.workload import ScbrWorkload
 from repro.sgx.costs import DEFAULT_COSTS, MIB
@@ -74,6 +78,37 @@ def bytes_per_row(pool):
         tracemalloc.stop()
 
 
+def filing(index):
+    """The table's filing, attribute -> the distinct objects filed under
+    it (``_by_first``, with a row count per object, in trees that filed
+    by first attribute)."""
+    if hasattr(index, "_filing"):
+        return index._filing
+    return index._by_first
+
+
+def evaluated(index, publications):
+    """Per publication, the ``Subscription.matches`` calls its match
+    makes."""
+    raw = Subscription.matches
+    calls = [0]
+
+    def matches(self, publication):
+        calls[0] += 1
+        return raw(self, publication)
+
+    Subscription.matches = matches
+    try:
+        counts = []
+        for publication in publications:
+            calls[0] = 0
+            index.match(publication)
+            counts.append(calls[0])
+        return counts
+    finally:
+        Subscription.matches = raw
+
+
 def matches(index, publications):
     seconds = []
     for publication in publications:
@@ -81,13 +116,13 @@ def matches(index, publications):
         index.match(publication)
         seconds.append(process_time() - start)
     rows = index.subscriptions()
-    firsts = [next(iter(row.constraints)) for row in rows]
-    carried = mean(
-        sum(first in publication.attributes for first in firsts) / len(rows)
+    filed = mean(
+        sum(len(objects) for attribute, objects in filing(index).items()
+            if attribute in publication.attributes)
         for publication in publications
     )
     return (seconds[0], median(seconds[1:]), len(rows) / len(set(rows)),
-            carried)
+            filed, mean(evaluated(index, publications)))
 
 
 def children_cpu():
@@ -101,7 +136,7 @@ def main():
     pool = workload.subscriptions(POOL)
     publications = workload.publications(1 + REPEATS)
     index, build_gc = build(pool, collect=True)
-    cold, warm, per_object, carried = matches(index, publications)
+    cold, warm, per_object, filed, tested = matches(index, publications)
     del index
     build_no_gc = build(pool, collect=False)[1]
     per_row = bytes_per_row(pool)
@@ -110,9 +145,9 @@ def main():
           % (DATABASE_MIB, ROWS, build_gc, build_no_gc, per_row))
     print("match: cold %.3f CPU-s (first after build), warm %.4f CPU-s "
           "(median of %d)" % (cold, warm, REPEATS))
-    print("table: %.1f rows per distinct subscription, %.1f %% of rows "
-          "carry a first attribute the publication has (mean of %d)"
-          % (per_object, 100 * carried, len(publications)))
+    print("table: %.1f rows per distinct subscription; per match %.0f "
+          "distinct objects filed under a carried attribute, %.0f evaluated "
+          "(mean of %d)" % (per_object, filed, tested, len(publications)))
     before = children_cpu()
     subprocess.run([sys.executable, "-m", "repro.cli", "run", "e1"],
                    stdout=subprocess.DEVNULL, check=True)
