@@ -28,17 +28,23 @@ stay the definitions the walk must agree with
 
 A build is cheap on the host too.  A subscription can cover only one
 that constrains every attribute it does, so each node carries the bit
-mask of its constrained attributes, and the roots -- where a wide
+mask of its constrained attributes (:class:`AttributeBits`, the
+vocabulary the flat table shares), and the roots -- where a wide
 forest keeps most of its nodes -- are also bucketed by mask, each root
 stamped with its arrival among them.  ``insert`` looks for the root to
 descend into only in buckets whose mask lies inside the newcomer's,
-taking the coverer with the smallest stamp, and for the roots a new
-root covers only in buckets whose mask holds the newcomer's, in stamp
-order; below the roots it skips, by mask, every child that can neither
-cover nor be covered.  Every test it skips is one ``covers`` would
-fail, so the forest comes out node for node as a scan of every sibling
-in order builds it (``tests/scbr/test_forest_twin.py``).
+reading their roots merged in stamp order up to the first coverer, and
+for the roots a new root covers only in buckets whose mask holds the
+newcomer's, in stamp order; below the roots it skips, by mask, every
+child that can neither cover nor be covered.  Every test it skips is
+one ``covers`` would fail, so the forest comes out node for node as a
+scan of every sibling in order builds it
+(``tests/scbr/test_forest_twin.py``).  A ``covers_any_root`` probe
+reads the same buckets with a read-only mask: an attribute the index
+has never seen has no bit, and no root constrains it.
 """
+
+from heapq import heapify, heappop, heapreplace
 
 from repro.errors import ConfigurationError
 from repro.sgx.memory import _RUN, MemoryRegion
@@ -51,6 +57,39 @@ HOT_BYTES = 64
 EVAL_CYCLES = 150
 # Default resident footprint of a subscription record.
 DEFAULT_RECORD_BYTES = 512
+
+
+class AttributeBits(dict):
+    """Attribute -> its bit, one bit per attribute in order of arrival;
+    the one vocabulary of both matchers' attribute masks.
+
+    :meth:`grow` is an insert's mask: an attribute seen for the first
+    time gets the next bit.  :meth:`mask` is a publication's or a
+    probe's: it reads the bits there are and skips an attribute that
+    has none -- no subscription in the index constrains it -- so only
+    inserts grow the vocabulary.
+    """
+
+    __slots__ = ()
+
+    def grow(self, attributes):
+        """The mask of ``attributes``, giving each new one its bit."""
+        get = self.get
+        mask = 0
+        for attribute in attributes:
+            bit = get(attribute)
+            if bit is None:
+                bit = self[attribute] = 1 << len(self)
+            mask |= bit
+        return mask
+
+    def mask(self, attributes):
+        """The mask of those of ``attributes`` that have a bit."""
+        get = self.get
+        mask = 0
+        for attribute in attributes:
+            mask |= get(attribute, 0)
+        return mask
 
 
 def _submasks(mask):
@@ -102,7 +141,7 @@ class ContainmentIndex:
         # ``{root: stamp}`` (a root's stamp counts its arrival among the
         # roots, so each bucket is in ``_roots`` order), and ``_holding``
         # maps an attribute to the masks of the buckets constraining it.
-        self._bits = {}
+        self._bits = AttributeBits()
         self._buckets = {}
         self._holding = {}
         self._stamp = 0
@@ -127,7 +166,7 @@ class ContainmentIndex:
         """A node for ``subscription``, with its record if there is a
         memory."""
         memory = self.memory
-        mask = self._mask(subscription)
+        mask = self._bits.grow(subscription.constraints)
         if memory is None:
             return _Node(subscription, mask, None)
         node = _Node(subscription, mask, memory.reserve(self.record_bytes))
@@ -141,18 +180,6 @@ class ContainmentIndex:
         """Release ``node``'s record: it stops inflating paging pressure."""
         if self.memory is not None:
             self.memory.free(MemoryRegion(node.base, self.record_bytes))
-
-    def _mask(self, subscription):
-        """The bit mask of ``subscription``'s constrained attributes (an
-        attribute gets its bit the first time one is asked for)."""
-        bits = self._bits
-        mask = 0
-        for attribute in subscription.constraints:
-            bit = bits.get(attribute)
-            if bit is None:
-                bit = bits[attribute] = 1 << len(bits)
-            mask |= bit
-        return mask
 
     def _plant(self, node):
         """Append ``node`` to the roots and, stamped, to its bucket."""
@@ -186,28 +213,41 @@ class ContainmentIndex:
 
         Only a root whose attribute set is a subset of the candidate's
         can cover it, so only those buckets are read: the ``2**k``
-        sub-masks of a ``k``-attribute candidate, or every bucket where
-        that is fewer.  A bucket is read in stamp order, up to its first
-        coverer or the earliest stamp found so far.
+        sub-masks of a ``k``-bit ``mask``, or every bucket where that is
+        fewer.  Their roots are read merged in stamp order, up to the
+        first coverer; a lone bucket is simply read in order.
         """
         buckets = self._buckets
-        if 1 << len(subscription.constraints) <= len(buckets):
-            keys = _submasks(mask)
+        if 1 << mask.bit_count() <= len(buckets):
+            inside = [bucket for bucket in map(buckets.get, _submasks(mask))
+                      if bucket is not None]
         else:
-            keys = buckets
-        found = None
-        first = self._stamp
-        for key in keys:
-            bucket = buckets.get(key)
-            if bucket is None or key | mask != mask:
-                continue
-            for root, stamp in bucket.items():
-                if stamp >= first:
-                    break
+            inside = [bucket for key, bucket in buckets.items()
+                      if key | mask == mask]
+        if len(inside) == 1:
+            for root in inside[0]:
                 if root.subscription.covers(subscription):
-                    found, first = root, stamp
-                    break
-        return found
+                    return root
+            return None
+        # One (stamp, root, rest of its bucket) head per bucket (no
+        # bucket is empty); stamps are distinct, so the heap never
+        # compares past them.
+        heads = []
+        for bucket in inside:
+            rest = iter(bucket.items())
+            root, stamp = next(rest)
+            heads.append((stamp, root, rest))
+        heapify(heads)
+        while heads:
+            _stamp, root, rest = heads[0]
+            if root.subscription.covers(subscription):
+                return root
+            following = next(rest, None)
+            if following is None:
+                heappop(heads)
+            else:
+                heapreplace(heads, (following[1], following[0], rest))
+        return None
 
     def _roots_covered_by(self, subscription, mask):
         """The roots ``subscription`` covers, in ``_roots`` order.
@@ -393,7 +433,7 @@ class ContainmentIndex:
         covering-aware shard planner uses to keep chains together.
         """
         return self._first_root_covering(
-            subscription, self._mask(subscription)
+            subscription, self._bits.mask(subscription.constraints)
         ) is not None
 
     def subtree_size(self, subscription_id):
@@ -485,7 +525,7 @@ class ContainmentIndex:
         stack = [(node, []) for node in self._roots]
         while stack:
             node, ancestors = stack.pop()
-            if node.mask != self._mask(node.subscription):
+            if node.mask != self._bits.mask(node.subscription.constraints):
                 raise ConfigurationError(
                     "index invariant violated: %r carries a stale mask"
                     % (node.subscription,)

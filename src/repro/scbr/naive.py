@@ -22,10 +22,12 @@ publication that carries every attribute it constrains, and a table
 may hold one subscription object in many rows, so the table also
 counts the rows holding each distinct object and files the object
 once, under the one of its constrained attributes whose filing was
-smallest when the object first arrived.  ``match`` looks only at the
-objects filed under an attribute the publication carries, and
-evaluates only those whose constrained attributes the publication all
-carries; the match set is the same.
+smallest when the object first arrived, with the bit mask of its
+constrained attributes (:class:`~repro.scbr.index.AttributeBits`, whose
+bits only inserts hand out).  ``match`` computes the mask of the
+attributes the publication carries once, looks only at the objects
+filed under one of them, and evaluates only those whose mask lies
+inside it -- one integer test -- so the match set is the same.
 
 A row is a subscription and an address, kept in two flat columns: the
 subscription objects, and (with a memory) each record's base address
@@ -38,7 +40,12 @@ built only where one is consumed -- to free a record, and for the
 from array import array
 
 from repro.errors import ConfigurationError
-from repro.scbr.index import DEFAULT_RECORD_BYTES, EVAL_CYCLES, HOT_BYTES
+from repro.scbr.index import (
+    DEFAULT_RECORD_BYTES,
+    EVAL_CYCLES,
+    HOT_BYTES,
+    AttributeBits,
+)
 from repro.sgx.memory import MemoryRegion
 
 
@@ -55,9 +62,12 @@ class LinearIndex:
         self.eval_cycles = eval_cycles
         self._subscriptions = []
         self._bases = array("q")  # one per row when there is a memory
-        # Subscription object -> rows holding it, and constrained
-        # attribute -> the objects filed under it (each under one only).
+        # Subscription object -> rows holding it; constrained attribute
+        # -> its bit; and constrained attribute -> {object: the mask of
+        # its constrained attributes} for the objects filed under it
+        # (each under one only).
         self._rows = {}
+        self._bits = AttributeBits()
         self._filing = {}
         self.visits_last_match = 0
 
@@ -81,9 +91,11 @@ class LinearIndex:
             return
         rows[subscription] = 1
         filing = self._filing
-        home = min(subscription.constraints,
+        constraints = subscription.constraints
+        home = min(constraints,
                    key=lambda attribute: len(filing.get(attribute, ())))
-        filing.setdefault(home, set()).add(subscription)
+        mask = self._bits.grow(constraints)
+        filing.setdefault(home, {})[subscription] = mask
 
     def _unfile(self, subscription):
         """Forget one row holding ``subscription``; no zero count stays,
@@ -97,7 +109,7 @@ class LinearIndex:
         for attribute in subscription.constraints:
             filed = filing.get(attribute)
             if filed is not None and subscription in filed:
-                filed.remove(subscription)
+                del filed[subscription]
                 if not filed:
                     del filing[attribute]
                 return
@@ -138,14 +150,13 @@ class LinearIndex:
         if not self._filing:
             return set()
         attributes = publication.attributes
-        carried = attributes.keys()
+        carried = self._bits.mask(attributes)
         return {
             subscription.subscription_id
             for attribute, filed in self._filing.items()
             if attribute in attributes
-            for subscription in filed
-            if subscription.constraints.keys() <= carried
-            and subscription.matches(publication)
+            for subscription, mask in filed.items()
+            if mask | carried == carried and subscription.matches(publication)
         }
 
     def subscriptions(self):

@@ -7,14 +7,17 @@ with its own EPC) three times and prints the CPU seconds of the build
 ``benchmarks/perf`` runs it, and with it off, as ``repro.cli run e1``
 runs it, and the traced host bytes the table holds per row.  On the
 first table it prints the CPU seconds of the cold match (the first
-after the build, which fills the LLC and the EPC) and of a warm match
-(the median of the repeats, each against another publication), and
-three properties of the table that a match relies on: rows per distinct
-subscription object, and per match (the mean over the matched
-publications) the distinct objects filed under an attribute the
-publication carries and the distinct objects it evaluates, those whose
-constrained attributes the publication all carries (counted by wrapping
-``Subscription.matches`` in a second, untimed pass).  Then it runs
+after the build, which fills the LLC and the EPC) and the CPU
+milliseconds of a warm match (the median of the repeats, each against
+another publication) and of the same matches with every evaluation
+failing at once (``Subscription.matches`` stubbed: the scan charge and
+the filter alone), and three properties of the table that a match
+relies on: rows per distinct subscription object, and per warm match
+(the mean over the repeats) the attribute-set tests, one per distinct
+object filed under an attribute the publication carries, and the
+evaluations, one per object whose constrained attributes the
+publication all carries (counted by wrapping ``Subscription.matches``
+in another, untimed pass).  Then it runs
 ``python -m repro.cli run e1`` in a child process, output discarded,
 and prints the child's CPU seconds (user + system).  The matches price
 one point of a denser Figure-3 sweep, the last line the sweep that
@@ -80,8 +83,8 @@ def bytes_per_row(pool):
 
 def filing(index):
     """The table's filing, attribute -> the distinct objects filed under
-    it (``_by_first``, with a row count per object, in trees that filed
-    by first attribute)."""
+    it (a set of them, or a map to their masks; ``_by_first``, with a row
+    count per object, in trees that filed by first attribute)."""
     if hasattr(index, "_filing"):
         return index._filing
     return index._by_first
@@ -109,20 +112,38 @@ def evaluated(index, publications):
         Subscription.matches = raw
 
 
-def matches(index, publications):
+def timed(index, publications):
+    """The CPU seconds of each publication's match, in order."""
     seconds = []
     for publication in publications:
         start = process_time()
         index.match(publication)
         seconds.append(process_time() - start)
+    return seconds
+
+
+def unevaluated(index, publications):
+    """The median CPU seconds of the matches with every evaluation
+    failing at once: the scan charge and the filter."""
+    raw = Subscription.matches
+    Subscription.matches = lambda self, publication: False
+    try:
+        return median(timed(index, publications))
+    finally:
+        Subscription.matches = raw
+
+
+def matches(index, publications):
+    seconds = timed(index, publications)
+    warm = publications[1:]
     rows = index.subscriptions()
-    filed = mean(
+    tests = mean(
         sum(len(objects) for attribute, objects in filing(index).items()
             if attribute in publication.attributes)
-        for publication in publications
+        for publication in warm
     )
-    return (seconds[0], median(seconds[1:]), len(rows) / len(set(rows)),
-            filed, mean(evaluated(index, publications)))
+    return (seconds[0], median(seconds[1:]), unevaluated(index, warm),
+            len(rows) / len(set(rows)), tests, mean(evaluated(index, warm)))
 
 
 def children_cpu():
@@ -136,18 +157,22 @@ def main():
     pool = workload.subscriptions(POOL)
     publications = workload.publications(1 + REPEATS)
     index, build_gc = build(pool, collect=True)
-    cold, warm, per_object, filed, tested = matches(index, publications)
+    cold, warm, filtered, per_object, tests, evaluations = matches(
+        index, publications
+    )
     del index
     build_no_gc = build(pool, collect=False)[1]
     per_row = bytes_per_row(pool)
     print("%d MiB enclave LinearIndex, %d rows: build %.2f CPU-s with GC "
           "on, %.2f with GC off, %.0f host bytes per row"
           % (DATABASE_MIB, ROWS, build_gc, build_no_gc, per_row))
-    print("match: cold %.3f CPU-s (first after build), warm %.4f CPU-s "
-          "(median of %d)" % (cold, warm, REPEATS))
-    print("table: %.1f rows per distinct subscription; per match %.0f "
-          "distinct objects filed under a carried attribute, %.0f evaluated "
-          "(mean of %d)" % (per_object, filed, tested, len(publications)))
+    print("match: cold %.3f CPU-s (first after build), warm %.3f CPU-ms "
+          "(median of %d), %.3f CPU-ms of it the scan charge and the filter"
+          % (cold, 1e3 * warm, REPEATS, 1e3 * filtered))
+    print("table: %.1f rows per distinct subscription; per warm match %.0f "
+          "attribute-set tests (distinct objects filed under a carried "
+          "attribute), %.0f evaluations (mean of %d)"
+          % (per_object, tests, evaluations, REPEATS))
     before = children_cpu()
     subprocess.run([sys.executable, "-m", "repro.cli", "run", "e1"],
                    stdout=subprocess.DEVNULL, check=True)

@@ -7,9 +7,12 @@ into a memory-less ``ContainmentIndex`` several times.  It prints the
 CPU seconds of each build (the inserts; the pool is made beforehand),
 their median, and the forest's root count and depth; then it builds once
 more with ``Subscription.covers`` wrapped in a counter and prints the
-``covers`` calls that build made (the counted build is not timed).
+``covers`` calls that build made (the counted build is not timed), in
+all and by where: the search for the root to descend into
+(``_first_root_covering``, found or not), the search for the roots a new
+root covers (``_roots_covered_by``) and below the roots.
 
-The hook is installed by name on the class, so the same file runs
+The hooks are installed by name on the classes, so the same file runs
 unchanged in a parent checkout for a before/after
 (``cd parent && PYTHONPATH=src python <repo>/tools/forest_cost.py``).
 Host timings drift over minutes, so compare trees with alternating
@@ -43,20 +46,46 @@ def build(pool):
 
 
 def covers_calls(pool):
-    """The ``Subscription.covers`` calls one build of ``pool`` makes."""
+    """The ``Subscription.covers`` calls one build of ``pool`` makes, by
+    where they are made: the search for the root to descend into (split
+    by whether it finds one), the search for the roots a new root
+    covers, and below the roots (the descent and its landing level)."""
     raw = Subscription.covers
-    calls = [0]
+    searches = {
+        name: getattr(ContainmentIndex, name)
+        for name in ("_first_root_covering", "_roots_covered_by")
+    }
+    total = [0]
+    calls = {"found": 0, "not found": 0, "covered roots": 0}
 
     def covers(self, other):
-        calls[0] += 1
+        total[0] += 1
         return raw(self, other)
 
+    def first_root_covering(index, subscription, mask):
+        before = total[0]
+        found = searches["_first_root_covering"](index, subscription, mask)
+        calls["found" if found is not None else "not found"] += \
+            total[0] - before
+        return found
+
+    def roots_covered_by(index, subscription, mask):
+        before = total[0]
+        covered = searches["_roots_covered_by"](index, subscription, mask)
+        calls["covered roots"] += total[0] - before
+        return covered
+
     Subscription.covers = covers
+    ContainmentIndex._first_root_covering = first_root_covering
+    ContainmentIndex._roots_covered_by = roots_covered_by
     try:
         build(pool)
     finally:
         Subscription.covers = raw
-    return calls[0]
+        for name, search in searches.items():
+            setattr(ContainmentIndex, name, search)
+    calls["below"] = total[0] - sum(calls.values())
+    return calls
 
 
 def main(argv):
@@ -72,8 +101,13 @@ def main(argv):
           "attributes): %.3f CPU-s median of %d (%s)"
           % (SUBSCRIPTIONS, SEED, ATTRIBUTES, median(seconds), builds,
              ", ".join("%.3f" % value for value in seconds)))
+    calls = covers_calls(pool)
     print("forest: %d roots, depth %d; %d covers calls per build"
-          % (len(index._roots), index.depth(), covers_calls(pool)))
+          % (len(index._roots), index.depth(), sum(calls.values())))
+    print("covers calls: root search %d found + %d not found, roots a new "
+          "root covers %d, below the roots %d"
+          % (calls["found"], calls["not found"], calls["covered roots"],
+             calls["below"]))
 
 
 if __name__ == "__main__":
