@@ -33,18 +33,15 @@ vocabulary the flat table shares), and the roots -- where a wide
 forest keeps most of its nodes -- are also bucketed by mask, each root
 stamped with its arrival among them.  ``insert`` looks for the root to
 descend into only in buckets whose mask lies inside the newcomer's,
-reading their roots merged in stamp order up to the first coverer, and
-for the roots a new root covers only in buckets whose mask holds the
-newcomer's, in stamp order; below the roots it skips, by mask, every
-child that can neither cover nor be covered.  Every test it skips is
-one ``covers`` would fail, so the forest comes out node for node as a
-scan of every sibling in order builds it
-(``tests/scbr/test_forest_twin.py``).  A ``covers_any_root`` probe
+taking the coverer with the smallest stamp, and for the roots a new
+root covers only in buckets whose mask holds the newcomer's, in stamp
+order; below the roots it skips, by mask, every child that can neither
+cover nor be covered.  Every test it skips is one ``covers`` would
+fail, so the forest comes out node for node as a scan of every sibling
+in order builds it (``tests/scbr/test_forest_twin.py``).  A ``covers_any_root`` probe
 reads the same buckets with a read-only mask: an attribute the index
 has never seen has no bit, and no root constrains it.
 """
-
-from heapq import heapify, heappop, heapreplace
 
 from repro.errors import ConfigurationError
 from repro.sgx.memory import _RUN, MemoryRegion
@@ -213,41 +210,28 @@ class ContainmentIndex:
 
         Only a root whose attribute set is a subset of the candidate's
         can cover it, so only those buckets are read: the ``2**k``
-        sub-masks of a ``k``-bit ``mask``, or every bucket where that is
-        fewer.  Their roots are read merged in stamp order, up to the
-        first coverer; a lone bucket is simply read in order.
+        sub-masks of a ``k``-attribute candidate, or every bucket where
+        that is fewer.  A bucket is read in stamp order, up to its first
+        coverer or the earliest stamp found so far.
         """
         buckets = self._buckets
-        if 1 << mask.bit_count() <= len(buckets):
-            inside = [bucket for bucket in map(buckets.get, _submasks(mask))
-                      if bucket is not None]
+        if 1 << len(subscription.constraints) <= len(buckets):
+            keys = _submasks(mask)
         else:
-            inside = [bucket for key, bucket in buckets.items()
-                      if key | mask == mask]
-        if len(inside) == 1:
-            for root in inside[0]:
+            keys = buckets
+        found = None
+        first = self._stamp
+        for key in keys:
+            bucket = buckets.get(key)
+            if bucket is None or key | mask != mask:
+                continue
+            for root, stamp in bucket.items():
+                if stamp >= first:
+                    break
                 if root.subscription.covers(subscription):
-                    return root
-            return None
-        # One (stamp, root, rest of its bucket) head per bucket (no
-        # bucket is empty); stamps are distinct, so the heap never
-        # compares past them.
-        heads = []
-        for bucket in inside:
-            rest = iter(bucket.items())
-            root, stamp = next(rest)
-            heads.append((stamp, root, rest))
-        heapify(heads)
-        while heads:
-            _stamp, root, rest = heads[0]
-            if root.subscription.covers(subscription):
-                return root
-            following = next(rest, None)
-            if following is None:
-                heappop(heads)
-            else:
-                heapreplace(heads, (following[1], following[0], rest))
-        return None
+                    found, first = root, stamp
+                    break
+        return found
 
     def _roots_covered_by(self, subscription, mask):
         """The roots ``subscription`` covers, in ``_roots`` order.
